@@ -1,4 +1,4 @@
-"""Round-throughput scaling benchmark for the two-tier round engine.
+"""Round-throughput scaling benchmark for the two round kernels.
 
 Sweeps ``n`` over the seven id-only protocols and measures round
 throughput (simulated rounds per wall-clock second, excluding system
@@ -8,25 +8,21 @@ build time) for the selected engines:
   to this for every synchronous scenario, i.e. all real workloads):
   shared broadcast rounds become a ``ColumnarInbox`` and the protocol
   math consumes numpy batch tallies (``tally_backend: "numpy"``);
-* ``fast``   — the object-plane synchronous fast path (same staging and
-  shared-inbox memoisation, scalar tallies);
-* ``queue``  — the round-bucketed envelope queue (general delay models);
-* ``legacy`` — the pre-bucketing single-list engine, kept as the
-  performance baseline.
+* ``queue``  — the round-bucketed envelope queue (general delay models,
+  scalar tallies).
 
 Every cell runs the *same* scenario (same spec, same seed, same round
 cap) on every engine, and the engines are bit-identical by construction
-(see ``tests/test_engine_equivalence.py``), so the throughput ratios are
-pure engine overhead — protocol logic included in both numerators and
-denominators.  Results land in ``BENCH_scaling.json`` together with the
-fast/legacy speedups and the headline ratio the roadmap tracks (minimum
-speedup at n=500 on the E1/E3-style workloads).
+(see ``tests/test_engine_equivalence.py``), so per-cell throughput
+differences are pure engine overhead.  Results land in
+``BENCH_scaling.json``, together with the traced/untraced ratios of the
+``--trace`` twins.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py                 # full sweep
     PYTHONPATH=src python benchmarks/bench_scaling.py --quick         # n=50 smoke
-    PYTHONPATH=src python benchmarks/bench_scaling.py --sizes 50,100 --engines vector,fast
+    PYTHONPATH=src python benchmarks/bench_scaling.py --sizes 50,100 --engines vector
     PYTHONPATH=src python benchmarks/bench_scaling.py --xl            # adds n=2000,5000,10000
     PYTHONPATH=src python benchmarks/bench_scaling.py --profile       # per-phase seconds
     PYTHONPATH=src python benchmarks/bench_scaling.py --store bench.db  # resumable
@@ -75,7 +71,7 @@ DEFAULT_SIZES = (50, 100, 250, 500, 1000)
 #: per-workload caps below keep the sweep duration sane — skipped cells
 #: are recorded, not dropped).
 XL_SIZES = (2000, 5000, 10000)
-DEFAULT_ENGINES = ("vector", "fast", "queue", "legacy")
+DEFAULT_ENGINES = ("vector", "queue")
 
 #: The seven id-only protocols (Algorithms 1–6 plus the iterated variant).
 #:
@@ -84,109 +80,60 @@ DEFAULT_ENGINES = ("vector", "fast", "queue", "legacy")
 #: every speedup ratio.  ``rounds_large`` = (n_threshold, rounds) shrinks
 #: the cap at large n for the heaviest initialization phases (kept from the
 #: pre-wire-format sweeps so per-cell rounds/s stay comparable across PRs).
-#: ``caps`` bounds the n the slow reference engines are run at; skipped
-#: cells are recorded in the JSON rather than silently dropped.  The
-#: delta-coded candidate gossip (one ``CandidateGossip`` per node per round
-#: instead of one ``RotorEcho`` per candidate) uncapped the rotor
-#: reference engines: the echo wave fell from O(n³) to O(n²) wire
-#: messages, so the queue/legacy kernels that previously needed 697 s /
-#: 859 s for a single rotor n=500 cell now run it in seconds.
+#: ``caps`` bounds the n each engine is run at; skipped cells are
+#: recorded in the JSON rather than silently dropped.
 WORKLOADS: dict[str, dict] = {
-    # The fast/vector caps only matter for the ``--xl`` sizes: the
-    # columnar vector kernel carries reliable broadcast all the way to
-    # n=10,000 (the roadmap north-star cell), while the object-plane fast
-    # kernel and the heavier protocols stop where a cell would take
-    # minutes instead of seconds.
+    # The vector caps only matter for the ``--xl`` sizes: the columnar
+    # vector kernel carries reliable broadcast all the way to n=10,000
+    # (the roadmap north-star cell), while the heavier protocols stop
+    # where a cell would take minutes instead of seconds.
     "reliable-broadcast": {
         "rounds": 4,
-        "caps": {"queue": 1000, "legacy": 500, "fast": 2000},
+        "caps": {"queue": 1000},
     },
     "rotor-coordinator": {
         "rounds": 6,
         "rounds_large": (500, 4),
-        "caps": {"queue": 1000, "legacy": 500, "fast": 1000, "vector": 5000},
+        "caps": {"queue": 1000, "vector": 5000},
     },
     "consensus": {
         "rounds": 5,
         "rounds_large": (500, 2),
-        "caps": {"queue": 500, "legacy": 500, "fast": 1000, "vector": 5000},
+        "caps": {"queue": 500, "vector": 5000},
     },
     "approximate-agreement": {
         "rounds": 4,
-        "caps": {"queue": 500, "legacy": 500, "fast": 2000, "vector": 5000},
+        "caps": {"queue": 500, "vector": 5000},
     },
     "iterated-approximate-agreement": {
         "rounds": 6,
         "params": {"iterations": 3},
-        "caps": {"queue": 500, "legacy": 500, "fast": 2000, "vector": 5000},
+        "caps": {"queue": 500, "vector": 5000},
     },
     "parallel-consensus": {
         "rounds": 5,
         "rounds_large": (500, 3),
         "params": {"k_instances": 4},
-        "caps": {"queue": 250, "legacy": 250, "fast": 1000, "vector": 2000},
+        "caps": {"queue": 250, "vector": 2000},
     },
-    # The instance-lifecycle rewrite (quiescent decided instances, one
-    # batched PCBatch broadcast per round, inbox-memoized routing/scan
-    # indexes) uncapped the fast path: total-order completes the full
-    # sweep.  The reference engines hand every node a private inbox, so
-    # the shared-index memoisation cannot help them and their per-node
-    # routing cost stays superlinear — they remain capped (measured:
-    # queue 170 s / legacy 115 s for the n=250 cell).
+    # The queue kernel hands every node a private inbox, so the shared
+    # inbox-memoized routing/scan indexes of total-order cannot help it
+    # and its per-node routing cost stays superlinear (measured: 170 s
+    # for the n=250 cell).
     "total-order": {
         "rounds": 6,
         "churn": {"rounds": 6},
-        "caps": {"queue": 100, "legacy": 250, "fast": 1000, "vector": 2000},
+        "caps": {"queue": 100, "vector": 2000},
     },
 }
 
-#: The E1/E3-style workloads the acceptance headline is computed over.
-HEADLINE_PROTOCOLS = ("reliable-broadcast", "consensus")
-HEADLINE_N = 500
-
-#: Fast-path rounds/s at n=1000 recorded in ``BENCH_scaling.json``
-#: immediately before the vector kernel landed (seed 7, same specs and
-#: round caps).  The ``vector_over_prev_fast`` speedups are computed
-#: against these pins — the in-run fast kernel also consumes the shared
-#: memoized tallies now, so comparing against it would understate what
-#: the columnar round plane bought over the previously shipped engine.
-#: Regenerate only by checking out the pre-vector revision.
-PRE_VECTOR_FAST_BASELINE: dict[tuple[str, int], float] = {
-    ("reliable-broadcast", 1000): 11.446,
-    ("rotor-coordinator", 1000): 7.658,
-    ("consensus", 1000): 29.903,
-    ("approximate-agreement", 1000): 22.042,
-    ("iterated-approximate-agreement", 1000): 13.159,
-    ("parallel-consensus", 1000): 4.798,
-    ("total-order", 1000): 0.215,
-}
-
-#: Traced fast cells are capped by default when no store is given: an
+#: Traced vector cells are capped by default when no store is given: an
 #: in-memory traced run keeps every delivered message in the trace store,
 #: so memory grows with n² × rounds.  With ``--store`` the traced cells
 #: spill sealed segments to the run store as the run executes (peak trace
 #: memory = one segment) and the cap lifts — the full n∈{50..1000} sweep
 #: records traced twins.
 DEFAULT_TRACE_MAX_N = 250
-
-#: Traced fast-path round throughput of the *object-per-event* Trace
-#: backend (one frozen ``TraceEvent`` dataclass per sent/delivered
-#: message), measured on this machine immediately before the columnar
-#: rewrite with the same specs/seed/round caps as the traced cells below
-#: (seed 7, ``--trace``).  The columnar backend's ``trace_speedups``
-#: section is computed against these pins; regenerate them only by
-#: checking out the pre-columnar revision.
-OBJECT_BACKEND_TRACED_BASELINE: dict[tuple[str, int], float] = {
-    # (protocol, n): traced fast-path rounds/s, object backend, 2026-07-28.
-    # Untraced twins on the same run: rotor 812.2 / 161.2, consensus
-    # 559.2 / 103.7, total-order 31.8 rounds/s — i.e. tracing cost a
-    # ~12-14x slowdown on the broadcast-heavy workloads.
-    ("rotor-coordinator", 100): 61.7,
-    ("rotor-coordinator", 250): 11.8,
-    ("consensus", 100): 48.9,
-    ("consensus", 250): 7.2,
-    ("total-order", 100): 12.6,
-}
 
 
 def measured_rounds(protocol: str, n: int) -> int:
@@ -237,8 +184,7 @@ def bench_cell(
     actually measures.
 
     With ``profile``, the cell gains a per-phase wall-clock breakdown:
-    stage/deliver/step seconds from the engine's round loop (structured
-    kernels only — the legacy oracle is not instrumented) plus the
+    stage/deliver/step seconds from the engine's round loop plus the
     seconds spent building inbox tallies inside ``repro.core.tally``
     (counted within ``step_seconds``, broken out for attribution).
     """
@@ -296,12 +242,12 @@ def measure_wire_volume(spec: ScenarioSpec) -> dict:
 
     Wire volume is a property of the *scenario*, not the kernel — every
     engine moves the same payloads to the same destinations — so one
-    instrumented fast-path run per (protocol, n) prices the whole cell
+    instrumented vector run per (protocol, n) prices the whole cell
     group.  It runs separately from the timed cells because sizing a
     payload costs a pickle per send action.
     """
 
-    system = REGISTRY.build(spec, engine="fast")
+    system = REGISTRY.build(spec, engine="vector")
     system.network.enable_payload_accounting()
     result = system.network.run(
         max_rounds=spec.max_rounds, stop_when=resolve_stop(spec)
@@ -351,7 +297,6 @@ def run_sweep(
     engines,
     protocols,
     *,
-    legacy_max_n: int,
     seed: int,
     wire_volume: bool = True,
     trace: bool = False,
@@ -389,12 +334,10 @@ def run_sweep(
             volume: dict | None = None
             for engine in engines:
                 cap = engine_cap(protocol, engine)
-                if engine == "legacy":
-                    cap = min(legacy_max_n, cap if cap is not None else legacy_max_n)
                 if cap is not None and n > cap:
-                    # the reference engines take minutes-to-hours per cell at
-                    # these sizes (see the WORKLOADS note); record the skip
-                    # instead of silently shrinking coverage.  Cap skips are
+                    # such cells take minutes-to-hours at these sizes (see
+                    # the WORKLOADS note); record the skip instead of
+                    # silently shrinking coverage.  Cap skips are
                     # a sweep-configuration choice, not a measurement — they
                     # are never written to the store.
                     cells.append(
@@ -425,23 +368,23 @@ def run_sweep(
                     file=sys.stderr,
                     flush=True,
                 )
-            if trace and "fast" in engines and n <= trace_max_n:
-                # The traced twin of the fast cell: same spec/seed/round cap
-                # with `trace=True`, so traced/untraced ratios are pure trace
-                # backend overhead.
+            if trace and "vector" in engines and n <= trace_max_n:
+                # The traced twin of the vector cell: same spec/seed/round
+                # cap with `trace=True`, so traced/untraced ratios are pure
+                # trace backend overhead.
                 traced_spec = make_spec(protocol, n, seed, trace=True)
-                traced_cell = from_cache(traced_spec, "fast", "fast+t")
+                traced_cell = from_cache(traced_spec, "vector", "vector+t")
                 if traced_cell is None:
                     traced_cell = bench_cell(
                         traced_spec,
-                        "fast",
+                        "vector",
                         spill_store=store,
                         version=version,
                         segment_events=segment_events,
                         profile=profile,
                     )
                     traced_cell = _persist_cell(
-                        store, traced_spec, "fast", version, traced_cell, counts
+                        store, traced_spec, "vector", version, traced_cell, counts
                     )
                     spill_note = (
                         f", {traced_cell['trace_segments']} segments spilled"
@@ -449,7 +392,7 @@ def run_sweep(
                         else ""
                     )
                     print(
-                        f"{protocol:32s} n={n:5d} fast+trace "
+                        f"{protocol:32s} n={n:5d} vector+trace "
                         f"{traced_cell['rounds']:3d} rounds in "
                         f"{traced_cell['seconds']:8.3f}s "
                         f"({traced_cell['rounds_per_sec']:>10.1f} rounds/s, "
@@ -464,36 +407,11 @@ def run_sweep(
         for c in cells
         if "skipped" not in c
     }
-    speedups = []
     trace_speedups = []
     for protocol in protocols:
         for n in sizes:
-            fast = by_key.get((protocol, n, "fast", False))
-            legacy = by_key.get((protocol, n, "legacy", False))
-            vector = by_key.get((protocol, n, "vector", False))
-            entry = {"protocol": protocol, "n": n}
-            if fast and legacy and legacy["seconds"] and fast["rounds_per_sec"]:
-                entry["fast_over_legacy"] = round(
-                    fast["rounds_per_sec"] / legacy["rounds_per_sec"], 2
-                )
-            if vector and vector["rounds_per_sec"]:
-                if fast and fast["rounds_per_sec"]:
-                    entry["vector_over_fast"] = round(
-                        vector["rounds_per_sec"] / fast["rounds_per_sec"], 2
-                    )
-                if legacy and legacy["rounds_per_sec"]:
-                    entry["vector_over_legacy"] = round(
-                        vector["rounds_per_sec"] / legacy["rounds_per_sec"], 2
-                    )
-                pinned = PRE_VECTOR_FAST_BASELINE.get((protocol, n))
-                if pinned:
-                    entry["prev_fast_rounds_per_sec"] = pinned
-                    entry["vector_over_prev_fast"] = round(
-                        vector["rounds_per_sec"] / pinned, 2
-                    )
-            if len(entry) > 2:
-                speedups.append(entry)
-            traced = by_key.get((protocol, n, "fast", True))
+            untraced = by_key.get((protocol, n, "vector", False))
+            traced = by_key.get((protocol, n, "vector", True))
             if traced and traced["rounds_per_sec"]:
                 entry = {
                     "protocol": protocol,
@@ -501,63 +419,27 @@ def run_sweep(
                     "trace_events": traced["trace_events"],
                     "traced_rounds_per_sec": traced["rounds_per_sec"],
                 }
-                if fast and fast["rounds_per_sec"]:
+                if untraced and untraced["rounds_per_sec"]:
                     entry["traced_over_untraced"] = round(
-                        traced["rounds_per_sec"] / fast["rounds_per_sec"], 3
-                    )
-                baseline = OBJECT_BACKEND_TRACED_BASELINE.get((protocol, n))
-                if baseline:
-                    entry["object_backend_rounds_per_sec"] = baseline
-                    entry["columnar_over_object_backend"] = round(
-                        traced["rounds_per_sec"] / baseline, 2
+                        traced["rounds_per_sec"] / untraced["rounds_per_sec"], 3
                     )
                 trace_speedups.append(entry)
 
-    headline = [
-        s["fast_over_legacy"]
-        for s in speedups
-        if s["n"] == HEADLINE_N
-        and s["protocol"] in HEADLINE_PROTOCOLS
-        and "fast_over_legacy" in s
-    ]
-    # The vector acceptance bar: protocols whose columnar kernel clears
-    # 10x the *previously shipped* fast path at n=1000 (the pinned
-    # PRE_VECTOR_FAST_BASELINE numbers, not the in-run fast cells).
-    vector_wins = sorted(
-        s["protocol"]
-        for s in speedups
-        if s["n"] == 1000 and s.get("vector_over_prev_fast", 0.0) >= 10.0
-    )
     report = {
         "benchmark": "bench_scaling",
         "description": (
             "Round throughput of the columnar vector kernel and the "
-            "synchronous fast path vs the bucketed queue and the pre-PR "
-            "legacy engine; identical scenarios per cell. "
+            "bucketed queue kernel; identical scenarios per cell. "
             "message_bytes / peak_payload_bytes size the wire traffic "
             "(serialised payload bytes x copies; engine-independent, measured "
-            "on a separate instrumented fast-path run per (protocol, n))."
+            "on a separate instrumented vector run per (protocol, n))."
         ),
         "python": platform.python_version(),
         "seed": seed,
         "sizes": list(sizes),
         "engines": list(engines),
         "cells": cells,
-        "speedups": speedups,
         "trace_speedups": trace_speedups,
-        "headline": {
-            "metric": f"min fast/legacy round-throughput at n={HEADLINE_N} "
-            f"over {', '.join(HEADLINE_PROTOCOLS)}",
-            "value": min(headline) if headline else None,
-            "target": 5.0,
-        },
-        "vector_headline": {
-            "metric": "protocols with vector >= 10x the pre-vector fast "
-            "path at n=1000 (vs the pinned PRE_VECTOR_FAST_BASELINE)",
-            "target": 10.0,
-            "protocols": vector_wins,
-            "count": len(vector_wins),
-        },
     }
     if store is not None:
         # ran/skipped count *measurements* only; cap-skipped cells are a
@@ -586,16 +468,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engines",
         default=None,
-        help="comma-separated engines (default: vector,fast,queue,legacy)",
+        help="comma-separated engines (default: vector,queue)",
     )
     parser.add_argument(
         "--protocols", default=None, help="comma-separated protocol subset (default: all seven)"
-    )
-    parser.add_argument(
-        "--legacy-max-n",
-        type=int,
-        default=500,
-        help="skip legacy cells above this n (default: 500)",
     )
     parser.add_argument("--seed", type=int, default=7, help="scenario seed (default: 7)")
     parser.add_argument(
@@ -604,7 +480,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n=50 smoke run (CI): all protocols, vector+fast+legacy only",
+        help="n=50 smoke run (CI): all protocols on both engines",
     )
     parser.add_argument(
         "--xl",
@@ -617,7 +493,7 @@ def main(argv=None) -> int:
         "--profile",
         action="store_true",
         help="record a per-cell phase breakdown (stage/deliver/step/tally "
-        "seconds) for the structured engines",
+        "seconds)",
     )
     parser.add_argument(
         "--no-bytes",
@@ -627,7 +503,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="also run a traced twin of every fast cell (trace=True, same spec)",
+        help="also run a traced twin of every vector cell (trace=True, same spec)",
     )
     parser.add_argument(
         "--trace-max-n",
@@ -661,10 +537,8 @@ def main(argv=None) -> int:
     )
     if args.xl:
         sizes = sizes + tuple(n for n in XL_SIZES if n not in sizes)
-    engines = (
-        ("vector", "fast", "legacy")
-        if args.quick and args.engines is None
-        else tuple(e.strip() for e in (args.engines or ",".join(DEFAULT_ENGINES)).split(","))
+    engines = tuple(
+        e.strip() for e in (args.engines or ",".join(DEFAULT_ENGINES)).split(",")
     )
     protocols = tuple(
         p.strip() for p in (args.protocols or ",".join(WORKLOADS)).split(",")
@@ -672,6 +546,9 @@ def main(argv=None) -> int:
     for protocol in protocols:
         if protocol not in WORKLOADS:
             parser.error(f"unknown protocol {protocol!r}; known: {', '.join(WORKLOADS)}")
+    for engine in engines:
+        if engine not in DEFAULT_ENGINES:
+            parser.error(f"unknown engine {engine!r}; known: {', '.join(DEFAULT_ENGINES)}")
 
     store = RunStore(args.store) if args.store else None
     try:
@@ -679,7 +556,6 @@ def main(argv=None) -> int:
             sizes,
             engines,
             protocols,
-            legacy_max_n=args.legacy_max_n,
             seed=args.seed,
             wire_volume=not args.no_bytes,
             trace=args.trace,
@@ -697,15 +573,6 @@ def main(argv=None) -> int:
     else:
         Path(args.out).write_text(payload + "\n")
         print(f"wrote {args.out}")
-    value = report["headline"]["value"]
-    if value is not None:
-        print(f"headline: {value:.2f}x fast over legacy (target >= 5x)")
-    vector_wins = report["vector_headline"]["protocols"]
-    if vector_wins:
-        print(
-            f"vector headline: {len(vector_wins)} protocol(s) >= 10x the "
-            f"pre-vector fast path at n=1000: {', '.join(vector_wins)}"
-        )
     if "store" in report:
         print(
             f"store: {report['store']['ran']} cells measured, "

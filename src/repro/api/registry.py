@@ -177,8 +177,8 @@ class ProtocolRegistry:
         normally the spec's registered strategy name is used.
 
         ``engine`` optionally forces a specific round-loop kernel
-        (``"vector"``/``"fast"``/``"queue"``/``"legacy"``, see
-        :class:`repro.sim.network.SynchronousNetwork`).  All kernels
+        (``"vector"``/``"queue"``, see
+        :class:`repro.sim.network.SynchronousNetwork`).  Both kernels
         produce bit-identical executions; the default ``None`` leaves the
         network on ``"auto"``, which picks the columnar vector path
         whenever the spec's delay model allows it.

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..analysis.stats import aggregate_rows
 from ..core.quorums import max_faults_tolerated
-from ..sim.network import RunResult, all_correct_halted
+from ..sim.network import RunResult, all_correct_halted, validate_engine
 from ..sim.rng import derive
 from ..workloads.generators import SystemSpec
 from .registry import REGISTRY
@@ -113,8 +113,8 @@ def run_scenario(
 ) -> ScenarioOutcome:
     """Build the system for ``spec``, run it under its run policy, return it.
 
-    ``engine`` optionally forces a round-loop kernel (``"vector"``/
-    ``"fast"``/``"queue"``/``"legacy"``); the kernels are bit-identical,
+    ``engine`` optionally forces a round-loop kernel (``"vector"`` or
+    ``"queue"``); the kernels are bit-identical,
     so this only matters for benchmarking and for the engine-equivalence
     suite.  ``payload_accounting`` switches on engine-independent wire
     byte counting (``payload_bytes``/``peak_payload_bytes`` in the
@@ -352,6 +352,8 @@ class SweepRunner:
     def __init__(self, jobs: int = 1, *, engine: str | None = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if engine is not None:
+            validate_engine(engine)
         self.jobs = jobs
         self.engine = engine
 

@@ -12,7 +12,7 @@ implementations:
 
 * a **scalar reference** implementation — a direct port of the original
   per-protocol loops over ``inbox.items()``, used for plain object
-  inboxes (queue/legacy kernels, restricted views, unit tests); and
+  inboxes (the queue kernel, restricted views, unit tests); and
 * a **numpy** implementation used when the inbox is a
   :class:`~repro.sim.messages.ColumnarInbox` (the vector kernel's shared
   broadcast inbox): the sender/payload-index columns are materialised as

@@ -69,7 +69,7 @@ __all__ = [
 #:     Algorithm 6 as written: every member answers a ``present`` with a
 #:     dedicated ``Unicast(joiner, AckMsg(round))``.  With ``k`` joiners
 #:     in a round that is ``k·n`` extra messages — and, worse, the round
-#:     stops being broadcast-only, so the vector/fast kernels fall back
+#:     stops being broadcast-only, so the vector kernel falls back
 #:     to the per-node representation exactly when churn makes the
 #:     system busiest.
 #: ``"delta"``
@@ -231,7 +231,7 @@ def _route_instances(inbox: Inbox) -> dict[int, Inbox]:
     """Split an inbox's batched consensus traffic into per-instance inboxes.
 
     A pure derivation of the inbox contents, memoized on the inbox
-    (:meth:`~repro.sim.messages.Inbox.memo`): on the synchronous fast path
+    (:meth:`~repro.sim.messages.Inbox.memo`): on the synchronous kernel
     a broadcast-only round hands *the same* inbox object to every node, so
     the O(total batched payloads) split happens once per round instead of
     once per node.
@@ -423,7 +423,7 @@ class TotalOrderProcess(Process):
 
         # -- 1. membership and event intake -------------------------------------
         # Batched consensus traffic is routed separately (and shared across
-        # nodes on the fast path) by _instance_inboxes; this pass only
+        # nodes on the vector kernel) by _instance_inboxes; this pass only
         # handles the O(events) membership/event payloads, pre-filtered once
         # per shared inbox by the memoized control-plane tally.
         incoming_events: list[tuple[NodeId, Hashable]] = []

@@ -517,15 +517,19 @@ def _e8_row(outcome: ScenarioOutcome) -> dict:
     departed = {e.node_id for e in schedule.events if e.kind == "leave"}
     stayed = [i for i in genesis_correct if i not in departed]
     lengths = [len(network.process(i).chain) for i in stayed]
-    return {
+    row = {
         "churn": outcome.spec.churn["label"],
         "joins": sum(1 for e in schedule.events if e.kind == "join"),
         "leaves": sum(1 for e in schedule.events if e.kind == "leave"),
         "chain_prefix": chains_are_prefixes(chains),
-        "chain_grew": min(lengths) > 0,
-        "max_chain_length": max(lengths),
-        "min_chain_length": min(lengths),
     }
+    if lengths:
+        # With every genesis correct node gone the growth claim has no
+        # subject; the keys are omitted and aggregate_rows skips them.
+        row["chain_grew"] = min(lengths) > 0
+        row["max_chain_length"] = max(lengths)
+        row["min_chain_length"] = min(lengths)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ The pipeline: mutate → validate-small → confirm-large
 
 3. **Confirm.**  Per biroclick's staged supervisor discipline, a candidate
    is reported only after it reproduces on **every applicable engine**
-   (``vector``/``fast``/``queue``/``legacy`` for synchronous delay
-   models, ``queue``/``legacy`` otherwise — see
+   (``vector`` and ``queue`` for synchronous delay models, ``queue``
+   otherwise — see
    :func:`~repro.search.harness.applicable_engines`) with bit-identical
    outputs, and has been re-run at the larger sizes in ``escalate_n``
    (escalation results are recorded either way: a violation that vanishes

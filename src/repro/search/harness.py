@@ -53,14 +53,14 @@ _GENERATION_SIZE = 8
 def applicable_engines(spec: ScenarioSpec) -> tuple[str, ...]:
     """The engines a spec can run on.
 
-    The vector and fast kernels are synchronous-only (``set_engine``
-    rejects delayed models for them), so non-synchronous specs are
-    confirmed on the queue/legacy pair; synchronous specs on all four.
+    The vector kernel is synchronous-only (``set_engine`` rejects delayed
+    models for it), so synchronous specs are confirmed on both kernels and
+    delayed ones on ``queue`` alone.
     """
 
     if spec.delay == "synchronous":
-        return ("vector", "fast", "queue", "legacy")
-    return ("queue", "legacy")
+        return ("vector", "queue")
+    return ("queue",)
 
 
 def _evaluate_candidate(spec_dict: dict) -> dict:

@@ -10,7 +10,7 @@ The columnar contract
 A traced run used to allocate one frozen :class:`TraceEvent` dataclass per
 recorded event — hundreds of thousands of objects for a single n=250
 sweep, which made ``trace=True`` runs an order of magnitude slower than
-the untraced fast path.  :class:`Trace` now stores events as parallel
+untraced ones.  :class:`Trace` now stores events as parallel
 columns instead:
 
 * ``kind`` — one byte per event (:class:`EventKind` member codes, in enum
@@ -42,8 +42,8 @@ Recording happens through a narrow interface the engine kernels share:
 ``TraceEvent``, and the bulk variants
 :meth:`Trace.record_sends_columnar` /
 :meth:`Trace.record_deliveries_columnar` append a whole fan-out (one
-sender, one payload, many destinations) as column extensions — the fast
-path records a broadcast round in a handful of ``extend`` calls instead
+sender, one payload, many destinations) as column extensions — the vector
+kernel records a broadcast round in a handful of ``extend`` calls instead
 of one object allocation per (message, destination) pair.
 :meth:`Trace.record` still accepts a pre-built :class:`TraceEvent` for
 callers outside the hot path.

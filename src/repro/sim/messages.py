@@ -57,7 +57,7 @@ module provides the building blocks for:
 
 Derived views of a round's traffic (support indexes, routing tables, the
 ``allowed``-sender restriction of :meth:`Inbox.restricted`) are memoized
-*on the inbox* via :meth:`Inbox.memo`: on the synchronous fast path every
+*on the inbox* via :meth:`Inbox.memo`: on the synchronous kernel every
 receiver of a broadcast-only round shares one :class:`Inbox` object, so a
 pure derivation is computed once per round instead of once per node.
 """
@@ -65,7 +65,7 @@ pure derivation is computed once per round instead of once per node.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 NodeId = int
@@ -80,7 +80,6 @@ __all__ = [
     "Envelope",
     "Inbox",
     "ColumnarInbox",
-    "InboxBuilder",
     "cached_payload_hash",
     "intern_payload",
     "intern_table_size",
@@ -338,7 +337,7 @@ class Inbox:
         An inbox is immutable, so any pure derivation of its contents (a
         payload index, a per-instance routing table) can be computed once
         and shared by every consumer — crucially including *different
-        receivers* on the synchronous fast path, where a broadcast-only
+        receivers* on the synchronous kernel, where a broadcast-only
         round hands the same ``Inbox`` object to every node.  The cache
         dies with the inbox; factories must not mutate the result.
         """
@@ -360,7 +359,7 @@ class Inbox:
         protocols restrict to their known-sender sets, which usually cover
         everyone who spoke).  Otherwise the restriction is built once and
         memoized on this inbox keyed by ``allowed``, so on the synchronous
-        fast path every node applying the same filter to the shared inbox
+        kernel every node applying the same filter to the shared inbox
         reuses one restricted view — including its own memo cache, which is
         what lets downstream index builds stay once-per-round even in runs
         where Byzantine senders must be stripped.
@@ -472,8 +471,8 @@ class ColumnarInbox(Inbox):
 
     The object-based API is preserved bit-for-bit: ``_by_sender`` is
     materialised lazily on first use (``payloads_from``, ``restricted``,
-    adversary strategies…), grouped identically to the dict the fast
-    kernel would have built, so every consumer observes the same contents
+    adversary strategies…), grouped identically to the dict a plain
+    :class:`Inbox` would have built, so every consumer observes the same contents
     in the same order.
     """
 
@@ -485,7 +484,7 @@ class ColumnarInbox(Inbox):
         """Build the shared inbox straight from staged send-batches.
 
         ``staged`` holds ``(sender, payload, dests)`` triples grouped by
-        sender (one contiguous run per sender — the fast kernel stages one
+        sender (one contiguous run per sender — the vector kernel stages one
         node's actions consecutively).  Duplicate payloads from the same
         sender are collapsed first-occurrence, matching ``Inbox(by_sender)``.
         Falls back to a plain :class:`Inbox` when a payload is unhashable
@@ -594,22 +593,3 @@ class _NotContiguous(Exception):
 
 
 _UNGROUPED = object()
-
-
-@dataclass
-class InboxBuilder:
-    """Mutable accumulator used by the network while routing envelopes."""
-
-    _pairs: dict[NodeId, list[tuple[NodeId, Payload]]] = field(default_factory=dict)
-
-    def add(self, dest: NodeId, sender: NodeId, payload: Payload) -> None:
-        self._pairs.setdefault(dest, []).append((sender, payload))
-
-    def build(self, dest: NodeId) -> Inbox:
-        pairs = self._pairs.get(dest)
-        if not pairs:
-            return Inbox.empty()
-        return Inbox.from_pairs(pairs)
-
-    def destinations(self) -> frozenset[NodeId]:
-        return frozenset(self._pairs)

@@ -210,7 +210,7 @@ class RunMetrics:
 
         Equivalent to calling :meth:`record_delivery` once per ``(node,
         count)`` pair, in order — including registering nodes whose count is
-        zero — but with a single round-counter update.  The fast and queue
+        zero — but with a single round-counter update.  Both
         engines use this once per round instead of once per process.
         """
 

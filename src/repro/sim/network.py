@@ -19,68 +19,53 @@ treat every (configuration, seed) pair as a reproducible data point.
 
 Engine architecture
 -------------------
-The round loop runs on one of four interchangeable kernels, all of which
-produce bit-identical traces, metrics and outputs (guarded by
-``tests/test_engine_equivalence.py``):
+The round loop runs on one of two kernels, one per delivery regime of
+the paper's model.  Both produce bit-identical traces, metrics and
+outputs wherever both apply (guarded by ``tests/test_engine_equivalence.py``
+and by the recorded fixtures of ``tests/test_trace_golden.py``):
 
 ``vector``
-    The columnar synchronous path.  Shares the fast path's staging and
-    delivery machinery, but broadcast-only rounds materialise a
+    The lock-step synchronous path (Section IV).  When every message is
+    delivered exactly one round later
+    (:class:`~repro.sim.delays.SynchronousDelay`), there is no need for a
+    delivery queue at all: the messages sent in round ``r`` *are* the
+    inboxes of round ``r + 1``.  Sends are staged as per-sender batches —
+    one ``(sender, payload, destinations)`` record per action instead of
+    one :class:`~repro.sim.messages.Envelope` per (message, destination)
+    pair — and materialised into inboxes at the start of the next round.
+    A round of broadcasts only (the common case for the paper's
+    algorithms) shows every recipient the same messages, so one shared
     :class:`~repro.sim.messages.ColumnarInbox` — parallel sender/payload-
-    index columns over an interned payload table — so the protocol math
-    in :mod:`repro.core.tally` can batch quorum counts and support
-    tallies with numpy (``np.bincount``/``np.unique``) instead of
-    scanning Python objects per node.  Rounds that cannot be represented
-    columnarly (unicasts, unhashable payloads) fall back to the ``fast``
-    representation for that round, so the engine is always safe to pick.
-
-``fast``
-    The synchronous fast path.  When every message is delivered exactly one
-    round later (:class:`~repro.sim.delays.SynchronousDelay`), there is no
-    need for a delivery queue at all: the messages sent in round ``r`` *are*
-    the inboxes of round ``r + 1``.  Sends are staged as per-sender batches
-    — one interned ``(sender, payload, destinations)`` record per action
-    instead of one :class:`~repro.sim.messages.Envelope` per (message,
-    destination) pair — and materialised into inboxes at the start of the
-    next round.  When a round consists solely of broadcasts (the common
-    case for the paper's algorithms), every recipient sees the same
-    messages, so a single shared :class:`~repro.sim.messages.Inbox` is
-    built once and handed to all of them.  Membership churn is handled by
-    filtering each batch's recorded destinations against the active set at
-    delivery time, exactly like the queued engines do per envelope.
+    index columns over an interned payload table — is built once and
+    handed to all of them; the protocol math in :mod:`repro.core.tally`
+    then batches quorum counts and support tallies with numpy.  Rounds
+    with unicasts (or unhashable payloads) get per-destination object
+    inboxes instead.  Membership churn is handled by filtering each
+    batch's recorded destinations against the active set at delivery
+    time, exactly as ``queue`` does per envelope.
 
 ``queue``
-    The general path for arbitrary delay models.  Envelopes are bucketed
-    by delivery round (``dict[deliver_round, list[Envelope]]``), so each
-    round pops exactly the envelopes that are due instead of rescanning
-    every pending envelope (the pre-bucketing engine was ``O(pending)``
-    per round, which is quadratic for long-delay models).
-
-``legacy``
-    A faithful copy of the original single-list engine, kept as the
-    reference oracle for the equivalence suite and as the baseline for
-    ``benchmarks/bench_scaling.py``.  Do not use it for real workloads.
+    The general path for the delayed models behind the Section IX
+    impossibility results.  Envelopes are bucketed by delivery round
+    (``dict[deliver_round, list[Envelope]]``), so each round pops exactly
+    the envelopes that are due instead of rescanning every pending one.
 
 Engine selection is ``engine="auto"`` by default — ``vector`` when the
 delay model reports :attr:`~repro.sim.delays.DelayModel.synchronous`,
-``queue`` otherwise.  The ``REPRO_ENGINE`` environment variable overrides
-``auto`` (useful for A/B benchmarking whole sweeps without touching call
-sites); an explicit non-auto constructor argument always wins.  Unknown
-engine names raise :class:`~repro.sim.errors.UnknownEngineError` eagerly,
-at construction / ``set_engine`` time.
+``queue`` otherwise.  Unknown engine names — including the retired
+``fast`` and ``legacy`` kernels, whose error names the replacement —
+raise :class:`~repro.sim.errors.UnknownEngineError` eagerly, at
+construction / ``set_engine`` time.
 
-Shared by the ``fast`` and ``queue`` kernels (but deliberately *not* by
-``legacy``): the sorted active-membership list and the Byzantine id set
-are cached and invalidated only on membership events (the old engine
-re-sorted the active set for every single broadcast), the omniscient
-:class:`SystemView` is built lazily and only when a Byzantine process is
-scheduled, and per-round delivery counters are committed to
+Both kernels cache the sorted active-membership list and the Byzantine
+id set, invalidated only on membership events; build the omniscient
+:class:`SystemView` lazily, only when a Byzantine process is scheduled;
+and commit per-round delivery counters to
 :class:`~repro.sim.metrics.RunMetrics` in one bulk call.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -102,7 +87,6 @@ from .messages import (
     ColumnarInbox,
     Envelope,
     Inbox,
-    InboxBuilder,
     NodeId,
     Outgoing,
     Unicast,
@@ -119,16 +103,28 @@ __all__ = [
     "SynchronousNetwork",
     "all_correct_decided",
     "all_correct_halted",
+    "validate_engine",
 ]
 
-#: Valid values for the ``engine`` constructor argument / ``REPRO_ENGINE``.
-ENGINE_CHOICES = ("auto", "fast", "vector", "queue", "legacy")
+#: Valid values for the ``engine`` constructor argument.
+ENGINE_CHOICES = ("auto", "vector", "queue")
 
-#: Kernels that require a synchronous delay model (staged delivery).
-_SYNCHRONOUS_ONLY = ("fast", "vector")
+#: Kernels that existed once, mapped to the kernel that replaced them.
+_RETIRED_ENGINES = {"fast": "vector", "legacy": "queue"}
 
-#: Environment variable overriding ``engine="auto"`` for every network.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
+
+def validate_engine(engine: str) -> None:
+    """Raise :class:`~repro.sim.errors.UnknownEngineError` unless ``engine``
+    is in :data:`ENGINE_CHOICES`, naming the replacement of a retired kernel.
+
+    Callers that hand an engine name on to worker processes or threads
+    validate it up front with this, so a bad name fails at the call.
+    """
+
+    if engine not in ENGINE_CHOICES:
+        raise UnknownEngineError(
+            engine, ENGINE_CHOICES, replacement=_RETIRED_ENGINES.get(engine)
+        )
 
 
 @dataclass(frozen=True)
@@ -249,9 +245,8 @@ class SynchronousNetwork:
         "absent" announcements are the protocol's own business.
     engine:
         Round-loop kernel: one of :data:`ENGINE_CHOICES`.  ``"auto"`` (the
-        default) picks ``fast`` for synchronous delay models and ``queue``
-        otherwise; the ``REPRO_ENGINE`` environment variable overrides
-        ``auto``.  All engines produce bit-identical results.
+        default) picks ``vector`` for synchronous delay models and
+        ``queue`` otherwise.  Both kernels produce bit-identical results.
     """
 
     def __init__(
@@ -285,13 +280,11 @@ class SynchronousNetwork:
         # -- engine state ------------------------------------------------------
         # queue engine: envelopes bucketed by delivery round.
         self._bucketed: dict[int, list[Envelope]] = {}
-        # fast engine: per-sender batches staged for the next round, plus the
-        # common destination tuple when the round was broadcast-only.
+        # vector engine: per-sender batches staged for the next round, plus
+        # the common destination tuple when the round was broadcast-only.
         self._staged: list[tuple[NodeId, Any, tuple[NodeId, ...]]] | None = None
         self._staged_shared: tuple[NodeId, ...] | None = None
-        # legacy engine: the original flat pending list.
-        self._legacy_pending: list[Envelope] = []
-        # membership caches (fast/queue engines only; see module docstring).
+        # membership caches (see module docstring).
         self._sorted_cache: tuple[NodeId, ...] | None = None
         self._byz_cache: frozenset[NodeId] | None = None
         #: Number of times the sorted-membership cache was rebuilt.  The old
@@ -305,20 +298,6 @@ class SynchronousNetwork:
         #: seconds); see :meth:`enable_phase_profile`.
         self._phase_profile: dict[str, float] | None = None
         self._engine = "auto"
-        env = os.environ.get(ENGINE_ENV_VAR, "").strip()
-        if env and env not in ENGINE_CHOICES:
-            # Validated eagerly even when an explicit constructor engine
-            # would win: a misspelt A/B override must never be silently
-            # ignored (or surface only at mid-run resolution).
-            raise UnknownEngineError(env, ENGINE_CHOICES, source=ENGINE_ENV_VAR)
-        if engine == "auto" and env:
-            if env in _SYNCHRONOUS_ONLY and not self._delay_model.synchronous:
-                # The env override A/B-tests whole sweeps; networks the
-                # staged kernels cannot drive (delayed delivery) stay on
-                # auto rather than crashing the sweep.
-                pass
-            else:
-                engine = env
         self.set_engine(engine)
 
     # -- engine selection --------------------------------------------------------
@@ -332,11 +311,10 @@ class SynchronousNetwork:
     def set_engine(self, engine: str) -> None:
         """Select the round-loop kernel; only allowed before round 1."""
 
-        if engine not in ENGINE_CHOICES:
-            raise UnknownEngineError(engine, ENGINE_CHOICES)
-        if engine in _SYNCHRONOUS_ONLY and not self._delay_model.synchronous:
+        validate_engine(engine)
+        if engine == "vector" and not self._delay_model.synchronous:
             raise ConfigurationError(
-                f"the {engine} engine requires a synchronous delay model; "
+                "the vector engine requires a synchronous delay model; "
                 "use engine='queue' (or 'auto') for delayed delivery"
             )
         if self._round > 0 and engine != self._engine:
@@ -354,8 +332,8 @@ class SynchronousNetwork:
         """Which :mod:`repro.core.tally` implementation this run uses.
 
         The vector kernel hands protocols columnar inboxes, so its tallies
-        run on the numpy backend; every other kernel (and the vector
-        kernel's own fallback rounds) uses the scalar reference.  Recorded
+        run on the numpy backend; the queue kernel (and the vector
+        kernel's own object-inbox rounds) uses the scalar reference.  Recorded
         in run summaries and bench cells so stored results disclose the
         implementation that produced them.
         """
@@ -509,8 +487,7 @@ class SynchronousNetwork:
     def pending_messages(self) -> int:
         """Number of messages in flight, whichever engine is running."""
 
-        count = len(self._legacy_pending)
-        count += sum(len(bucket) for bucket in self._bucketed.values())
+        count = sum(len(bucket) for bucket in self._bucketed.values())
         if self._staged:
             count += sum(len(dests) for _, _, dests in self._staged)
         return count
@@ -526,11 +503,10 @@ class SynchronousNetwork:
     # -- the round loop --------------------------------------------------------------
 
     def enable_phase_profile(self) -> None:
-        """Accumulate per-phase wall-clock seconds for the structured kernels.
+        """Accumulate per-phase wall-clock seconds.
 
         After enabling, :meth:`phase_profile` reports cumulative
-        ``deliver``/``step``/``stage`` seconds (the legacy kernel is one
-        monolithic loop and reports nothing).  Purely observational — the
+        ``deliver``/``step``/``stage`` seconds.  Purely observational — the
         executed rounds are unchanged.
         """
 
@@ -545,10 +521,7 @@ class SynchronousNetwork:
     def step_round(self) -> None:
         """Execute exactly one round."""
 
-        engine = self.resolved_engine()
-        if engine == "legacy":
-            self._step_round_legacy()
-            return
+        staged = self.resolved_engine() == "vector"
         self._round += 1
         round_index = self._round
         self._apply_membership_changes(round_index)
@@ -559,10 +532,8 @@ class SynchronousNetwork:
 
         # 1. Deliver messages scheduled for this round.
         started = clock() if clock else 0.0
-        if engine == "fast":
+        if staged:
             inboxes = self._deliver_staged(round_index)
-        elif engine == "vector":
-            inboxes = self._deliver_staged(round_index, columnar=True)
         else:
             inboxes = self._deliver_bucketed(round_index)
         if clock:
@@ -578,7 +549,7 @@ class SynchronousNetwork:
             started = now
 
         # 3. Schedule the outgoing messages.
-        if engine in _SYNCHRONOUS_ONLY:
+        if staged:
             self._stage_outgoing(outgoing_by_node, round_index)
         else:
             for node_id, actions in outgoing_by_node.items():
@@ -587,19 +558,16 @@ class SynchronousNetwork:
         if clock:
             profile["stage"] += clock() - started
 
-    # -- delivery (fast engine) ----------------------------------------------------
+    # -- delivery (vector engine) --------------------------------------------------
 
-    def _deliver_staged(
-        self, round_index: int, *, columnar: bool = False
-    ) -> dict[NodeId, Inbox]:
+    def _deliver_staged(self, round_index: int) -> dict[NodeId, Inbox]:
         """Turn last round's staged batches into this round's inboxes.
 
-        With ``columnar=True`` (the vector kernel) a broadcast-only round
-        skips the per-sender dict build entirely: the staged batches feed
-        :meth:`ColumnarInbox.from_staged` directly, giving every recipient
-        a shared column view the numpy tallies operate on.  Rounds with
-        unicasts (or unhashable payloads) fall back to the fast kernel's
-        object delivery, so the two kernels differ only in representation.
+        A broadcast-only round feeds the staged batches straight into
+        :meth:`ColumnarInbox.from_staged`, giving every recipient a shared
+        column view the numpy tallies operate on (it falls back to a plain
+        shared :class:`Inbox` for unhashable payloads).  Rounds with
+        unicasts get one object inbox per destination.
         """
 
         staged, shared = self._staged, self._staged_shared
@@ -627,21 +595,11 @@ class SynchronousNetwork:
                 bulk(round_index, sender, payload, delivered)
         if shared is not None:
             # Broadcast-only round: every recipient sees the same messages,
-            # so one Inbox serves all of them.  Batches are grouped by
-            # sender directly — no intermediate (sender, payload) pair list
-            # — and the single shared Inbox is also what lets the batched
-            # total-order wrapper be routed once per round instead of once
-            # per receiving node (see repro.core.total_order).
-            if columnar:
-                inbox = ColumnarInbox.from_staged(staged)
-            else:
-                by_sender: dict[NodeId, list[Any]] = {}
-                for sender, payload, _ in staged:
-                    bucket = by_sender.get(sender)
-                    if bucket is None:
-                        by_sender[sender] = bucket = []
-                    bucket.append(payload)
-                inbox = Inbox(by_sender)
+            # so one inbox serves all of them.  The single shared inbox is
+            # also what lets the batched total-order wrapper be routed once
+            # per round instead of once per receiving node (see
+            # repro.core.total_order).
+            inbox = ColumnarInbox.from_staged(staged)
             return {dest: inbox for dest in shared if dest in active}
         pairs_by_dest: dict[NodeId, list[tuple[NodeId, Any]]] = {}
         for sender, payload, dests in staged:
@@ -737,7 +695,7 @@ class SynchronousNetwork:
             if not processes[dest].halted
         }
 
-    # -- stepping (fast + queue engines) ---------------------------------------------
+    # -- stepping (both engines) ------------------------------------------------------
 
     def _step_processes(
         self,
@@ -832,131 +790,6 @@ class SynchronousNetwork:
         if bucket is None:
             self._bucketed[deliver] = bucket = []
         bucket.append(envelope)
-        self._trace.record_event(
-            EventKind.MESSAGE_SENT,
-            round_index,
-            node_id=sender,
-            peer_id=dest,
-            payload=payload,
-        )
-
-    # -- the legacy reference engine ---------------------------------------------------
-
-    def _step_round_legacy(self) -> None:
-        """The original pre-bucketing round loop, preserved verbatim.
-
-        This is the oracle the equivalence tests compare the fast and queue
-        engines against, and the baseline ``benchmarks/bench_scaling.py``
-        measures speedups from.  It deliberately keeps the original cost
-        profile: a flat pending list scanned in full every round, fresh
-        ``sorted(self._active)`` calls, per-delivery metric updates and an
-        unconditionally constructed :class:`SystemView`.  The one deviation
-        is trace recording, which goes through the scalar
-        :meth:`~repro.sim.events.Trace.record_event` interface (one call
-        per event, like the original) — the columnar store has no
-        per-event object to build.
-        """
-
-        self._round += 1
-        round_index = self._round
-        self._apply_membership_changes(round_index)
-        round_metrics = self._metrics.start_round(round_index)
-        self._trace.record_event(EventKind.ROUND_START, round_index)
-
-        # 1. Deliver messages scheduled for this round.
-        builder = InboxBuilder()
-        still_pending: list[Envelope] = []
-        for envelope in self._legacy_pending:
-            if envelope.deliver_round > round_index:
-                still_pending.append(envelope)
-                continue
-            if envelope.dest not in self._active:
-                continue  # the destination left before delivery
-            builder.add(envelope.dest, envelope.sender, envelope.payload)
-            self._trace.record_event(
-                EventKind.MESSAGE_DELIVERED,
-                round_index,
-                node_id=envelope.dest,
-                peer_id=envelope.sender,
-                payload=envelope.payload,
-            )
-        self._legacy_pending = still_pending
-
-        # 2. Step every active process.
-        active_ids = frozenset(self._active)
-        byzantine_ids = frozenset(
-            i for i in self._active if self._processes[i].is_byzantine
-        )
-        round_metrics.active_nodes = len(active_ids)
-        round_metrics.byzantine_nodes = len(byzantine_ids)
-        system_view = SystemView(
-            round_index=round_index,
-            active_ids=active_ids,
-            byzantine_ids=byzantine_ids,
-            correct_processes={
-                i: p for i, p in self._processes.items() if not p.is_byzantine
-            },
-            rng=self._rng,
-        )
-
-        outgoing_by_node: dict[NodeId, Sequence[Outgoing]] = {}
-        for node_id in sorted(self._active):
-            process = self._processes[node_id]
-            if process.halted:
-                round_metrics.halted_nodes += 1
-                continue
-            inbox = builder.build(node_id)
-            self._metrics.record_delivery(node_id, len(inbox))
-            if process.is_byzantine and hasattr(process, "observe_system"):
-                process.observe_system(system_view)
-            view = RoundView(round_index=round_index, inbox=inbox)
-            outgoing = process.step(view)
-            if outgoing:
-                outgoing_by_node[node_id] = outgoing
-            self._record_decision(process, round_index)
-            if process.halted:
-                self._trace.record_event(
-                    EventKind.NODE_HALTED, round_index, node_id=node_id
-                )
-
-        # 3. Schedule the outgoing messages.
-        for node_id, actions in outgoing_by_node.items():
-            for action in actions:
-                self._schedule_legacy(node_id, action, round_index)
-
-    def _schedule_legacy(
-        self, sender: NodeId, action: Outgoing, round_index: int
-    ) -> None:
-        if isinstance(action, Broadcast):
-            destinations = sorted(self._active)
-            self._metrics.record_send(sender, len(destinations), broadcast=True)
-            if self._measure_bytes:
-                self._metrics.record_payload(
-                    payload_nbytes(action.payload), len(destinations)
-                )
-            for dest in destinations:
-                self._enqueue_legacy(sender, dest, action.payload, round_index)
-        elif isinstance(action, Unicast):
-            self._metrics.record_send(sender, 1, broadcast=False)
-            if self._measure_bytes:
-                self._metrics.record_payload(payload_nbytes(action.payload), 1)
-            self._enqueue_legacy(sender, action.dest, action.payload, round_index)
-        else:
-            raise InvalidOutgoingError(sender, action)
-
-    def _enqueue_legacy(
-        self, sender: NodeId, dest: NodeId, payload: Any, round_index: int
-    ) -> None:
-        deliver = self._delay_model.delivery_round(sender, dest, round_index, self._rng)
-        self._legacy_pending.append(
-            Envelope(
-                sender=sender,
-                dest=dest,
-                payload=payload,
-                sent_round=round_index,
-                deliver_round=deliver,
-            )
-        )
         self._trace.record_event(
             EventKind.MESSAGE_SENT,
             round_index,

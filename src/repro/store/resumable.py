@@ -34,6 +34,7 @@ from ..api.sweep import (
 )
 from ..analysis.stats import aggregate_rows
 from ..sim.events import DEFAULT_SEGMENT_EVENTS
+from ..sim.network import validate_engine
 from .db import RunRecord, RunStore, StoreError
 from .digest import code_fingerprint, run_key
 from .serialize import json_normalize, pickle_dumps
@@ -169,6 +170,8 @@ class ResumableSweep:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if engine is not None:
+            validate_engine(engine)
         self.store = store
         self.jobs = jobs
         self.engine = engine

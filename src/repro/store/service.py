@@ -54,6 +54,7 @@ from urllib.parse import parse_qs, urlparse
 
 from ..api.sweep import SweepSpec
 from ..sim.events import EventKind, TraceEvent
+from ..sim.network import validate_engine
 from .db import RunStore, StoredTrace, StoreError
 from .resumable import DEFAULT_SEGMENT_EVENTS, ResumableSweep
 from .serialize import canonical_dumps
@@ -240,6 +241,8 @@ class ScenarioService:
         scenarios = [spec for sweep in sweeps for spec in sweep.scenarios()]
         jobs = int(payload.get("jobs", self.jobs))
         engine = payload.get("engine", self.engine)
+        if engine is not None:
+            validate_engine(engine)
 
         with self._lock:
             job = SweepJob(f"sweep-{next(self._job_ids)}", len(scenarios))

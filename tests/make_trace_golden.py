@@ -59,14 +59,32 @@ GRID: tuple[dict, ...] = (
     dict(protocol="srikanth-toueg-broadcast", n=6, f=1, seed=0, adversary="rb-false-echo"),
     dict(protocol="known-f-consensus", n=6, f=1, seed=0, adversary="equivocate-value"),
     dict(protocol="dolev-approx", n=6, f=1, seed=0, adversary="approx-outlier"),
+    # Delayed delivery: one scenario per non-synchronous delay model, so
+    # the queue kernel's bucketed delivery is pinned by recorded fixtures.
+    dict(protocol="consensus", n=7, f=2, seed=0, adversary="consensus-split-vote",
+         max_rounds=25, delay="uniform-random", delay_params={"max_delay": 3}),
+    dict(protocol="consensus", n=7, f=2, seed=0, adversary="consensus-split-vote",
+         max_rounds=25, delay="bounded-unknown",
+         delay_params={"sizes": [4, 3], "delta": 6}),
+    dict(protocol="consensus", n=7, f=2, seed=0, adversary="consensus-split-vote",
+         max_rounds=25, delay="partition",
+         delay_params={"sizes": [4, 3], "heal_round": 5}),
+    dict(protocol="consensus", n=5, f=1, seed=0, adversary="consensus-split-vote",
+         max_rounds=40, delay="heavy-tail",
+         delay_params={"alpha": 1.2, "scale": 1.0, "max_delay": 8}),
+    dict(protocol="consensus", n=5, f=1, seed=0, adversary="consensus-split-vote",
+         max_rounds=40, delay="jittered",
+         delay_params={"jitter_probability": 0.3, "max_extra": 2}),
 )
 
 
 def scenario_key(options: dict) -> str:
     churn = "churn" if options.get("churn") else "static"
+    delay = options.get("delay", "synchronous")
     return (
         f"{options['protocol']}-n{options['n']}-f{options['f']}"
         f"-{options['adversary']}-{churn}-s{options['seed']}"
+        + ("" if delay == "synchronous" else f"-{delay}")
     )
 
 

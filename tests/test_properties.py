@@ -244,12 +244,13 @@ def test_scenario_spec_round_trips_through_json(spec):
     adversary=st.sampled_from(["silent", "crash", "equivocate-value"]),
 )
 def test_fast_and_queue_engines_agree_on_random_scenarios(nf, seed, protocol, adversary):
+    # The staged fast path is the vector kernel's (it absorbed ``fast``).
     n, f = nf
     spec = ScenarioSpec(
         protocol=protocol, n=n, f=f, adversary=adversary, seed=seed, trace=True
     )
     outcomes = {
-        engine: run_scenario(spec, engine=engine) for engine in ("fast", "queue")
+        engine: run_scenario(spec, engine=engine) for engine in ("vector", "queue")
     }
     events = {
         engine: [
@@ -258,12 +259,12 @@ def test_fast_and_queue_engines_agree_on_random_scenarios(nf, seed, protocol, ad
         ]
         for engine, outcome in outcomes.items()
     }
-    assert events["fast"] == events["queue"]
+    assert events["vector"] == events["queue"]
     assert (
-        outcomes["fast"].result.metrics.as_dict()
+        outcomes["vector"].result.metrics.as_dict()
         == outcomes["queue"].result.metrics.as_dict()
     )
-    assert outcomes["fast"].outputs() == outcomes["queue"].outputs()
+    assert outcomes["vector"].outputs() == outcomes["queue"].outputs()
 
 
 # ---------------------------------------------------------------------------

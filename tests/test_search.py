@@ -202,12 +202,14 @@ class TestScoring:
 
 
 class TestApplicableEngines:
+    # Of the four historical kernels, ``vector`` absorbed ``fast`` and
+    # ``queue`` replaced ``legacy``; confirmation runs on the survivors.
     def test_synchronous_gets_all_four(self):
         spec = ScenarioSpec(protocol="consensus", n=4, f=1)
-        assert applicable_engines(spec) == ("vector", "fast", "queue", "legacy")
+        assert applicable_engines(spec) == ("vector", "queue")
 
     def test_delayed_gets_queue_and_legacy(self):
-        assert applicable_engines(BASE) == ("queue", "legacy")
+        assert applicable_engines(BASE) == ("queue",)
 
 
 class TestScenarioSearch:
@@ -225,7 +227,7 @@ class TestScenarioSearch:
         assert found, "search failed to re-find the planted E6-style break"
         finding = found[0]
         # Confirmed on every applicable engine, escalated to n=8.
-        assert finding.engines == ("queue", "legacy")
+        assert finding.engines == ("queue",)
         assert finding.escalations and finding.escalations[0]["n"] == 8
 
     def test_search_is_deterministic(self):

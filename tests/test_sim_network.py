@@ -112,11 +112,14 @@ class TestBasicDelivery:
         assert net.metrics.total_payload_bytes == 0
         assert net.metrics.peak_payload_bytes == 0
 
-    @pytest.mark.parametrize("engine", ["fast", "queue", "legacy"])
-    def test_payload_accounting_counts_bytes_per_copy(self, engine):
+    @pytest.mark.parametrize("engine", ["fast", "vector", "queue", "legacy"])
+    def test_payload_accounting_counts_bytes_per_copy(self, engine, current_kernel):
         from repro.sim.messages import payload_nbytes
 
-        net = SynchronousNetwork([EchoOnce(i) for i in range(3)], engine=engine)
+        def build(name):
+            return SynchronousNetwork([EchoOnce(i) for i in range(3)], engine=name)
+
+        net = build(current_kernel(engine, build))
         net.enable_payload_accounting()
         net.step_round()
         expected = sum(payload_nbytes(("hello", i)) * 3 for i in range(3))
@@ -127,7 +130,7 @@ class TestBasicDelivery:
 
     def test_payload_accounting_is_engine_independent(self):
         totals = {}
-        for engine in ("fast", "queue", "legacy"):
+        for engine in ("vector", "queue"):
             net = SynchronousNetwork(
                 [UnicastReplier(i) for i in (1, 2)], engine=engine
             )
@@ -138,8 +141,8 @@ class TestBasicDelivery:
                 net.metrics.total_payload_bytes,
                 net.metrics.peak_payload_bytes,
             )
-        assert totals["fast"] == totals["queue"] == totals["legacy"]
-        assert totals["fast"][0] > 0
+        assert totals["vector"] == totals["queue"]
+        assert totals["vector"][0] > 0
 
 
 class TestRunLoop:
@@ -284,6 +287,8 @@ class TestMidRunDeparture:
         assert net.metrics.rounds[-1].messages_delivered == 6
 
     def test_departure_and_shared_inbox_fast_path_agree_with_legacy(self):
+        # vector's staged fast path against queue, the reference kernel
+        # that replaced legacy
         def build(engine):
             net = SynchronousNetwork(
                 [EchoOnce(i) for i in (1, 2, 3, 4)], trace=True, engine=engine
@@ -296,7 +301,7 @@ class TestMidRunDeparture:
                 for e in net.trace
             ]
 
-        assert build("fast") == build("legacy")
+        assert build("vector") == build("queue")
 
     def test_unicast_to_node_that_left_is_silently_dropped(self):
         class PesterTheDeparted(Process):
@@ -305,7 +310,7 @@ class TestMidRunDeparture:
                     return [Unicast(2, "hello?")]
                 return ()
 
-        for engine in ("fast", "queue", "legacy"):
+        for engine in ("vector", "queue"):
             net = SynchronousNetwork(
                 [PesterTheDeparted(1), NullProcess(2)], engine=engine
             )
@@ -331,8 +336,7 @@ class TestMidRunDeparture:
 
 class TestMembershipSortCache:
     def test_static_membership_sorts_exactly_once(self):
-        # engine pinned: the legacy kernel deliberately bypasses the cache
-        net = SynchronousNetwork([EchoOnce(i) for i in (3, 1, 2)], engine="fast")
+        net = SynchronousNetwork([EchoOnce(i) for i in (3, 1, 2)])
         for _ in range(6):
             net.step_round()
         # the old engine re-sorted the active set up to 2 + broadcasts
@@ -340,7 +344,7 @@ class TestMembershipSortCache:
         assert net.sorted_rebuilds == 1
 
     def test_churn_invalidates_the_cache_once_per_event(self):
-        net = SynchronousNetwork([EchoOnce(1), EchoOnce(2)], engine="fast")
+        net = SynchronousNetwork([EchoOnce(1), EchoOnce(2)])
         net.add_process(EchoOnce(3), at_round=3)
         net.remove_process(1, at_round=5)
         for _ in range(7):

@@ -97,7 +97,7 @@ def test_spec_digest_stable_across_processes():
 def test_run_key_separates_engine_and_code_version():
     spec = small_spec()
     auto = run_key(spec, code_version="v1")
-    assert run_key(spec, engine="fast", code_version="v1") != auto
+    assert run_key(spec, engine="queue", code_version="v1") != auto
     assert run_key(spec, code_version="v2") != auto
     assert run_key(spec, code_version="v1") == auto
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ScenarioSpec
+from repro.api import DELAY_KINDS, ScenarioSpec
 from repro.api.sweep import run_scenario
 from repro.sim.events import EventKind
 
@@ -85,16 +85,19 @@ def test_columnar_backend_reproduces_golden_traces(key):
         ("legacy", "total-order-n5-f1-equivocate-value-churn-s0"),
     ],
 )
-def test_reference_kernels_reproduce_golden_traces(engine, key):
-    """The scalar recording paths of the reference kernels are pinned too.
+def test_reference_kernels_reproduce_golden_traces(engine, key, current_kernel):
+    """The queue kernel's scalar recording path is pinned on synchronous runs.
 
-    The fixtures were recorded on the (auto-resolved) fast kernel, and the
-    kernels are bit-identical, so the queue/legacy event streams must match
-    the same golden columns.
+    Synchronous fixtures replay on the auto-resolved vector kernel above;
+    the kernels are bit-identical, so queue's event stream must match the
+    same golden columns.  (Delayed fixtures already replay on queue.)  The
+    retired ``legacy`` reference kernel is refused, naming queue.
     """
 
     scenario = SCENARIOS[key]
-    outcome = run_scenario(ScenarioSpec.from_dict(scenario["spec"]), engine=engine)
+    spec = ScenarioSpec.from_dict(scenario["spec"])
+    engine = current_kernel(engine, lambda name: run_scenario(spec, engine=name))
+    outcome = run_scenario(spec, engine=engine)
     got = serialize_trace(outcome.result.trace)
     assert got["payload_table"] == scenario["payload_table"]
     assert got["events"] == scenario["events"]
@@ -105,6 +108,7 @@ def test_fixture_grid_is_nontrivial():
 
     seen_kinds: set[str] = set()
     seen_protocols: set[str] = set()
+    seen_delays: set[str] = set()
     churn_scenarios = 0
     byzantine_scenarios = 0
     total_events = 0
@@ -113,12 +117,16 @@ def test_fixture_grid_is_nontrivial():
         total_events += len(kinds)
         seen_kinds.update(FIXTURES["kinds"][code] for code in set(kinds))
         seen_protocols.add(scenario["spec"]["protocol"])
+        seen_delays.add(scenario["spec"]["delay"])
         if scenario["spec"]["churn"]:
             churn_scenarios += 1
         if scenario["spec"]["f"] > 0 and scenario["spec"]["adversary"] != "silent":
             byzantine_scenarios += 1
     assert seen_kinds == {kind.value for kind in EventKind}
     assert len(seen_protocols) >= 10
+    # Every delay model is pinned, so delayed delivery is checked against
+    # recorded fixtures rather than only against a second live kernel.
+    assert seen_delays == set(DELAY_KINDS)
     assert churn_scenarios >= 2
     assert byzantine_scenarios >= 5
     assert total_events > 5000
