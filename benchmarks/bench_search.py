@@ -1,19 +1,12 @@
-"""Scenario-search fan-out benchmark: wall-clock vs ``jobs``, plus the
-membership-wire traffic comparison the ``message_volume`` objective ranks.
+"""Scenario-search fan-out benchmark: wall-clock vs ``jobs``.
 
-Two measurements land in ``BENCH_search.json``:
-
-* **Fan-out speedup** — the same 50-candidate message-volume search over
-  a churned total-order base (n=12, flash-crowd burst + exodus, 60
-  rounds) at ``jobs=1`` and ``jobs=4``.  Candidate evaluation is the
-  embarrassingly parallel part; mutation and scoring stay in the parent,
-  so the two runs must return byte-identical results — the benchmark
-  asserts it — and the roadmap tracks the jobs=4 speedup (target: ≥3×).
-* **Wire formats** — the un-delta-coded membership plane (one unicast
-  ack per member per joiner) against the :class:`DeltaFrame` wire on the
-  same churn schedule: delivered messages, payload bytes and the
-  ``message_volume`` score that makes the search prefer the unicast
-  blowup as its top candidate.
+The same 50-candidate message-volume search over a churned total-order
+base (n=12, flash-crowd burst + exodus, 60 rounds) runs at ``jobs=1`` and
+``jobs=4``.  Candidate evaluation is the embarrassingly parallel part;
+mutation and scoring stay in the parent, so the two runs must return
+byte-identical results — the benchmark asserts it — and the roadmap
+tracks the jobs=4 speedup (target: ≥3×).  ``BENCH_search.json`` records
+both timings and the host CPU count.
 
 Usage::
 
@@ -35,8 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import ScenarioSpec  # noqa: E402
-from repro.api.sweep import run_scenario  # noqa: E402
-from repro.search import ScenarioSearch, evaluation_row, score_row  # noqa: E402
+from repro.search import ScenarioSearch  # noqa: E402
 
 #: The heavy base: enough churn traffic per candidate that process
 #: startup and pickling are noise next to simulation time.
@@ -56,12 +48,11 @@ BASE = ScenarioSpec(
         "exodus_round": 30,
         "exodus_fraction": 0.5,
     },
-    params={"membership_wire": "delta"},
 )
 
 #: No adversary/size ops: candidates stay at n=12 and violation-free, so
 #: the benchmark times pure candidate evaluation (no confirmation runs).
-OPS = ("seed", "churn", "wire")
+OPS = ("seed", "churn")
 
 
 def run_search(budget: int, jobs: int, seed: int) -> tuple[dict, float]:
@@ -76,28 +67,6 @@ def run_search(budget: int, jobs: int, seed: int) -> tuple[dict, float]:
     start = time.perf_counter()
     result = search.run(budget)
     return result.as_dict(), time.perf_counter() - start
-
-
-def wire_comparison() -> dict:
-    rows = {}
-    for wire in ("unicast", "delta"):
-        spec = BASE.replace(params={"membership_wire": wire})
-        outcome = run_scenario(spec, payload_accounting=True)
-        row = evaluation_row(outcome)
-        rows[wire] = {
-            "messages": row["messages"],
-            "payload_bytes": row["payload_bytes"],
-            "peak_payload_bytes": row["peak_payload_bytes"],
-            "message_volume_score": score_row(row, objective="message_volume"),
-        }
-    rows["unicast_extra_messages"] = (
-        rows["unicast"]["messages"] - rows["delta"]["messages"]
-    )
-    rows["unicast_ranks_higher"] = (
-        rows["unicast"]["message_volume_score"]
-        > rows["delta"]["message_volume_score"]
-    )
-    return rows
 
 
 def main(argv=None) -> int:
@@ -141,12 +110,6 @@ def main(argv=None) -> int:
               "speed up here; the ≥3x roadmap target assumes ≥4 cores",
               file=sys.stderr)
 
-    wires = wire_comparison()
-    print(f"wire formats: unicast {wires['unicast']['messages']} msgs vs "
-          f"delta {wires['delta']['messages']} msgs "
-          f"({wires['unicast_extra_messages']} acks delta-coded away)",
-          file=sys.stderr)
-
     report = {
         "benchmark": "search-fanout",
         "python": platform.python_version(),
@@ -160,10 +123,6 @@ def main(argv=None) -> int:
         "speedup": round(speedup, 3),
         "results_identical": identical,
         "best_score": serial["best_score"],
-        "best_membership_wire": (serial["best_spec"] or {})
-        .get("params", {})
-        .get("membership_wire"),
-        "wire_comparison": wires,
     }
     payload = json.dumps(report, indent=2)
     if args.out == "-":

@@ -11,10 +11,6 @@ The whole experiment is one declarative :class:`repro.api.ScenarioSpec` —
 the same value round-trips through JSON, ships to worker processes in
 parallel sweeps, and reproduces bit-identically from its seed.
 
-Migration note: older revisions used ``repro.consensus_system(n, f, ...)``;
-that helper still works but is deprecated — this spec + ``run_scenario``
-pair is the replacement.
-
 Run with::
 
     python examples/quickstart.py

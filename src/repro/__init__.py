@@ -32,14 +32,7 @@ Sweeps over cartesian grids run through the same layer, in parallel::
         metrics=("agreement", "rounds", "messages"),
     )
 
-Migration note: the per-protocol helpers ``consensus_system``,
-``reliable_broadcast_system``, ``rotor_coordinator_system`` and
-``approximate_agreement_system`` in :mod:`repro.workloads` are deprecated
-shims kept for backwards compatibility.  Replace
-``consensus_system(n, f, strategy=..., seed=...)`` with
-``run_scenario(ScenarioSpec(protocol="consensus", n=n, f=f,
-adversary=..., seed=...))`` — identical seeds build identical systems —
-and see :func:`repro.api.available_protocols` for every registered name.
+:func:`repro.api.available_protocols` lists every registered protocol name.
 """
 
 from . import adversary, analysis, api, baselines, core, dynamic, harness, sim, workloads
@@ -65,12 +58,6 @@ from .core import (
 )
 from .harness import run_experiment, run_many
 from .sim import SynchronousNetwork
-from .workloads import (
-    approximate_agreement_system,
-    consensus_system,
-    reliable_broadcast_system,
-    rotor_coordinator_system,
-)
 
 __version__ = "1.1.0"
 
@@ -92,16 +79,12 @@ __all__ = [
     "adversary",
     "analysis",
     "api",
-    "approximate_agreement_system",
     "available_protocols",
     "baselines",
     "build_system",
-    "consensus_system",
     "core",
     "dynamic",
     "harness",
-    "reliable_broadcast_system",
-    "rotor_coordinator_system",
     "run_experiment",
     "run_many",
     "run_scenario",

@@ -5,8 +5,8 @@ paper plus the three classic known-(n, f) baselines — registers a builder
 here.  A builder takes a :class:`~repro.api.spec.ScenarioSpec` and returns
 a ready-to-run :class:`~repro.workloads.generators.SystemSpec`, assembling
 identifiers, inputs, adversaries, delay models and (where supported)
-churn exactly the way the old per-protocol ``*_system`` helpers did, so
-seeds keep producing the same executions.
+churn from fixed seed derivations, so a seed keeps producing the same
+execution.
 
 The registry also records each protocol's *run policy*: the default round
 budget (possibly a function of ``n``/``f``) and the default stop condition,
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ..adversary.base import AdversaryStrategy
 from ..baselines import (
     DolevApproxProcess,
     KnownFConsensusProcess,
@@ -65,10 +64,9 @@ __all__ = [
     "available_protocols",
 ]
 
-#: The signature every registered builder implements.  ``strategy`` is the
-#: resolved adversary (usually the spec's strategy name; the deprecated
-#: shims may pass a live :class:`AdversaryStrategy` instance instead).
-Builder = Callable[[ScenarioSpec, object], SystemSpec]
+#: The signature every registered builder implements; each builder reads
+#: the adversary from ``spec.adversary`` itself.
+Builder = Callable[[ScenarioSpec], SystemSpec]
 
 
 @dataclass(frozen=True)
@@ -163,18 +161,8 @@ class ProtocolRegistry:
 
     # -- building -----------------------------------------------------------
 
-    def build(
-        self,
-        spec: ScenarioSpec,
-        *,
-        strategy: object = None,
-        engine: str | None = None,
-    ) -> SystemSpec:
+    def build(self, spec: ScenarioSpec, *, engine: str | None = None) -> SystemSpec:
         """Assemble the simulated system described by ``spec``.
-
-        ``strategy`` optionally overrides ``spec.adversary`` with a live
-        :class:`AdversaryStrategy` instance (used by the deprecated shims);
-        normally the spec's registered strategy name is used.
 
         ``engine`` optionally forces a specific round-loop kernel
         (``"vector"``/``"queue"``, see
@@ -186,8 +174,7 @@ class ProtocolRegistry:
 
         info = self.info(spec.protocol)
         self._check_supported(spec, info)
-        effective = strategy if strategy is not None else spec.adversary
-        system = info.builder(spec, effective)
+        system = info.builder(spec)
         if engine is not None:
             system.network.set_engine(engine)
         return system
@@ -223,12 +210,10 @@ REGISTRY = ProtocolRegistry()
 register_protocol = REGISTRY.register
 
 
-def build_system(
-    spec: ScenarioSpec, *, strategy: object = None, engine: str | None = None
-) -> SystemSpec:
+def build_system(spec: ScenarioSpec, *, engine: str | None = None) -> SystemSpec:
     """Module-level alias for :meth:`ProtocolRegistry.build` on :data:`REGISTRY`."""
 
-    return REGISTRY.build(spec, strategy=strategy, engine=engine)
+    return REGISTRY.build(spec, engine=engine)
 
 
 def available_protocols(*, include_baselines: bool = True) -> list[str]:
@@ -246,9 +231,8 @@ def _population(spec: ScenarioSpec, *, extra: int = 0):
     """Draw the identifier population and the correct/Byzantine split.
 
     The derivations (``derive(seed, "ids")`` / ``derive(seed, "split")``)
-    are the ones the legacy ``*_system`` helpers used, so old seeds keep
-    reproducing the same systems.  ``extra`` reserves additional ids beyond
-    ``n`` (used for churn joiners).
+    are fixed, so old seeds keep reproducing the same systems.  ``extra``
+    reserves additional ids beyond ``n`` (used for churn joiners).
     """
 
     ids = sparse_ids(spec.n + extra, seed=derive(spec.seed, "ids"))
@@ -358,7 +342,6 @@ def _resolve_delay(spec: ScenarioSpec, ids: Sequence[NodeId]) -> DelayModel | No
 
 def _assemble(
     spec: ScenarioSpec,
-    strategy: object,
     *,
     correct_factory,
     correct: Sequence[NodeId],
@@ -369,7 +352,7 @@ def _assemble(
         correct_factory=correct_factory,
         correct_ids=correct,
         byzantine_ids=byzantine,
-        strategy=strategy,
+        strategy=spec.adversary,
         seed=spec.seed,
         delay_model=_resolve_delay(spec, ids),
         trace=spec.trace,
@@ -388,14 +371,13 @@ def _assemble(
     stop="decided",
     params=("message", "byzantine_sender"),
 )
-def _build_reliable_broadcast(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_reliable_broadcast(spec: ScenarioSpec) -> SystemSpec:
     ids, correct, byz = _population(spec)
     message = spec.params.get("message", "hello")
     byzantine_sender = bool(spec.params.get("byzantine_sender", False))
     source = byz[0] if byzantine_sender and byz else correct[0]
     system = _assemble(
         spec,
-        strategy,
         correct_factory=lambda node: ReliableBroadcastProcess(
             node, source=source, message=message
         ),
@@ -413,11 +395,10 @@ def _build_reliable_broadcast(spec: ScenarioSpec, strategy: object) -> SystemSpe
     max_rounds=lambda spec: 6 * spec.n + 20,
     stop="halted",
 )
-def _build_rotor_coordinator(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_rotor_coordinator(spec: ScenarioSpec) -> SystemSpec:
     ids, correct, byz = _population(spec)
     return _assemble(
         spec,
-        strategy,
         correct_factory=lambda node: RotorCoordinatorProcess(node, opinion=node),
         correct=correct,
         byzantine=byz,
@@ -433,13 +414,12 @@ def _build_rotor_coordinator(spec: ScenarioSpec, strategy: object) -> SystemSpec
     inputs=True,
     params=("substitution",),
 )
-def _build_consensus(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_consensus(spec: ScenarioSpec) -> SystemSpec:
     ids, correct, byz = _population(spec)
     inputs = _resolve_inputs(spec, correct, default="binary")
     substitution = str(spec.params.get("substitution", "narrow"))
     system = _assemble(
         spec,
-        strategy,
         correct_factory=lambda node: ConsensusProcess(
             node, input_value=inputs[node], substitution=substitution
         ),
@@ -451,9 +431,7 @@ def _build_consensus(spec: ScenarioSpec, strategy: object) -> SystemSpec:
     return system
 
 
-def _build_approx(
-    spec: ScenarioSpec, strategy: object, *, default_iterations: int
-) -> SystemSpec:
+def _build_approx(spec: ScenarioSpec, *, default_iterations: int) -> SystemSpec:
     iterations = int(spec.params.get("iterations", default_iterations))
     churn = dict(spec.churn or {})
     pool = int(churn.get("pool", 4)) if churn else 0
@@ -470,7 +448,6 @@ def _build_approx(
 
     system = _assemble(
         spec,
-        strategy,
         correct_factory=factory,
         correct=correct,
         byzantine=byz,
@@ -513,8 +490,8 @@ def _build_approx(
     churn=True,
     params=("iterations",),
 )
-def _build_approximate_agreement(spec: ScenarioSpec, strategy: object) -> SystemSpec:
-    return _build_approx(spec, strategy, default_iterations=1)
+def _build_approximate_agreement(spec: ScenarioSpec) -> SystemSpec:
+    return _build_approx(spec, default_iterations=1)
 
 
 @register_protocol(
@@ -526,10 +503,8 @@ def _build_approximate_agreement(spec: ScenarioSpec, strategy: object) -> System
     churn=True,
     params=("iterations",),
 )
-def _build_iterated_approximate_agreement(
-    spec: ScenarioSpec, strategy: object
-) -> SystemSpec:
-    return _build_approx(spec, strategy, default_iterations=6)
+def _build_iterated_approximate_agreement(spec: ScenarioSpec) -> SystemSpec:
+    return _build_approx(spec, default_iterations=6)
 
 
 @register_protocol(
@@ -539,7 +514,7 @@ def _build_iterated_approximate_agreement(
     stop="decided",
     params=("pairs", "k_instances"),
 )
-def _build_parallel_consensus(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_parallel_consensus(spec: ScenarioSpec) -> SystemSpec:
     ids, correct, byz = _population(spec)
     pairs = spec.params.get("pairs")
     if pairs is None:
@@ -550,7 +525,6 @@ def _build_parallel_consensus(spec: ScenarioSpec, strategy: object) -> SystemSpe
         pairs = dict(pairs)
     system = _assemble(
         spec,
-        strategy,
         correct_factory=lambda node: ParallelConsensusProcess(node, input_pairs=pairs),
         correct=correct,
         byzantine=byz,
@@ -567,9 +541,9 @@ def _build_parallel_consensus(spec: ScenarioSpec, strategy: object) -> SystemSpe
     stop="never",
     churn=True,
     delay=False,  # builds its own network via the churn schedule
-    params=("event_period", "membership_wire"),
+    params=("event_period",),
 )
-def _build_total_order(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_total_order(spec: ScenarioSpec) -> SystemSpec:
     churn = dict(spec.churn or {})
     rounds = int(churn.get("rounds", spec.max_rounds or 45))
     pattern = str(churn.get("pattern", "random"))
@@ -605,10 +579,9 @@ def _build_total_order(spec: ScenarioSpec, strategy: object) -> SystemSpec:
     dynamic = build_total_order_system(
         schedule,
         event_period=int(spec.params.get("event_period", 1)),
-        strategy=strategy,
+        strategy=spec.adversary,
         seed=derive(spec.seed, "sys"),
         trace=spec.trace,
-        membership_wire=str(spec.params.get("membership_wire", "unicast")),
     )
     system = SystemSpec(
         network=dynamic.network,
@@ -632,7 +605,7 @@ def _build_total_order(spec: ScenarioSpec, strategy: object) -> SystemSpec:
     stop="decided",
     params=("message", "assumed_f", "byzantine_sender"),
 )
-def _build_srikanth_toueg(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_srikanth_toueg(spec: ScenarioSpec) -> SystemSpec:
     ids, correct, byz = _population(spec)
     message = spec.params.get("message", "hello")
     assumed_f = int(spec.params.get("assumed_f", spec.f))
@@ -640,7 +613,6 @@ def _build_srikanth_toueg(spec: ScenarioSpec, strategy: object) -> SystemSpec:
     source = byz[0] if byzantine_sender and byz else correct[0]
     system = _assemble(
         spec,
-        strategy,
         correct_factory=lambda node: SrikanthTouegBroadcastProcess(
             node, source=source, assumed_f=assumed_f, message=message
         ),
@@ -661,14 +633,13 @@ def _build_srikanth_toueg(spec: ScenarioSpec, strategy: object) -> SystemSpec:
     inputs=True,
     params=("assumed_f",),
 )
-def _build_known_f_consensus(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_known_f_consensus(spec: ScenarioSpec) -> SystemSpec:
     ids, correct, byz = _population(spec)
     membership = list(ids[: spec.n])
     assumed_f = int(spec.params.get("assumed_f", spec.f))
     inputs = _resolve_inputs(spec, correct, default="binary")
     system = _assemble(
         spec,
-        strategy,
         correct_factory=lambda node: KnownFConsensusProcess(
             node, input_value=inputs[node], membership=membership, assumed_f=assumed_f
         ),
@@ -689,13 +660,12 @@ def _build_known_f_consensus(spec: ScenarioSpec, strategy: object) -> SystemSpec
     inputs=True,
     params=("assumed_f",),
 )
-def _build_dolev_approx(spec: ScenarioSpec, strategy: object) -> SystemSpec:
+def _build_dolev_approx(spec: ScenarioSpec) -> SystemSpec:
     ids, correct, byz = _population(spec)
     assumed_f = int(spec.params.get("assumed_f", spec.f))
     inputs = _resolve_inputs(spec, correct, default="real")
     system = _assemble(
         spec,
-        strategy,
         correct_factory=lambda node: DolevApproxProcess(
             node, input_value=inputs[node], assumed_f=assumed_f
         ),

@@ -107,7 +107,6 @@ class ScenarioOutcome:
 def run_scenario(
     spec: ScenarioSpec,
     *,
-    strategy: object = None,
     engine: str | None = None,
     payload_accounting: bool = False,
 ) -> ScenarioOutcome:
@@ -123,7 +122,7 @@ def run_scenario(
     """
 
     info = REGISTRY.info(spec.protocol)
-    system = REGISTRY.build(spec, strategy=strategy, engine=engine)
+    system = REGISTRY.build(spec, engine=engine)
     if payload_accounting:
         system.network.enable_payload_accounting()
     max_rounds = (

@@ -70,7 +70,6 @@ from .total_order import (
     ChainEntry,
     EventMsg,
     PCBatch,
-    PCWrap,
     PresentMsg,
     TotalOrderProcess,
     finality_horizon,
@@ -99,7 +98,6 @@ __all__ = [
     "PCPrefer",
     "PCStrongPrefer",
     "PCBatch",
-    "PCWrap",
     "PHASE_LENGTH",
     "ParallelConsensusEngine",
     "ParallelConsensusProcess",

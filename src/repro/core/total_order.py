@@ -53,33 +53,11 @@ __all__ = [
     "AckMsg",
     "AbsentMsg",
     "EventMsg",
-    "PCWrap",
     "PCBatch",
-    "DeltaFrame",
-    "MEMBERSHIP_WIRES",
     "ChainEntry",
     "TotalOrderProcess",
     "finality_horizon",
 ]
-
-#: How membership acks travel on the wire (``TotalOrderProcess``'s
-#: ``membership_wire``).
-#:
-#: ``"unicast"``
-#:     Algorithm 6 as written: every member answers a ``present`` with a
-#:     dedicated ``Unicast(joiner, AckMsg(round))``.  With ``k`` joiners
-#:     in a round that is ``k·n`` extra messages — and, worse, the round
-#:     stops being broadcast-only, so the vector kernel falls back
-#:     to the per-node representation exactly when churn makes the
-#:     system busiest.
-#: ``"delta"``
-#:     The acks are delta-coded onto the per-round consensus broadcast:
-#:     members piggyback the joiners they acked this round (plus their
-#:     round number) on a :class:`DeltaFrame`, the membership analogue of
-#:     the rotor init wave's delta-coded ``CandidateGossip``.  Zero extra
-#:     messages, every round stays broadcast-only, and the joiner
-#:     recovers the same ack set — chains are identical between modes.
-MEMBERSHIP_WIRES = ("unicast", "delta")
 
 
 @dataclass(frozen=True)
@@ -107,19 +85,6 @@ class EventMsg:
     round_number: int
 
 
-@dataclass(frozen=True)
-class PCWrap:
-    """A parallel-consensus payload multiplexed onto one round-instance.
-
-    Legacy single-payload wrapper: still accepted on the inbound path, but
-    correct nodes batch their per-round traffic into one :class:`PCBatch`
-    broadcast instead of one ``PCWrap`` broadcast per payload.
-    """
-
-    instance_round: int
-    payload: Payload
-
-
 @cached_payload_hash
 @dataclass(frozen=True)
 class PCBatch:
@@ -128,7 +93,7 @@ class PCBatch:
     ``groups`` holds ``(instance_round, payloads)`` pairs — the payloads
     every live consensus instance of this node emitted this round, in
     instance order.  One broadcast per node per round replaces the O(live
-    instances × payloads) ``PCWrap`` broadcasts of the original protocol,
+    instances × payloads) per-payload broadcasts of the original protocol,
     which dominated both the network's per-message bookkeeping and the
     inbox dedup hashing once chains grew past a few dozen rounds.
 
@@ -143,39 +108,8 @@ class PCBatch:
     groups: tuple[tuple[int, tuple[Payload, ...]], ...]
 
 
-@cached_payload_hash
-@dataclass(frozen=True)
-class DeltaFrame:
-    """A node's whole round on the wire: consensus batch + membership delta.
-
-    The ``membership_wire="delta"`` frame format.  ``groups`` is exactly
-    :class:`PCBatch.groups`; ``ack_round`` is the sender's protocol round
-    (what an :class:`AckMsg` would have carried); ``welcomes`` lists the
-    joiners whose ``present`` the sender processed this round (sorted, so
-    identical welcome sets intern to one payload); ``anchor`` carries the
-    sender's full sorted membership view on every fourth welcome-bearing
-    frame — the same adds-then-periodic-anchor cadence as the rotor
-    protocol's delta-coded ``CandidateGossip``, giving observers (and any
-    joiner whose welcome was lost) a bounded resync point without paying
-    the full membership on every frame.
-
-    In the steady state (no joiners) every node emits the same groups,
-    the same round number, empty welcomes and no anchor — so the round's
-    frames still collapse onto one interned payload whose digest is
-    computed once system-wide, exactly like :class:`PCBatch`.
-    """
-
-    groups: tuple[tuple[int, tuple[Payload, ...]], ...]
-    ack_round: int
-    welcomes: tuple[NodeId, ...] = ()
-    anchor: tuple[NodeId, ...] | None = None
-
-
 #: Bulk (consensus-plane) payload types the membership/event intake skips.
-#: One shared tuple for both wire modes keeps the per-inbox control-plane
-#: memo entry shared: in unicast mode no ``DeltaFrame`` ever exists, so
-#: filtering it is a no-op there.
-_BULK_TYPES = (PCBatch, PCWrap, DeltaFrame)
+_BULK_TYPES = (PCBatch,)
 
 
 @dataclass(frozen=True)
@@ -239,19 +173,13 @@ def _route_instances(inbox: Inbox) -> dict[int, Inbox]:
 
     buckets: dict[int, list[tuple[NodeId, Payload]]] = {}
     for sender, payload in inbox.items():
-        cls = type(payload)
-        if cls is PCBatch or cls is DeltaFrame:
+        if type(payload) is PCBatch:
             for instance_round, group in payload.groups:
                 bucket = buckets.get(instance_round)
                 if bucket is None:
                     buckets[instance_round] = bucket = []
                 for inner in group:
                     bucket.append((sender, inner))
-        elif cls is PCWrap:
-            bucket = buckets.get(payload.instance_round)
-            if bucket is None:
-                buckets[payload.instance_round] = bucket = []
-            bucket.append((sender, payload.payload))
     return {
         instance_round: Inbox.from_pairs(pairs)
         for instance_round, pairs in buckets.items()
@@ -276,11 +204,6 @@ class TotalOrderProcess(Process):
     leave_round:
         Protocol round at which the node announces ``absent`` and starts
         winding down (``None`` = stays forever).
-    membership_wire:
-        How acks travel: ``"unicast"`` (per-joiner :class:`AckMsg`, the
-        algorithm as written and the default) or ``"delta"``
-        (:class:`DeltaFrame` piggybacking — see :data:`MEMBERSHIP_WIRES`).
-        Joining nodes accept both formats regardless of their own mode.
 
     Finalized instances are pruned from memory as soon as their outputs
     enter the chain; decided instances stop being stepped once their linger
@@ -294,16 +217,8 @@ class TotalOrderProcess(Process):
         initial_members: Iterable[NodeId] | None = None,
         events: Mapping[int, Hashable] | Callable[[int], Hashable | None] | None = None,
         leave_round: int | None = None,
-        membership_wire: str = "unicast",
     ) -> None:
         super().__init__(node_id)
-        if membership_wire not in MEMBERSHIP_WIRES:
-            raise ValueError(
-                f"unknown membership wire {membership_wire!r}; "
-                f"choose from {', '.join(MEMBERSHIP_WIRES)}"
-            )
-        self._wire = membership_wire
-        self._welcome_frames = 0  # welcome-bearing frames emitted (anchor cadence)
         self._joining = initial_members is None
         self._members: set[NodeId] = set(initial_members or ())
         if not self._joining:
@@ -387,14 +302,6 @@ class TotalOrderProcess(Process):
         for sender, payload in view.inbox.items():
             if isinstance(payload, AckMsg):
                 acks[sender] = payload.round_number
-            elif type(payload) is DeltaFrame and (
-                self.node_id in payload.welcomes
-                or (payload.anchor is not None and self.node_id in payload.anchor)
-            ):
-                # Delta-coded ack: the sender welcomed us this round (or
-                # its periodic anchor already lists us — the resync path
-                # for a welcome lost to churn).
-                acks[sender] = payload.ack_round
         if not acks:
             self._join_wait += 1
             if self._join_wait >= 3:
@@ -427,14 +334,10 @@ class TotalOrderProcess(Process):
         # handles the O(events) membership/event payloads, pre-filtered once
         # per shared inbox by the memoized control-plane tally.
         incoming_events: list[tuple[NodeId, Hashable]] = []
-        welcomed: list[NodeId] = []
         for sender, payload in control_pairs(view.inbox, _BULK_TYPES):
             if isinstance(payload, PresentMsg):
                 self._members.add(sender)
-                if self._wire == "delta":
-                    welcomed.append(sender)
-                else:
-                    outgoing.append(Unicast(sender, AckMsg(round_number)))
+                outgoing.append(Unicast(sender, AckMsg(round_number)))
             elif isinstance(payload, AbsentMsg):
                 self._members.discard(sender)
             elif isinstance(payload, EventMsg):
@@ -495,22 +398,7 @@ class TotalOrderProcess(Process):
                 record.quiescent = True
                 record.decided_outputs = dict(engine.outputs)
                 record.engine = None
-        if self._wire == "delta" and welcomed:
-            # A welcome round: the batch travels as a DeltaFrame carrying
-            # the piggybacked acks; every fourth welcome-bearing frame
-            # also carries the full membership anchor (the resync point).
-            self._welcome_frames += 1
-            anchor = None
-            if self._welcome_frames % 4 == 0:
-                anchor = tuple(sorted(self._members, key=repr))
-            frame = DeltaFrame(
-                groups=tuple(groups),
-                ack_round=round_number,
-                welcomes=tuple(sorted(welcomed, key=repr)),
-                anchor=anchor,
-            )
-            outgoing.append(Broadcast(intern_payload(frame)))
-        elif groups:
+        if groups:
             # One batched wrapper broadcast per round, not one per payload;
             # interning collapses the identical batches most nodes emit.
             outgoing.append(Broadcast(intern_payload(PCBatch(tuple(groups)))))

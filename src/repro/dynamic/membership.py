@@ -54,7 +54,6 @@ def build_total_order_system(
     strategy: str | AdversaryStrategy | None = "silent",
     seed: int = 0,
     trace: bool = False,
-    membership_wire: str = "unicast",
 ) -> DynamicSystem:
     """Instantiate the total-ordering protocol over a churn schedule.
 
@@ -62,10 +61,7 @@ def build_total_order_system(
     run the ``present``/``ack`` handshake.  Leaves are realised by giving
     the departing process its ``leave_round`` (the protocol announces
     ``absent`` itself) rather than by yanking it from the network, so the
-    wind-down path of Algorithm 6 is exercised.  ``membership_wire``
-    selects the ack wire format for every correct node (see
-    :data:`repro.core.total_order.MEMBERSHIP_WIRES`); chains are
-    identical either way, only the traffic differs.
+    wind-down path of Algorithm 6 is exercised.
     """
 
     genesis_correct = list(schedule.initial_correct)
@@ -83,7 +79,6 @@ def build_total_order_system(
             initial_members=members,
             events=every_round_events(node, period=event_period),
             leave_round=leave_rounds.get(node),
-            membership_wire=membership_wire,
         )
 
     def make_byzantine(node: NodeId) -> ByzantineProcess:

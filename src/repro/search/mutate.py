@@ -32,7 +32,6 @@ MUTATION_OPS = (
     "size",
     "inputs",
     "churn",
-    "wire",
 )
 
 #: Strategies applicable to any protocol.
@@ -234,19 +233,3 @@ class SpecMutator:
             "leave_round": int(self._rng.integers(4, 8)),
         }
         return spec.replace(churn=churn)
-
-    def _op_wire(self, spec: ScenarioSpec) -> ScenarioSpec:
-        """Flip the membership wire format (protocols that declare one).
-
-        The op that lets a message-volume search tell the delta-coded
-        membership plane from the per-joiner unicast one; protocols
-        without a ``membership_wire`` parameter fall back to a reseed.
-        """
-
-        info = REGISTRY.info(spec.protocol)
-        if "membership_wire" not in info.known_params:
-            return self._op_seed(spec)
-        current = str(spec.params.get("membership_wire", "unicast"))
-        params = dict(spec.params)
-        params["membership_wire"] = "delta" if current == "unicast" else "unicast"
-        return spec.replace(params=params)

@@ -37,20 +37,11 @@ module provides the building blocks for:
   exactly as without it.
 * **Delta coding** — a payload that re-states an ever-growing set every
   round is wrong at the wire level; senders must announce *changes* plus
-  a periodic full-set anchor instead.  The pattern has two concrete
-  instances.  Candidate gossip
-  (:class:`repro.core.rotor_coordinator.CandidateGossip` with its
-  ``GossipEncoder``/``GossipDecoder``): candidate-set *adds* per round,
-  a full sorted anchor with a cached digest every few emissions, and a
-  deterministic receiver-side reconstruction.  And the total-order
-  membership plane (:class:`repro.core.total_order.DeltaFrame`): instead
-  of every member unicasting a dedicated ack to every joiner — message
-  count proportional to joiners × members — the acks ride the batch
-  broadcast a member was sending anyway as a *welcomes* delta, with the
-  full sorted membership anchored every fourth welcome-bearing frame.
-  Chains are identical either way (``membership_wire`` selects the
-  format); only the traffic differs, which is exactly what the search's
-  ``message_volume`` objective measures.
+  a periodic full-set anchor instead.  The pattern's instance is
+  candidate gossip (:class:`repro.core.rotor_coordinator.CandidateGossip`
+  with its ``GossipEncoder``/``GossipDecoder``): candidate-set *adds* per
+  round, a full sorted anchor with a cached digest every few emissions,
+  and a deterministic receiver-side reconstruction.
 * **Byte accounting** — :func:`payload_nbytes` reports (and caches) the
   serialised size of a payload, which the network uses for the opt-in
   message-volume metrics tracked by ``benchmarks/bench_scaling.py``.

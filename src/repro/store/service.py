@@ -36,10 +36,8 @@ Client disconnects mid-stream (``BrokenPipeError``/
 them wherever they surface (event loop, response write or the final
 flush in ``handle_one_request``) so a vanished client never dumps a
 traceback through ``handle_error`` or poisons its worker thread.
-
-If FastAPI happens to be installed, :func:`create_fastapi_app` exposes the
-same service as an ASGI app; the stdlib server remains the supported path
-and the adapter raises :class:`StoreError` when FastAPI is absent.
+Malformed requests (a body that is not a JSON object, a non-integer
+``n``/``seed``/``limit`` filter) get a 400 with an error message.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .db import RunStore, StoredTrace, StoreError
 from .resumable import DEFAULT_SEGMENT_EVENTS, ResumableSweep
 from .serialize import canonical_dumps
 
-__all__ = ["ScenarioService", "SweepJob", "create_server", "create_fastapi_app"]
+__all__ = ["ScenarioService", "SweepJob", "create_server"]
 
 
 def _trace_event_json(event: TraceEvent) -> dict:
@@ -233,6 +231,8 @@ class ScenarioService:
     def launch_sweep(self, payload: dict) -> SweepJob:
         """Validate the request, start the executor thread, return the job."""
 
+        if not isinstance(payload, dict):
+            raise ValueError("request body must be a JSON object")
         raw = payload.get("sweep") or payload.get("sweeps")
         if raw is None:
             raise ValueError("request needs a 'sweep' (or 'sweeps') object")
@@ -334,21 +334,29 @@ class ScenarioService:
         }
 
     def list_runs(self, filters: dict[str, list[str]]) -> list[dict]:
+        """Query the store; raises ``ValueError`` on a non-integer filter."""
+
         def first(key: str) -> str | None:
             values = filters.get(key)
             return values[0] if values else None
 
-        def as_int(value: str | None) -> int | None:
-            return int(value) if value is not None else None
+        def as_int(key: str) -> int | None:
+            value = first(key)
+            if value is None:
+                return None
+            try:
+                return int(value)
+            except ValueError:
+                raise ValueError(f"{key} must be an integer, not {value!r}")
 
         runs = self.reader().query(
             protocol=first("protocol"),
-            n=as_int(first("n")),
-            seed=as_int(first("seed")),
+            n=as_int("n"),
+            seed=as_int("seed"),
             spec_digest=first("spec_digest"),
             engine=first("engine"),
             status=first("status") or "complete",
-            limit=as_int(first("limit")),
+            limit=as_int("limit"),
         )
         return [run.as_dict() for run in runs]
 
@@ -469,7 +477,12 @@ class _Handler(BaseHTTPRequestHandler):
             if parts == ["health"]:
                 self._send_json(self.service.health())
             elif parts == ["runs"]:
-                self._send_json(self.service.list_runs(parse_qs(url.query)))
+                try:
+                    runs = self.service.list_runs(parse_qs(url.query))
+                except ValueError as exc:
+                    self._send_error(400, str(exc))
+                    return
+                self._send_json(runs)
             elif len(parts) == 2 and parts[0] == "runs":
                 run = self.service.get_run(parts[1])
                 if run is None:
@@ -563,114 +576,3 @@ def create_server(
     server.service = service  # type: ignore[attr-defined]
     return server
 
-
-def create_fastapi_app(store_path: str, *, jobs: int = 1, engine: str | None = None):
-    """The same service as a FastAPI/ASGI app, if FastAPI is installed.
-
-    The stdlib server above is the dependency-free supported path; this
-    adapter exists for deployments that already run an ASGI stack.
-    """
-
-    try:
-        from fastapi import FastAPI, HTTPException
-        from fastapi.responses import StreamingResponse
-    except ImportError as exc:  # pragma: no cover - fastapi not in the image
-        raise StoreError(
-            "FastAPI is not installed; use repro.store.service.create_server "
-            "(stdlib) instead"
-        ) from exc
-
-    service = ScenarioService(store_path, jobs=jobs, engine=engine)
-    app = FastAPI(title="repro scenario service")
-
-    @app.get("/health")
-    def health() -> dict:
-        return service.health()
-
-    @app.get("/runs")
-    def runs(
-        protocol: str | None = None,
-        n: int | None = None,
-        seed: int | None = None,
-        limit: int | None = None,
-    ) -> list[dict]:
-        filters: dict[str, list[str]] = {}
-        for key, value in (
-            ("protocol", protocol),
-            ("n", n),
-            ("seed", seed),
-            ("limit", limit),
-        ):
-            if value is not None:
-                filters[key] = [str(value)]
-        return service.list_runs(filters)
-
-    @app.get("/runs/{run_key}")
-    def run(run_key: str) -> dict:
-        found = service.get_run(run_key)
-        if found is None:
-            raise HTTPException(status_code=404, detail=f"no run {run_key}")
-        return found
-
-    @app.get("/runs/{run_key}/trace")
-    def trace(run_key: str, kind: str | None = None, round: int | None = None):
-        query: dict[str, list[str]] = {}
-        if kind is not None:
-            query["kind"] = [kind]
-        if round is not None:
-            query["round"] = [str(round)]
-        try:
-            kind_filter, round_index = _parse_trace_filters(query)
-        except ValueError as exc:
-            raise HTTPException(status_code=400, detail=str(exc))
-        stored = service.get_trace(run_key)
-        if stored is None:
-            raise HTTPException(status_code=404, detail=f"no run {run_key}")
-
-        def lines():
-            yield canonical_dumps(
-                {
-                    "event": "trace-start",
-                    "run_key": run_key,
-                    "segments": stored.segment_count,
-                    "events": len(stored),
-                }
-            ) + "\n"
-            streamed = 0
-            for segment_index, batch in stored.select_batches(
-                kind=kind_filter, round_index=round_index
-            ):
-                if not batch:
-                    continue
-                yield canonical_dumps(
-                    {
-                        "event": "segment",
-                        "segment": segment_index,
-                        "events": [_trace_event_json(e) for e in batch],
-                    }
-                ) + "\n"
-                streamed += len(batch)
-            yield canonical_dumps(
-                {"event": "trace-complete", "streamed": streamed}
-            ) + "\n"
-
-        return StreamingResponse(lines(), media_type="application/x-ndjson")
-
-    @app.post("/sweeps", status_code=202)
-    def sweeps(payload: dict) -> dict:
-        job = service.launch_sweep(payload)
-        return {
-            "id": job.job_id,
-            "cells": job.cells,
-            "stream": f"/sweeps/{job.job_id}/stream",
-        }
-
-    @app.get("/sweeps/{job_id}/stream")
-    def stream(job_id: str):
-        job = service.get_job(job_id)
-        if job is None:
-            raise HTTPException(status_code=404, detail=f"no sweep {job_id}")
-        lines = (canonical_dumps(event) + "\n" for event in job.events())
-        return StreamingResponse(lines, media_type="application/x-ndjson")
-
-    return app

@@ -1,32 +1,19 @@
-"""Workload primitives: identifiers, inputs, adversary placement, networks.
-
-The ``*_system`` helpers re-exported here are deprecated shims; build a
-:class:`repro.api.ScenarioSpec` and use :func:`repro.api.run_scenario` or
-:func:`repro.api.build_system` instead.
-"""
+"""Workload primitives: identifiers, inputs, adversary placement, networks."""
 
 from .generators import (
     SystemSpec,
-    approximate_agreement_system,
     binary_inputs,
     build_network,
-    consensus_system,
     real_inputs,
-    reliable_broadcast_system,
-    rotor_coordinator_system,
     sparse_ids,
     split_correct_byzantine,
 )
 
 __all__ = [
     "SystemSpec",
-    "approximate_agreement_system",
     "binary_inputs",
     "build_network",
-    "consensus_system",
     "real_inputs",
-    "reliable_broadcast_system",
-    "rotor_coordinator_system",
     "sparse_ids",
     "split_correct_byzantine",
 ]

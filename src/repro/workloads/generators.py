@@ -6,21 +6,14 @@ which of them are Byzantine, instantiate the protocol processes for the
 correct nodes and an adversary strategy for each Byzantine node, and wire
 everything into a :class:`~repro.sim.network.SynchronousNetwork`.  This
 module holds those primitives (:func:`sparse_ids`, :func:`build_network`,
-:class:`SystemSpec`, …).
-
-The per-protocol ``*_system`` helpers that used to live here are now thin
-**deprecated shims** over the declarative :mod:`repro.api` layer: construct
-a :class:`repro.api.ScenarioSpec` and call :func:`repro.api.build_system`
-(or :func:`repro.api.run_scenario`) instead.  The shims build identical
-systems for identical seeds, so existing code keeps reproducing the same
-executions while it migrates.
+:class:`SystemSpec`, …).  Per-protocol systems are declared as a
+:class:`repro.api.ScenarioSpec` and assembled by :func:`repro.api.build_system`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,10 +32,6 @@ __all__ = [
     "real_inputs",
     "SystemSpec",
     "build_network",
-    "reliable_broadcast_system",
-    "rotor_coordinator_system",
-    "consensus_system",
-    "approximate_agreement_system",
 ]
 
 
@@ -168,174 +157,4 @@ def build_network(
         network=network,
         correct_ids=list(correct_ids),
         byzantine_ids=list(byzantine_ids),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Deprecated per-protocol shims (migrate to repro.api)
-# ---------------------------------------------------------------------------
-
-
-def _deprecated_shim(helper: str, protocol: str) -> None:
-    warnings.warn(
-        f"repro.workloads.{helper}() is deprecated; build a "
-        f"repro.api.ScenarioSpec(protocol={protocol!r}, ...) and use "
-        "repro.api.build_system()/run_scenario() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _shim_build(
-    protocol: str,
-    n: int,
-    f: int,
-    *,
-    strategy: str | AdversaryStrategy | Callable[[], AdversaryStrategy] | None,
-    seed: int,
-    trace: bool,
-    inputs: str = "default",
-    input_params: dict | None = None,
-    params: dict | None = None,
-) -> SystemSpec:
-    """Route a legacy helper call through the declarative registry.
-
-    String strategies travel inside the spec; live strategy objects (which
-    are not JSON-representable) are forwarded as a build-time override.
-    """
-
-    from ..api.registry import build_system
-    from ..api.spec import ScenarioSpec
-
-    named = strategy if isinstance(strategy, str) else "silent"
-    override = None if isinstance(strategy, str) or strategy is None else strategy
-    spec = ScenarioSpec(
-        protocol=protocol,
-        n=n,
-        f=f,
-        adversary=named,
-        seed=seed,
-        trace=trace,
-        inputs=inputs,
-        input_params=input_params or {},
-        params=params or {},
-    )
-    return build_system(spec, strategy=override)
-
-
-def reliable_broadcast_system(
-    n: int,
-    f: int,
-    *,
-    message: Hashable = "hello",
-    strategy: str | AdversaryStrategy | None = None,
-    byzantine_sender: bool = False,
-    seed: int = 0,
-    trace: bool = False,
-) -> SystemSpec:
-    """Deprecated: Algorithm 1 workload (use ``protocol="reliable-broadcast"``).
-
-    When ``byzantine_sender`` is true the designated sender is one of the
-    Byzantine nodes (the interesting case for the unforgeability and relay
-    properties); otherwise the sender is the correct node with the smallest
-    identifier.
-    """
-
-    _deprecated_shim("reliable_broadcast_system", "reliable-broadcast")
-    return _shim_build(
-        "reliable-broadcast",
-        n,
-        f,
-        strategy=strategy,
-        seed=seed,
-        trace=trace,
-        params={"message": message, "byzantine_sender": byzantine_sender},
-    )
-
-
-def rotor_coordinator_system(
-    n: int,
-    f: int,
-    *,
-    strategy: str | AdversaryStrategy | None = None,
-    seed: int = 0,
-    trace: bool = False,
-) -> SystemSpec:
-    """Deprecated: Algorithm 2 workload (use ``protocol="rotor-coordinator"``)."""
-
-    _deprecated_shim("rotor_coordinator_system", "rotor-coordinator")
-    return _shim_build(
-        "rotor-coordinator", n, f, strategy=strategy, seed=seed, trace=trace
-    )
-
-
-def consensus_system(
-    n: int,
-    f: int,
-    *,
-    inputs: dict[NodeId, Hashable] | None = None,
-    ones_fraction: float = 0.5,
-    strategy: str | AdversaryStrategy | None = None,
-    seed: int = 0,
-    trace: bool = False,
-    substitution: str = "narrow",
-) -> SystemSpec:
-    """Deprecated: Algorithm 3 workload (use ``protocol="consensus"``).
-
-    ``substitution`` is forwarded to :class:`ConsensusProcess`; the
-    non-default ``"broad"`` value exists only for the A1 ablation.
-    """
-
-    _deprecated_shim("consensus_system", "consensus")
-    if inputs is None:
-        kind, options = "binary", {"ones_fraction": ones_fraction}
-    else:
-        kind, options = "explicit", {"values": dict(inputs)}
-    return _shim_build(
-        "consensus",
-        n,
-        f,
-        strategy=strategy,
-        seed=seed,
-        trace=trace,
-        inputs=kind,
-        input_params=options,
-        params={"substitution": substitution},
-    )
-
-
-def approximate_agreement_system(
-    n: int,
-    f: int,
-    *,
-    inputs: dict[NodeId, float] | None = None,
-    low: float = 0.0,
-    high: float = 100.0,
-    iterations: int = 1,
-    strategy: str | AdversaryStrategy | None = None,
-    seed: int = 0,
-    trace: bool = False,
-) -> SystemSpec:
-    """Deprecated: Algorithm 4 workload (use ``protocol="approximate-agreement"``).
-
-    ``iterations == 1`` builds the single-shot Algorithm 4; larger values
-    build the iterated variant used for the convergence experiment E4 and
-    the dynamic-network experiment E10.
-    """
-
-    _deprecated_shim("approximate_agreement_system", "approximate-agreement")
-    if inputs is None:
-        kind, options = "real", {"low": low, "high": high}
-    else:
-        kind, options = "explicit", {"values": dict(inputs)}
-    return _shim_build(
-        "approximate-agreement",
-        n,
-        f,
-        strategy=strategy,
-        seed=seed,
-        trace=trace,
-        inputs=kind,
-        input_params=options,
-        params={"iterations": iterations},
     )

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import consensus_agreement
+from repro.api import ScenarioSpec, build_system
 from repro.harness import ABLATIONS
 from repro.harness.ablations import a2_misconfigured_fault_bound
-from repro.workloads import consensus_system
 
 
 class TestSubstitutionRuleRegression:
@@ -20,13 +20,17 @@ class TestSubstitutionRuleRegression:
     FAILING_CONFIG = dict(n=13, f=4, ones_fraction=0.5, seed=0)
 
     def _run(self, substitution):
-        spec = consensus_system(
-            self.FAILING_CONFIG["n"],
-            self.FAILING_CONFIG["f"],
-            ones_fraction=self.FAILING_CONFIG["ones_fraction"],
-            strategy="consensus-split-vote",
-            seed=self.FAILING_CONFIG["seed"],
-            substitution=substitution,
+        spec = build_system(
+            ScenarioSpec(
+                protocol="consensus",
+                n=self.FAILING_CONFIG["n"],
+                f=self.FAILING_CONFIG["f"],
+                adversary="consensus-split-vote",
+                seed=self.FAILING_CONFIG["seed"],
+                inputs="binary",
+                input_params={"ones_fraction": self.FAILING_CONFIG["ones_fraction"]},
+                params={"substitution": substitution},
+            )
         )
         spec.network.run(max_rounds=80)
         return {i: spec.network.process(i).output for i in spec.correct_ids}

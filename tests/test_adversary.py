@@ -13,9 +13,9 @@ from repro.adversary import (
     make_strategy,
 )
 from repro.adversary.base import AdversaryContext
+from repro.api import ScenarioSpec, build_system
 from repro.core.reliable_broadcast import ReliableBroadcastProcess
 from repro.sim import Broadcast, Inbox, RoundView, Unicast
-from repro.workloads import consensus_system
 
 
 def view(round_index, pairs=()):
@@ -79,7 +79,18 @@ class TestByzantineProcess:
         # node influences receivers only through payload content.  This is an
         # end-to-end check: the receiver's inbox attributes the adversary's
         # messages to the adversary's own id.
-        spec = consensus_system(4, 1, strategy="consensus-split-vote", seed=1, trace=True)
+        spec = build_system(
+            ScenarioSpec(
+                protocol="consensus",
+                n=4,
+                f=1,
+                adversary="consensus-split-vote",
+                seed=1,
+                trace=True,
+                inputs="binary",
+                input_params={"ones_fraction": 0.5},
+            )
+        )
         spec.network.run(max_rounds=10, stop_when=lambda net: False)
         byz = set(spec.byzantine_ids)
         from repro.sim import EventKind

@@ -7,6 +7,8 @@ import math
 
 import pytest
 
+import repro
+import repro.workloads
 from repro.analysis.properties import (
     approx_outputs_in_range,
     approx_range_reduced,
@@ -25,12 +27,6 @@ from repro.api import (
     run_sweep,
 )
 from repro.harness import run_experiment
-from repro.workloads import (
-    approximate_agreement_system,
-    consensus_system,
-    reliable_broadcast_system,
-    rotor_coordinator_system,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +307,41 @@ class TestSweepRunnerDeterminism:
 # ---------------------------------------------------------------------------
 
 
+def assert_not_exported(name: str) -> None:
+    assert not hasattr(repro, name) and name not in repro.__all__
+    assert not hasattr(repro.workloads, name) and name not in repro.workloads.__all__
+
+
+#: What the removed ``*_system`` helpers produced for ``(7, 2, seed=31)``:
+#: (outputs, rounds executed, messages delivered).
+SHIM_EXECUTIONS = {
+    "reliable_broadcast_system": (
+        {33343: "hello", 330280: "hello", 391936: "hello", 878309: "hello",
+         917531: "hello"},
+        3,
+        105,
+    ),
+    "rotor_coordinator_system": (
+        {33343: 917531, 330280: 917531, 391936: 917531, 878309: 917531,
+         917531: 917531},
+        8,
+        140,
+    ),
+    "approximate_agreement_system": (
+        dict.fromkeys((33343, 330280, 391936, 878309, 917531), 44.555819388352326),
+        2,
+        35,
+    ),
+}
+
+
 class TestDeprecatedShims:
+    """The ``*_system`` helpers are gone; the ``ScenarioSpec`` route still
+    reproduces the executions they produced, pinned as literals."""
+
     def test_shim_warns_and_matches_api_route(self):
-        with pytest.warns(DeprecationWarning, match="consensus_system"):
-            legacy = consensus_system(
-                7, 2, ones_fraction=0.5, strategy="consensus-split-vote", seed=23
-            )
-        legacy_run = legacy.network.run(max_rounds=60)
-        modern = run_scenario(
+        assert_not_exported("consensus_system")
+        outcome = run_scenario(
             ScenarioSpec(
                 protocol="consensus",
                 n=7,
@@ -326,42 +349,52 @@ class TestDeprecatedShims:
                 adversary="consensus-split-vote",
                 seed=23,
                 max_rounds=60,
+                inputs="binary",
+                input_params={"ones_fraction": 0.5},
+                params={"substitution": "narrow"},
             )
         )
-        assert legacy_run.decided_outputs() == modern.result.decided_outputs()
-        assert legacy_run.metrics.total_messages == modern.messages
+        assert outcome.result.decided_outputs() == {
+            133546: 0, 398476: 0, 757406: 0, 873245: 0, 905662: 0
+        }
+        assert (outcome.rounds, outcome.messages) == (12, 945)
 
     @pytest.mark.parametrize(
         "shim,protocol,kwargs,max_rounds",
         [
-            (reliable_broadcast_system, "reliable-broadcast", {}, 12),
-            (rotor_coordinator_system, "rotor-coordinator", {}, 50),
-            (approximate_agreement_system, "approximate-agreement", {}, 8),
+            ("reliable_broadcast_system", "reliable-broadcast", {}, 12),
+            ("rotor_coordinator_system", "rotor-coordinator", {}, 50),
+            ("approximate_agreement_system", "approximate-agreement", {}, 8),
         ],
     )
     def test_every_shim_warns_and_is_execution_identical(
         self, shim, protocol, kwargs, max_rounds
     ):
-        """Each PR-1 ``*_system`` shim must emit a DeprecationWarning naming
-        itself and build the exact system the declarative API builds."""
-
-        with pytest.warns(DeprecationWarning, match=shim.__name__):
-            legacy = shim(7, 2, seed=31, **kwargs)
-        legacy_run = legacy.network.run(max_rounds=max_rounds)
-        modern = run_scenario(
+        assert_not_exported(shim)
+        outcome = run_scenario(
             ScenarioSpec(
-                protocol=protocol, n=7, f=2, seed=31, max_rounds=max_rounds
+                protocol=protocol, n=7, f=2, seed=31, max_rounds=max_rounds, **kwargs
             )
         )
-        assert legacy_run.outputs() == modern.result.outputs()
-        assert legacy_run.rounds_executed == modern.result.rounds_executed
-        assert legacy_run.metrics.total_messages == modern.messages
+        outputs, rounds, messages = SHIM_EXECUTIONS[shim]
+        assert outcome.result.outputs() == outputs
+        assert (outcome.rounds, outcome.messages) == (rounds, messages)
 
     def test_shim_accepts_explicit_inputs(self):
-        with pytest.warns(DeprecationWarning):
-            probe = consensus_system(4, 0, seed=9)
-        inputs = {node: 1 for node in probe.correct_ids}
-        with pytest.warns(DeprecationWarning):
-            spec = consensus_system(4, 0, inputs=inputs, seed=9)
-        run = spec.network.run(max_rounds=40)
-        assert set(run.decided_outputs().values()) == {1}
+        assert_not_exported("consensus_system")
+        inputs = {300147: 1, 622347: 1, 832060: 1, 878512: 1}
+        outcome = run_scenario(
+            ScenarioSpec(
+                protocol="consensus",
+                n=4,
+                f=0,
+                seed=9,
+                max_rounds=40,
+                inputs="explicit",
+                input_params={"values": inputs},
+                params={"substitution": "narrow"},
+            )
+        )
+        assert outcome.system.correct_ids == sorted(inputs)
+        assert outcome.result.decided_outputs() == inputs
+        assert (outcome.rounds, outcome.messages) == (7, 100)

@@ -8,9 +8,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import approx_outputs_in_range, approx_range_reduced
+from repro.api import ScenarioSpec, build_system
 from repro.core.approximate_agreement import trim_and_midpoint
 from repro.core.quorums import max_faults_tolerated
-from repro.workloads import approximate_agreement_system
+
+
+def build_approx(n, f, *, strategy, seed, low=0.0, high=100.0, iterations=1):
+    return build_system(
+        ScenarioSpec(
+            protocol="approximate-agreement",
+            n=n,
+            f=f,
+            adversary=strategy,
+            seed=seed,
+            inputs="real",
+            input_params={"low": low, "high": high},
+            params={"iterations": iterations},
+        )
+    )
 
 
 class TestTrimAndMidpoint:
@@ -56,7 +71,7 @@ class TestSingleShotSystem:
     @pytest.mark.parametrize("strategy", ["silent", "approx-outlier", "equivocate-value"])
     def test_theorem4_properties(self, n, strategy):
         f = max_faults_tolerated(n)
-        spec = approximate_agreement_system(n, f, strategy=strategy, seed=n * 3 + 1)
+        spec = build_approx(n, f, strategy=strategy, seed=n * 3 + 1)
         spec.network.run(max_rounds=6)
         inputs = spec.params["inputs"]
         outputs = {i: spec.network.process(i).output for i in spec.correct_ids}
@@ -64,7 +79,7 @@ class TestSingleShotSystem:
         assert approx_range_reduced(outputs, inputs)
 
     def test_output_range_at_most_half_of_input_range(self):
-        spec = approximate_agreement_system(13, 4, strategy="approx-outlier", seed=5)
+        spec = build_approx(13, 4, strategy="approx-outlier", seed=5)
         spec.network.run(max_rounds=6)
         inputs = spec.params["inputs"]
         outputs = [spec.network.process(i).output for i in spec.correct_ids]
@@ -73,15 +88,7 @@ class TestSingleShotSystem:
         assert out_range <= in_range / 2 + 1e-9
 
     def test_identical_inputs_produce_identical_outputs(self):
-        spec = approximate_agreement_system(
-            7,
-            2,
-            inputs=None,
-            low=42.0,
-            high=42.0,
-            strategy="approx-outlier",
-            seed=6,
-        )
+        spec = build_approx(7, 2, low=42.0, high=42.0, strategy="approx-outlier", seed=6)
         spec.network.run(max_rounds=6)
         outputs = {spec.network.process(i).output for i in spec.correct_ids}
         assert outputs == {42.0}
@@ -90,7 +97,7 @@ class TestSingleShotSystem:
 class TestIteratedConvergence:
     def test_range_halves_every_iteration(self):
         iterations = 5
-        spec = approximate_agreement_system(
+        spec = build_approx(
             10, 3, iterations=iterations, strategy="approx-outlier", seed=8
         )
         spec.network.run(max_rounds=iterations + 3, stop_when=lambda net: False)
@@ -103,7 +110,7 @@ class TestIteratedConvergence:
             assert after <= before / 2 + 1e-9
 
     def test_iterated_outputs_stay_in_input_range(self):
-        spec = approximate_agreement_system(10, 3, iterations=4, strategy="approx-outlier", seed=9)
+        spec = build_approx(10, 3, iterations=4, strategy="approx-outlier", seed=9)
         spec.network.run(max_rounds=8, stop_when=lambda net: False)
         inputs = spec.params["inputs"]
         for i in spec.correct_ids:
@@ -111,7 +118,7 @@ class TestIteratedConvergence:
             assert min(inputs.values()) <= proc.output <= max(inputs.values())
 
     def test_history_records_every_iteration(self):
-        spec = approximate_agreement_system(7, 2, iterations=3, strategy="silent", seed=10)
+        spec = build_approx(7, 2, iterations=3, strategy="silent", seed=10)
         spec.network.run(max_rounds=7, stop_when=lambda net: False)
         for i in spec.correct_ids:
             history = spec.network.process(i).history

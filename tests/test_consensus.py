@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import consensus_agreement, consensus_validity
+from repro.api import ScenarioSpec, build_system
 from repro.core.consensus import INIT_ROUNDS, PHASE_LENGTH, ConsensusProcess
 from repro.core.quorums import max_faults_tolerated
-from repro.workloads import consensus_system
 
 ADVERSARIES = [
     "silent",
@@ -19,8 +19,22 @@ ADVERSARIES = [
 ]
 
 
+def build_consensus(n, f, *, ones_fraction, strategy, seed):
+    return build_system(
+        ScenarioSpec(
+            protocol="consensus",
+            n=n,
+            f=f,
+            adversary=strategy,
+            seed=seed,
+            inputs="binary",
+            input_params={"ones_fraction": ones_fraction},
+        )
+    )
+
+
 def run_consensus(n, f, *, ones_fraction, strategy, seed):
-    spec = consensus_system(n, f, ones_fraction=ones_fraction, strategy=strategy, seed=seed)
+    spec = build_consensus(n, f, ones_fraction=ones_fraction, strategy=strategy, seed=seed)
     run = spec.network.run(max_rounds=60 + 10 * f)
     outputs = {i: spec.network.process(i).output for i in spec.correct_ids}
     return spec, run, outputs
@@ -39,7 +53,7 @@ class TestFastPath:
         assert set(outputs.values()) == {0}
 
     def test_no_faults_mixed_inputs(self):
-        spec, _, outputs = run_consensus(6, 0, ones_fraction=0.5, strategy=None, seed=3)
+        spec, _, outputs = run_consensus(6, 0, ones_fraction=0.5, strategy="silent", seed=3)
         assert consensus_agreement(outputs)
         assert consensus_validity(outputs, spec.params["inputs"])
 
@@ -67,15 +81,7 @@ class TestAgreementAndValidity:
 
     def test_real_valued_inputs(self):
         # Section VII considers real-number inputs (needed for total ordering).
-        inputs = None
-        spec = consensus_system(
-            7,
-            2,
-            inputs=None,
-            ones_fraction=0.5,
-            strategy="silent",
-            seed=11,
-        )
+        spec = build_consensus(7, 2, ones_fraction=0.5, strategy="silent", seed=11)
         run = spec.network.run(max_rounds=60)
         outputs = {i: spec.network.process(i).output for i in spec.correct_ids}
         assert consensus_agreement(outputs)

@@ -5,10 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import reliable_broadcast_correctness, reliable_broadcast_relay
+from repro.api import ScenarioSpec, build_system
 from repro.core.quorums import max_faults_tolerated
 from repro.core.reliable_broadcast import Echo, Initial, Present, ReliableBroadcastProcess
 from repro.sim import Broadcast
-from repro.workloads import reliable_broadcast_system
+
+
+def build_rb(n, f, *, strategy, seed, byzantine_sender=False):
+    return build_system(
+        ScenarioSpec(
+            protocol="reliable-broadcast",
+            n=n,
+            f=f,
+            adversary=strategy,
+            seed=seed,
+            params={"message": "hello", "byzantine_sender": byzantine_sender},
+        )
+    )
 
 
 def run_system(spec, max_rounds=12):
@@ -70,7 +83,7 @@ class TestCorrectSender:
     @pytest.mark.parametrize("strategy", ["silent", "rb-false-echo", "replay"])
     def test_correctness_property(self, n, strategy):
         f = max_faults_tolerated(n)
-        spec = reliable_broadcast_system(n, f, strategy=strategy, seed=n * 13 + 1)
+        spec = build_rb(n, f, strategy=strategy, seed=n * 13 + 1)
         run_system(spec)
         procs = [spec.network.process(i) for i in spec.correct_ids]
         assert reliable_broadcast_correctness(
@@ -78,14 +91,14 @@ class TestCorrectSender:
         )
 
     def test_acceptance_happens_by_round_three_when_sender_correct(self):
-        spec = reliable_broadcast_system(10, 3, strategy="silent", seed=2)
+        spec = build_rb(10, 3, strategy="silent", seed=2)
         run_system(spec)
         for i in spec.correct_ids:
             records = spec.network.process(i).accepted
             assert records and records[0].round_index == 3
 
     def test_relay_property(self):
-        spec = reliable_broadcast_system(13, 4, strategy="rb-false-echo", seed=3)
+        spec = build_rb(13, 4, strategy="rb-false-echo", seed=3)
         run_system(spec)
         procs = [spec.network.process(i) for i in spec.correct_ids]
         assert reliable_broadcast_relay(procs)
@@ -94,7 +107,7 @@ class TestCorrectSender:
 class TestUnforgeability:
     @pytest.mark.parametrize("strategy", ["rb-false-echo", "rb-forged-source"])
     def test_fabricated_messages_are_never_accepted(self, strategy):
-        spec = reliable_broadcast_system(10, 3, strategy=strategy, seed=5)
+        spec = build_rb(10, 3, strategy=strategy, seed=5)
         spec.network.run(max_rounds=10, stop_when=lambda net: False)
         for i in spec.correct_ids:
             for record in spec.network.process(i).accepted:
@@ -104,7 +117,7 @@ class TestUnforgeability:
         # The designated sender is correct but broadcasts nothing because it
         # has message None?  Use a system where the source never speaks: all
         # correct nodes only ever see false echoes from the adversary.
-        spec = reliable_broadcast_system(
+        spec = build_rb(
             10, 3, strategy="rb-false-echo", byzantine_sender=True, seed=6
         )
         # The Byzantine "sender" runs the false-echo strategy, so no Initial
@@ -121,7 +134,7 @@ class TestByzantineSender:
         # A Byzantine designated sender may get one (or both, or neither) of
         # its conflicting messages accepted, but acceptance must be
         # consistent across correct nodes (relay property).
-        spec = reliable_broadcast_system(
+        spec = build_rb(
             13, 4, strategy="rb-equivocating-sender", byzantine_sender=True, seed=7
         )
         spec.network.run(max_rounds=12, stop_when=lambda net: False)
@@ -129,7 +142,7 @@ class TestByzantineSender:
         assert reliable_broadcast_relay(procs)
 
     def test_silent_byzantine_sender_never_delivers(self):
-        spec = reliable_broadcast_system(
+        spec = build_rb(
             10, 3, strategy="silent", byzantine_sender=True, seed=8
         )
         spec.network.run(max_rounds=10, stop_when=lambda net: False)

@@ -16,8 +16,14 @@ from repro.core.rotor_coordinator import (
     RotorEcho,
     RotorInit,
 )
+from repro.api import ScenarioSpec, build_system
 from repro.sim import Inbox, all_correct_halted
-from repro.workloads import rotor_coordinator_system
+
+
+def build_rotor(n, f, *, strategy, seed):
+    return build_system(
+        ScenarioSpec(protocol="rotor-coordinator", n=n, f=f, adversary=strategy, seed=seed)
+    )
 
 
 def inbox(pairs):
@@ -230,7 +236,7 @@ class TestSystem:
     )
     def test_termination_and_good_round(self, n, strategy):
         f = max_faults_tolerated(n)
-        spec = rotor_coordinator_system(n, f, strategy=strategy, seed=n * 31 + len(strategy))
+        spec = build_rotor(n, f, strategy=strategy, seed=n * 31 + len(strategy))
         run = spec.network.run(max_rounds=6 * n + 20, stop_when=all_correct_halted)
         assert run.stop_reason == "stop_condition", "every correct node must terminate"
         procs = [spec.network.process(i) for i in spec.correct_ids]
@@ -240,7 +246,7 @@ class TestSystem:
         rounds = {}
         for n in (4, 10, 16):
             f = max_faults_tolerated(n)
-            spec = rotor_coordinator_system(n, f, strategy="rotor-candidate-stuffer", seed=5)
+            spec = build_rotor(n, f, strategy="rotor-candidate-stuffer", seed=5)
             run = spec.network.run(max_rounds=10 * n, stop_when=all_correct_halted)
             rounds[n] = run.rounds_executed
         # Theorem 2: O(n) rounds.  Allow a generous constant.
@@ -248,7 +254,7 @@ class TestSystem:
             assert executed <= 3 * n + 6
 
     def test_all_correct_nodes_select_same_sequence_without_adversary(self):
-        spec = rotor_coordinator_system(7, 0, strategy=None, seed=9)
+        spec = build_rotor(7, 0, strategy="silent", seed=9)
         spec.network.run(max_rounds=60, stop_when=all_correct_halted)
         histories = [
             tuple(rec.coordinator for rec in spec.network.process(i).selection_history)
@@ -257,7 +263,7 @@ class TestSystem:
         assert len(set(histories)) == 1
 
     def test_candidate_stuffer_cannot_prevent_correct_candidates(self):
-        spec = rotor_coordinator_system(10, 3, strategy="rotor-candidate-stuffer", seed=11)
+        spec = build_rotor(10, 3, strategy="rotor-candidate-stuffer", seed=11)
         spec.network.run(max_rounds=80, stop_when=all_correct_halted)
         for i in spec.correct_ids:
             candidates = set(spec.network.process(i).core.candidates)

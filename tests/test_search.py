@@ -4,6 +4,7 @@ replay, and the ``--search`` CLI entry point."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -346,16 +347,20 @@ class TestParallelSearch:
 
 
 class TestMessageVolumeSearch:
-    """The planted traffic blowup: churned total-order whose membership
-    acks go out un-delta-coded (one unicast per member per joiner)."""
+    """The traffic blowup Algorithm 6 really sends: every member answers
+    each joiner's ``present`` with its own unicast ack, so churn multiplies
+    the delivered messages of an otherwise quiet total-order run."""
 
-    CHURNED = ScenarioSpec(
+    BASE = ScenarioSpec(
         protocol="total-order",
         n=6,
         f=0,
         adversary="silent",
         seed=0,
         max_rounds=30,
+    )
+
+    CHURNED = BASE.replace(
         churn={
             "pattern": "flash-crowd",
             "rounds": 30,
@@ -363,35 +368,40 @@ class TestMessageVolumeSearch:
             "burst_size": 3,
             "burst_byzantine_fraction": 0.0,
         },
-        params={"membership_wire": "delta"},
     )
 
     def test_refinds_undelta_coded_membership_as_top_candidate(self):
-        # Start from the delta-coded wire; the only mutations available
-        # are reseeds and wire flips, so topping the volume ranking means
-        # the search singled out the unicast ack traffic specifically.
+        # Start churn-free; the only mutations available are reseeds and
+        # churn schedules, so topping the volume ranking means the search
+        # singled out the join/ack traffic churn brings.
         search = ScenarioSearch(
-            self.CHURNED,
+            self.BASE,
             seed=0,
             jobs=2,
             objective="message_volume",
-            mutation_ops=("wire", "seed"),
+            mutation_ops=("churn", "seed"),
             code_version="test",
         )
         result = search.run(16)
         assert result.best_spec is not None
-        assert result.best_spec.params.get("membership_wire") == "unicast"
+        assert result.best_spec.churn is not None
+        assert run_scenario(result.best_spec).messages > run_scenario(self.BASE).messages
 
     def test_wire_modes_order_the_same_events(self):
-        # The wire format trades traffic, never outputs: both modes order
-        # the exact same chain at every correct node, and the unicast mode
-        # delivers strictly more messages.
-        outcomes = {}
-        for wire in ("unicast", "delta"):
-            spec = self.CHURNED.replace(params={"membership_wire": wire})
-            outcomes[wire] = run_scenario(spec, payload_accounting=True)
-        assert outcomes["unicast"].outputs() == outcomes["delta"].outputs()
-        assert outcomes["unicast"].messages > outcomes["delta"].messages
+        # One membership wire is left, the paper's unicast acks: the old
+        # wire switch is an unknown param, and the churned run still
+        # delivers the messages and orders the chains it did with
+        # ``membership_wire="unicast"`` before the delta wire was deleted.
+        with pytest.raises(ValueError, match="unknown params.*membership_wire"):
+            REGISTRY.build(self.CHURNED.replace(params={"membership_wire": "delta"}))
+        outcome = run_scenario(self.CHURNED)
+        outputs = outcome.outputs()
+        assert outcome.messages == 4473
+        assert {len(chain) for chain in outputs.values()} == {24}
+        digest = hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
+        assert digest == (
+            "ab141e7486a9dfb82b767bf5d4bf6b5f19e912278ddfeec76f6b70982386d803"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,25 @@ def test_bad_requests(server):
     assert excinfo.value.code == 404
 
 
+@pytest.mark.parametrize("body", [[], "x", 7])
+def test_post_sweeps_with_non_object_body_is_a_bad_request(server, body):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        post_json(server, "/sweeps", body)
+    assert excinfo.value.code == 400
+    assert "JSON object" in json.load(excinfo.value)["error"]
+    assert get_json(server, "/health")["status"] == "ok"
+
+
+@pytest.mark.parametrize("query", ["n=abc", "seed=1.5", "limit=x"])
+def test_get_runs_with_non_integer_filter_is_a_bad_request(server, query):
+    key = query.split("=")[0]
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        get_json(server, f"/runs?{query}")
+    assert excinfo.value.code == 400
+    assert f"{key} must be an integer" in json.load(excinfo.value)["error"]
+    assert get_json(server, "/health")["status"] == "ok"
+
+
 def test_failed_sweep_reports_error(server):
     launch = post_json(
         server, "/sweeps", {"sweep": {"protocol": "no-such-protocol", "n": 4}}
