@@ -1,20 +1,10 @@
-"""Round-throughput scaling benchmark for the two round kernels.
+"""Round-throughput scaling benchmark.
 
 Sweeps ``n`` over the seven id-only protocols and measures round
 throughput (simulated rounds per wall-clock second, excluding system
-build time) for the selected engines:
-
-* ``vector`` — the columnar synchronous path (``engine="auto"`` resolves
-  to this for every synchronous scenario, i.e. all real workloads):
-  shared broadcast rounds become a ``ColumnarInbox`` and the protocol
-  math consumes numpy batch tallies (``tally_backend: "numpy"``);
-* ``queue``  — the round-bucketed envelope queue (general delay models,
-  scalar tallies).
-
-Every cell runs the *same* scenario (same spec, same seed, same round
-cap) on every engine, and the engines are bit-identical by construction
-(see ``tests/test_engine_equivalence.py``), so per-cell throughput
-differences are pure engine overhead.  Results land in
+build time).  Every scenario is synchronous, so broadcast rounds become
+one shared ``ColumnarInbox`` and the protocol math consumes numpy batch
+tallies (``tally_backend: "numpy"``).  Results land in
 ``BENCH_scaling.json``, together with the traced/untraced ratios of the
 ``--trace`` twins.
 
@@ -22,26 +12,29 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py                 # full sweep
     PYTHONPATH=src python benchmarks/bench_scaling.py --quick         # n=50 smoke
-    PYTHONPATH=src python benchmarks/bench_scaling.py --sizes 50,100 --engines vector
+    PYTHONPATH=src python benchmarks/bench_scaling.py --sizes 50,100
     PYTHONPATH=src python benchmarks/bench_scaling.py --xl            # adds n=2000,5000,10000
     PYTHONPATH=src python benchmarks/bench_scaling.py --profile       # per-phase seconds
     PYTHONPATH=src python benchmarks/bench_scaling.py --store bench.db  # resumable
 
 With ``--store PATH`` every measured cell is persisted to a
-:class:`repro.store.RunStore` under its (spec, engine, code-version) run
-key; re-running the benchmark against the same store skips cells that
-were already measured under the current code version (marked
-``"cached": true`` in the JSON) and the report gains a ``store`` section
-with the ran/skipped counts.  Editing the simulator changes the code
-fingerprint, so stale timings are never reused silently.  Timings are
-machine- and load-dependent, of course — the cache exists to make a
-long sweep interruptible, not to claim timings are reproducible.
+:class:`repro.store.RunStore` under its (spec, code-version) run key —
+the key a sweep run of the same spec uses, so a cell never overwrites a
+stored sweep run, it only adds its row.  Re-running the benchmark against
+the same store skips cells that were already measured under the current
+code version (marked ``"cached": true`` in the JSON) and the report
+gains a ``store`` section with the ran/skipped counts.  Editing the
+simulator changes the code fingerprint, so stale timings are never
+reused silently.  Timings are machine- and load-dependent, of course —
+the cache exists to make a long sweep interruptible, not to claim
+timings are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -63,71 +56,46 @@ from repro.store import (  # noqa: E402
 )
 
 #: Bench rows live under their own row-function label so they never collide
-#: with sweep rows for the same (spec, engine, code-version) key.
+#: with sweep rows for the same (spec, code-version) key.
 BENCH_ROW_FN = "bench_cell"
 
 DEFAULT_SIZES = (50, 100, 250, 500, 1000)
-#: ``--xl`` appends these; only the synchronous kernels run there (the
-#: per-workload caps below keep the sweep duration sane — skipped cells
-#: are recorded, not dropped).
+#: ``--xl`` appends these (the per-protocol caps below keep the sweep
+#: duration sane — skipped cells are recorded, not dropped).
 XL_SIZES = (2000, 5000, 10000)
-DEFAULT_ENGINES = ("vector", "queue")
 
 #: The seven id-only protocols (Algorithms 1–6 plus the iterated variant).
 #:
-#: ``rounds`` caps each measurement; every engine in a (protocol, n) cell
-#: pair runs the *same* spec with the same cap, so round caps cancel out of
-#: every speedup ratio.  ``rounds_large`` = (n_threshold, rounds) shrinks
-#: the cap at large n for the heaviest initialization phases (kept from the
-#: pre-wire-format sweeps so per-cell rounds/s stay comparable across PRs).
-#: ``caps`` bounds the n each engine is run at; skipped cells are
-#: recorded in the JSON rather than silently dropped.
+#: ``rounds`` caps each measurement; the traced twin of a cell runs the
+#: *same* spec with the same cap, so round caps cancel out of the
+#: traced/untraced ratios.  ``rounds_large`` = (n_threshold, rounds)
+#: shrinks the cap at large n for the heaviest initialization phases (kept
+#: from the pre-wire-format sweeps so per-cell rounds/s stay comparable
+#: across PRs).  ``cap`` bounds the n a protocol is run at; it only matters
+#: for the ``--xl`` sizes: reliable broadcast runs all the way to n=10,000
+#: (the roadmap north-star cell), while the heavier protocols stop where a
+#: cell would take minutes instead of seconds.  Skipped cells are recorded
+#: in the JSON rather than silently dropped.
 WORKLOADS: dict[str, dict] = {
-    # The vector caps only matter for the ``--xl`` sizes: the columnar
-    # vector kernel carries reliable broadcast all the way to n=10,000
-    # (the roadmap north-star cell), while the heavier protocols stop
-    # where a cell would take minutes instead of seconds.
-    "reliable-broadcast": {
-        "rounds": 4,
-        "caps": {"queue": 1000},
-    },
-    "rotor-coordinator": {
-        "rounds": 6,
-        "rounds_large": (500, 4),
-        "caps": {"queue": 1000, "vector": 5000},
-    },
-    "consensus": {
-        "rounds": 5,
-        "rounds_large": (500, 2),
-        "caps": {"queue": 500, "vector": 5000},
-    },
-    "approximate-agreement": {
-        "rounds": 4,
-        "caps": {"queue": 500, "vector": 5000},
-    },
+    "reliable-broadcast": {"rounds": 4},
+    "rotor-coordinator": {"rounds": 6, "rounds_large": (500, 4), "cap": 5000},
+    "consensus": {"rounds": 5, "rounds_large": (500, 2), "cap": 5000},
+    "approximate-agreement": {"rounds": 4, "cap": 5000},
     "iterated-approximate-agreement": {
         "rounds": 6,
         "params": {"iterations": 3},
-        "caps": {"queue": 500, "vector": 5000},
+        "cap": 5000,
     },
     "parallel-consensus": {
         "rounds": 5,
         "rounds_large": (500, 3),
         "params": {"k_instances": 4},
-        "caps": {"queue": 250, "vector": 2000},
+        "cap": 2000,
     },
-    # The queue kernel hands every node a private inbox, so the shared
-    # inbox-memoized routing/scan indexes of total-order cannot help it
-    # and its per-node routing cost stays superlinear (measured: 170 s
-    # for the n=250 cell).
-    "total-order": {
-        "rounds": 6,
-        "churn": {"rounds": 6},
-        "caps": {"queue": 100, "vector": 2000},
-    },
+    "total-order": {"rounds": 6, "churn": {"rounds": 6}, "cap": 2000},
 }
 
-#: Traced vector cells are capped by default when no store is given: an
+#: Traced cells are capped by default when no store is given: an
 #: in-memory traced run keeps every delivered message in the trace store,
 #: so memory grows with n² × rounds.  With ``--store`` the traced cells
 #: spill sealed segments to the run store as the run executes (peak trace
@@ -142,10 +110,6 @@ def measured_rounds(protocol: str, n: int) -> int:
     if threshold is not None and n >= threshold:
         return large
     return workload["rounds"]
-
-
-def engine_cap(protocol: str, engine: str) -> int | None:
-    return WORKLOADS[protocol].get("caps", {}).get(engine)
 
 
 def make_spec(protocol: str, n: int, seed: int, *, trace: bool = False) -> ScenarioSpec:
@@ -168,7 +132,6 @@ def make_spec(protocol: str, n: int, seed: int, *, trace: bool = False) -> Scena
 
 def bench_cell(
     spec: ScenarioSpec,
-    engine: str,
     *,
     spill_store: "RunStore | None" = None,
     version: str = "",
@@ -184,15 +147,15 @@ def bench_cell(
     actually measures.
 
     With ``profile``, the cell gains a per-phase wall-clock breakdown:
-    stage/deliver/step seconds from the engine's round loop plus the
+    stage/deliver/step seconds from the network's round loop plus the
     seconds spent building inbox tallies inside ``repro.core.tally``
     (counted within ``step_seconds``, broken out for attribution).
     """
 
-    system = REGISTRY.build(spec, engine=engine)
+    system = REGISTRY.build(spec)
     spilled = False
     if spill_store is not None and spec.trace:
-        key = run_key(spec, engine=engine, code_version=version)
+        key = run_key(spec, code_version=version)
         system.network.enable_trace_spill(
             spill_store.trace_sink(key), segment_events=segment_events
         )
@@ -208,7 +171,6 @@ def bench_cell(
     cell = {
         "protocol": spec.protocol,
         "n": spec.n,
-        "engine": engine,
         "tally_backend": system.network.tally_backend(),
         "rounds": result.rounds_executed,
         "messages": result.metrics.total_messages,
@@ -240,14 +202,11 @@ def bench_cell(
 def measure_wire_volume(spec: ScenarioSpec) -> dict:
     """Run the cell once more with payload accounting to size the traffic.
 
-    Wire volume is a property of the *scenario*, not the kernel — every
-    engine moves the same payloads to the same destinations — so one
-    instrumented vector run per (protocol, n) prices the whole cell
-    group.  It runs separately from the timed cells because sizing a
-    payload costs a pickle per send action.
+    It runs separately from the timed cell because sizing a payload costs
+    a pickle per send action.
     """
 
-    system = REGISTRY.build(spec, engine="vector")
+    system = REGISTRY.build(spec)
     system.network.enable_payload_accounting()
     result = system.network.run(
         max_rounds=spec.max_rounds, stop_when=resolve_stop(spec)
@@ -258,43 +217,49 @@ def measure_wire_volume(spec: ScenarioSpec) -> dict:
     }
 
 
-def _load_cached_cell(store, spec: ScenarioSpec, engine: str, version: str) -> dict | None:
-    """A previously measured cell for this (spec, engine, code-version), if any."""
+def _load_cached_cell(store, spec: ScenarioSpec, version: str) -> dict | None:
+    """A previously measured cell for this (spec, code-version), if any."""
 
     if store is None:
         return None
-    row = store.get_row(
-        run_key(spec, engine=engine, code_version=version), BENCH_ROW_FN
-    )
+    row = store.get_row(run_key(spec, code_version=version), BENCH_ROW_FN)
     return dict(row, cached=True) if row is not None else None
 
 
-def _persist_cell(store, spec: ScenarioSpec, engine: str, version: str, cell: dict, counts: dict) -> dict:
-    """Store one measured cell (after the wire-volume merge) as a bench row."""
+def _persist_cell(store, spec: ScenarioSpec, version: str, cell: dict, counts: dict) -> dict:
+    """Store one measured cell (after the wire-volume merge) as a bench row.
+
+    A sweep run of the same spec shares the cell's run key.  When the store
+    already holds a complete run under it, the cell only adds its row: the
+    lightweight record below would replace that run's round columns and
+    trace segments.
+    """
 
     if store is None:
         return cell
     cell = json_normalize(cell)
-    record = RunRecord(
-        run_key=run_key(spec, engine=engine, code_version=version),
-        spec_dict=spec.to_dict(),
-        spec_digest=spec.digest(),
-        engine=engine,
-        code_version=version,
-        summary={k: cell[k] for k in ("rounds", "messages", "seconds") if k in cell},
-        rounds_executed=int(cell.get("rounds", 0)),
-        stop_reason="max_rounds",
-        elapsed_seconds=cell.get("seconds"),
-        trace_spilled=bool(cell.get("trace_spilled")),
-    )
-    store.put_run(record, row=cell, row_fn=BENCH_ROW_FN)
+    key = run_key(spec, code_version=version)
+    if store.has_run(key):
+        store.put_row(key, BENCH_ROW_FN, cell)
+    else:
+        record = RunRecord(
+            run_key=key,
+            spec_dict=spec.to_dict(),
+            spec_digest=spec.digest(),
+            code_version=version,
+            summary={k: cell[k] for k in ("rounds", "messages", "seconds") if k in cell},
+            rounds_executed=int(cell.get("rounds", 0)),
+            stop_reason="max_rounds",
+            elapsed_seconds=cell.get("seconds"),
+            trace_spilled=bool(cell.get("trace_spilled")),
+        )
+        store.put_run(record, row=cell, row_fn=BENCH_ROW_FN)
     counts["ran"] += 1
     return cell
 
 
 def run_sweep(
     sizes,
-    engines,
     protocols,
     *,
     seed: int,
@@ -313,12 +278,12 @@ def run_sweep(
     if trace_max_n is None:
         trace_max_n = DEFAULT_TRACE_MAX_N if store is None else max(sizes)
 
-    def from_cache(spec: ScenarioSpec, engine: str, label: str) -> dict | None:
-        cached = _load_cached_cell(store, spec, engine, version)
+    def from_cache(spec: ScenarioSpec, label: str) -> dict | None:
+        cached = _load_cached_cell(store, spec, version)
         if cached is not None:
             counts["skipped"] += 1
             print(
-                f"{spec.protocol:32s} n={spec.n:5d} {label:6s} cached "
+                f"{spec.protocol:32s} n={spec.n:5d} {label:5s} cached "
                 f"({cached['rounds']} rounds, {cached['seconds']}s stored)",
                 file=sys.stderr,
                 flush=True,
@@ -327,64 +292,54 @@ def run_sweep(
 
     cells: list[dict] = []
     for protocol in protocols:
+        cap = WORKLOADS[protocol].get("cap")
         for n in sizes:
+            if cap is not None and n > cap:
+                # such cells take minutes-to-hours at these sizes (see the
+                # WORKLOADS note); record the skip instead of silently
+                # shrinking coverage.  Cap skips are a sweep-configuration
+                # choice, not a measurement — they are never written to
+                # the store.
+                cells.append(
+                    {
+                        "protocol": protocol,
+                        "n": n,
+                        "skipped": f"capped at n<={cap} for {protocol}",
+                    }
+                )
+                continue
             spec = make_spec(protocol, n, seed)
-            # Sized lazily: cap-skipped cell groups must not pay for (or
-            # discard) an instrumented run nothing will report.
-            volume: dict | None = None
-            for engine in engines:
-                cap = engine_cap(protocol, engine)
-                if cap is not None and n > cap:
-                    # such cells take minutes-to-hours at these sizes (see
-                    # the WORKLOADS note); record the skip instead of
-                    # silently shrinking coverage.  Cap skips are
-                    # a sweep-configuration choice, not a measurement — they
-                    # are never written to the store.
-                    cells.append(
-                        {
-                            "protocol": protocol,
-                            "n": n,
-                            "engine": engine,
-                            "skipped": f"{engine} capped at n<={cap} for {protocol}",
-                        }
-                    )
-                    continue
-                cached = from_cache(spec, engine, engine)
-                if cached is not None:
-                    cells.append(cached)
-                    continue
-                cell = bench_cell(spec, engine, profile=profile)
+            cell = from_cache(spec, "")
+            if cell is None:
+                cell = bench_cell(spec, profile=profile)
                 if wire_volume:
-                    if volume is None:
-                        volume = measure_wire_volume(spec)
-                    cell.update(volume)
-                cell = _persist_cell(store, spec, engine, version, cell, counts)
-                cells.append(cell)
+                    cell.update(measure_wire_volume(spec))
+                cell = _persist_cell(store, spec, version, cell, counts)
                 # progress goes to stderr so `--out -` emits clean JSON
                 print(
-                    f"{protocol:32s} n={n:5d} {engine:6s} "
+                    f"{protocol:32s} n={n:5d} "
                     f"{cell['rounds']:3d} rounds in {cell['seconds']:8.3f}s "
                     f"({cell['rounds_per_sec']:>10.1f} rounds/s)",
                     file=sys.stderr,
                     flush=True,
                 )
-            if trace and "vector" in engines and n <= trace_max_n:
-                # The traced twin of the vector cell: same spec/seed/round
-                # cap with `trace=True`, so traced/untraced ratios are pure
-                # trace backend overhead.
+            cells.append(cell)
+            if trace and n <= trace_max_n:
+                # The traced twin of the cell: same spec/seed/round cap with
+                # `trace=True`, so traced/untraced ratios are pure trace
+                # backend overhead.
                 traced_spec = make_spec(protocol, n, seed, trace=True)
-                traced_cell = from_cache(traced_spec, "vector", "vector+t")
+                traced_cell = from_cache(traced_spec, "trace")
                 if traced_cell is None:
                     traced_cell = bench_cell(
                         traced_spec,
-                        "vector",
                         spill_store=store,
                         version=version,
                         segment_events=segment_events,
                         profile=profile,
                     )
                     traced_cell = _persist_cell(
-                        store, traced_spec, "vector", version, traced_cell, counts
+                        store, traced_spec, version, traced_cell, counts
                     )
                     spill_note = (
                         f", {traced_cell['trace_segments']} segments spilled"
@@ -392,7 +347,7 @@ def run_sweep(
                         else ""
                     )
                     print(
-                        f"{protocol:32s} n={n:5d} vector+trace "
+                        f"{protocol:32s} n={n:5d} trace "
                         f"{traced_cell['rounds']:3d} rounds in "
                         f"{traced_cell['seconds']:8.3f}s "
                         f"({traced_cell['rounds_per_sec']:>10.1f} rounds/s, "
@@ -403,15 +358,15 @@ def run_sweep(
                 cells.append(traced_cell)
 
     by_key = {
-        (c["protocol"], c["n"], c["engine"], bool(c.get("trace"))): c
+        (c["protocol"], c["n"], bool(c.get("trace"))): c
         for c in cells
         if "skipped" not in c
     }
     trace_speedups = []
     for protocol in protocols:
         for n in sizes:
-            untraced = by_key.get((protocol, n, "vector", False))
-            traced = by_key.get((protocol, n, "vector", True))
+            untraced = by_key.get((protocol, n, False))
+            traced = by_key.get((protocol, n, True))
             if traced and traced["rounds_per_sec"]:
                 entry = {
                     "protocol": protocol,
@@ -428,16 +383,16 @@ def run_sweep(
     report = {
         "benchmark": "bench_scaling",
         "description": (
-            "Round throughput of the columnar vector kernel and the "
-            "bucketed queue kernel; identical scenarios per cell. "
+            "Round throughput of the seven id-only protocols on synchronous "
+            "scenarios (shared columnar inboxes, numpy tallies). "
             "message_bytes / peak_payload_bytes size the wire traffic "
-            "(serialised payload bytes x copies; engine-independent, measured "
-            "on a separate instrumented vector run per (protocol, n))."
+            "(serialised payload bytes x copies, measured on a separate "
+            "instrumented run per (protocol, n))."
         ),
         "python": platform.python_version(),
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "seed": seed,
         "sizes": list(sizes),
-        "engines": list(engines),
         "cells": cells,
         "trace_speedups": trace_speedups,
     }
@@ -466,11 +421,6 @@ def main(argv=None) -> int:
         "--sizes", default=None, help="comma-separated n values (default: 50,100,250,500,1000)"
     )
     parser.add_argument(
-        "--engines",
-        default=None,
-        help="comma-separated engines (default: vector,queue)",
-    )
-    parser.add_argument(
         "--protocols", default=None, help="comma-separated protocol subset (default: all seven)"
     )
     parser.add_argument("--seed", type=int, default=7, help="scenario seed (default: 7)")
@@ -480,14 +430,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n=50 smoke run (CI): all protocols on both engines",
+        help="n=50 smoke run (CI): all seven protocols",
     )
     parser.add_argument(
         "--xl",
         action="store_true",
         help="append the XL sizes "
-        f"({','.join(map(str, XL_SIZES))}) to the sweep; only the vector "
-        "kernel is uncapped there (see the WORKLOADS caps)",
+        f"({','.join(map(str, XL_SIZES))}) to the sweep, up to each "
+        "protocol's cap (see WORKLOADS)",
     )
     parser.add_argument(
         "--profile",
@@ -503,7 +453,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="also run a traced twin of every vector cell (trace=True, same spec)",
+        help="also run a traced twin of every cell (trace=True, same spec)",
     )
     parser.add_argument(
         "--trace-max-n",
@@ -537,24 +487,17 @@ def main(argv=None) -> int:
     )
     if args.xl:
         sizes = sizes + tuple(n for n in XL_SIZES if n not in sizes)
-    engines = tuple(
-        e.strip() for e in (args.engines or ",".join(DEFAULT_ENGINES)).split(",")
-    )
     protocols = tuple(
         p.strip() for p in (args.protocols or ",".join(WORKLOADS)).split(",")
     )
     for protocol in protocols:
         if protocol not in WORKLOADS:
             parser.error(f"unknown protocol {protocol!r}; known: {', '.join(WORKLOADS)}")
-    for engine in engines:
-        if engine not in DEFAULT_ENGINES:
-            parser.error(f"unknown engine {engine!r}; known: {', '.join(DEFAULT_ENGINES)}")
 
     store = RunStore(args.store) if args.store else None
     try:
         report = run_sweep(
             sizes,
-            engines,
             protocols,
             seed=args.seed,
             wire_volume=not args.no_bytes,

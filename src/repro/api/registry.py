@@ -161,23 +161,12 @@ class ProtocolRegistry:
 
     # -- building -----------------------------------------------------------
 
-    def build(self, spec: ScenarioSpec, *, engine: str | None = None) -> SystemSpec:
-        """Assemble the simulated system described by ``spec``.
-
-        ``engine`` optionally forces a specific round-loop kernel
-        (``"vector"``/``"queue"``, see
-        :class:`repro.sim.network.SynchronousNetwork`).  Both kernels
-        produce bit-identical executions; the default ``None`` leaves the
-        network on ``"auto"``, which picks the columnar vector path
-        whenever the spec's delay model allows it.
-        """
+    def build(self, spec: ScenarioSpec) -> SystemSpec:
+        """Assemble the simulated system described by ``spec``."""
 
         info = self.info(spec.protocol)
         self._check_supported(spec, info)
-        system = info.builder(spec)
-        if engine is not None:
-            system.network.set_engine(engine)
-        return system
+        return info.builder(spec)
 
     @staticmethod
     def _check_supported(spec: ScenarioSpec, info: ProtocolInfo) -> None:
@@ -210,10 +199,10 @@ REGISTRY = ProtocolRegistry()
 register_protocol = REGISTRY.register
 
 
-def build_system(spec: ScenarioSpec, *, engine: str | None = None) -> SystemSpec:
+def build_system(spec: ScenarioSpec) -> SystemSpec:
     """Module-level alias for :meth:`ProtocolRegistry.build` on :data:`REGISTRY`."""
 
-    return REGISTRY.build(spec, engine=engine)
+    return REGISTRY.build(spec)
 
 
 def available_protocols(*, include_baselines: bool = True) -> list[str]:

@@ -224,8 +224,8 @@ class ScenarioSpec:
 
         Independent of dict insertion order, process, platform and
         ``PYTHONHASHSEED``; equal specs always share a digest.  The run
-        store combines this with the engine and a code-version fingerprint
-        into the content-addressed run key.
+        store combines this with a code-version fingerprint into the
+        content-addressed run key.
         """
 
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..analysis.stats import aggregate_rows
 from ..core.quorums import max_faults_tolerated
-from ..sim.network import RunResult, all_correct_halted, validate_engine
+from ..sim.network import RunResult, all_correct_halted
 from ..sim.rng import derive
 from ..workloads.generators import SystemSpec
 from .registry import REGISTRY
@@ -107,22 +107,17 @@ class ScenarioOutcome:
 def run_scenario(
     spec: ScenarioSpec,
     *,
-    engine: str | None = None,
     payload_accounting: bool = False,
 ) -> ScenarioOutcome:
     """Build the system for ``spec``, run it under its run policy, return it.
 
-    ``engine`` optionally forces a round-loop kernel (``"vector"`` or
-    ``"queue"``); the kernels are bit-identical,
-    so this only matters for benchmarking and for the engine-equivalence
-    suite.  ``payload_accounting`` switches on engine-independent wire
-    byte counting (``payload_bytes``/``peak_payload_bytes`` in the
-    metrics summary) before the run — pure measurement, no effect on the
-    execution itself.
+    ``payload_accounting`` switches on wire byte counting
+    (``payload_bytes``/``peak_payload_bytes`` in the metrics summary)
+    before the run — pure measurement, no effect on the execution itself.
     """
 
     info = REGISTRY.info(spec.protocol)
-    system = REGISTRY.build(spec, engine=engine)
+    system = REGISTRY.build(spec)
     if payload_accounting:
         system.network.enable_payload_accounting()
     max_rounds = (
@@ -280,16 +275,15 @@ def _default_row(outcome: ScenarioOutcome) -> dict:
     return outcome.summary_row()
 
 
-def _run_case(payload: tuple[dict, RowFn, str | None]) -> dict:
+def _run_case(payload: tuple[dict, RowFn]) -> dict:
     """Worker entry point: rebuild the spec, run it, extract the row.
 
     Executed in worker processes, so it only receives (and returns) plain,
     picklable values; ``row_fn`` must be a module-level function.
     """
 
-    spec_dict, row_fn, engine = payload
-    outcome = run_scenario(ScenarioSpec.from_dict(spec_dict), engine=engine)
-    return row_fn(outcome)
+    spec_dict, row_fn = payload
+    return row_fn(run_scenario(ScenarioSpec.from_dict(spec_dict)))
 
 
 def map_jobs(fn: Callable, payloads: Sequence, jobs: int) -> Iterator:
@@ -341,20 +335,12 @@ class SweepRunner:
     Rows come back in scenario-expansion order regardless of ``jobs``, and
     every scenario owns a derived seed, so parallel runs are bit-identical
     to sequential ones.
-
-    ``engine`` optionally forces the round-loop kernel every scenario runs
-    on (see :class:`repro.sim.network.SynchronousNetwork`); the kernels
-    are result-identical, so this knob exists for benchmarking and for the
-    equivalence suite, not for changing what a sweep measures.
     """
 
-    def __init__(self, jobs: int = 1, *, engine: str | None = None) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if engine is not None:
-            validate_engine(engine)
         self.jobs = jobs
-        self.engine = engine
 
     def run(
         self,
@@ -376,7 +362,7 @@ class SweepRunner:
             sweeps = [sweeps]
         scenarios = [spec for sweep in sweeps for spec in sweep.scenarios()]
         extract = row_fn or _default_row
-        payloads = [(spec.to_dict(), extract, self.engine) for spec in scenarios]
+        payloads = [(spec.to_dict(), extract) for spec in scenarios]
         rows: list[dict] = []
         for index, row in enumerate(map_jobs(_run_case, payloads, self.jobs)):
             if on_cell_complete is not None:
@@ -402,14 +388,13 @@ def run_sweep(
     sweep: SweepSpec | Sequence[SweepSpec],
     *,
     jobs: int = 1,
-    engine: str | None = None,
     row_fn: RowFn | None = None,
     group_by: Sequence[str] | None = None,
     metrics: Sequence[str] | None = None,
 ) -> list[dict]:
     """Convenience wrapper: raw rows, or aggregated when grouping is given."""
 
-    runner = SweepRunner(jobs=jobs, engine=engine)
+    runner = SweepRunner(jobs=jobs)
     if (group_by is None) != (metrics is None):
         raise ValueError("group_by and metrics must be provided together")
     if group_by is None:

@@ -78,8 +78,8 @@ def _first_value_per_sender(
     single deterministic representative).
 
     The extraction — and with it the O(n log n) sender sort — is memoized
-    on the (shared) inbox per iteration tag, so on the synchronous
-    kernel every node reads the same tuple instead of rescanning.
+    on the (shared) inbox per iteration tag, so in a synchronous run
+    every node reads the same tuple instead of rescanning.
     """
 
     def build(ib: Inbox) -> tuple[float, ...]:

@@ -12,10 +12,10 @@ implementations:
 
 * a **scalar reference** implementation — a direct port of the original
   per-protocol loops over ``inbox.items()``, used for plain object
-  inboxes (the queue kernel, restricted views, unit tests); and
+  inboxes (per-destination delivery, restricted views, unit tests); and
 * a **numpy** implementation used when the inbox is a
-  :class:`~repro.sim.messages.ColumnarInbox` (the vector kernel's shared
-  broadcast inbox): the sender/payload-index columns are materialised as
+  :class:`~repro.sim.messages.ColumnarInbox` (the shared inbox of a
+  synchronous broadcast-only round): the sender/payload-index columns are materialised as
   ``int64`` arrays once per round, and every tally becomes
   ``np.bincount``/``np.unique`` over those columns plus O(distinct
   payloads) of Python dispatch.
@@ -28,8 +28,8 @@ order (payload tables are built in first-row order, and a repeated
 payload never introduces a new key, so iterating distinct payloads visits
 keys in exactly the row order the scalar loop does), every count leaving
 this module is a built-in ``int`` (a stray ``np.int64`` inside a payload
-would change its pickled size and break the engine-equivalence payload
-accounting), and sender sets contain built-in ``int`` node ids.  The
+would change its pickled size and break the shared-vs-per-destination
+payload accounting), and sender sets contain built-in ``int`` node ids.  The
 property suite (``tests/test_tally.py``) pins scalar-vs-numpy equality —
 including insertion order — over randomised columns.
 """

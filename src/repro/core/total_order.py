@@ -165,8 +165,8 @@ def _route_instances(inbox: Inbox) -> dict[int, Inbox]:
     """Split an inbox's batched consensus traffic into per-instance inboxes.
 
     A pure derivation of the inbox contents, memoized on the inbox
-    (:meth:`~repro.sim.messages.Inbox.memo`): on the synchronous kernel
-    a broadcast-only round hands *the same* inbox object to every node, so
+    (:meth:`~repro.sim.messages.Inbox.memo`): in a synchronous run a
+    broadcast-only round hands *the same* inbox object to every node, so
     the O(total batched payloads) split happens once per round instead of
     once per node.
     """
@@ -330,7 +330,7 @@ class TotalOrderProcess(Process):
 
         # -- 1. membership and event intake -------------------------------------
         # Batched consensus traffic is routed separately (and shared across
-        # nodes on the vector kernel) by _instance_inboxes; this pass only
+        # nodes in synchronous runs) by _instance_inboxes; this pass only
         # handles the O(events) membership/event payloads, pre-filtered once
         # per shared inbox by the memoized control-plane tally.
         incoming_events: list[tuple[NodeId, Hashable]] = []

@@ -35,8 +35,8 @@ worker processes — findings are bit-identical for any value.
 ``rounds`` (worst-case latency) or ``message_volume`` (traffic blowups;
 candidates run under payload accounting).  With ``--store`` every
 candidate evaluation is cached by content-addressed run key (repeat
-searches execute nothing) and every finding is persisted per engine,
-replayable by run key.
+searches execute nothing) and every finding is persisted, replayable by
+run key.
 """
 
 from __future__ import annotations
@@ -188,14 +188,12 @@ def run_search(
         f"search: {result.evaluations} scenarios evaluated in {elapsed:.1f}s "
         f"({result.executed} executed, {result.cached} from the store), "
         f"{len(result.findings)} confirmed finding(s), "
-        f"{result.rejected} rejected at engine confirmation",
+        f"{result.rejected} rejected at confirmation",
         file=stream,
     )
     for finding in result.findings:
         names = ", ".join(sorted({v.property_name for v in finding.violations}))
-        keys = ", ".join(
-            f"{engine}={key[:12]}" for engine, key in sorted(finding.run_keys.items())
-        )
+        keys = ", ".join(key[:12] for key in finding.run_keys.values())
         print(
             f"  - {names} @ {finding.spec.protocol} n={finding.spec.n} "
             f"f={finding.spec.f} delay={finding.spec.delay} "

@@ -32,11 +32,8 @@ The pipeline: mutate → validate-small → confirm-large
    *candidate* findings only.
 
 3. **Confirm.**  Per biroclick's staged supervisor discipline, a candidate
-   is reported only after it reproduces on **every applicable engine**
-   (``vector`` and ``queue`` for synchronous delay models, ``queue``
-   otherwise — see
-   :func:`~repro.search.harness.applicable_engines`) with bit-identical
-   outputs, and has been re-run at the larger sizes in ``escalate_n``
+   is reported only after a confirmation re-run reproduces its violations,
+   and after it has been re-run at the larger sizes in ``escalate_n``
    (escalation results are recorded either way: a violation that vanishes
    at scale is still a finding, but the report says so).
 
@@ -48,12 +45,13 @@ When a :class:`~repro.search.harness.ScenarioSearch` is given a
 under its content-addressed run key (with its measurement row under the
 :func:`~repro.search.score.evaluation_row` label), so repeating a search
 against the same store re-executes nothing — the run-key cache is the
-dedupe and the resume mechanism in one.  Every confirmed finding is
-additionally persisted once per engine via
-:func:`repro.store.record_from_outcome` — full outputs,
-decisions and per-round metrics — under the standard content-addressed
-run key (spec digest ‖ engine ‖ code version), plus a finding row under
-the ``row_fn`` label :data:`~repro.search.harness.FINDING_ROW_FN`.
+dedupe and the resume mechanism in one.  The confirmation re-run of a
+finding runs under the same payload accounting, so
+:func:`repro.store.record_from_outcome` rewrites the very record the
+evaluation stored — full outputs, decisions and per-round metrics —
+under the standard content-addressed run key (spec digest ‖ code
+version), and adds a finding row under the ``row_fn`` label
+:data:`~repro.search.harness.FINDING_ROW_FN`.
 Counterexamples are therefore first-class stored runs: they are found by
 ``store.query(spec_digest=...)``, and
 :func:`~repro.search.harness.replay_run` re-executes a stored

@@ -2,10 +2,9 @@
 
 See the package docstring (:mod:`repro.search`) for the full pipeline
 contract.  In short: candidates are cheap small-``n`` runs; violations
-only become :class:`Finding`\\ s after they reproduce bit-identically on
-every applicable engine; confirmed findings are re-run at larger sizes
-and persisted to the run store once per engine, replayable via
-:func:`replay_run`.
+only become :class:`Finding`\\ s after a confirmation re-run reproduces
+them; confirmed findings are re-run at larger sizes and persisted to the
+run store, replayable via :func:`replay_run`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 #: ``row_fn`` label findings are stored under in the run store's ``rows``
-#: table (one finding row per persisted engine run).
+#: table (one finding row per confirmed run).
 FINDING_ROW_FN = "repro.search.finding"
 
 #: Frontier size for the mutation loop: the best-scored specs kept as
@@ -51,16 +50,14 @@ _GENERATION_SIZE = 8
 
 
 def applicable_engines(spec: ScenarioSpec) -> tuple[str, ...]:
-    """The engines a spec can run on.
+    """The confirmation labels of a spec: always ``("auto",)``.
 
-    The vector kernel is synchronous-only (``set_engine`` rejects delayed
-    models for it), so synchronous specs are confirmed on both kernels and
-    delayed ones on ``queue`` alone.
+    The network has one round loop, and the delay model alone picks its
+    delivery path, so every spec is confirmed once.  Kept so
+    :attr:`Finding.engines` and ``Finding.run_keys`` keep their shape.
     """
 
-    if spec.delay == "synchronous":
-        return ("vector", "queue")
-    return ("queue",)
+    return ("auto",)
 
 
 def _evaluate_candidate(spec_dict: dict) -> dict:
@@ -79,16 +76,6 @@ def _evaluate_candidate(spec_dict: dict) -> dict:
     return json_normalize(evaluation_row(outcome))
 
 
-def _outcome_signature(outcome: ScenarioOutcome) -> tuple:
-    """What must match bit-for-bit across engines (and across replays)."""
-
-    return (
-        tuple(sorted(outcome.outputs().items(), key=lambda kv: str(kv[0]))),
-        outcome.rounds,
-        outcome.result.stop_reason,
-    )
-
-
 @dataclass(frozen=True)
 class Finding:
     """One confirmed counterexample (or worst-case scenario)."""
@@ -96,8 +83,9 @@ class Finding:
     spec: ScenarioSpec
     violations: tuple[PropertyViolation, ...]
     rounds: int
+    #: :func:`applicable_engines` of the spec: one ``"auto"`` entry.
     engines: tuple[str, ...]
-    #: engine -> content-addressed run key; empty when no store was given.
+    #: ``"auto"`` -> content-addressed run key; empty when no store was given.
     run_keys: Mapping[str, str]
     #: One entry per escalation size: the larger spec's digest and whether
     #: the violation reproduced there.
@@ -125,7 +113,7 @@ class SearchResult:
 
     findings: list[Finding] = field(default_factory=list)
     evaluations: int = 0
-    #: Candidates whose violations did not survive engine confirmation.
+    #: Candidates whose violations did not survive the confirmation re-run.
     rejected: int = 0
     #: Of the evaluations, how many actually executed a simulation …
     executed: int = 0
@@ -162,8 +150,7 @@ class ScenarioSearch:
         Optional :class:`repro.store.RunStore`; every candidate
         evaluation is persisted under its content-addressed run key (so
         re-running the same search resumes from cache), and confirmed
-        findings additionally persist once per applicable engine (see
-        package docstring).
+        findings add a finding row to their run (see package docstring).
     jobs:
         Worker processes for candidate evaluation.  Each generation of
         mutated candidates is scored across workers via
@@ -253,30 +240,24 @@ class ScenarioSearch:
     def _confirm(
         self, spec: ScenarioSpec, violations: list[PropertyViolation]
     ) -> Finding | None:
-        """Stage 2+3: engine confirmation, escalation, persistence."""
+        """Stage 2+3: confirmation re-run, escalation, persistence.
 
-        engines = applicable_engines(spec)
-        confirmed: list[tuple[str, ScenarioOutcome]] = []
-        signature = None
-        names = sorted(v.property_name for v in violations)
-        for engine in engines:
-            outcome = run_scenario(spec, engine=engine)
-            engine_violations = evaluate_outcome(outcome)
-            if sorted(v.property_name for v in engine_violations) != names:
-                return None  # did not reproduce on this engine
-            this_signature = _outcome_signature(outcome)
-            if signature is None:
-                signature = this_signature
-            elif this_signature != signature:
-                return None  # engines diverged — not a trustworthy finding
-            confirmed.append((engine, outcome))
+        The re-run uses the evaluation's payload accounting, so the record
+        it persists equals the one the evaluation stored under the same
+        run key.
+        """
+
+        outcome = run_scenario(spec, payload_accounting=True)
+        reproduced = sorted(v.property_name for v in evaluate_outcome(outcome))
+        if reproduced != sorted(v.property_name for v in violations):
+            return None
 
         escalations = []
         for n in self.escalate_n:
             if n <= spec.n:
                 continue
             larger = self._escalated_spec(spec, n)
-            outcome, larger_violations, _ = self._evaluate(larger)
+            _, larger_violations, _ = self._evaluate(larger)
             escalations.append(
                 {
                     "n": n,
@@ -288,29 +269,27 @@ class ScenarioSearch:
                 }
             )
 
+        engines = applicable_engines(spec)
         run_keys: dict[str, str] = {}
         if self.store is not None:
             from ..store import record_from_outcome
 
-            version = self._resolve_code_version()
-            for engine, outcome in confirmed:
-                record = record_from_outcome(
-                    outcome, engine=engine, code_version=version
-                )
-                row = {
-                    "spec_digest": spec.digest(),
-                    "engine": engine,
-                    "violations": [v.as_dict() for v in violations],
-                    "rounds": outcome.rounds,
-                    "escalations": escalations,
-                }
-                self.store.put_run(record, row=row, row_fn=FINDING_ROW_FN)
-                run_keys[engine] = record.run_key
+            record = record_from_outcome(
+                outcome, code_version=self._resolve_code_version()
+            )
+            row = {
+                "spec_digest": spec.digest(),
+                "violations": [v.as_dict() for v in violations],
+                "rounds": outcome.rounds,
+                "escalations": escalations,
+            }
+            self.store.put_run(record, row=row, row_fn=FINDING_ROW_FN)
+            run_keys = dict.fromkeys(engines, record.run_key)
 
         return Finding(
             spec=spec,
             violations=tuple(violations),
-            rounds=confirmed[0][1].rounds,
+            rounds=outcome.rounds,
             engines=engines,
             run_keys=run_keys,
             escalations=tuple(escalations),
@@ -336,10 +315,7 @@ class ScenarioSearch:
             from ..store import ResumableSweep
 
             sweep = ResumableSweep(
-                self.store,
-                jobs=self.jobs,
-                engine=None,
-                code_version=self._resolve_code_version(),
+                self.store, jobs=self.jobs, code_version=self._resolve_code_version()
             )
             report = sweep.run_specs(
                 specs, row_fn=evaluation_row, payload_accounting=True
@@ -444,8 +420,7 @@ def replay_run(store: Any, run_key: str) -> bool:
     stored = store.get_run(run_key)
     if stored is None:
         raise KeyError(f"run key {run_key!r} not present in the store")
-    engine = None if stored.engine == "auto" else stored.engine
-    outcome = run_scenario(stored.spec, engine=engine)
+    outcome = run_scenario(stored.spec)
     if stored.rounds_executed != outcome.rounds:
         return False
     if stored.stop_reason != outcome.result.stop_reason:

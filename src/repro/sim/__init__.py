@@ -29,7 +29,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .events import EventKind, Trace, TraceEvent
-from .messages import Broadcast, Envelope, Inbox, NodeId, Outgoing, Payload, Unicast
+from .messages import Broadcast, Inbox, NodeId, Outgoing, Payload, Unicast
 from .metrics import DecisionRecord, RoundMetrics, RunMetrics
 from .network import (
     RunResult,
@@ -48,7 +48,6 @@ __all__ = [
     "DecisionRecord",
     "DelayModel",
     "DuplicateNodeError",
-    "Envelope",
     "EventKind",
     "FixedScheduleDelay",
     "HaltedProcessError",

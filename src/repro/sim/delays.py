@@ -201,8 +201,8 @@ class JitteredSynchronousDelay(DelayModel):
         sent_round: int,
         rng: np.random.Generator,
     ) -> int:
-        # One uniform draw per message keeps the RNG consumption pattern
-        # identical across engines regardless of which branch is taken.
+        # Every message draws once to pick its branch; only jittered
+        # messages draw again for the extra delay.
         roll = float(rng.random())
         if roll < self.jitter_probability:
             return sent_round + 1 + int(rng.integers(1, self.max_extra + 1))

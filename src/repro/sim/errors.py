@@ -17,30 +17,6 @@ class ConfigurationError(SimulationError):
     """The simulation was constructed with inconsistent parameters."""
 
 
-class UnknownEngineError(ConfigurationError, ValueError):
-    """An engine name outside :data:`repro.sim.network.ENGINE_CHOICES`.
-
-    Raised *eagerly* — by :func:`~repro.sim.network.validate_engine`, at
-    network construction and
-    :meth:`~repro.sim.network.SynchronousNetwork.set_engine` — never at
-    mid-run resolution.  A retired kernel name carries its
-    ``replacement``.  Doubles as a ``ValueError`` so argument-validation
-    callers can catch it idiomatically.
-    """
-
-    def __init__(
-        self, engine: object, choices: tuple, *, replacement: str | None = None
-    ) -> None:
-        if replacement:
-            reason = f"engine {engine!r} was retired; use {replacement!r} instead"
-        else:
-            reason = f"unknown engine {engine!r}"
-        super().__init__(f"{reason}; choose from {', '.join(choices)}")
-        self.engine = engine
-        self.choices = choices
-        self.replacement = replacement
-
-
 class DuplicateNodeError(ConfigurationError):
     """Two processes were registered with the same node identifier."""
 

@@ -37,13 +37,13 @@ the same rows :meth:`repro.store.db.StoredTrace.aggregate` computes
 segment-by-segment over persisted traces, so in-memory and stored answers
 are interchangeable (and asserted identical by the analytics tests).
 
-Recording happens through a narrow interface the engine kernels share:
+Recording happens through a narrow interface the network calls:
 :meth:`Trace.record_event` appends one event without constructing a
 ``TraceEvent``, and the bulk variants
 :meth:`Trace.record_sends_columnar` /
 :meth:`Trace.record_deliveries_columnar` append a whole fan-out (one
-sender, one payload, many destinations) as column extensions — the vector
-kernel records a broadcast round in a handful of ``extend`` calls instead
+sender, one payload, many destinations) as column extensions — the network
+records a broadcast round in a handful of ``extend`` calls instead
 of one object allocation per (message, destination) pair.
 :meth:`Trace.record` still accepts a pre-built :class:`TraceEvent` for
 callers outside the hot path.
@@ -175,7 +175,7 @@ class Trace:
     """An append-only columnar event store with :class:`TraceEvent` views.
 
     The constructor accepts an optional iterable of pre-built events (for
-    tests and reference models); the engines always start from an empty
+    tests and reference models); the network always starts from an empty
     store and append through the ``record_*`` interface.
 
     **Spill mode.** ``spill_to`` takes a segment sink (see

@@ -8,8 +8,8 @@ all of which are encoded here or in :mod:`repro.sim.network`:
   models used by the Section IX experiments).
 * The identifier of the sender is attached to every message and cannot be
   forged on the direct channel — a Byzantine node can *claim* things about
-  other nodes inside the payload, but the envelope's ``sender`` field is
-  always truthful.
+  other nodes inside the payload, but the ``sender`` the network files
+  with every message in flight is always truthful.
 * Duplicate messages from the same node within one round are discarded;
   this is enforced by :class:`Inbox`, which stores at most one copy of each
   distinct payload per sender per round.
@@ -48,7 +48,7 @@ module provides the building blocks for:
 
 Derived views of a round's traffic (support indexes, routing tables, the
 ``allowed``-sender restriction of :meth:`Inbox.restricted`) are memoized
-*on the inbox* via :meth:`Inbox.memo`: on the synchronous kernel every
+*on the inbox* via :meth:`Inbox.memo`: in a synchronous run every
 receiver of a broadcast-only round shares one :class:`Inbox` object, so a
 pure derivation is computed once per round instead of once per node.
 """
@@ -68,7 +68,6 @@ __all__ = [
     "Broadcast",
     "Unicast",
     "Outgoing",
-    "Envelope",
     "Inbox",
     "ColumnarInbox",
     "cached_payload_hash",
@@ -220,24 +219,6 @@ class Unicast:
 Outgoing = Broadcast | Unicast
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """A payload in flight, stamped with its true sender and timing."""
-
-    sender: NodeId
-    dest: NodeId
-    payload: Payload
-    sent_round: int
-    deliver_round: int
-
-    def __post_init__(self) -> None:
-        if self.deliver_round <= self.sent_round:
-            raise ValueError(
-                "a message cannot be delivered in the round it was sent "
-                f"(sent {self.sent_round}, deliver {self.deliver_round})"
-            )
-
-
 class Inbox:
     """The set of messages a node receives at the start of one round.
 
@@ -328,7 +309,7 @@ class Inbox:
         An inbox is immutable, so any pure derivation of its contents (a
         payload index, a per-instance routing table) can be computed once
         and shared by every consumer — crucially including *different
-        receivers* on the synchronous kernel, where a broadcast-only
+        receivers* in a synchronous run, where a broadcast-only
         round hands the same ``Inbox`` object to every node.  The cache
         dies with the inbox; factories must not mutate the result.
         """
@@ -349,8 +330,8 @@ class Inbox:
         Returns ``self`` when nothing needs stripping (the common case —
         protocols restrict to their known-sender sets, which usually cover
         everyone who spoke).  Otherwise the restriction is built once and
-        memoized on this inbox keyed by ``allowed``, so on the synchronous
-        kernel every node applying the same filter to the shared inbox
+        memoized on this inbox keyed by ``allowed``, so in a synchronous
+        run every node applying the same filter to the shared inbox
         reuses one restricted view — including its own memo cache, which is
         what lets downstream index builds stay once-per-round even in runs
         where Byzantine senders must be stripped.
@@ -475,7 +456,7 @@ class ColumnarInbox(Inbox):
         """Build the shared inbox straight from staged send-batches.
 
         ``staged`` holds ``(sender, payload, dests)`` triples grouped by
-        sender (one contiguous run per sender — the vector kernel stages one
+        sender (one contiguous run per sender — the network stages one
         node's actions consecutively).  Duplicate payloads from the same
         sender are collapsed first-occurrence, matching ``Inbox(by_sender)``.
         Falls back to a plain :class:`Inbox` when a payload is unhashable

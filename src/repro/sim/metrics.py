@@ -9,7 +9,7 @@ Like the trace backend (:mod:`repro.sim.events`), per-round counters live
 in parallel ``array('q')`` columns rather than one dataclass per round:
 :class:`RoundMetrics` is a mutable *view* onto one row of the columnar
 store, materialised lazily by :attr:`RunMetrics.rounds` and handed out by
-:meth:`RunMetrics.start_round` as the engines' per-round write cursor.
+:meth:`RunMetrics.start_round` as the network's per-round write cursor.
 Reads and writes through a view hit the columns directly, so
 ``metrics.rounds[-1].messages_delivered`` keeps working unchanged while
 summaries (:attr:`RunMetrics.total_messages`, …) become single column
@@ -210,8 +210,8 @@ class RunMetrics:
 
         Equivalent to calling :meth:`record_delivery` once per ``(node,
         count)`` pair, in order — including registering nodes whose count is
-        zero — but with a single round-counter update.  Both
-        engines use this once per round instead of once per process.
+        zero — but with a single round-counter update.  The network
+        uses this once per round instead of once per process.
         """
 
         store = self._round_store
@@ -227,9 +227,9 @@ class RunMetrics:
     def record_payload(self, nbytes: int, copies: int) -> None:
         """Account one send action's payload: ``nbytes`` × ``copies`` wire bytes.
 
-        Called by every engine kernel next to :meth:`record_send` when the
-        network's payload accounting is enabled, so byte totals are
-        engine-independent just like message counts.
+        Called by the network next to :meth:`record_send`, once per send
+        action, when its payload accounting is enabled, so byte totals do
+        not depend on how delivery is filed, just like message counts.
         """
 
         store = self._round_store

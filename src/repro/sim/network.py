@@ -17,50 +17,45 @@ same processes, adversary strategies, delay model and seed, a run produces
 exactly the same trace.  Determinism is what lets the experiment harness
 treat every (configuration, seed) pair as a reproducible data point.
 
-Engine architecture
--------------------
-The round loop runs on one of two kernels, one per delivery regime of
-the paper's model.  Both produce bit-identical traces, metrics and
-outputs wherever both apply (guarded by ``tests/test_engine_equivalence.py``
-and by the recorded fixtures of ``tests/test_trace_golden.py``):
+Delivery
+--------
+Messages in flight are per-action batches — ``(sender, payload,
+destinations)`` — bucketed by delivery round
+(``dict[deliver_round, list[batch]]``), so each round pops exactly the
+batches that are due.  The delay model alone decides how a round's sends
+are filed:
 
-``vector``
-    The lock-step synchronous path (Section IV).  When every message is
-    delivered exactly one round later
-    (:class:`~repro.sim.delays.SynchronousDelay`), there is no need for a
-    delivery queue at all: the messages sent in round ``r`` *are* the
-    inboxes of round ``r + 1``.  Sends are staged as per-sender batches —
-    one ``(sender, payload, destinations)`` record per action instead of
-    one :class:`~repro.sim.messages.Envelope` per (message, destination)
-    pair — and materialised into inboxes at the start of the next round.
-    A round of broadcasts only (the common case for the paper's
-    algorithms) shows every recipient the same messages, so one shared
-    :class:`~repro.sim.messages.ColumnarInbox` — parallel sender/payload-
-    index columns over an interned payload table — is built once and
-    handed to all of them; the protocol math in :mod:`repro.core.tally`
-    then batches quorum counts and support tallies with numpy.  Rounds
-    with unicasts (or unhashable payloads) get per-destination object
-    inboxes instead.  Membership churn is handled by filtering each
-    batch's recorded destinations against the active set at delivery
-    time, exactly as ``queue`` does per envelope.
+* Under the synchronous model of Section IV
+  (:attr:`~repro.sim.delays.DelayModel.synchronous`), everything sent in
+  round ``r`` is due in round ``r + 1``, so the round's batch list — one
+  batch per send action — becomes round ``r + 1``'s bucket as it is.  A
+  round of broadcasts only (the common case for the paper's algorithms)
+  shows every recipient the same messages, so the bucket also records the
+  shared destination tuple, and delivery builds one
+  :class:`~repro.sim.messages.ColumnarInbox` — parallel sender/payload-
+  index columns over an interned payload table — and hands it to all of
+  them; the protocol math in :mod:`repro.core.tally` then batches quorum
+  counts and support tallies with numpy.
+* Any other delay model (the Section IX impossibility constructions) is
+  asked for one delivery round per destination, in send order, and an
+  action's destinations are grouped into one batch per delivery round.
+  Such rounds are never shared.
 
-``queue``
-    The general path for the delayed models behind the Section IX
-    impossibility results.  Envelopes are bucketed by delivery round
-    (``dict[deliver_round, list[Envelope]]``), so each round pops exactly
-    the envelopes that are due instead of rescanning every pending one.
+A round that is not shared — it carried a unicast, or its delivery was
+delayed — gives each recipient its own object :class:`Inbox` (a shared
+round with an unhashable payload falls back to one shared object inbox).
+Either way the trace, metrics and outputs are the same: a synchronous run
+sent down the per-destination path is bit-identical to the shared path
+(``tests/test_engine_equivalence.py``), and delayed delivery is pinned by
+recorded fixtures (``tests/test_trace_golden.py``,
+``tests/fixtures/delayed_digests.json``).  Membership churn is handled by
+filtering each batch's recorded destinations against the active set at
+delivery time.
 
-Engine selection is ``engine="auto"`` by default — ``vector`` when the
-delay model reports :attr:`~repro.sim.delays.DelayModel.synchronous`,
-``queue`` otherwise.  Unknown engine names — including the retired
-``fast`` and ``legacy`` kernels, whose error names the replacement —
-raise :class:`~repro.sim.errors.UnknownEngineError` eagerly, at
-construction / ``set_engine`` time.
-
-Both kernels cache the sorted active-membership list and the Byzantine
-id set, invalidated only on membership events; build the omniscient
+The network caches the sorted active-membership list and the Byzantine
+id set, invalidated only on membership events; builds the omniscient
 :class:`SystemView` lazily, only when a Byzantine process is scheduled;
-and commit per-round delivery counters to
+and commits per-round delivery counters to
 :class:`~repro.sim.metrics.RunMetrics` in one bulk call.
 """
 
@@ -79,13 +74,11 @@ from .errors import (
     InvalidOutgoingError,
     MembershipError,
     RoundLimitExceeded,
-    UnknownEngineError,
 )
 from .events import DEFAULT_SEGMENT_EVENTS, EventKind, Trace
 from .messages import (
     Broadcast,
     ColumnarInbox,
-    Envelope,
     Inbox,
     NodeId,
     Outgoing,
@@ -97,34 +90,15 @@ from .node import Process, RoundView
 from .rng import make_rng
 
 __all__ = [
-    "ENGINE_CHOICES",
     "SystemView",
     "RunResult",
     "SynchronousNetwork",
     "all_correct_decided",
     "all_correct_halted",
-    "validate_engine",
 ]
 
-#: Valid values for the ``engine`` constructor argument.
-ENGINE_CHOICES = ("auto", "vector", "queue")
-
-#: Kernels that existed once, mapped to the kernel that replaced them.
-_RETIRED_ENGINES = {"fast": "vector", "legacy": "queue"}
-
-
-def validate_engine(engine: str) -> None:
-    """Raise :class:`~repro.sim.errors.UnknownEngineError` unless ``engine``
-    is in :data:`ENGINE_CHOICES`, naming the replacement of a retired kernel.
-
-    Callers that hand an engine name on to worker processes or threads
-    validate it up front with this, so a bad name fails at the call.
-    """
-
-    if engine not in ENGINE_CHOICES:
-        raise UnknownEngineError(
-            engine, ENGINE_CHOICES, replacement=_RETIRED_ENGINES.get(engine)
-        )
+#: One send action in flight: its sender, payload and destination tuple.
+Batch = tuple[NodeId, Any, tuple[NodeId, ...]]
 
 
 @dataclass(frozen=True)
@@ -243,10 +217,6 @@ class SynchronousNetwork:
         Optional mapping ``round -> iterable of node ids`` removed at the
         start of that round.  Used by churn schedules; protocol-level
         "absent" announcements are the protocol's own business.
-    engine:
-        Round-loop kernel: one of :data:`ENGINE_CHOICES`.  ``"auto"`` (the
-        default) picks ``vector`` for synchronous delay models and
-        ``queue`` otherwise.  Both kernels produce bit-identical results.
     """
 
     def __init__(
@@ -258,7 +228,6 @@ class SynchronousNetwork:
         trace: bool = False,
         joins: Mapping[int, Iterable[Process]] | None = None,
         leaves: Mapping[int, Iterable[NodeId]] | None = None,
-        engine: str = "auto",
     ) -> None:
         self._processes: dict[NodeId, Process] = {}
         self._correct_map: dict[NodeId, Process] = {}
@@ -277,13 +246,11 @@ class SynchronousNetwork:
         self._leaves: dict[int, list[NodeId]] = {
             int(r): list(ids) for r, ids in (leaves or {}).items()
         }
-        # -- engine state ------------------------------------------------------
-        # queue engine: envelopes bucketed by delivery round.
-        self._bucketed: dict[int, list[Envelope]] = {}
-        # vector engine: per-sender batches staged for the next round, plus
-        # the common destination tuple when the round was broadcast-only.
-        self._staged: list[tuple[NodeId, Any, tuple[NodeId, ...]]] | None = None
-        self._staged_shared: tuple[NodeId, ...] | None = None
+        # Messages in flight (see module docstring): batches keyed by
+        # delivery round, and each due round's shared destination tuple
+        # (None when the round's recipients get per-destination inboxes).
+        self._in_flight: dict[int, list[Batch]] = {}
+        self._shared: dict[int, tuple[NodeId, ...] | None] = {}
         # membership caches (see module docstring).
         self._sorted_cache: tuple[NodeId, ...] | None = None
         self._byz_cache: frozenset[NodeId] | None = None
@@ -297,48 +264,19 @@ class SynchronousNetwork:
         #: Opt-in per-phase wall-clock accumulation (deliver/step/stage
         #: seconds); see :meth:`enable_phase_profile`.
         self._phase_profile: dict[str, float] | None = None
-        self._engine = "auto"
-        self.set_engine(engine)
-
-    # -- engine selection --------------------------------------------------------
-
-    @property
-    def engine(self) -> str:
-        """The configured kernel (possibly ``"auto"``)."""
-
-        return self._engine
-
-    def set_engine(self, engine: str) -> None:
-        """Select the round-loop kernel; only allowed before round 1."""
-
-        validate_engine(engine)
-        if engine == "vector" and not self._delay_model.synchronous:
-            raise ConfigurationError(
-                "the vector engine requires a synchronous delay model; "
-                "use engine='queue' (or 'auto') for delayed delivery"
-            )
-        if self._round > 0 and engine != self._engine:
-            raise ConfigurationError("cannot switch engines after the run started")
-        self._engine = engine
-
-    def resolved_engine(self) -> str:
-        """The kernel that actually runs (``auto`` resolved)."""
-
-        if self._engine != "auto":
-            return self._engine
-        return "vector" if self._delay_model.synchronous else "queue"
 
     def tally_backend(self) -> str:
         """Which :mod:`repro.core.tally` implementation this run uses.
 
-        The vector kernel hands protocols columnar inboxes, so its tallies
-        run on the numpy backend; the queue kernel (and the vector
-        kernel's own object-inbox rounds) uses the scalar reference.  Recorded
-        in run summaries and bench cells so stored results disclose the
-        implementation that produced them.
+        Synchronous runs hand protocols a shared columnar inbox on every
+        broadcast-only round, so those tallies run on the numpy backend
+        (unicast rounds keep the scalar reference); delayed runs only ever
+        get per-destination object inboxes and the scalar reference.
+        Recorded in run summaries and bench cells so stored results
+        disclose the implementation that produced them.
         """
 
-        return "numpy" if self.resolved_engine() == "vector" else "scalar"
+        return "numpy" if self._delay_model.synchronous else "scalar"
 
     def enable_trace_spill(
         self, sink, *, segment_events: int = DEFAULT_SEGMENT_EVENTS
@@ -370,8 +308,8 @@ class SynchronousNetwork:
     def enable_payload_accounting(self) -> None:
         """Record serialised payload bytes alongside the message counters.
 
-        Every kernel accounts identically (per send action, next to the
-        message-count bookkeeping), so byte totals are engine-independent.
+        Bytes are counted per send action, next to the message-count
+        bookkeeping, so totals do not depend on how delivery is filed.
         Off by default: sizing a payload costs a pickle per action, which
         the throughput benchmarks must not pay on their timed runs.
         """
@@ -485,12 +423,13 @@ class SynchronousNetwork:
         return [p for p in self.correct_processes() if not p.halted]
 
     def pending_messages(self) -> int:
-        """Number of messages in flight, whichever engine is running."""
+        """Number of (message, destination) pairs in flight."""
 
-        count = sum(len(bucket) for bucket in self._bucketed.values())
-        if self._staged:
-            count += sum(len(dests) for _, _, dests in self._staged)
-        return count
+        return sum(
+            len(dests)
+            for batches in self._in_flight.values()
+            for _, _, dests in batches
+        )
 
     def _active_sorted(self) -> tuple[NodeId, ...]:
         cache = self._sorted_cache
@@ -521,7 +460,6 @@ class SynchronousNetwork:
     def step_round(self) -> None:
         """Execute exactly one round."""
 
-        staged = self.resolved_engine() == "vector"
         self._round += 1
         round_index = self._round
         self._apply_membership_changes(round_index)
@@ -532,10 +470,7 @@ class SynchronousNetwork:
 
         # 1. Deliver messages scheduled for this round.
         started = clock() if clock else 0.0
-        if staged:
-            inboxes = self._deliver_staged(round_index)
-        else:
-            inboxes = self._deliver_bucketed(round_index)
+        inboxes = self._deliver(round_index)
         if clock:
             now = clock()
             profile["deliver"] += now - started
@@ -549,44 +484,38 @@ class SynchronousNetwork:
             started = now
 
         # 3. Schedule the outgoing messages.
-        if staged:
-            self._stage_outgoing(outgoing_by_node, round_index)
-        else:
-            for node_id, actions in outgoing_by_node.items():
-                for action in actions:
-                    self._schedule(node_id, action, round_index)
+        self._stage_outgoing(outgoing_by_node, round_index)
         if clock:
             profile["stage"] += clock() - started
 
-    # -- delivery (vector engine) --------------------------------------------------
+    # -- delivery ------------------------------------------------------------------
 
-    def _deliver_staged(self, round_index: int) -> dict[NodeId, Inbox]:
-        """Turn last round's staged batches into this round's inboxes.
+    def _deliver(self, round_index: int) -> dict[NodeId, Inbox]:
+        """Turn the batches due this round into inboxes.
 
-        A broadcast-only round feeds the staged batches straight into
-        :meth:`ColumnarInbox.from_staged`, giving every recipient a shared
-        column view the numpy tallies operate on (it falls back to a plain
-        shared :class:`Inbox` for unhashable payloads).  Rounds with
-        unicasts get one object inbox per destination.
+        A shared (broadcast-only, synchronous) round feeds its batches
+        straight into :meth:`ColumnarInbox.from_staged`, giving every
+        recipient a shared column view the numpy tallies operate on (it
+        falls back to a plain shared :class:`Inbox` for unhashable
+        payloads).  Any other round gets one object inbox per destination.
         """
 
-        staged, shared = self._staged, self._staged_shared
-        self._staged = None
-        self._staged_shared = None
-        if not staged:
+        batches = self._in_flight.pop(round_index, None)
+        shared = self._shared.pop(round_index, None)
+        if not batches:
             return {}
         active = self._active
         trace = self._trace
         if trace.enabled:
-            # One bulk column append per staged batch: the whole fan-out of
-            # a broadcast becomes a handful of `extend`s instead of one
+            # One bulk column append per batch: the whole fan-out of a
+            # broadcast becomes a handful of `extend`s instead of one
             # TraceEvent per (message, destination) pair.  When membership
             # did not change since staging, the recorded destination tuple
             # *is* the current sorted-active cache, so the per-destination
             # liveness filter is skipped entirely.
             active_now = self._active_sorted()
             bulk = trace.record_deliveries_columnar
-            for sender, payload, dests in staged:
+            for sender, payload, dests in batches:
                 delivered = (
                     dests
                     if dests is active_now
@@ -599,10 +528,10 @@ class SynchronousNetwork:
             # also what lets the batched total-order wrapper be routed once
             # per round instead of once per receiving node (see
             # repro.core.total_order).
-            inbox = ColumnarInbox.from_staged(staged)
+            inbox = ColumnarInbox.from_staged(batches)
             return {dest: inbox for dest in shared if dest in active}
         pairs_by_dest: dict[NodeId, list[tuple[NodeId, Any]]] = {}
-        for sender, payload, dests in staged:
+        for sender, payload, dests in batches:
             pair = (sender, payload)
             for dest in dests:
                 if dest in active:
@@ -617,14 +546,23 @@ class SynchronousNetwork:
             if not processes[dest].halted
         }
 
+    # -- staging -------------------------------------------------------------------
+
     def _stage_outgoing(
         self,
         outgoing_by_node: dict[NodeId, Sequence[Outgoing]],
         round_index: int,
     ) -> None:
-        """Record this round's sends as batches for next round's delivery."""
+        """File this round's sends as batches for their delivery rounds.
 
-        staged: list[tuple[NodeId, Any, tuple[NodeId, ...]]] = []
+        Under the synchronous model the round's batch list becomes round
+        ``round_index + 1``'s bucket, shared when every action was a
+        broadcast; otherwise :meth:`_schedule_per_destination` files each
+        action by its destinations' delivery rounds.
+        """
+
+        synchronous = self._delay_model.synchronous
+        staged: list[Batch] = []
         broadcast_only = True
         broadcast_dests: tuple[NodeId, ...] | None = None
         trace = self._trace
@@ -648,54 +586,52 @@ class SynchronousNetwork:
                     self._metrics.record_payload(
                         payload_nbytes(action.payload), len(dests)
                     )
-                staged.append((node_id, action.payload, dests))
+                if synchronous:
+                    staged.append((node_id, action.payload, dests))
+                else:
+                    self._schedule_per_destination(
+                        node_id, action.payload, dests, round_index
+                    )
                 if trace.enabled:
                     trace.record_sends_columnar(
                         round_index, node_id, action.payload, dests
                     )
-        self._staged = staged
-        self._staged_shared = broadcast_dests if (staged and broadcast_only) else None
+        if staged:
+            self._in_flight[round_index + 1] = staged
+            self._shared[round_index + 1] = broadcast_dests if broadcast_only else None
 
-    # -- delivery (queue engine) ----------------------------------------------------
+    def _schedule_per_destination(
+        self,
+        sender: NodeId,
+        payload: Any,
+        dests: tuple[NodeId, ...],
+        round_index: int,
+    ) -> None:
+        """Ask the delay model for each destination's delivery round.
 
-    def _deliver_bucketed(self, round_index: int) -> dict[NodeId, Inbox]:
-        """Pop the envelope buckets that are due and build the inboxes."""
+        One ``delivery_round`` call per destination, in order, so the rng
+        draws follow the send order; the destinations are then grouped
+        into one batch per delivery round, in first-occurrence order, and
+        those rounds are marked as not shared.
+        """
 
-        pending = self._bucketed
-        if not pending:
-            return {}
-        due_keys = [key for key in pending if key <= round_index]
-        if not due_keys:
-            return {}
-        due_keys.sort()
-        active = self._active
-        trace = self._trace
-        pairs_by_dest: dict[NodeId, list[tuple[NodeId, Any]]] = {}
-        for key in due_keys:
-            for envelope in pending.pop(key):
-                dest = envelope.dest
-                if dest not in active:
-                    continue  # the destination left before delivery
-                bucket = pairs_by_dest.get(dest)
-                if bucket is None:
-                    pairs_by_dest[dest] = bucket = []
-                bucket.append((envelope.sender, envelope.payload))
-                if trace.enabled:
-                    trace.record_event(
-                        EventKind.MESSAGE_DELIVERED,
-                        round_index,
-                        node_id=dest,
-                        peer_id=envelope.sender,
-                        payload=envelope.payload,
-                    )
-        processes = self._processes
-        return {
-            dest: Inbox.from_pairs(pairs)
-            for dest, pairs in pairs_by_dest.items()
-            if not processes[dest].halted
-        }
+        delivery_round = self._delay_model.delivery_round
+        groups: dict[int, list[NodeId]] = {}
+        for dest in dests:
+            deliver = delivery_round(sender, dest, round_index, self._rng)
+            if deliver <= round_index:
+                raise ValueError(
+                    "a message cannot be delivered in the round it was sent "
+                    f"(sent {round_index}, deliver {deliver})"
+                )
+            groups.setdefault(deliver, []).append(dest)
+        for deliver, group in groups.items():
+            self._in_flight.setdefault(deliver, []).append(
+                (sender, payload, tuple(group))
+            )
+            self._shared[deliver] = None
 
-    # -- stepping (both engines) ------------------------------------------------------
+    # -- stepping -------------------------------------------------------------------
 
     def _step_processes(
         self,
@@ -756,47 +692,6 @@ class SynchronousNetwork:
                 node_id=process.node_id,
                 detail=process.output,
             )
-
-    def _schedule(self, sender: NodeId, action: Outgoing, round_index: int) -> None:
-        if isinstance(action, Broadcast):
-            destinations = self._active_sorted()
-            self._metrics.record_send(sender, len(destinations), broadcast=True)
-            if self._measure_bytes:
-                self._metrics.record_payload(
-                    payload_nbytes(action.payload), len(destinations)
-                )
-            for dest in destinations:
-                self._enqueue(sender, dest, action.payload, round_index)
-        elif isinstance(action, Unicast):
-            self._metrics.record_send(sender, 1, broadcast=False)
-            if self._measure_bytes:
-                self._metrics.record_payload(payload_nbytes(action.payload), 1)
-            self._enqueue(sender, action.dest, action.payload, round_index)
-        else:
-            raise InvalidOutgoingError(sender, action)
-
-    def _enqueue(
-        self, sender: NodeId, dest: NodeId, payload: Any, round_index: int
-    ) -> None:
-        deliver = self._delay_model.delivery_round(sender, dest, round_index, self._rng)
-        envelope = Envelope(
-            sender=sender,
-            dest=dest,
-            payload=payload,
-            sent_round=round_index,
-            deliver_round=deliver,
-        )
-        bucket = self._bucketed.get(deliver)
-        if bucket is None:
-            self._bucketed[deliver] = bucket = []
-        bucket.append(envelope)
-        self._trace.record_event(
-            EventKind.MESSAGE_SENT,
-            round_index,
-            node_id=sender,
-            peer_id=dest,
-            payload=payload,
-        )
 
     # -- running to completion -------------------------------------------------------
 

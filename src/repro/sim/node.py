@@ -139,7 +139,7 @@ class KnownSenders:
         discard messages from unknown senders afterwards.
 
         The union is memoized on the inbox, keyed by the membership going
-        in: on the shared-inbox engines every node with the same prior
+        in: with a shared inbox every node with the same prior
         view (all of them, in the common lock-step case) reuses one union
         computed once per round instead of paying an O(n) set update each.
         The result is interned, so in the steady state — no new senders —

@@ -9,35 +9,35 @@ The run-key contract
 --------------------
 A run is addressed by **content**, never by position in a sweep::
 
-    run_key = sha256(spec_digest ‖ "\\n" ‖ engine ‖ "\\n" ‖ code_version)
+    run_key = sha256(spec_digest ‖ "\\n" ‖ code_version)
 
 * ``spec_digest`` — :meth:`repro.api.ScenarioSpec.digest`: the SHA-256 of
   the spec's canonical JSON (sorted keys, compact separators, ASCII).
   Two specs with equal ``to_dict()`` output always share a digest,
   regardless of process, dict insertion order or platform.
-* ``engine`` — the engine the caller pinned, or the literal ``"auto"``
-  when engine selection was left to the simulator.  The repo's engines
-  are bit-identical by contract, but the key still separates pinned
-  engines so an engine-comparison sweep never aliases.
 * ``code_version`` — :func:`repro.store.digest.code_fingerprint`: a
   SHA-256 over every ``*.py`` file in the installed ``repro`` package
   (sorted relative paths + contents), overridable via the
   ``REPRO_CODE_VERSION`` environment variable.  Editing the simulator
   invalidates cached cells automatically.
 
-Identical (spec, engine, code) always hits the cache; changing any
+Identical (spec, code) always hits the cache; changing either
 ingredient misses it.  :class:`ResumableSweep` relies on this to run only
 missing cells and still return rows bit-identical to a fresh sweep.
 
-The schema (version 1)
+The schema (version 2)
 ----------------------
+Version 2 dropped version 1's ``engine`` column along with the kernel
+option; a store written under another version refuses to open with
+:class:`StoreError`.
+
 ``meta``
     ``schema_version`` and the writing machine's ``byteorder`` (raw
     ``array`` blobs are native-endian; a store refuses to open on a
     machine with the other endianness).
 ``runs``
     One row per run key: denormalised query columns (``protocol``, ``n``,
-    ``f``, ``seed``, ``engine``, ``code_version``, ``status``), the spec
+    ``f``, ``seed``, ``code_version``, ``status``), the spec
     and summary as canonical JSON, scalar results (``rounds_executed``,
     ``stop_reason``, ``peak_payload_bytes``, ``elapsed_seconds``,
     ``created_at``) and three lazy pickle blobs: protocol outputs,

@@ -49,7 +49,7 @@ __all__ = [
 
 #: Bumped on any backwards-incompatible schema change; stores created by
 #: a different version refuse to open instead of misreading rows.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Row-function label used when a caller persists a row without naming one.
 DEFAULT_ROW_FN = "default"
@@ -95,7 +95,6 @@ class RunRecord:
     run_key: str
     spec_dict: dict
     spec_digest: str
-    engine: str
     code_version: str
     status: str = "complete"
     summary: dict = field(default_factory=dict)
@@ -329,7 +328,6 @@ class StoredRun:
 
     run_key: str
     spec_digest: str
-    engine: str
     code_version: str
     status: str
     summary: dict
@@ -367,7 +365,6 @@ class StoredRun:
             run_key=self.run_key,
             spec_dict={},
             spec_digest=self.spec_digest,
-            engine=self.engine,
             code_version=self.code_version,
             round_columns=columns,
         ).per_round()
@@ -399,7 +396,6 @@ class StoredRun:
             "run_key": self.run_key,
             "spec": json.loads(self._spec_json),
             "spec_digest": self.spec_digest,
-            "engine": self.engine,
             "code_version": self.code_version,
             "status": self.status,
             "summary": self.summary,
@@ -465,7 +461,6 @@ CREATE TABLE IF NOT EXISTS runs (
     n INTEGER NOT NULL,
     f INTEGER NOT NULL,
     seed INTEGER NOT NULL,
-    engine TEXT NOT NULL,
     code_version TEXT NOT NULL,
     status TEXT NOT NULL,
     spec_json TEXT NOT NULL,
@@ -508,7 +503,7 @@ CREATE TABLE IF NOT EXISTS trace_segments (
 """
 
 _RUN_SCALARS = (
-    "run_key, spec_digest, engine, code_version, status, summary_json, "
+    "run_key, spec_digest, code_version, status, summary_json, "
     "rounds_executed, stop_reason, peak_payload_bytes, elapsed_seconds, "
     "created_at, spec_json"
 )
@@ -607,11 +602,11 @@ class RunStore:
         with self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO runs (run_key, spec_digest, protocol, "
-                "n, f, seed, engine, code_version, status, spec_json, "
+                "n, f, seed, code_version, status, spec_json, "
                 "summary_json, rounds_executed, stop_reason, "
                 "peak_payload_bytes, elapsed_seconds, created_at, "
                 "outputs_blob, decisions_blob, per_node_blob) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     record.run_key,
                     record.spec_digest,
@@ -619,7 +614,6 @@ class RunStore:
                     int(spec.get("n", 0)),
                     int(spec.get("f", 0)),
                     int(spec.get("seed", 0)),
-                    record.engine,
                     record.code_version,
                     record.status,
                     canonical_dumps(spec),
@@ -718,7 +712,6 @@ class RunStore:
         (
             run_key,
             spec_digest,
-            engine,
             code_version,
             status,
             summary_json,
@@ -732,7 +725,6 @@ class RunStore:
         return StoredRun(
             run_key=run_key,
             spec_digest=spec_digest,
-            engine=engine,
             code_version=code_version,
             status=status,
             summary=json.loads(summary_json),
@@ -774,7 +766,6 @@ class RunStore:
         n: int | None = None,
         seed: int | None = None,
         spec_digest: str | None = None,
-        engine: str | None = None,
         status: str | None = "complete",
         limit: int | None = None,
     ) -> list[StoredRun]:
@@ -786,7 +777,6 @@ class RunStore:
             ("n", n),
             ("seed", seed),
             ("spec_digest", spec_digest),
-            ("engine", engine),
             ("status", status),
         ):
             if value is not None:

@@ -1,15 +1,12 @@
-"""Content-addressed run keys: spec digest + engine + code fingerprint.
+"""Content-addressed run keys: spec digest + code fingerprint.
 
 The run store never invents identifiers: a run's primary key is a stable
 function of *what was run* —
 
-``run_key = sha256(spec_digest ‖ engine ‖ code_version)``
+``run_key = sha256(spec_digest ‖ code_version)``
 
 * ``spec_digest`` is :meth:`repro.api.ScenarioSpec.digest` (hex SHA-256
   of the canonical spec JSON; the seed is part of the spec);
-* ``engine`` is the requested round-loop kernel (``None`` normalises to
-  ``"auto"`` — the kernels are bit-identical, so the engine is part of
-  the key only to keep benchmark timings from aliasing);
 * ``code_version`` is :func:`code_fingerprint` — a digest over the
   ``repro`` package sources, so editing protocol code invalidates cached
   cells instead of silently serving stale results.  The
@@ -71,18 +68,12 @@ def code_fingerprint() -> str:
     return fingerprint
 
 
-def run_key(
-    spec: ScenarioSpec,
-    *,
-    engine: str | None = None,
-    code_version: str | None = None,
-) -> str:
+def run_key(spec: ScenarioSpec, *, code_version: str | None = None) -> str:
     """The content-addressed primary key of one run of ``spec``."""
 
     material = "\n".join(
         (
             spec.digest(),
-            engine or "auto",
             code_version if code_version is not None else code_fingerprint(),
         )
     )

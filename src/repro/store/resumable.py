@@ -2,7 +2,7 @@
 
 :class:`ResumableSweep` wraps the :class:`repro.api.SweepRunner`
 execution model with a cache lookup per scenario: each expanded spec maps
-to a content-addressed run key (spec digest + engine + code fingerprint),
+to a content-addressed run key (spec digest + code fingerprint),
 cells whose key already holds a complete run and a row for the requested
 row function are served from the store, and only the missing cells
 execute — across worker processes exactly like a plain sweep.  The
@@ -34,7 +34,6 @@ from ..api.sweep import (
 )
 from ..analysis.stats import aggregate_rows
 from ..sim.events import DEFAULT_SEGMENT_EVENTS
-from ..sim.network import validate_engine
 from .db import RunRecord, RunStore, StoreError
 from .digest import code_fingerprint, run_key
 from .serialize import json_normalize, pickle_dumps
@@ -63,7 +62,6 @@ def row_fn_name(fn: RowFn | None) -> str:
 def record_from_outcome(
     outcome: ScenarioOutcome,
     *,
-    engine: str | None = None,
     code_version: str | None = None,
     segment_events: int = DEFAULT_SEGMENT_EVENTS,
     elapsed_seconds: float | None = None,
@@ -74,9 +72,9 @@ def record_from_outcome(
     decisions, the correct nodes' outputs and — for traced runs — the
     columnar trace sliced into footer-indexed segments.  The summary
     additionally discloses which tally implementation produced the run
-    (``tally_backend``: ``"numpy"`` on the vector kernel, ``"scalar"``
-    everywhere else) — the numbers are bit-identical either way, but
-    stored runs should say how they were computed.
+    (``tally_backend``: ``"numpy"`` for synchronous runs, ``"scalar"`` for
+    delayed ones) — the numbers are bit-identical either way, but stored
+    runs should say how they were computed.
     """
 
     spec = outcome.spec
@@ -85,10 +83,9 @@ def record_from_outcome(
     summary = json_normalize(metrics.summary())
     summary["tally_backend"] = outcome.network.tally_backend()
     return RunRecord(
-        run_key=run_key(spec, engine=engine, code_version=version),
+        run_key=run_key(spec, code_version=version),
         spec_dict=spec.to_dict(),
         spec_digest=spec.digest(),
-        engine=engine or "auto",
         code_version=version,
         status="complete",
         summary=summary,
@@ -121,14 +118,13 @@ def _run_case_record(payload: tuple) -> tuple[RunRecord, dict]:
     identically without re-hashing the source tree.
     """
 
-    spec_dict, row_fn, engine, code_version, segment_events, accounting = payload
+    spec_dict, row_fn, code_version, segment_events, accounting = payload
     spec = ScenarioSpec.from_dict(spec_dict)
     start = time.perf_counter()
-    outcome = run_scenario(spec, engine=engine, payload_accounting=accounting)
+    outcome = run_scenario(spec, payload_accounting=accounting)
     elapsed = time.perf_counter() - start
     record = record_from_outcome(
         outcome,
-        engine=engine,
         code_version=code_version,
         segment_events=segment_events,
         elapsed_seconds=elapsed,
@@ -153,8 +149,7 @@ class SweepReport:
 class ResumableSweep:
     """A store-backed sweep runner: cache hits skip execution entirely.
 
-    ``jobs``/``engine`` mean exactly what they mean on
-    :class:`~repro.api.SweepRunner`.  ``segment_events`` sets the trace
+    ``jobs`` means exactly what it means on :class:`~repro.api.SweepRunner`.  ``segment_events`` sets the trace
     persistence granularity for traced scenarios.  The store handle is
     used from the calling thread only (single writer).
     """
@@ -164,17 +159,13 @@ class ResumableSweep:
         store: RunStore,
         *,
         jobs: int = 1,
-        engine: str | None = None,
         segment_events: int = DEFAULT_SEGMENT_EVENTS,
         code_version: str | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if engine is not None:
-            validate_engine(engine)
         self.store = store
         self.jobs = jobs
-        self.engine = engine
         self.segment_events = segment_events
         self.code_version = (
             code_version if code_version is not None else code_fingerprint()
@@ -223,10 +214,7 @@ class ResumableSweep:
         scenarios = list(scenarios)
         extract = row_fn or _default_row
         fn_name = row_fn_name(extract)
-        keys = [
-            run_key(spec, engine=self.engine, code_version=self.code_version)
-            for spec in scenarios
-        ]
+        keys = [run_key(spec, code_version=self.code_version) for spec in scenarios]
 
         cached_rows: dict[int, dict] = {}
         for index, key in enumerate(keys):
@@ -248,7 +236,6 @@ class ResumableSweep:
             (
                 scenarios[i].to_dict(),
                 extract,
-                self.engine,
                 self.code_version,
                 self.segment_events,
                 payload_accounting,

@@ -35,11 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default worker processes per launched sweep",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        help="default simulation engine for launched sweeps",
-    )
-    parser.add_argument(
         "--segment-events",
         type=int,
         default=DEFAULT_SEGMENT_EVENTS,
@@ -56,7 +51,6 @@ def main(argv: list[str] | None = None) -> int:
             host=args.host,
             port=args.port,
             jobs=args.jobs,
-            engine=args.engine,
             segment_events=args.segment_events,
         )
     except StoreError as exc:

@@ -7,8 +7,8 @@ endpoint emits newline-delimited JSON over an ``HTTP/1.0``-style
 connection-close response, so any client that can read lines can follow a
 sweep round by round::
 
-    POST /sweeps        {"sweep": {"protocol": "consensus", "base": {...},
-                         "axes": {"n": [4, 5, 6]}}, "jobs": 2}
+    POST /sweeps        {"sweep": {"protocol": "consensus",
+                         "grid": {"n": [4, 5, 6]}}, "jobs": 2}
     GET  /sweeps/<id>/stream      -> one JSON object per line:
         {"event": "sweep-start", "cells": 3, ...}
         {"event": "cell", "index": 0, "cached": false, "row": {...}}
@@ -36,8 +36,10 @@ Client disconnects mid-stream (``BrokenPipeError``/
 them wherever they surface (event loop, response write or the final
 flush in ``handle_one_request``) so a vanished client never dumps a
 traceback through ``handle_error`` or poisons its worker thread.
-Malformed requests (a body that is not a JSON object, a non-integer
-``n``/``seed``/``limit`` filter) get a 400 with an error message.
+Malformed requests get a 400 with an error message: a body that is not
+a JSON object, an unknown top-level field or sweep field, a ``jobs`` that
+is not a JSON integer of at least 1, an unknown ``GET /runs`` filter or
+a non-integer ``n``/``seed``/``limit`` filter.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from urllib.parse import parse_qs, urlparse
 
 from ..api.sweep import SweepSpec
 from ..sim.events import EventKind, TraceEvent
-from ..sim.network import validate_engine
 from .db import RunStore, StoredTrace, StoreError
 from .resumable import DEFAULT_SEGMENT_EVENTS, ResumableSweep
 from .serialize import canonical_dumps
@@ -95,6 +96,12 @@ def _parse_trace_filters(
     return kind, round_index
 
 _SWEEP_FIELDS = frozenset(f.name for f in dataclasses.fields(SweepSpec))
+
+#: Top-level fields a ``POST /sweeps`` body may carry.
+_LAUNCH_FIELDS = frozenset({"sweep", "sweeps", "jobs"})
+
+#: Query parameters ``GET /runs`` filters on.
+_RUN_FILTERS = frozenset({"protocol", "n", "seed", "spec_digest", "status", "limit"})
 
 
 def _sweep_from_dict(payload: dict) -> SweepSpec:
@@ -199,12 +206,10 @@ class ScenarioService:
         store_path: str,
         *,
         jobs: int = 1,
-        engine: str | None = None,
         segment_events: int = DEFAULT_SEGMENT_EVENTS,
     ) -> None:
         self.store_path = str(store_path)
         self.jobs = jobs
-        self.engine = engine
         self.segment_events = segment_events
         self._jobs: dict[str, SweepJob] = {}
         self._job_ids = itertools.count(1)
@@ -233,16 +238,19 @@ class ScenarioService:
 
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
+        unknown = sorted(set(payload) - _LAUNCH_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown request fields: {', '.join(unknown)}")
+        jobs = payload.get("jobs", self.jobs)
+        # bool is an int subclass; `true` is not a worker count.
+        if type(jobs) is not int or jobs < 1:
+            raise ValueError(f"jobs must be an integer of at least 1, not {jobs!r}")
         raw = payload.get("sweep") or payload.get("sweeps")
         if raw is None:
             raise ValueError("request needs a 'sweep' (or 'sweeps') object")
         sweep_dicts = raw if isinstance(raw, list) else [raw]
         sweeps = [_sweep_from_dict(d) for d in sweep_dicts]
         scenarios = [spec for sweep in sweeps for spec in sweep.scenarios()]
-        jobs = int(payload.get("jobs", self.jobs))
-        engine = payload.get("engine", self.engine)
-        if engine is not None:
-            validate_engine(engine)
 
         with self._lock:
             job = SweepJob(f"sweep-{next(self._job_ids)}", len(scenarios))
@@ -250,7 +258,7 @@ class ScenarioService:
 
         worker = threading.Thread(
             target=self._execute,
-            args=(job, sweeps, jobs, engine),
+            args=(job, sweeps, jobs),
             name=f"scenario-service-{job.job_id}",
             daemon=True,
         )
@@ -269,15 +277,11 @@ class ScenarioService:
         job: SweepJob,
         sweeps: list[SweepSpec],
         jobs: int,
-        engine: str | None,
     ) -> None:
         try:
             with RunStore(self.store_path) as store:
                 runner = ResumableSweep(
-                    store,
-                    jobs=jobs,
-                    engine=engine,
-                    segment_events=self.segment_events,
+                    store, jobs=jobs, segment_events=self.segment_events
                 )
 
                 def on_cell(index, spec, row, record, cached) -> None:
@@ -301,7 +305,6 @@ class ScenarioService:
                         "id": job.job_id,
                         "cells": job.cells,
                         "jobs": jobs,
-                        "engine": engine or "auto",
                     }
                 )
                 report = runner.run(sweeps, on_cell=on_cell)
@@ -334,7 +337,12 @@ class ScenarioService:
         }
 
     def list_runs(self, filters: dict[str, list[str]]) -> list[dict]:
-        """Query the store; raises ``ValueError`` on a non-integer filter."""
+        """Query the store; raises ``ValueError`` on an unknown or
+        non-integer filter."""
+
+        unknown = sorted(set(filters) - _RUN_FILTERS)
+        if unknown:
+            raise ValueError(f"unknown run filters: {', '.join(unknown)}")
 
         def first(key: str) -> str | None:
             values = filters.get(key)
@@ -354,7 +362,6 @@ class ScenarioService:
             n=as_int("n"),
             seed=as_int("seed"),
             spec_digest=first("spec_digest"),
-            engine=first("engine"),
             status=first("status") or "complete",
             limit=as_int("limit"),
         )
@@ -558,7 +565,6 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 8642,
     jobs: int = 1,
-    engine: str | None = None,
     segment_events: int = DEFAULT_SEGMENT_EVENTS,
 ) -> ThreadingHTTPServer:
     """Build a ready-to-``serve_forever`` threaded HTTP server.
@@ -567,9 +573,7 @@ def create_server(
     address is available as ``server.server_address``.
     """
 
-    service = ScenarioService(
-        store_path, jobs=jobs, engine=engine, segment_events=segment_events
-    )
+    service = ScenarioService(store_path, jobs=jobs, segment_events=segment_events)
     handler = type("_BoundHandler", (_Handler,), {"service": service})
     server = ThreadingHTTPServer((host, port), handler)
     server.daemon_threads = True

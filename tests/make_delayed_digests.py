@@ -1,14 +1,17 @@
 """Regenerate the delayed-delivery run digests.
 
-Delayed delivery (every delay model but ``synchronous``) runs on the
-``queue`` kernel alone.  ``tests/fixtures/delayed_digests.json`` pins a
-seed grid of such runs by the SHA-256 of their :func:`fingerprint` —
-every trace event in order, the metrics with per-node counter order, the
-decisions, outputs, round count and stop reason.  The digests were
-recorded while a second, independent reference kernel (``legacy``) still
-existed, and both kernels produced them; the tests in
+Delayed delivery (every delay model but ``synchronous``) takes the
+network's per-destination path.  ``tests/fixtures/delayed_digests.json``
+pins a seed grid of such runs by the SHA-256 of their :func:`fingerprint`
+— every trace event in order, the metrics with per-node counter order,
+the decisions, outputs, round count and stop reason.  The digests were
+recorded by two independent kernels that agreed on them; the tests in
 ``tests/test_engine_equivalence.py`` and ``tests/test_delay_models.py``
-hold ``queue`` to them.
+hold the network to them.
+
+This module also provides :func:`per_destination_twin`, which sends
+synchronous runs down the same per-destination path so the equivalence
+tests can compare it with the shared columnar path.
 
 Usage::
 
@@ -24,12 +27,15 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import ScenarioSpec  # noqa: E402
 from repro.api.sweep import run_scenario  # noqa: E402
+from repro.sim.delays import SynchronousDelay  # noqa: E402
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "fixtures" / "delayed_digests.json"
 
@@ -79,6 +85,33 @@ def fingerprint(outcome):
     )
 
 
+@contextmanager
+def per_destination_twin():
+    """Within the block, synchronous runs take the per-destination path.
+
+    Patches :attr:`SynchronousDelay.synchronous` to ``False``: the network
+    then asks the delay model for every destination's delivery round (still
+    ``r + 1``, with no rng draws) and hands each recipient its own object
+    inbox and scalar tallies instead of the shared columnar inbox.  Timing
+    and rng draws are unchanged, so the run must be bit-identical.  A
+    context manager rather than a fixture, because Hypothesis rejects
+    function-scoped fixtures.
+    """
+
+    with mock.patch.object(SynchronousDelay, "synchronous", False):
+        yield
+
+
+def kernel_path(kernel: str):
+    """The delivery path a historical kernel-name test case now runs.
+
+    ``vector`` and ``fast`` cases run the shared path; ``queue`` and
+    ``legacy`` cases run the :func:`per_destination_twin`.
+    """
+
+    return per_destination_twin() if kernel in ("queue", "legacy") else nullcontext()
+
+
 def digest(outcome) -> str:
     return hashlib.sha256(repr(fingerprint(outcome)).encode()).hexdigest()
 
@@ -94,7 +127,7 @@ def generate() -> dict:
     for options, seeds in GRID:
         for seed in seeds:
             spec = ScenarioSpec(seed=seed, trace=True, **options)
-            digests[spec_key(spec)] = digest(run_scenario(spec, engine="queue"))
+            digests[spec_key(spec)] = digest(run_scenario(spec))
     return {
         "description": (
             "SHA-256 digests of the full fingerprint (trace, metrics, "

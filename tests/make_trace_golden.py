@@ -60,7 +60,7 @@ GRID: tuple[dict, ...] = (
     dict(protocol="known-f-consensus", n=6, f=1, seed=0, adversary="equivocate-value"),
     dict(protocol="dolev-approx", n=6, f=1, seed=0, adversary="approx-outlier"),
     # Delayed delivery: one scenario per non-synchronous delay model, so
-    # the queue kernel's bucketed delivery is pinned by recorded fixtures.
+    # per-destination delivery is pinned by recorded fixtures.
     dict(protocol="consensus", n=7, f=2, seed=0, adversary="consensus-split-vote",
          max_rounds=25, delay="uniform-random", delay_params={"max_delay": 3}),
     dict(protocol="consensus", n=7, f=2, seed=0, adversary="consensus-split-vote",

@@ -13,6 +13,8 @@ from repro.dynamic.churn import (
     generate_flash_crowd_schedule,
 )
 
+from make_delayed_digests import kernel_path
+
 
 class TestMembershipAt:
     def test_exact_event_round_is_included(self):
@@ -219,8 +221,10 @@ class TestSpecRouting:
         with pytest.raises(ValueError, match="unknown churn pattern"):
             run_scenario(spec)
 
+    # ``vector``/``fast`` cases run the shared delivery path, ``queue``/
+    # ``legacy`` cases its per-destination twin.
     @pytest.mark.parametrize("engine", ("fast", "vector", "queue", "legacy"))
-    def test_flash_crowd_runs_on_every_engine(self, engine, current_kernel):
+    def test_flash_crowd_runs_on_every_engine(self, engine):
         spec = ScenarioSpec(
             protocol="total-order", n=6, f=1, seed=2,
             churn={
@@ -228,8 +232,8 @@ class TestSpecRouting:
                 "burst_round": 4, "burst_size": 2,
             },
         )
-        engine = current_kernel(engine, lambda name: run_scenario(spec, engine=name))
-        outcome = run_scenario(spec, engine=engine)
+        with kernel_path(engine):
+            outcome = run_scenario(spec)
         assert outcome.rounds == 15
 
     def test_flash_crowd_engines_bit_identical(self):
@@ -245,7 +249,8 @@ class TestSpecRouting:
         )
         prints = {}
         for engine in ("vector", "queue"):
-            outcome = run_scenario(spec, engine=engine)
+            with kernel_path(engine):
+                outcome = run_scenario(spec)
             events = tuple(
                 (e.kind, e.round_index, e.node_id, e.peer_id, e.payload, e.detail)
                 for e in outcome.result.trace

@@ -5,7 +5,7 @@ pre-fix ``-1`` sentinel let two ungrouped nodes — churn joiners in
 particular — talk synchronously through any partition), the
 ``heal_round <= sent_round`` causality boundary, ``split_into_groups``
 validation, and full ``HeavyTailDelay`` and ``JitteredSynchronousDelay``
-runs against digests recorded on the ``queue`` and ``legacy`` kernels
+runs against digests recorded by two independent kernels
 (``tests/make_delayed_digests.py``).
 """
 
@@ -217,7 +217,7 @@ class TestNewModels:
             max_rounds=40,
             trace=True,
         )
-        outcome = run_scenario(spec, engine="queue")
+        outcome = run_scenario(spec)
         assert digest(outcome) == DELAYED_DIGESTS[spec_key(spec)]
 
 

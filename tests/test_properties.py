@@ -6,8 +6,8 @@ resiliency assumption — and assert the protocol theorems' safety
 properties on every one of them: consensus agreement and validity,
 reliable-broadcast correctness and no-forgery, approximate-agreement
 range containment.  A second group checks structural invariants of the
-declarative API (``ScenarioSpec`` JSON round-trips) and the engine
-equivalence metamorphic relation on random scenarios.
+declarative API (``ScenarioSpec`` JSON round-trips) and the
+shared-vs-per-destination delivery equivalence on random scenarios.
 
 The suite is derandomized so CI runs are reproducible; bump
 ``max_examples`` locally to fuzz harder.
@@ -30,6 +30,8 @@ from repro.api import ScenarioSpec
 from repro.api.sweep import run_scenario
 from repro.dynamic import build_total_order_system, generate_churn_schedule
 from repro.sim.events import EventKind, Trace, TraceEvent
+
+from make_delayed_digests import kernel_path
 
 COMMON = settings(
     max_examples=15,
@@ -244,14 +246,16 @@ def test_scenario_spec_round_trips_through_json(spec):
     adversary=st.sampled_from(["silent", "crash", "equivocate-value"]),
 )
 def test_fast_and_queue_engines_agree_on_random_scenarios(nf, seed, protocol, adversary):
-    # The staged fast path is the vector kernel's (it absorbed ``fast``).
+    # ``vector`` (once ``fast``) is the shared delivery path, ``queue`` its
+    # per-destination twin.
     n, f = nf
     spec = ScenarioSpec(
         protocol=protocol, n=n, f=f, adversary=adversary, seed=seed, trace=True
     )
-    outcomes = {
-        engine: run_scenario(spec, engine=engine) for engine in ("vector", "queue")
-    }
+    outcomes = {}
+    for engine in ("vector", "queue"):
+        with kernel_path(engine):
+            outcomes[engine] = run_scenario(spec)
     events = {
         engine: [
             (e.kind, e.round_index, e.node_id, e.peer_id, e.payload)

@@ -29,7 +29,7 @@ from repro.search import (
     score_row,
 )
 from repro.sim.rng import make_rng
-from repro.store import RunStore
+from repro.store import RunStore, row_fn_name
 
 #: The planted E6-style regime: consensus at n=4 under uniform-random
 #: delay loses agreement for a healthy fraction of seeds.
@@ -203,14 +203,14 @@ class TestScoring:
 
 
 class TestApplicableEngines:
-    # Of the four historical kernels, ``vector`` absorbed ``fast`` and
-    # ``queue`` replaced ``legacy``; confirmation runs on the survivors.
+    # The kernel option is gone: whatever the delay model, a finding is
+    # confirmed once, under the single ``"auto"`` label.
     def test_synchronous_gets_all_four(self):
         spec = ScenarioSpec(protocol="consensus", n=4, f=1)
-        assert applicable_engines(spec) == ("vector", "queue")
+        assert applicable_engines(spec) == ("auto",)
 
     def test_delayed_gets_queue_and_legacy(self):
-        assert applicable_engines(BASE) == ("queue",)
+        assert applicable_engines(BASE) == ("auto",)
 
 
 class TestScenarioSearch:
@@ -227,8 +227,8 @@ class TestScenarioSearch:
         ]
         assert found, "search failed to re-find the planted E6-style break"
         finding = found[0]
-        # Confirmed on every applicable engine, escalated to n=8.
-        assert finding.engines == ("queue",)
+        # Confirmed by a re-run, escalated to n=8.
+        assert finding.engines == ("auto",)
         assert finding.escalations and finding.escalations[0]["n"] == 8
 
     def test_search_is_deterministic(self):
@@ -255,19 +255,20 @@ class TestScenarioSearch:
             assert result.findings, "need at least one finding to test replay"
             finding = result.findings[0]
             assert set(finding.run_keys) == set(finding.engines)
-            for engine, run_key in finding.run_keys.items():
-                # The whole point: a stored counterexample reproduces
-                # bit-identically from its persisted spec, per engine —
-                # including counterexamples found by worker processes.
-                assert replay_run(store, run_key), (engine, run_key)
-                row = store.get_row(run_key, FINDING_ROW_FN)
-                assert row is not None and row["violations"]
-            # Findable by spec digest alone.  Besides the per-engine
-            # confirmation runs, the candidate evaluation itself is
-            # persisted as an "auto" run (the search's resume cache).
+            (run_key,) = finding.run_keys.values()
+            # The whole point: a stored counterexample reproduces
+            # bit-identically from its persisted spec — including
+            # counterexamples found by worker processes.
+            assert replay_run(store, run_key)
+            row = store.get_row(run_key, FINDING_ROW_FN)
+            assert row is not None and row["violations"]
+            # Findable by spec digest alone.  The candidate evaluation (the
+            # search's resume cache) and the confirmation share one run
+            # key, so the stored run carries both rows.
             stored = store.query(spec_digest=finding.spec_digest)
-            assert {r.engine for r in stored} == set(finding.engines) | {"auto"}
+            assert [r.run_key for r in stored] == [run_key]
             assert stored[0].spec == finding.spec
+            assert store.get_row(run_key, row_fn_name(evaluation_row)) is not None
         finally:
             store.close()
 

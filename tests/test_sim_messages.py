@@ -1,4 +1,4 @@
-"""Unit tests for the message model (Inbox, Envelope, wire format)."""
+"""Unit tests for the message model (Inbox, delivery causality, wire format)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,15 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Broadcast, Envelope, Inbox, Unicast
+from repro.sim import (
+    Broadcast,
+    DelayModel,
+    FixedScheduleDelay,
+    Inbox,
+    Process,
+    SynchronousNetwork,
+    Unicast,
+)
 from repro.sim.messages import (
     cached_payload_hash,
     clear_intern_table,
@@ -185,14 +193,40 @@ class TestWireFormat:
         assert other is not first
 
 
+class Greeter(Process):
+    """Broadcasts once in round 1 and records what it hears each round."""
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.heard = {}
+
+    def step(self, view):
+        self.heard[view.round_index] = sorted(view.inbox.items())
+        return [Broadcast("hi")] if view.round_index == 1 else ()
+
+
 class TestEnvelope:
+    """Causality of messages in flight, checked when the network stages them."""
+
     def test_delivery_must_be_after_send(self):
-        with pytest.raises(ValueError):
-            Envelope(sender=1, dest=2, payload="x", sent_round=3, deliver_round=3)
+        class SameRound(DelayModel):
+            def delivery_round(self, sender, dest, sent_round, rng):
+                return sent_round
+
+        net = SynchronousNetwork([Greeter(1), Greeter(2)], delay_model=SameRound())
+        message = r"in the round it was sent \(sent 1, deliver 1\)"
+        with pytest.raises(ValueError, match=message):
+            net.step_round()
 
     def test_valid_envelope(self):
-        env = Envelope(sender=1, dest=2, payload="x", sent_round=3, deliver_round=4)
-        assert env.deliver_round == 4
+        net = SynchronousNetwork(
+            [Greeter(1), Greeter(2)], delay_model=FixedScheduleDelay()
+        )
+        net.step_round()
+        assert net.pending_messages() == 4
+        net.step_round()
+        assert net.pending_messages() == 0
+        assert net.process(1).heard == {1: [], 2: [(1, "hi"), (2, "hi")]}
 
 
 class TestOutgoing:

@@ -8,15 +8,28 @@ from repro.sim import (
     Broadcast,
     DuplicateNodeError,
     EventKind,
+    FixedScheduleDelay,
     MembershipError,
     NullProcess,
     PartitionDelay,
     Process,
     RoundLimitExceeded,
+    SynchronousDelay,
     SynchronousNetwork,
     Unicast,
     UniformRandomDelay,
 )
+
+#: Delay models standing in for the retired kernel names of parametrized
+#: cases: both deliver every message one round later, but only
+#: ``SynchronousDelay`` takes the shared columnar path; the fixed schedule
+#: is asked per destination and delivers into per-destination inboxes.
+DELIVERY_PATHS = {
+    "fast": SynchronousDelay,
+    "vector": SynchronousDelay,
+    "queue": FixedScheduleDelay,
+    "legacy": FixedScheduleDelay,
+}
 
 
 class EchoOnce(Process):
@@ -113,13 +126,12 @@ class TestBasicDelivery:
         assert net.metrics.peak_payload_bytes == 0
 
     @pytest.mark.parametrize("engine", ["fast", "vector", "queue", "legacy"])
-    def test_payload_accounting_counts_bytes_per_copy(self, engine, current_kernel):
+    def test_payload_accounting_counts_bytes_per_copy(self, engine):
         from repro.sim.messages import payload_nbytes
 
-        def build(name):
-            return SynchronousNetwork([EchoOnce(i) for i in range(3)], engine=name)
-
-        net = build(current_kernel(engine, build))
+        net = SynchronousNetwork(
+            [EchoOnce(i) for i in range(3)], delay_model=DELIVERY_PATHS[engine]()
+        )
         net.enable_payload_accounting()
         net.step_round()
         expected = sum(payload_nbytes(("hello", i)) * 3 for i in range(3))
@@ -132,7 +144,8 @@ class TestBasicDelivery:
         totals = {}
         for engine in ("vector", "queue"):
             net = SynchronousNetwork(
-                [UnicastReplier(i) for i in (1, 2)], engine=engine
+                [UnicastReplier(i) for i in (1, 2)],
+                delay_model=DELIVERY_PATHS[engine](),
             )
             net.enable_payload_accounting()
             for _ in range(3):
@@ -287,11 +300,12 @@ class TestMidRunDeparture:
         assert net.metrics.rounds[-1].messages_delivered == 6
 
     def test_departure_and_shared_inbox_fast_path_agree_with_legacy(self):
-        # vector's staged fast path against queue, the reference kernel
-        # that replaced legacy
+        # the shared inbox path against per-destination delivery
         def build(engine):
             net = SynchronousNetwork(
-                [EchoOnce(i) for i in (1, 2, 3, 4)], trace=True, engine=engine
+                [EchoOnce(i) for i in (1, 2, 3, 4)],
+                trace=True,
+                delay_model=DELIVERY_PATHS[engine](),
             )
             net.remove_process(4, at_round=2)
             for _ in range(3):
@@ -312,7 +326,8 @@ class TestMidRunDeparture:
 
         for engine in ("vector", "queue"):
             net = SynchronousNetwork(
-                [PesterTheDeparted(1), NullProcess(2)], engine=engine
+                [PesterTheDeparted(1), NullProcess(2)],
+                delay_model=DELIVERY_PATHS[engine](),
             )
             net.remove_process(2, at_round=2)
             net.step_round()

@@ -10,6 +10,7 @@ query/pivot/diff report layer.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -95,11 +96,16 @@ def test_spec_digest_stable_across_processes():
 
 
 def test_run_key_separates_engine_and_code_version():
+    # The key depends on the spec and the code version only; there is no
+    # engine component left to separate.
     spec = small_spec()
     auto = run_key(spec, code_version="v1")
-    assert run_key(spec, engine="queue", code_version="v1") != auto
+    material = f"{spec.digest()}\nv1".encode("ascii")
+    assert auto == hashlib.sha256(material).hexdigest()
     assert run_key(spec, code_version="v2") != auto
     assert run_key(spec, code_version="v1") == auto
+    with pytest.raises(TypeError):
+        run_key(spec, engine="queue", code_version="v1")
 
 
 def test_code_fingerprint_env_override(monkeypatch):
@@ -372,6 +378,19 @@ def test_schema_version_mismatch_raises(tmp_path):
         )
         store._conn.commit()
     with pytest.raises(StoreError, match="schema version"):
+        RunStore(path)
+
+
+def test_version_one_store_refuses_to_open(tmp_path):
+    # Version 2 dropped the engine column; a store written by version-1
+    # code must fail loudly rather than be read with the new layout.
+    path = tmp_path / "v1.db"
+    with RunStore(path) as store:
+        store._conn.execute(
+            "UPDATE meta SET value = '1' WHERE key = 'schema_version'"
+        )
+        store._conn.commit()
+    with pytest.raises(StoreError, match="schema version 1; this code expects 2"):
         RunStore(path)
 
 

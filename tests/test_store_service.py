@@ -369,4 +369,56 @@ def test_client_disconnect_mid_replay_does_not_poison_server(
 def test_serve_cli_parser_defaults():
     args = build_parser().parse_args(["--store", "x.db", "--port", "0"])
     assert (args.store, args.host, args.port) == ("x.db", "127.0.0.1", 0)
-    assert args.jobs == 1 and args.engine is None
+    assert args.jobs == 1 and not hasattr(args, "engine")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--store", "x.db", "--engine", "vector"])
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "2", None])
+def test_post_sweeps_rejects_jobs_that_are_not_positive_integers(server, jobs):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        post_json(server, "/sweeps", dict(SWEEP_REQUEST, jobs=jobs))
+    assert excinfo.value.code == 400
+    assert "jobs must be an integer of at least 1" in json.load(excinfo.value)["error"]
+    # Rejected at launch: no job was ever registered.
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        get_json(server, "/sweeps/sweep-1")
+    assert excinfo.value.code == 404
+
+
+def test_post_sweeps_runs_with_the_requested_jobs(server):
+    launch = post_json(server, "/sweeps", dict(SWEEP_REQUEST, jobs=1))
+    events = read_stream(server, launch["stream"])
+    assert events[0] == {"event": "sweep-start", "id": launch["id"], "cells": 2, "jobs": 1}
+    assert events[-1]["event"] == "sweep-complete"
+
+
+@pytest.mark.parametrize("field", ["engine", "enginee", "base"])
+def test_post_sweeps_rejects_unknown_top_level_fields(server, field):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        post_json(server, "/sweeps", dict(SWEEP_REQUEST, **{field: "vector"}))
+    assert excinfo.value.code == 400
+    assert json.load(excinfo.value)["error"] == f"unknown request fields: {field}"
+
+
+@pytest.mark.parametrize("query", ["engine=vector", "protocl=consensus"])
+def test_get_runs_with_unknown_filter_is_a_bad_request(server, query):
+    name = query.split("=")[0]
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        get_json(server, f"/runs?{query}")
+    assert excinfo.value.code == 400
+    assert json.load(excinfo.value)["error"] == f"unknown run filters: {name}"
+
+
+def test_module_docstring_example_request_is_accepted(server):
+    import repro.store.service
+
+    doc = repro.store.service.__doc__
+    start = doc.index("POST /sweeps") + len("POST /sweeps")
+    body = json.loads(doc[start : doc.index("GET  /sweeps/<id>/stream")])
+    assert body["jobs"] == 2
+    # One worker keeps the test free of forked processes.
+    launch = post_json(server, "/sweeps", dict(body, jobs=1))
+    assert launch["cells"] == 3
+    events = read_stream(server, launch["stream"])
+    assert events[-1] == {"event": "sweep-complete", "ran": 3, "skipped": 0, "total": 3}

@@ -22,6 +22,7 @@ from repro.api import DELAY_KINDS, ScenarioSpec
 from repro.api.sweep import run_scenario
 from repro.sim.events import EventKind
 
+from make_delayed_digests import kernel_path
 from make_trace_golden import KIND_VALUES, serialize_trace
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "trace_golden.json"
@@ -85,19 +86,19 @@ def test_columnar_backend_reproduces_golden_traces(key):
         ("legacy", "total-order-n5-f1-equivocate-value-churn-s0"),
     ],
 )
-def test_reference_kernels_reproduce_golden_traces(engine, key, current_kernel):
-    """The queue kernel's scalar recording path is pinned on synchronous runs.
+def test_reference_kernels_reproduce_golden_traces(engine, key):
+    """The per-destination path is pinned on synchronous runs too.
 
-    Synchronous fixtures replay on the auto-resolved vector kernel above;
-    the kernels are bit-identical, so queue's event stream must match the
-    same golden columns.  (Delayed fixtures already replay on queue.)  The
-    retired ``legacy`` reference kernel is refused, naming queue.
+    Synchronous fixtures replay on the shared columnar path above; their
+    per-destination twin must match the same golden columns.  (Delayed
+    fixtures always replay per destination.)  Both retired kernel names,
+    ``queue`` and ``legacy``, run the twin.
     """
 
     scenario = SCENARIOS[key]
     spec = ScenarioSpec.from_dict(scenario["spec"])
-    engine = current_kernel(engine, lambda name: run_scenario(spec, engine=name))
-    outcome = run_scenario(spec, engine=engine)
+    with kernel_path(engine):
+        outcome = run_scenario(spec)
     got = serialize_trace(outcome.result.trace)
     assert got["payload_table"] == scenario["payload_table"]
     assert got["events"] == scenario["events"]
