@@ -2,9 +2,9 @@
 
 Sweeps ``n`` over the seven id-only protocols and measures round
 throughput (simulated rounds per wall-clock second, excluding system
-build time).  Every scenario is synchronous, so broadcast rounds become
-one shared ``ColumnarInbox`` and the protocol math consumes numpy batch
-tallies (``tally_backend: "numpy"``).  Results land in
+build time).  Every scenario is synchronous, so each broadcast round
+becomes one inbox shared by every recipient, and each protocol tally is
+computed once per round.  Results land in
 ``BENCH_scaling.json``, together with the traced/untraced ratios of the
 ``--trace`` twins.
 
@@ -171,7 +171,6 @@ def bench_cell(
     cell = {
         "protocol": spec.protocol,
         "n": spec.n,
-        "tally_backend": system.network.tally_backend(),
         "rounds": result.rounds_executed,
         "messages": result.metrics.total_messages,
         "seconds": round(elapsed, 6),

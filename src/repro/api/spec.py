@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -69,6 +70,23 @@ def _normalize(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_normalize(v) for v in value]
     return value
+
+
+def integral(name: str, value: Any) -> int:
+    """``value`` as a built-in ``int``, or ``ValueError`` naming ``name``.
+
+    Only integral values are accepted (anything :func:`operator.index`
+    takes, such as numpy integers), never a ``bool``: silently truncating
+    ``4.9`` to ``4`` or reading ``True`` as ``1`` would run a different
+    scenario than the one asked for.
+    """
+
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def _coerce_id(key: str) -> Any:
@@ -135,9 +153,11 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.protocol, str) or not self.protocol:
             raise ValueError("protocol must be a non-empty string")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "f", int(self.f))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n", integral("n", self.n))
+        object.__setattr__(self, "f", integral("f", self.f))
+        object.__setattr__(self, "seed", integral("seed", self.seed))
+        if not isinstance(self.trace, bool):
+            raise ValueError(f"trace must be a bool, not {self.trace!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.f < 0 or self.f >= self.n:
@@ -148,7 +168,9 @@ class ScenarioSpec:
                 f"known: {', '.join(available_strategies())}"
             )
         if self.max_rounds is not None:
-            object.__setattr__(self, "max_rounds", int(self.max_rounds))
+            object.__setattr__(
+                self, "max_rounds", integral("max_rounds", self.max_rounds)
+            )
             if self.max_rounds < 1:
                 raise ValueError("max_rounds must be positive")
         if self.inputs not in INPUT_KINDS:

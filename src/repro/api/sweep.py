@@ -29,7 +29,7 @@ from ..sim.network import RunResult, all_correct_halted
 from ..sim.rng import derive
 from ..workloads.generators import SystemSpec
 from .registry import REGISTRY
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, integral
 
 __all__ = [
     "ScenarioOutcome",
@@ -194,6 +194,10 @@ class SweepSpec:
     seed_tags: tuple = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "repetitions", integral("repetitions", self.repetitions)
+        )
+        object.__setattr__(self, "base_seed", integral("base_seed", self.base_seed))
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         for axis, values in self.grid.items():
@@ -235,9 +239,9 @@ class SweepSpec:
                     options[prefix][key] = value
                 else:
                     options["params"][axis] = value
-            n = int(settings["n"])
+            n = integral("n", settings["n"])
             f = settings["f"]
-            f = max_faults_tolerated(n) if f is None else int(f)
+            f = max_faults_tolerated(n) if f is None else integral("f", f)
             for repetition in range(self.repetitions):
                 yield ScenarioSpec(
                     protocol=self.protocol,

@@ -1,4 +1,4 @@
-"""Batch tallies over a round's traffic — scalar reference + numpy twins.
+"""Batch tallies over a round's traffic.
 
 Every id-only algorithm reduces a round's inbox to a handful of *support
 tallies*: how many distinct senders backed a value (consensus), echoed a
@@ -7,46 +7,39 @@ identifier (the rotor-coordinator), or spoke for an ``(instance, type)``
 slot (parallel consensus).  Those reductions used to live inline in each
 protocol's hot loop, re-scanning the inbox object-by-object per node per
 round.  This module factors them out behind inbox-memoized entry points
-(:meth:`repro.sim.messages.Inbox.memo`) with two interchangeable
-implementations:
+(:meth:`repro.sim.messages.Inbox.memo`), each computed over the inbox's
+columns (:meth:`~repro.sim.messages.Inbox.columns`): it visits the
+round's *distinct* payloads once, and each payload's support is the
+length of its sender list, built once per inbox.  In a synchronous
+broadcast-only round every recipient shares one inbox, so each tally is
+computed once per round rather than once per node.
 
-* a **scalar reference** implementation — a direct port of the original
-  per-protocol loops over ``inbox.items()``, used for plain object
-  inboxes (per-destination delivery, restricted views, unit tests); and
-* a **numpy** implementation used when the inbox is a
-  :class:`~repro.sim.messages.ColumnarInbox` (the shared inbox of a
-  synchronous broadcast-only round): the sender/payload-index columns are materialised as
-  ``int64`` arrays once per round, and every tally becomes
-  ``np.bincount``/``np.unique`` over those columns plus O(distinct
-  payloads) of Python dispatch.
-
-Equivalence contract
---------------------
-The two implementations are *bit-identical* in every way protocol code
-can observe: result dicts preserve the scalar first-occurrence insertion
-order (payload tables are built in first-row order, and a repeated
-payload never introduces a new key, so iterating distinct payloads visits
-keys in exactly the row order the scalar loop does), every count leaving
-this module is a built-in ``int`` (a stray ``np.int64`` inside a payload
-would change its pickled size and break the shared-vs-per-destination
-payload accounting), and sender sets contain built-in ``int`` node ids.  The
-property suite (``tests/test_tally.py``) pins scalar-vs-numpy equality —
-including insertion order — over randomised columns.
+Result contract
+---------------
+Results are exactly what a direct loop over ``inbox.items()`` would
+build: result dicts preserve first-occurrence insertion order (the
+payload table lists payloads in first-row order, and a repeated payload
+never introduces a new key, so iterating distinct payloads visits keys in
+row order), every count is a built-in ``int`` (a stray ``np.int64`` inside
+a payload would change its pickled size and break the
+shared-vs-per-destination payload accounting), and sender sets contain
+built-in ``int`` node ids.  The property suite (``tests/test_tally.py``)
+keeps that loop as its reference and pins equality — including insertion
+order — over randomised rounds.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from time import perf_counter
 from typing import Any, Callable, Hashable
 
 import numpy as np
 
-from ..sim.messages import ColumnarInbox, Inbox, NodeId, Payload
+from ..sim.messages import Inbox, NodeId, Payload
 
 __all__ = [
     "NO_VALUE",
-    "TALLY_BACKENDS",
-    "backend_for",
     "value_support",
     "field_support",
     "candidate_support",
@@ -58,17 +51,9 @@ __all__ = [
     "reset_profile",
 ]
 
-#: The two interchangeable tally implementations.
-TALLY_BACKENDS = ("scalar", "numpy")
-
 #: Sentinel for :func:`scan_index` classifiers: the payload marks its
 #: sender as having spoken for the key but carries no countable value.
 NO_VALUE = object()
-
-# Memo keys for the shared column materialisations.
-_NP_COLUMNS_KEY = "tally-np-columns"
-_ROWCOUNTS_KEY = "tally-payload-rowcounts"
-_SENDER_SLICES_KEY = "tally-sender-slices"
 
 # Wall-clock spent inside tally builds (the ``--profile`` bench breakdown
 # reports it per cell).  Accumulated unconditionally: builds run once per
@@ -87,12 +72,6 @@ def reset_profile() -> None:
     _PROFILE["builds"] = 0
 
 
-def backend_for(inbox: Inbox) -> str:
-    """Which implementation a tally over ``inbox`` dispatches to."""
-
-    return "numpy" if isinstance(inbox, ColumnarInbox) else "scalar"
-
-
 def _memoized(inbox: Inbox, key: Hashable, build: Callable[[Inbox], Any]) -> Any:
     def timed(ib: Inbox) -> Any:
         start = perf_counter()
@@ -103,56 +82,6 @@ def _memoized(inbox: Inbox, key: Hashable, build: Callable[[Inbox], Any]) -> Any
             _PROFILE["builds"] += 1
 
     return inbox.memo(key, timed)
-
-
-# ---------------------------------------------------------------------------
-# Column materialisations (numpy backend building blocks)
-# ---------------------------------------------------------------------------
-
-
-def _np_columns(inbox: ColumnarInbox) -> tuple[np.ndarray, np.ndarray]:
-    """The sender and payload-index columns as ``int64`` arrays."""
-
-    def build(ib: ColumnarInbox) -> tuple[np.ndarray, np.ndarray]:
-        sender_rows, payload_rows, _table = ib.columns()
-        return (
-            np.asarray(sender_rows, dtype=np.int64),
-            np.asarray(payload_rows, dtype=np.int64),
-        )
-
-    return inbox.memo(_NP_COLUMNS_KEY, build)
-
-
-def _rowcounts(inbox: ColumnarInbox) -> np.ndarray:
-    """Per-distinct-payload row counts.
-
-    A sender delivers each distinct payload at most once (inbox dedup), so
-    a payload's row count *is* its distinct-sender support count.
-    """
-
-    def build(ib: ColumnarInbox) -> np.ndarray:
-        _senders, payload_rows = _np_columns(ib)
-        _sr, _pr, table = ib.columns()
-        return np.bincount(payload_rows, minlength=len(table))
-
-    return inbox.memo(_ROWCOUNTS_KEY, build)
-
-
-def _sender_slices(inbox: ColumnarInbox) -> list[np.ndarray]:
-    """For each distinct payload, the array of sender ids that sent it."""
-
-    def build(ib: ColumnarInbox) -> list[np.ndarray]:
-        senders, payload_rows = _np_columns(ib)
-        order = np.argsort(payload_rows, kind="stable")
-        sorted_payloads = payload_rows[order]
-        sorted_senders = senders[order]
-        _sr, _pr, table = ib.columns()
-        bounds = np.searchsorted(sorted_payloads, np.arange(len(table) + 1))
-        return [
-            sorted_senders[bounds[i] : bounds[i + 1]] for i in range(len(table))
-        ]
-
-    return inbox.memo(_SENDER_SLICES_KEY, build)
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +121,18 @@ def _field_support_build(
     inbox: Inbox, message_type: type, fields: tuple[str, ...]
 ) -> dict[Hashable, int]:
     single = fields[0] if len(fields) == 1 else None
-    if isinstance(inbox, ColumnarInbox):
-        counts = _rowcounts(inbox)
-        _senders, _rows, table = inbox.columns()
-        support: dict[Hashable, int] = {}
-        for index, payload in enumerate(table):
-            if isinstance(payload, message_type):
-                if single is not None:
-                    key = getattr(payload, single)
-                else:
-                    key = tuple(getattr(payload, name) for name in fields)
-                count = int(counts[index])
-                previous = support.get(key)
-                support[key] = count if previous is None else previous + count
-        return support
-    support = {}
-    for _sender, payload in inbox.items():
+    _sender_rows, _payload_rows, table = inbox.columns()
+    senders = inbox.payload_senders()
+    support: dict[Hashable, int] = {}
+    for index, payload in enumerate(table):
         if isinstance(payload, message_type):
             if single is not None:
                 key = getattr(payload, single)
             else:
                 key = tuple(getattr(payload, name) for name in fields)
-            support[key] = support.get(key, 0) + 1
+            count = len(senders[index])
+            previous = support.get(key)
+            support[key] = count if previous is None else previous + count
     return support
 
 
@@ -245,38 +164,27 @@ def candidate_support(
 def _candidate_support_build(
     inbox: Inbox, gossip_type: type, echo_type: type
 ) -> dict[Hashable, int]:
-    if isinstance(inbox, ColumnarInbox):
-        counts = _rowcounts(inbox)
-        _senders, _rows, table = inbox.columns()
-        by_candidate: dict[Hashable, list[int]] = {}
-        for index, payload in enumerate(table):
-            if isinstance(payload, gossip_type):
-                for candidate in dict.fromkeys(payload.adds):
-                    by_candidate.setdefault(candidate, []).append(index)
-            elif isinstance(payload, echo_type):
-                by_candidate.setdefault(payload.candidate, []).append(index)
-        support: dict[Hashable, int] = {}
-        slices: list[np.ndarray] | None = None
-        for candidate, indexes in by_candidate.items():
-            if len(indexes) == 1:
-                # Senders within one payload's rows are already distinct.
-                support[candidate] = int(counts[indexes[0]])
-            else:
-                # Rare: the same candidate backed through several distinct
-                # payloads whose sender sets may overlap — count exactly.
-                if slices is None:
-                    slices = _sender_slices(inbox)
-                stacked = np.concatenate([slices[i] for i in indexes])
-                support[candidate] = int(np.unique(stacked).size)
-        return support
-    sets: dict[Hashable, set[NodeId]] = {}
-    for sender, payload in inbox.items():
+    _sender_rows, _payload_rows, table = inbox.columns()
+    senders = inbox.payload_senders()
+    by_candidate: dict[Hashable, list[int]] = {}
+    for index, payload in enumerate(table):
         if isinstance(payload, gossip_type):
-            for candidate in payload.adds:
-                sets.setdefault(candidate, set()).add(sender)
+            for candidate in dict.fromkeys(payload.adds):
+                by_candidate.setdefault(candidate, []).append(index)
         elif isinstance(payload, echo_type):
-            sets.setdefault(payload.candidate, set()).add(sender)
-    return {candidate: len(senders) for candidate, senders in sets.items()}
+            by_candidate.setdefault(payload.candidate, []).append(index)
+    support: dict[Hashable, int] = {}
+    for candidate, indexes in by_candidate.items():
+        if len(indexes) == 1:
+            # Senders within one payload's rows are already distinct.
+            support[candidate] = len(senders[indexes[0]])
+        else:
+            # The same candidate backed through several distinct payloads
+            # whose sender sets may overlap — count exactly.
+            support[candidate] = len(set(chain.from_iterable(
+                senders[index] for index in indexes
+            )))
+    return support
 
 
 def candidate_support_arrays(
@@ -288,10 +196,9 @@ def candidate_support_arrays(
 ) -> tuple[list[Hashable], np.ndarray]:
     """``(sorted candidates, aligned count array)`` for batch thresholding.
 
-    Derived from :func:`candidate_support` (so the counts are backend-
-    independent); the rotor-coordinator's echo wave applies the quorum
-    masks of :mod:`repro.core.quorums` to the whole candidate set at once
-    instead of looping per candidate per node.
+    Derived from :func:`candidate_support`; the rotor-coordinator's echo
+    wave applies the quorum masks of :mod:`repro.core.quorums` to the
+    whole candidate set at once instead of looping per candidate per node.
     """
 
     def build(ib: Inbox) -> tuple[list[Hashable], np.ndarray]:
@@ -321,30 +228,13 @@ def init_senders(
 
 
 def _init_senders_build(inbox: Inbox, init_type: type) -> tuple[NodeId, ...]:
-    if isinstance(inbox, ColumnarInbox):
-        _senders, _rows, table = inbox.columns()
-        indexes = [
-            index
-            for index, payload in enumerate(table)
-            if isinstance(payload, init_type)
-        ]
-        if not indexes:
-            return ()
-        slices = _sender_slices(inbox)
-        if len(indexes) == 1:
-            senders = np.unique(slices[indexes[0]])
-        else:
-            senders = np.unique(np.concatenate([slices[i] for i in indexes]))
-        return tuple(senders.tolist())
-    return tuple(
-        sorted(
-            {
-                sender
-                for sender, payload in inbox.items()
-                if isinstance(payload, init_type)
-            }
-        )
-    )
+    _sender_rows, _payload_rows, table = inbox.columns()
+    senders = inbox.payload_senders()
+    return tuple(sorted(set(chain.from_iterable(
+        senders[index]
+        for index, payload in enumerate(table)
+        if isinstance(payload, init_type)
+    ))))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +257,7 @@ def scan_index(
     the frozen set of senders that spoke for it at all.  ``support`` key
     order is first occurrence among *valued* rows — parallel consensus
     derives instance creation order from it, which reaches stored-output
-    dict order, so both backends must (and do) agree exactly.
+    dict order.
     """
 
     return _memoized(inbox, memo_key, lambda ib: _scan_index_build(ib, classify))
@@ -376,54 +266,29 @@ def scan_index(
 def _scan_index_build(
     inbox: Inbox, classify: Callable[[Payload], tuple[Hashable, Any] | None]
 ) -> tuple[dict[Hashable, dict[Hashable, int]], dict[Hashable, frozenset[NodeId]]]:
+    _sender_rows, _payload_rows, table = inbox.columns()
+    senders = inbox.payload_senders()
     support: dict[Hashable, dict[Hashable, int]] = {}
-    if isinstance(inbox, ColumnarInbox):
-        counts = _rowcounts(inbox)
-        _senders, _rows, table = inbox.columns()
-        groups: dict[Hashable, list[int]] = {}
-        for index, payload in enumerate(table):
-            tag = classify(payload)
-            if tag is None:
-                continue
-            key, value = tag
-            groups.setdefault(key, []).append(index)
-            if value is NO_VALUE:
-                continue
-            per_value = support.get(key)
-            if per_value is None:
-                support[key] = per_value = {}
-            previous = per_value.get(value)
-            count = int(counts[index])
-            per_value[value] = count if previous is None else previous + count
-        spoken: dict[Hashable, frozenset[NodeId]] = {}
-        slices: list[np.ndarray] | None = None
-        for key, indexes in groups.items():
-            if slices is None:
-                slices = _sender_slices(inbox)
-            if len(indexes) == 1:
-                spoken[key] = frozenset(slices[indexes[0]].tolist())
-            else:
-                spoken[key] = frozenset(
-                    np.concatenate([slices[i] for i in indexes]).tolist()
-                )
-        return support, spoken
-    spoken_sets: dict[Hashable, set[NodeId]] = {}
-    for sender, payload in inbox.items():
+    groups: dict[Hashable, list[int]] = {}
+    for index, payload in enumerate(table):
         tag = classify(payload)
         if tag is None:
             continue
         key, value = tag
-        speakers = spoken_sets.get(key)
-        if speakers is None:
-            spoken_sets[key] = speakers = set()
-        speakers.add(sender)
+        groups.setdefault(key, []).append(index)
         if value is NO_VALUE:
             continue
         per_value = support.get(key)
         if per_value is None:
             support[key] = per_value = {}
-        per_value[value] = per_value.get(value, 0) + 1
-    return support, {key: frozenset(s) for key, s in spoken_sets.items()}
+        count = len(senders[index])
+        previous = per_value.get(value)
+        per_value[value] = count if previous is None else previous + count
+    spoken = {
+        key: frozenset(chain.from_iterable(senders[index] for index in indexes))
+        for key, indexes in groups.items()
+    }
+    return support, spoken
 
 
 # ---------------------------------------------------------------------------
@@ -453,25 +318,12 @@ def control_pairs(
 def _control_pairs_build(
     inbox: Inbox, bulk_types: tuple[type, ...]
 ) -> tuple[tuple[NodeId, Payload], ...]:
-    if isinstance(inbox, ColumnarInbox):
-        sender_rows, payload_rows, table = inbox.columns()
-        keep = [
-            index
-            for index, payload in enumerate(table)
-            if type(payload) not in bulk_types
-        ]
-        if not keep:
-            return ()
-        if len(keep) == len(table):
-            return tuple(inbox.items())
-        wanted = set(keep)
-        return tuple(
-            (sender, table[index])
-            for sender, index in zip(sender_rows, payload_rows)
-            if index in wanted
-        )
+    sender_rows, payload_rows, table = inbox.columns()
+    keep = [type(payload) not in bulk_types for payload in table]
+    if not any(keep):
+        return ()
     return tuple(
-        (sender, payload)
-        for sender, payload in inbox.items()
-        if type(payload) not in bulk_types
+        (sender, table[index])
+        for sender, index in zip(sender_rows, payload_rows)
+        if keep[index]
     )

@@ -221,6 +221,8 @@ def run_search(
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from ..search import MUTATION_OPS, OBJECTIVES
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "experiments",
@@ -303,32 +305,53 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--search-objective",
         default="violations",
-        metavar="NAME",
+        choices=OBJECTIVES,
         help="candidate ranking: violations (default), rounds, or "
         "message_volume",
     )
     args = parser.parse_args(argv)
+    # Every argument is checked here, before any experiment runs or the
+    # --store file is opened, so a typo is a usage error, not a traceback.
+    if args.scale < 1:
+        parser.error("--scale must be at least 1")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     if args.segment_events < 1:
         parser.error("--segment-events must be at least 1")
+    unknown = [e for e in args.experiments if e not in EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment {unknown[0]!r}; choose from {', '.join(EXPERIMENTS)}"
+        )
     if args.search:
         if args.search_budget < 1:
             parser.error("--search-budget must be at least 1")
         if args.search_jobs < 1:
             parser.error("--search-jobs must be at least 1")
-        base_spec = None
-        if args.search_spec:
-            with open(args.search_spec, "r", encoding="utf-8") as handle:
-                base_spec = json.load(handle)
-        escalate = tuple(
-            int(n) for n in args.search_escalate.split(",") if n.strip()
-        )
+        try:
+            escalate = tuple(
+                int(n) for n in args.search_escalate.split(",") if n.strip()
+            )
+        except ValueError:
+            parser.error(
+                f"--search-escalate: {args.search_escalate!r} is not a "
+                "comma-separated list of integers"
+            )
         ops = (
             tuple(op.strip() for op in args.search_ops.split(",") if op.strip())
             if args.search_ops
             else None
         )
+        for op in ops or ():
+            if op not in MUTATION_OPS:
+                parser.error(
+                    f"--search-ops: unknown op {op!r}; choose from "
+                    f"{', '.join(MUTATION_OPS)}"
+                )
+        base_spec = None
+        if args.search_spec:
+            with open(args.search_spec, "r", encoding="utf-8") as handle:
+                base_spec = json.load(handle)
         store = RunStore(args.store) if args.store else None
         try:
             run_search(

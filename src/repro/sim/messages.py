@@ -69,7 +69,6 @@ __all__ = [
     "Unicast",
     "Outgoing",
     "Inbox",
-    "ColumnarInbox",
     "cached_payload_hash",
     "intern_payload",
     "intern_table_size",
@@ -226,82 +225,130 @@ class Inbox:
     payloads from the same sender in the same round are collapsed, matching
     the model's "duplicate messages from the same node in a round are simply
     discarded".
+
+    The round is stored as columns: a table of the round's *distinct*
+    payloads, a column of sender ids and a column of payload-table indexes
+    — one row per retained ``(sender, payload)`` pair.  Rows are grouped by
+    sender (senders in first-occurrence order, each sender's payloads in
+    first-occurrence order), which is exactly the order :meth:`items`
+    yields, and the table lists payloads in the order of their first row.
+    Equal payloads from different senders share one table entry, so every
+    such row points at the first sender's instance.  Payload identity is
+    therefore an integer compare, which is what lets :mod:`repro.core.tally`
+    reduce the round to support counts over the columns.  The per-sender
+    tuples behind the object API (:meth:`payloads_from`, :meth:`senders_of`,
+    …) are built lazily on first use.
     """
 
-    __slots__ = ("_by_sender", "_size", "_senders", "_memo")
+    __slots__ = ("_table", "_sender_rows", "_payload_rows", "_by_sender",
+                 "_payload_senders", "_senders", "_memo")
 
     def __init__(self, by_sender: Mapping[NodeId, Iterable[Payload]] | None = None):
-        collapsed: dict[NodeId, tuple[Payload, ...]] = {}
-        if by_sender:
-            for sender, payloads in by_sender.items():
-                if not isinstance(payloads, (list, tuple)):
-                    # the fallback below re-iterates, so a one-shot iterator
-                    # must be materialised before the first attempt
-                    payloads = list(payloads)
-                if len(payloads) == 1:
-                    # A single payload cannot be a duplicate — skip the
-                    # dedup build (and its hashing) entirely.  With the
-                    # batched total-order wrapper most senders deliver one
-                    # large payload per round, so this is the common case.
-                    collapsed[sender] = tuple(payloads)
-                    continue
+        index_of: dict[Payload, int] = {}
+        table: list[Payload] = []
+        sender_rows: list[NodeId] = []
+        payload_rows: list[int] = []
+        for sender, payloads in (by_sender or {}).items():
+            start = len(payload_rows)
+            for payload in payloads:
                 try:
-                    # Payloads are hashable by contract, so first-occurrence
-                    # deduplication is a dict build rather than a quadratic
-                    # membership scan over the per-sender list.
-                    seen = tuple(dict.fromkeys(payloads))
+                    index = index_of.get(payload)
                 except TypeError:
-                    unique: list[Payload] = []
-                    for payload in payloads:
-                        if payload not in unique:
-                            unique.append(payload)
-                    seen = tuple(unique)
-                if seen:
-                    collapsed[sender] = seen
-        self._by_sender = collapsed
-        self._size = -1
-        self._senders: frozenset[NodeId] | None = None
+                    # Unhashable payloads break the model's contract but are
+                    # still filed, by equality against the table.
+                    index = _unhashable_index(table, payload)
+                else:
+                    if index is None:
+                        index_of[payload] = index = len(table)
+                        table.append(payload)
+                payload_rows.append(index)
+            count = len(payload_rows) - start
+            if count == 1:
+                sender_rows.append(sender)
+            elif count:
+                # Collapse the sender's duplicates, keeping first occurrences.
+                kept = list(dict.fromkeys(payload_rows[start:]))
+                payload_rows[start:] = kept
+                sender_rows += [sender] * len(kept)
+        self._table = table
+        self._sender_rows = sender_rows
+        self._payload_rows = payload_rows
+        self._senders = frozenset(sender_rows)
+        self._by_sender: dict[NodeId, tuple[Payload, ...]] | None = None
+        self._payload_senders: list[list[NodeId]] | None = None
         self._memo: dict | None = None
 
     # -- basic accessors -------------------------------------------------
+
+    def columns(self) -> tuple[list[NodeId], list[int], list[Payload]]:
+        """``(sender_rows, payload_rows, payload_table)`` — parallel columns.
+
+        Row ``i`` states that ``sender_rows[i]`` delivered
+        ``payload_table[payload_rows[i]]``; rows appear in :meth:`items`
+        order.  Consumers must not mutate the lists.
+        """
+
+        return self._sender_rows, self._payload_rows, self._table
+
+    def payload_senders(self) -> list[list[NodeId]]:
+        """For each table entry, the senders that delivered it, in row order.
+
+        Built once per inbox.  A sender delivers each distinct payload at
+        most once, so a list's length *is* the payload's distinct-sender
+        support count.  Consumers must not mutate the lists.
+        """
+
+        senders = self._payload_senders
+        if senders is None:
+            senders = [[] for _ in self._table]
+            for sender, index in zip(self._sender_rows, self._payload_rows):
+                senders[index].append(sender)
+            self._payload_senders = senders
+        return senders
+
+    def _grouped(self) -> dict[NodeId, tuple[Payload, ...]]:
+        grouped = self._by_sender
+        if grouped is None:
+            table = self._table
+            lists: dict[NodeId, list[Payload]] = {}
+            for sender, index in zip(self._sender_rows, self._payload_rows):
+                payloads = lists.get(sender)
+                if payloads is None:
+                    lists[sender] = payloads = []
+                payloads.append(table[index])
+            grouped = {sender: tuple(p) for sender, p in lists.items()}
+            self._by_sender = grouped
+        return grouped
 
     @property
     def senders(self) -> frozenset[NodeId]:
         """Identifiers of every node that delivered at least one message."""
 
-        cached = self._senders
-        if cached is None:
-            cached = frozenset(self._by_sender)
-            self._senders = cached
-        return cached
+        return self._senders
 
     def payloads_from(self, sender: NodeId) -> tuple[Payload, ...]:
         """All distinct payloads delivered by ``sender`` this round."""
 
-        return self._by_sender.get(sender, ())
+        return self._grouped().get(sender, ())
 
     def items(self) -> Iterator[tuple[NodeId, Payload]]:
         """Iterate over ``(sender, payload)`` pairs."""
 
-        for sender, payloads in self._by_sender.items():
-            for payload in payloads:
-                yield sender, payload
+        table = self._table
+        for sender, index in zip(self._sender_rows, self._payload_rows):
+            yield sender, table[index]
 
     def __len__(self) -> int:
-        size = self._size
-        if size < 0:
-            size = sum(len(p) for p in self._by_sender.values())
-            self._size = size
-        return size
+        return len(self._sender_rows)
 
     def __bool__(self) -> bool:
-        return bool(self._by_sender)
+        return bool(self._sender_rows)
 
     def __contains__(self, sender: NodeId) -> bool:
-        return sender in self._by_sender
+        return sender in self.senders
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Inbox({dict(self._by_sender)!r})"
+        return f"Inbox({self._grouped()!r})"
 
     def memo(self, key: Hashable, factory: "Callable[[Inbox], Any]") -> Any:
         """Cache ``factory(self)`` on this inbox under ``key``.
@@ -340,12 +387,11 @@ class Inbox:
         def build(inbox: "Inbox") -> "Inbox":
             if inbox.senders <= allowed:
                 return inbox
-            kept = {
+            return Inbox({
                 sender: payloads
-                for sender, payloads in inbox._by_sender.items()
+                for sender, payloads in inbox._grouped().items()
                 if sender in allowed
-            }
-            return Inbox._from_collapsed(kept)
+            })
 
         # The subset test is O(senders); memoizing even the "nothing to
         # strip" case makes the per-node cost of the common path a single
@@ -360,7 +406,7 @@ class Inbox:
 
         return frozenset(
             sender
-            for sender, payloads in self._by_sender.items()
+            for sender, payloads in self._grouped().items()
             if payload in payloads
         )
 
@@ -376,7 +422,7 @@ class Inbox:
 
         return frozenset(
             sender
-            for sender, payloads in self._by_sender.items()
+            for sender, payloads in self._grouped().items()
             if any(predicate(p) for p in payloads)
         )
 
@@ -390,7 +436,7 @@ class Inbox:
     def received_from(self, sender: NodeId, payload: Payload) -> bool:
         """True when ``sender`` delivered exactly ``payload`` this round."""
 
-        return payload in self._by_sender.get(sender, ())
+        return payload in self.payloads_from(sender)
 
     def group_by_type(self) -> dict[type, list[tuple[NodeId, Payload]]]:
         """Group ``(sender, payload)`` pairs by the payload's Python type."""
@@ -404,164 +450,44 @@ class Inbox:
 
     @staticmethod
     def empty() -> "Inbox":
-        return _EMPTY_INBOX
+        """A new empty inbox.
+
+        Every call makes a fresh one: protocols memoize derivations on
+        inboxes, so an empty inbox shared process-wide would keep
+        collecting memo entries for as long as the process lives.
+        """
+
+        return Inbox()
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[NodeId, Payload]]) -> "Inbox":
+        """The inbox of ``(sender, payload)`` pairs, in any sender order.
+
+        Every delivery path builds its inboxes here.  Senders may arrive
+        interleaved (delayed delivery mixes batches from several send
+        rounds), so the pairs are grouped by sender, in first-occurrence
+        order, before ``Inbox(by_sender)`` builds the columns.
+        """
+
         by_sender: dict[NodeId, list[Payload]] = {}
         for sender, payload in pairs:
-            by_sender.setdefault(sender, []).append(payload)
+            payloads = by_sender.get(sender)
+            if payloads is None:
+                by_sender[sender] = [payload]
+            else:
+                payloads.append(payload)
         return Inbox(by_sender)
 
-    @classmethod
-    def _from_collapsed(cls, by_sender: dict[NodeId, tuple[Payload, ...]]) -> "Inbox":
-        """Wrap already-deduplicated per-sender tuples without re-hashing."""
 
-        inbox = cls.__new__(cls)
-        inbox._by_sender = by_sender
-        inbox._size = -1
-        inbox._senders = None
-        inbox._memo = None
-        return inbox
+def _unhashable_index(table: list[Payload], payload: Payload) -> int:
+    """The table index of an unhashable ``payload``, appending it if new."""
 
-
-_EMPTY_INBOX = Inbox()
+    for index, entry in enumerate(table):
+        if entry == payload:
+            return index
+    table.append(payload)
+    return len(table) - 1
 
 
-class ColumnarInbox(Inbox):
-    """A shared broadcast-round inbox backed by parallel columns.
-
-    Instead of the per-sender payload-tuple dict a plain :class:`Inbox`
-    eagerly builds, this representation keeps the round's traffic as three
-    parallel structures: a table of *distinct* payloads, a column of sender
-    ids and a column of payload-table indexes — one row per retained
-    ``(sender, payload)`` pair, in exactly the order :meth:`Inbox.items`
-    would yield them.  Payload identity is therefore an integer compare,
-    which is what lets :mod:`repro.core.tally` compute quorum counts and
-    support tallies as ``np.bincount``/``np.unique`` batch operations over
-    the columns.
-
-    The object-based API is preserved bit-for-bit: ``_by_sender`` is
-    materialised lazily on first use (``payloads_from``, ``restricted``,
-    adversary strategies…), grouped identically to the dict a plain
-    :class:`Inbox` would have built, so every consumer observes the same contents
-    in the same order.
-    """
-
-    __slots__ = ("_payload_table", "_sender_rows", "_payload_rows",
-                 "_sender_order", "_collapsed")
-
-    @classmethod
-    def from_staged(cls, staged: Iterable[tuple[NodeId, Payload, Any]]) -> "Inbox":
-        """Build the shared inbox straight from staged send-batches.
-
-        ``staged`` holds ``(sender, payload, dests)`` triples grouped by
-        sender (one contiguous run per sender — the network stages one
-        node's actions consecutively).  Duplicate payloads from the same
-        sender are collapsed first-occurrence, matching ``Inbox(by_sender)``.
-        Falls back to a plain :class:`Inbox` when a payload is unhashable
-        or the batches are not sender-contiguous.
-        """
-
-        table: dict[Payload, int] = {}
-        payload_table: list[Payload] = []
-        sender_rows: list[NodeId] = []
-        payload_rows: list[int] = []
-        sender_order: list[NodeId] = []
-        grouped = set()
-        current: Any = _UNGROUPED
-        seen: set[int] = set()
-        try:
-            for sender, payload, _dests in staged:
-                if sender != current:
-                    if sender in grouped:
-                        raise _NotContiguous
-                    grouped.add(sender)
-                    current = sender
-                    sender_order.append(sender)
-                    seen = set()
-                index = table.get(payload)
-                if index is None:
-                    table[payload] = index = len(payload_table)
-                    payload_table.append(payload)
-                elif index in seen:
-                    continue
-                seen.add(index)
-                sender_rows.append(sender)
-                payload_rows.append(index)
-        except (TypeError, _NotContiguous):
-            by_sender: dict[NodeId, list[Payload]] = {}
-            for sender, payload, _dests in staged:
-                by_sender.setdefault(sender, []).append(payload)
-            return Inbox(by_sender)
-        inbox = cls.__new__(cls)
-        inbox._payload_table = payload_table
-        inbox._sender_rows = sender_rows
-        inbox._payload_rows = payload_rows
-        inbox._sender_order = sender_order
-        inbox._collapsed = None
-        inbox._size = len(sender_rows)
-        inbox._senders = None
-        inbox._memo = None
-        return inbox
-
-    # The base class stores the per-sender dict in a slot; shadowing it
-    # with a property keeps every inherited method working against the
-    # lazily materialised grouping.
-    @property
-    def _by_sender(self) -> dict[NodeId, tuple[Payload, ...]]:
-        collapsed = self._collapsed
-        if collapsed is None:
-            payloads = self._payload_table
-            grouped: dict[NodeId, list[Payload]] = {
-                sender: [] for sender in self._sender_order
-            }
-            for sender, index in zip(self._sender_rows, self._payload_rows):
-                grouped[sender].append(payloads[index])
-            collapsed = {
-                sender: tuple(items) for sender, items in grouped.items()
-            }
-            self._collapsed = collapsed
-        return collapsed
-
-    def columns(self) -> tuple[list[NodeId], list[int], list[Payload]]:
-        """``(sender_rows, payload_rows, payload_table)`` — parallel columns.
-
-        Row ``i`` states that ``sender_rows[i]`` delivered
-        ``payload_table[payload_rows[i]]``; rows appear in
-        :meth:`Inbox.items` order.  Consumers must not mutate the lists.
-        """
-
-        return self._sender_rows, self._payload_rows, self._payload_table
-
-    @property
-    def senders(self) -> frozenset[NodeId]:
-        cached = self._senders
-        if cached is None:
-            cached = frozenset(self._sender_order)
-            self._senders = cached
-        return cached
-
-    def items(self) -> Iterator[tuple[NodeId, Payload]]:
-        payloads = self._payload_table
-        for sender, index in zip(self._sender_rows, self._payload_rows):
-            yield sender, payloads[index]
-
-    def __bool__(self) -> bool:
-        return bool(self._sender_rows)
-
-    def __contains__(self, sender: NodeId) -> bool:
-        return sender in self.senders
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnarInbox(rows={len(self._sender_rows)}, "
-            f"payloads={len(self._payload_table)})"
-        )
-
-
-class _NotContiguous(Exception):
-    """Internal: staged batches were not grouped by sender."""
-
-
-_UNGROUPED = object()
+# Old name of the shared-round inbox, still imported by perfbench/tracing.py.
+ColumnarInbox = Inbox

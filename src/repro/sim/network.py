@@ -32,25 +32,24 @@ are filed:
   round of broadcasts only (the common case for the paper's algorithms)
   shows every recipient the same messages, so the bucket also records the
   shared destination tuple, and delivery builds one
-  :class:`~repro.sim.messages.ColumnarInbox` — parallel sender/payload-
-  index columns over an interned payload table — and hands it to all of
-  them; the protocol math in :mod:`repro.core.tally` then batches quorum
-  counts and support tallies with numpy.
+  :class:`~repro.sim.messages.Inbox` and hands it to all of them; every
+  tally and memoized derivation in :mod:`repro.core` is then computed
+  once per round instead of once per node.
 * Any other delay model (the Section IX impossibility constructions) is
   asked for one delivery round per destination, in send order, and an
   action's destinations are grouped into one batch per delivery round.
   Such rounds are never shared.
 
 A round that is not shared — it carried a unicast, or its delivery was
-delayed — gives each recipient its own object :class:`Inbox` (a shared
-round with an unhashable payload falls back to one shared object inbox).
-Either way the trace, metrics and outputs are the same: a synchronous run
-sent down the per-destination path is bit-identical to the shared path
-(``tests/test_engine_equivalence.py``), and delayed delivery is pinned by
-recorded fixtures (``tests/test_trace_golden.py``,
-``tests/fixtures/delayed_digests.json``).  Membership churn is handled by
-filtering each batch's recorded destinations against the active set at
-delivery time.
+delayed — gives each recipient its own :class:`Inbox`.  Both kinds of
+round build their inboxes with the one constructor
+(:meth:`Inbox.from_pairs`), so the trace, metrics and outputs are the
+same: a synchronous run sent down the per-destination path is
+bit-identical to the shared path (``tests/test_engine_equivalence.py``),
+and delayed delivery is pinned by recorded fixtures
+(``tests/test_trace_golden.py``, ``tests/fixtures/delayed_digests.json``).
+Membership churn is handled by filtering each batch's recorded
+destinations against the active set at delivery time.
 
 The network caches the sorted active-membership list and the Byzantine
 id set, invalidated only on membership events; builds the omniscient
@@ -78,7 +77,6 @@ from .errors import (
 from .events import DEFAULT_SEGMENT_EVENTS, EventKind, Trace
 from .messages import (
     Broadcast,
-    ColumnarInbox,
     Inbox,
     NodeId,
     Outgoing,
@@ -264,19 +262,6 @@ class SynchronousNetwork:
         #: Opt-in per-phase wall-clock accumulation (deliver/step/stage
         #: seconds); see :meth:`enable_phase_profile`.
         self._phase_profile: dict[str, float] | None = None
-
-    def tally_backend(self) -> str:
-        """Which :mod:`repro.core.tally` implementation this run uses.
-
-        Synchronous runs hand protocols a shared columnar inbox on every
-        broadcast-only round, so those tallies run on the numpy backend
-        (unicast rounds keep the scalar reference); delayed runs only ever
-        get per-destination object inboxes and the scalar reference.
-        Recorded in run summaries and bench cells so stored results
-        disclose the implementation that produced them.
-        """
-
-        return "numpy" if self._delay_model.synchronous else "scalar"
 
     def enable_trace_spill(
         self, sink, *, segment_events: int = DEFAULT_SEGMENT_EVENTS
@@ -493,11 +478,9 @@ class SynchronousNetwork:
     def _deliver(self, round_index: int) -> dict[NodeId, Inbox]:
         """Turn the batches due this round into inboxes.
 
-        A shared (broadcast-only, synchronous) round feeds its batches
-        straight into :meth:`ColumnarInbox.from_staged`, giving every
-        recipient a shared column view the numpy tallies operate on (it
-        falls back to a plain shared :class:`Inbox` for unhashable
-        payloads).  Any other round gets one object inbox per destination.
+        A shared (broadcast-only, synchronous) round builds one inbox from
+        all of its batches and gives it to every recipient.  Any other
+        round gets one inbox per destination.
         """
 
         batches = self._in_flight.pop(round_index, None)
@@ -528,7 +511,9 @@ class SynchronousNetwork:
             # also what lets the batched total-order wrapper be routed once
             # per round instead of once per receiving node (see
             # repro.core.total_order).
-            inbox = ColumnarInbox.from_staged(batches)
+            inbox = Inbox.from_pairs(
+                (sender, payload) for sender, payload, _dests in batches
+            )
             return {dest: inbox for dest in shared if dest in active}
         pairs_by_dest: dict[NodeId, list[tuple[NodeId, Any]]] = {}
         for sender, payload, dests in batches:

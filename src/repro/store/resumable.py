@@ -70,25 +70,21 @@ def record_from_outcome(
 
     Captures the summary, per-round metric columns, per-node counters,
     decisions, the correct nodes' outputs and — for traced runs — the
-    columnar trace sliced into footer-indexed segments.  The summary
-    additionally discloses which tally implementation produced the run
-    (``tally_backend``: ``"numpy"`` for synchronous runs, ``"scalar"`` for
-    delayed ones) — the numbers are bit-identical either way, but stored
-    runs should say how they were computed.
+    columnar trace sliced into footer-indexed segments.  The summary is
+    the run's :meth:`~repro.sim.metrics.RunMetrics.summary`, normalised
+    to JSON shapes.
     """
 
     spec = outcome.spec
     metrics = outcome.result.metrics
     version = code_version if code_version is not None else code_fingerprint()
-    summary = json_normalize(metrics.summary())
-    summary["tally_backend"] = outcome.network.tally_backend()
     return RunRecord(
         run_key=run_key(spec, code_version=version),
         spec_dict=spec.to_dict(),
         spec_digest=spec.digest(),
         code_version=version,
         status="complete",
-        summary=summary,
+        summary=json_normalize(metrics.summary()),
         rounds_executed=outcome.result.rounds_executed,
         stop_reason=outcome.result.stop_reason,
         peak_payload_bytes=metrics.peak_payload_bytes,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 import repro
@@ -57,6 +58,27 @@ class TestScenarioSpecValidation:
     )
     def test_invalid_specs_raise(self, kwargs):
         with pytest.raises(ValueError):
+            ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", 4.9),
+            ("n", True),
+            ("n", "5"),
+            ("f", 1.0),
+            ("seed", 2.5),
+            ("seed", False),
+            ("max_rounds", 30.0),
+            ("trace", "no"),
+            ("trace", 1),
+        ],
+    )
+    def test_numbers_and_flags_are_not_coerced(self, field, value):
+        # int(4.9) would run n=4 and the string "no" is truthy: a spec
+        # holds exactly what it was given or is refused.
+        kwargs = {"protocol": "consensus", "n": 4, "f": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be"):
             ScenarioSpec(**kwargs)
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -240,6 +262,29 @@ class TestSweepSpec:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):
             SweepSpec(protocol="consensus", n=4, grid={"adversary": ()})
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"repetitions": 1.5}, "repetitions"),
+            ({"repetitions": True}, "repetitions"),
+            ({"base_seed": "3"}, "base_seed"),
+            ({"grid": {"n": [4.9]}}, "n"),
+            ({"f": True}, "f"),
+            ({"trace": "no"}, "trace"),
+        ],
+    )
+    def test_numbers_and_flags_are_not_coerced(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            list(SweepSpec(**{"protocol": "consensus", "n": 4, **kwargs}).scenarios())
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        sweep = SweepSpec(
+            protocol="consensus", grid={"n": [np.int64(7)]}, base_seed=np.int64(1)
+        )
+        (scenario,) = sweep.scenarios()
+        assert type(scenario.n) is int and type(scenario.f) is int
+        assert scenario.n == 7 and scenario.f == 2
 
     def test_seed_tags_disambiguate_identical_grids(self):
         plain = SweepSpec(protocol="consensus", n=4, repetitions=2, base_seed=1)

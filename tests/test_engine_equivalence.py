@@ -2,15 +2,15 @@
 
 The network files messages in flight as batches keyed by delivery round
 and delivers a round one of two ways (see :mod:`repro.sim.network`): a
-broadcast-only synchronous round shares one columnar inbox among all
-recipients, and every other round hands each recipient its own object
-inbox.  For every registered protocol, over a grid of seeds, a
-synchronous run must be **bit-identical** to its per-destination twin
+broadcast-only synchronous round shares one inbox object among all
+recipients, and every other round hands each recipient its own inbox.
+For every registered protocol, over a grid of seeds, a synchronous run
+must be **bit-identical** to its per-destination twin
 (:func:`make_delayed_digests.per_destination_twin`) — the same trace
 events in the same order, the same metrics (including per-node counter
 *insertion order*), the same outputs, the same stop reason.  A divergence
-anywhere means the shared columnar path changed observable semantics,
-not just speed.  Delayed delivery, which always takes the per-destination
+anywhere means the shared path changed observable semantics, not just
+speed.  Delayed delivery, which always takes the per-destination
 path, is pinned by the run digests of
 ``tests/fixtures/delayed_digests.json`` (recorded by two independent
 kernels) and by the delayed fixtures of ``tests/test_trace_golden.py``.
@@ -37,12 +37,10 @@ from repro.api.sweep import run_scenario, run_sweep
 from repro.sim import (
     Broadcast,
     FixedScheduleDelay,
-    Inbox,
     Process,
     SynchronousNetwork,
     UniformRandomDelay,
 )
-from repro.sim.messages import ColumnarInbox
 from repro.sim.node import NullProcess
 from repro.store import ResumableSweep, RunStore, record_from_outcome, run_key
 from repro.store.service import ScenarioService, create_server
@@ -94,20 +92,22 @@ def shared_and_twin(spec: ScenarioSpec) -> tuple:
     return shared, twin
 
 
-def columnar_steps(spec: ScenarioSpec) -> tuple:
-    """Run ``spec``; return the outcome and how many process steps were
-    handed a :class:`ColumnarInbox`."""
+def inbox_objects_per_round(spec: ScenarioSpec) -> tuple:
+    """Run ``spec``; return the outcome and, for every round that delivered
+    anything, ``(distinct inbox objects, recipients)``."""
 
-    steps = []
+    rounds = []
     step_processes = SynchronousNetwork._step_processes
 
     def spy(network, round_index, round_metrics, inboxes):
-        steps.extend(isinstance(inbox, ColumnarInbox) for inbox in inboxes.values())
+        if inboxes:
+            distinct = len({id(inbox) for inbox in inboxes.values()})
+            rounds.append((distinct, len(inboxes)))
         return step_processes(network, round_index, round_metrics, inboxes)
 
     with mock.patch.object(SynchronousNetwork, "_step_processes", spy):
         outcome = run_scenario(spec)
-    return outcome, sum(steps)
+    return outcome, rounds
 
 
 def test_scenario_table_covers_every_registered_protocol():
@@ -125,18 +125,21 @@ def test_vector_fast_queue_and_legacy_are_trace_identical(protocol, seed):
 def test_shared_and_twin_comparison_is_not_vacuous():
     """The twin really takes the other path, and still matches.
 
-    On a broadcast-only scenario the shared run hands processes at least
-    one :class:`ColumnarInbox`; its per-destination twin hands them none.
+    On a broadcast-only scenario the shared run hands every recipient of a
+    round one inbox object; its per-destination twin hands out one per
+    recipient.
     """
 
     spec = ScenarioSpec(
         protocol="reliable-broadcast", n=7, f=2, adversary="silent", seed=0, trace=True
     )
-    shared, shared_columnar = columnar_steps(spec)
+    shared, shared_rounds = inbox_objects_per_round(spec)
     with per_destination_twin():
-        twin, twin_columnar = columnar_steps(spec)
-    assert shared_columnar > 0
-    assert twin_columnar == 0
+        twin, twin_rounds = inbox_objects_per_round(spec)
+    assert shared_rounds and all(distinct == 1 for distinct, _ in shared_rounds)
+    assert any(recipients > 1 for _, recipients in shared_rounds)
+    assert [r for _, r in twin_rounds] == [r for _, r in shared_rounds]
+    assert all(distinct == recipients for distinct, recipients in twin_rounds)
     assert fingerprint(shared) == fingerprint(twin)
 
 
@@ -211,13 +214,13 @@ def test_queue_matches_legacy_under_delay_models(delay, delay_params, seed):
 
 
 def test_auto_resolves_to_vector_only_for_synchronous_delay():
-    """Only the synchronous model gets the numpy tallies of the shared path."""
+    """Every delay model gets the same tallies: there is no backend to report."""
 
-    assert SynchronousNetwork([NullProcess(1)]).tally_backend() == "numpy"
-    delayed = SynchronousNetwork([NullProcess(1)], delay_model=UniformRandomDelay())
-    assert delayed.tally_backend() == "scalar"
-    with per_destination_twin():
-        assert SynchronousNetwork([NullProcess(1)]).tally_backend() == "scalar"
+    for network in (
+        SynchronousNetwork([NullProcess(1)]),
+        SynchronousNetwork([NullProcess(1)], delay_model=UniformRandomDelay()),
+    ):
+        assert not hasattr(network, "tally_backend")
 
 
 #: One delayed model per retired synchronous-only kernel name.
@@ -229,26 +232,26 @@ DELAYED_BY_KERNEL = {
 
 @pytest.mark.parametrize("engine", ("fast", "vector"))
 def test_synchronous_only_engines_reject_delayed_delivery(engine):
-    """Delayed delivery never reaches the shared columnar path."""
+    """Delayed delivery never shares an inbox object between recipients."""
 
     delay, delay_params = DELAYED_BY_KERNEL[engine]
     spec = ScenarioSpec(
         protocol="consensus", n=4, f=1, delay=delay, delay_params=delay_params, seed=0
     )
-    outcome, columnar = columnar_steps(spec)
-    assert columnar == 0
-    assert outcome.network.tally_backend() == "scalar"
+    _outcome, rounds = inbox_objects_per_round(spec)
+    assert any(recipients > 1 for _, recipients in rounds)
+    assert all(distinct == recipients for distinct, recipients in rounds)
 
 
 class Chatter(Process):
-    """Broadcasts every round and records the type of every inbox it gets."""
+    """Broadcasts every round and records every inbox it gets."""
 
     def __init__(self, node_id):
         super().__init__(node_id)
-        self.inbox_types = []
+        self.inboxes = []
 
     def step(self, view):
-        self.inbox_types.append(type(view.inbox))
+        self.inboxes.append(view.inbox)
         return [Broadcast(("tick", view.round_index))]
 
 
@@ -261,9 +264,15 @@ def test_engine_cannot_change_mid_run():
         assert not hasattr(net, "set_engine")
         for _ in range(4):
             net.step_round()
-    # Round 1 delivers nothing; rounds 2-4 deliver the broadcasts.
-    assert shared.process(1).inbox_types[1:] == [ColumnarInbox] * 3
-    assert twin.process(1).inbox_types[1:] == [Inbox] * 3
+    # Round 1 delivers nothing; rounds 2-4 deliver the broadcasts, to both
+    # Chatters through one inbox object on the shared path and through one
+    # each on the twin.
+    for net, shared_round in ((shared, True), (twin, False)):
+        first, second = net.process(1).inboxes, net.process(2).inboxes
+        assert len(first) == len(second) == 4
+        for mine, theirs in zip(first[1:], second[1:]):
+            assert len(mine) == len(theirs) == 2
+            assert (mine is theirs) is shared_round
 
 
 def test_unknown_engine_is_rejected_eagerly_with_choices():

@@ -136,3 +136,24 @@ class TestSmallScaleRuns:
         sequential = run_experiment("E6", jobs=1)
         assert payload[0]["rows"] == json.loads(sequential.to_json())["rows"]
         capsys.readouterr()  # swallow the CLI's table output
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["E1", "E99"], "'E99'"),
+            (["--scale", "0"], "--scale"),
+            (["--search", "--search-escalate", "x"], "'x'"),
+            (["--search", "--search-objective", "fastest"], "'fastest'"),
+            (["--search", "--search-ops", "seed,warp"], "'warp'"),
+        ],
+    )
+    def test_cli_rejects_bad_arguments_before_running(self, tmp_path, capsys, argv, named):
+        store = tmp_path / "runs.db"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--store", str(store)])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # nothing ran: not even E1's table was printed
+        message = err.strip().splitlines()[-1]
+        assert named in message and "Traceback" not in err
+        assert not store.exists()

@@ -34,6 +34,32 @@ class TestInbox:
         assert inbox.senders == frozenset()
         assert inbox.payloads_from(1) == ()
 
+    def test_empty_inboxes_do_not_outlive_their_round(self):
+        # Protocols memoize derivations on inboxes, so an empty inbox shared
+        # process-wide would keep collecting memo entries for as long as the
+        # process lives.
+        builds = []
+        Inbox.empty().memo("probe", builds.append)
+        Inbox.empty().memo("probe", builds.append)
+        assert len(builds) == 2
+
+        class Listener(Process):
+            def __init__(self, node_id):
+                super().__init__(node_id)
+                self.inboxes = []
+
+            def step(self, view):
+                self.inboxes.append(view.inbox)
+                return ()
+
+        net = SynchronousNetwork([Listener(1), Listener(2)])
+        for _ in range(3):
+            net.step_round()
+        first, second = net.process(1).inboxes, net.process(2).inboxes
+        # One empty inbox per round, shared by that round's recipients.
+        assert all(mine is theirs for mine, theirs in zip(first, second))
+        assert len({id(inbox) for inbox in first}) == 3
+
     def test_groups_by_sender(self):
         inbox = Inbox.from_pairs([(1, "a"), (2, "b"), (1, "c")])
         assert inbox.senders == {1, 2}
@@ -74,8 +100,8 @@ class TestInbox:
         assert inbox.senders == {1, 2}
 
     def test_single_unhashable_payload_takes_the_single_payload_fast_path(self):
-        # A single payload cannot be a duplicate, so it must never be hashed
-        # at all — this is the path batched wrappers rely on.
+        # A lone unhashable payload is filed by equality against the
+        # payload table and kept as the sender's only message.
         inbox = Inbox({1: [[7]]})
         assert inbox.payloads_from(1) == ([7],)
         assert len(inbox) == 1

@@ -393,6 +393,25 @@ def test_post_sweeps_runs_with_the_requested_jobs(server):
     assert events[-1]["event"] == "sweep-complete"
 
 
+@pytest.mark.parametrize(
+    "sweep,field",
+    [
+        ({"protocol": "consensus", "n": 4.5, "f": 1}, "n"),
+        ({"protocol": "consensus", "grid": {"n": [4.9]}}, "n"),
+        ({"protocol": "consensus", "n": 4, "trace": "no"}, "trace"),
+        ({"protocol": "consensus", "n": 4, "repetitions": 2.0}, "repetitions"),
+    ],
+)
+def test_post_sweeps_rejects_numbers_and_flags_it_would_coerce(server, sweep, field):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        post_json(server, "/sweeps", {"sweep": sweep})
+    assert excinfo.value.code == 400
+    assert json.load(excinfo.value)["error"].startswith(f"{field} must be")
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        get_json(server, "/sweeps/sweep-1")
+    assert excinfo.value.code == 404
+
+
 @pytest.mark.parametrize("field", ["engine", "enginee", "base"])
 def test_post_sweeps_rejects_unknown_top_level_fields(server, field):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
