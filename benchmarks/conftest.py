@@ -12,10 +12,16 @@ can fan scenarios out over worker processes without changing the measured
 results — set ``REPRO_BENCH_JOBS=N`` to measure the parallel path (the
 aggregated rows are bit-identical for any N).
 
-Run with::
+pytest's default file pattern (``test_*.py``) does not match
+``bench_*.py``, so name the files.  To run the claim checks once, untimed
+(as CI does)::
 
-    pytest benchmarks/ --benchmark-only
-    REPRO_BENCH_JOBS=8 pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_e*.py benchmarks/bench_a*.py -q --benchmark-disable
+
+To time them::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_e*.py benchmarks/bench_a*.py --benchmark-only
+    REPRO_BENCH_JOBS=8 PYTHONPATH=src python -m pytest benchmarks/bench_e*.py benchmarks/bench_a*.py --benchmark-only
 """
 
 from __future__ import annotations

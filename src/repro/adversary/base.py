@@ -13,6 +13,11 @@ ordinary :class:`~repro.sim.node.Process` whose behaviour is supplied by an
 * its own random generator and a persistent ``memory`` dict for
   stateful strategies.
 
+Each Byzantine node keeps one context for its whole life and refreshes it
+before every round; the generator is seeded from the node's seed the first
+time a strategy reads ``ctx.rng``, so strategies that never draw (every
+registered one but ``random-noise``) cost no generator.
+
 Strategies return a list of :class:`~repro.sim.messages.Broadcast` /
 :class:`~repro.sim.messages.Unicast` actions, so equivocation (sending
 different payloads to different destinations) is expressed directly with
@@ -37,16 +42,31 @@ from ..sim.rng import make_rng
 __all__ = ["AdversaryContext", "AdversaryStrategy", "ByzantineProcess", "send_split"]
 
 
-@dataclass
+@dataclass(eq=False)
 class AdversaryContext:
-    """Everything an adversary strategy may look at in one round."""
+    """Everything an adversary strategy may look at in one round.
+
+    ``view``, ``known_ids`` and ``system`` describe the current round
+    (``view`` is ``None`` outside :meth:`AdversaryStrategy.act`); ``seed``
+    and ``memory`` belong to the node and persist across rounds.
+    """
 
     node_id: NodeId
-    view: RoundView
-    known_ids: frozenset[NodeId]
-    system: SystemView | None
-    rng: np.random.Generator
+    view: RoundView | None = None
+    known_ids: frozenset[NodeId] = frozenset()
+    system: SystemView | None = None
+    seed: int = 0
     memory: dict[str, Any] = field(default_factory=dict)
+    _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The node's own generator, made from ``seed`` on first use."""
+
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = make_rng(self.seed)
+        return rng
 
     @property
     def round_index(self) -> int:
@@ -99,10 +119,7 @@ class ByzantineProcess(Process):
     ) -> None:
         super().__init__(node_id)
         self._strategy = strategy
-        self._rng = make_rng(seed)
-        self._system: SystemView | None = None
-        self._known: frozenset[NodeId] = frozenset()
-        self._memory: dict[str, Any] = {}
+        self._ctx = AdversaryContext(node_id, seed=seed)
 
     @property
     def is_byzantine(self) -> bool:
@@ -115,26 +132,25 @@ class ByzantineProcess(Process):
     def observe_system(self, system: SystemView) -> None:
         """Called by the network before each round (omniscient adversary)."""
 
-        self._system = system
+        self._ctx.system = system
 
     def step(self, view: RoundView) -> Sequence[Outgoing]:
+        ctx = self._ctx
         # Same shared-union memoization as KnownSenders.observe: every
         # Byzantine node with the same prior membership reuses one union
         # per shared inbox instead of copying an O(n) frozenset a round.
-        known = self._known
-        self._known = known = view.inbox.memo(
+        known = ctx.known_ids
+        ctx.known_ids = view.inbox.memo(
             ("byz-known", known),
             lambda ib: intern_payload(known | ib.senders),
         )
-        ctx = AdversaryContext(
-            node_id=self.node_id,
-            view=view,
-            known_ids=known,
-            system=self._system,
-            rng=self._rng,
-            memory=self._memory,
-        )
-        return list(self._strategy.act(ctx))
+        ctx.view = view
+        try:
+            return list(self._strategy.act(ctx))
+        finally:
+            # Let the round's inbox, and everything memoized on it, go
+            # with the round instead of living until this node's next step.
+            ctx.view = None
 
 
 def send_split(

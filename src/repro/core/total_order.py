@@ -236,6 +236,7 @@ class TotalOrderProcess(Process):
         self._pending_events: list[tuple[NodeId, Hashable]] = []
         self._chain: list[ChainEntry] = []
         self._final_upto = 0
+        self._overruns: dict[int, int] = {}
 
     # -- results -----------------------------------------------------------------
 
@@ -272,6 +273,18 @@ class TotalOrderProcess(Process):
     @property
     def joined(self) -> bool:
         return self._join_phase == 2
+
+    @property
+    def finality_overruns(self) -> dict[int, int]:
+        """Instances still undecided here when their finality horizon passed.
+
+        Maps each such instance round to the protocol round in which the
+        overrun was first seen.  Theorem 6 rules overruns out when
+        ``n > 3f`` holds in every round; the chain waits for an overrun
+        instance to decide rather than skipping it.
+        """
+
+        return dict(self._overruns)
 
     # -- event source -------------------------------------------------------------
 
@@ -417,18 +430,11 @@ class TotalOrderProcess(Process):
 
     # -- finality ---------------------------------------------------------------------
 
-    def _instance_final(self, record: _InstanceRecord, round_number: int) -> bool:
-        elapsed = round_number - record.instance_round
-        return (
-            elapsed > finality_horizon(len(record.membership))
-            and record.all_decided
-        )
-
     def _update_chain(self, round_number: int) -> None:
         # R (line 29) is the largest round such that every round up to R is
-        # final; we additionally require the local engine to have decided
-        # (it always has, well within the horizon, but this keeps the output
-        # well-defined even if the horizon is made artificially tight).
+        # final.  An instance past its horizon whose local engine has not
+        # decided yet is recorded in ``_overruns`` and waited for, so the
+        # output stays well-defined even under a too-tight horizon.
         # A record that becomes final is pruned right after its outputs
         # enter the chain — the chain itself is the durable result, so
         # ``_instances`` holds only the horizon window, not the full history.
@@ -443,7 +449,11 @@ class TotalOrderProcess(Process):
                 self._final_upto = next_round
                 next_round += 1
                 continue
-            if not self._instance_final(record, round_number):
+            elapsed = round_number - record.instance_round
+            if elapsed <= finality_horizon(len(record.membership)):
+                break
+            if not record.all_decided:
+                self._overruns.setdefault(next_round, round_number)
                 break
             outputs = record.outputs
             for key in sorted(outputs, key=repr):

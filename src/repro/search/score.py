@@ -6,7 +6,10 @@ module dispatches them per protocol over a
 :class:`PropertyViolation` records the search harness can rank, confirm
 and persist.  Only *safety* properties are treated as violations — a run
 that merely exhausts its round budget without deciding is slow, not
-wrong, and shows up through the score's round-count term instead.
+wrong, and shows up through the score's round-count term instead.  The
+one round bound checked is total order's finality horizon (Theorem 6),
+and only for specs with ``n > 3f``: an instance still undecided at its
+horizon would let the chain wait where the paper promises finality.
 """
 
 from __future__ import annotations
@@ -184,15 +187,30 @@ def _check_approx(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
 
 
 def _check_total_order(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
-    chains = [p.chain for p in outcome.correct_processes().values()]
-    if chains_are_prefixes(chains):
-        return []
-    return [
-        PropertyViolation(
-            "total-order-prefix",
-            "two correct nodes hold chains that are not prefixes of each other",
+    processes = outcome.correct_processes().values()
+    violations: list[PropertyViolation] = []
+    if not chains_are_prefixes([p.chain for p in processes]):
+        violations.append(
+            PropertyViolation(
+                "total-order-prefix",
+                "two correct nodes hold chains that are not prefixes of each other",
+            )
         )
-    ]
+    spec = outcome.spec
+    # Theorem 6's horizon holds only inside the paper's model; total order
+    # always runs synchronously (the registry rejects other delay models),
+    # so that leaves n > 3f.
+    if spec.n > 3 * spec.f:
+        overruns = sorted({r for p in processes for r in p.finality_overruns})
+        if overruns:
+            violations.append(
+                PropertyViolation(
+                    "total-order-finality",
+                    f"instance(s) {overruns} were still undecided at a correct "
+                    "node past the finality horizon 5·|S|/2 + 2 (Theorem 6)",
+                )
+            )
+    return violations
 
 
 _CHECKERS = {

@@ -205,25 +205,6 @@ class RunMetrics:
         store.messages_delivered[-1] += count
         self.per_node_delivered[node_id] += count
 
-    def record_deliveries(self, counts: Iterable[tuple[NodeId, int]]) -> None:
-        """Commit one round of delivery counters in bulk.
-
-        Equivalent to calling :meth:`record_delivery` once per ``(node,
-        count)`` pair, in order — including registering nodes whose count is
-        zero — but with a single round-counter update.  The network
-        uses this once per round instead of once per process.
-        """
-
-        store = self._round_store
-        if not len(store):
-            return
-        per_node = self.per_node_delivered
-        total = 0
-        for node_id, count in counts:
-            total += count
-            per_node[node_id] += count
-        store.messages_delivered[-1] += total
-
     def record_payload(self, nbytes: int, copies: int) -> None:
         """Account one send action's payload: ``nbytes`` × ``copies`` wire bytes.
 

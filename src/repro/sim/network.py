@@ -52,10 +52,14 @@ Membership churn is handled by filtering each batch's recorded
 destinations against the active set at delivery time.
 
 The network caches the sorted active-membership list and the Byzantine
-id set, invalidated only on membership events; builds the omniscient
-:class:`SystemView` lazily, only when a Byzantine process is scheduled;
-and commits per-round delivery counters to
-:class:`~repro.sim.metrics.RunMetrics` in one bulk call.
+id set, invalidated only on membership events, and builds the omniscient
+:class:`SystemView` lazily, only when a Byzantine process is scheduled.
+It keeps per-node work in the round loop to the protocol step itself:
+each node is classified once, at registration (correct, or Byzantine with
+an ``observe_system`` hook); each distinct inbox object of a round gets
+one :class:`RoundView`, so a shared round builds a single view for every
+recipient; and ``decided`` is polled only on correct nodes that have not
+decided yet.
 """
 
 from __future__ import annotations
@@ -228,7 +232,12 @@ class SynchronousNetwork:
         leaves: Mapping[int, Iterable[NodeId]] | None = None,
     ) -> None:
         self._processes: dict[NodeId, Process] = {}
+        # Each node's role, classified once at registration: the correct
+        # processes, the correct ones that have not decided yet, and the
+        # ``observe_system`` hooks of the Byzantine ones.
         self._correct_map: dict[NodeId, Process] = {}
+        self._undecided: set[NodeId] = set()
+        self._observers: dict[NodeId, Callable[[SystemView], None]] = {}
         for process in processes:
             self._register(process)
         self._active: set[NodeId] = set(self._processes)
@@ -237,7 +246,6 @@ class SynchronousNetwork:
         self._trace = Trace(enabled=trace)
         self._metrics = RunMetrics()
         self._round = 0
-        self._decided_seen: set[NodeId] = set()
         self._joins: dict[int, list[Process]] = {
             int(r): list(ps) for r, ps in (joins or {}).items()
         }
@@ -304,11 +312,15 @@ class SynchronousNetwork:
     # -- registration / membership ----------------------------------------------
 
     def _register(self, process: Process) -> None:
-        if process.node_id in self._processes:
-            raise DuplicateNodeError(process.node_id)
-        self._processes[process.node_id] = process
+        node_id = process.node_id
+        if node_id in self._processes:
+            raise DuplicateNodeError(node_id)
+        self._processes[node_id] = process
         if not process.is_byzantine:
-            self._correct_map[process.node_id] = process
+            self._correct_map[node_id] = process
+            self._undecided.add(node_id)
+        elif hasattr(process, "observe_system"):
+            self._observers[node_id] = process.observe_system
 
     def _invalidate_membership(self) -> None:
         self._sorted_cache = None
@@ -398,11 +410,8 @@ class SynchronousNetwork:
         return cache
 
     def correct_processes(self) -> list[Process]:
-        return [
-            self._processes[i]
-            for i in self._active_sorted()
-            if not self._processes[i].is_byzantine
-        ]
+        correct = self._correct_map
+        return [correct[i] for i in self._active_sorted() if i in correct]
 
     def active_correct_processes(self) -> list[Process]:
         return [p for p in self.correct_processes() if not p.halted]
@@ -630,18 +639,31 @@ class SynchronousNetwork:
         round_metrics.byzantine_nodes = len(byzantine_ids)
         system_view: SystemView | None = None
         outgoing_by_node: dict[NodeId, Sequence[Outgoing]] = {}
-        delivered: list[tuple[NodeId, int]] = []
         halted_nodes = 0
-        empty = Inbox.empty()
+        delivered = 0
+        per_node_delivered = self._metrics.per_node_delivered
         processes = self._processes
+        observers = self._observers
+        undecided = self._undecided
+        # One view (and delivery count) per distinct inbox object: a shared
+        # round builds one for every recipient, a per-destination round one
+        # per recipient, and the round's empty inbox one for the rest.
+        empty = Inbox.empty()
+        views: dict[int, tuple[RoundView, int]] = {}
         for node_id in active_sorted:
             process = processes[node_id]
             if process.halted:
                 halted_nodes += 1
                 continue
             inbox = inboxes.get(node_id, empty)
-            delivered.append((node_id, len(inbox)))
-            if process.is_byzantine and hasattr(process, "observe_system"):
+            entry = views.get(id(inbox))
+            if entry is None:
+                entry = views[id(inbox)] = (RoundView(round_index, inbox), len(inbox))
+            view, count = entry
+            per_node_delivered[node_id] += count
+            delivered += count
+            observe = observers.get(node_id)
+            if observe is not None:
                 if system_view is None:
                     # Built lazily: rounds without scheduled Byzantine nodes
                     # never pay for the omniscient snapshot.
@@ -652,31 +674,29 @@ class SynchronousNetwork:
                         correct_processes=dict(self._correct_map),
                         rng=self._rng,
                     )
-                process.observe_system(system_view)
-            outgoing = process.step(RoundView(round_index=round_index, inbox=inbox))
+                observe(system_view)
+            outgoing = process.step(view)
             if outgoing:
                 outgoing_by_node[node_id] = outgoing
-            self._record_decision(process, round_index)
+            if node_id in undecided and process.decided:
+                undecided.discard(node_id)
+                self._record_decision(process, round_index)
             if process.halted:
                 self._trace.record_event(
                     EventKind.NODE_HALTED, round_index, node_id=node_id
                 )
         round_metrics.halted_nodes = halted_nodes
-        self._metrics.record_deliveries(delivered)
+        round_metrics.messages_delivered += delivered
         return outgoing_by_node
 
     def _record_decision(self, process: Process, round_index: int) -> None:
-        if process.is_byzantine or process.node_id in self._decided_seen:
-            return
-        if process.decided:
-            self._decided_seen.add(process.node_id)
-            self._metrics.record_decision(process.node_id, round_index, process.output)
-            self._trace.record_event(
-                EventKind.NODE_DECIDED,
-                round_index,
-                node_id=process.node_id,
-                detail=process.output,
-            )
+        self._metrics.record_decision(process.node_id, round_index, process.output)
+        self._trace.record_event(
+            EventKind.NODE_DECIDED,
+            round_index,
+            node_id=process.node_id,
+            detail=process.output,
+        )
 
     # -- running to completion -------------------------------------------------------
 

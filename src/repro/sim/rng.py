@@ -6,10 +6,17 @@ every experiment in :mod:`repro.harness` is exactly reproducible.  We use
 ``numpy.random.Generator`` (PCG64) rather than the global ``random`` module
 because independent, splittable streams make it easy to give each node,
 adversary and delay model its own generator without correlation.
+
+Seeds are handed out eagerly and generators are made on first use: building
+a scenario derives one integer seed per Byzantine node with :func:`derive`,
+and :class:`~repro.adversary.base.AdversaryContext` turns it into a
+generator only when a strategy first reads ``ctx.rng``, so silent and crash
+attackers, which never draw, never pay for one.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -35,25 +42,32 @@ def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(count)]
 
 
+#: The 64-bit FNV prime, and the 63 bits of the FNV word that
+#: :func:`derive` keeps.
+_FNV_PRIME = 1099511628211
+_MASK_63 = 0x7FFFFFFFFFFFFFFF
+
+
 def derive(seed: int, *components: int | str) -> int:
     """Derive a new 63-bit seed from a base seed and a tuple of labels.
 
     This is used to give every (experiment, configuration, repetition)
     triple its own seed without having to thread generator objects through
     the whole harness.  The derivation is a stable hash, independent of
-    ``PYTHONHASHSEED``.
+    ``PYTHONHASHSEED``.  ``seed`` may be any integer, numpy integers
+    included; components are hashed through their ``str``.
     """
 
-    acc = np.uint64(seed & 0x7FFFFFFFFFFFFFFF)
+    acc = operator.index(seed) & _MASK_63
     # A small Fowler–Noll–Vo style mix keeps the derivation stable across
-    # processes and Python versions (the built-in ``hash`` is salted).
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):
-        for component in components:
-            data = str(component).encode("utf-8")
-            for byte in data:
-                acc = np.uint64(acc ^ np.uint64(byte)) * prime
-    return int(acc & np.uint64(0x7FFFFFFFFFFFFFFF))
+    # processes and Python versions (the built-in ``hash`` is salted).  The
+    # low bits of a product and of an xor depend only on the low bits of
+    # their operands, so reducing every step modulo 2**63 yields exactly the
+    # low 63 bits of the 64-bit FNV word.
+    for component in components:
+        for byte in str(component).encode("utf-8"):
+            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK_63
+    return acc
 
 
 def shuffled(rng: np.random.Generator, items: list) -> list:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.adversary import (
@@ -12,10 +14,12 @@ from repro.adversary import (
     available_strategies,
     make_strategy,
 )
+from repro.adversary import base
 from repro.adversary.base import AdversaryContext
-from repro.api import ScenarioSpec, build_system
+from repro.api import ScenarioSpec, build_system, run_scenario
 from repro.core.reliable_broadcast import ReliableBroadcastProcess
 from repro.sim import Broadcast, Inbox, RoundView, Unicast
+from repro.sim.rng import make_rng
 
 
 def view(round_index, pairs=()):
@@ -121,6 +125,12 @@ class TestStrategyBehaviours:
         b = ByzantineProcess(1, make_strategy("random-noise"), seed=5)
         assert a.step(view(1)) == b.step(view(1))
 
+    def test_random_noise_draws_what_an_eager_generator_would(self):
+        proc = ByzantineProcess(1, make_strategy("random-noise"), seed=5)
+        drawn = [proc.step(view(r))[0].payload for r in range(1, 7)]
+        eager = make_rng(5)
+        assert drawn == [("noise", int(eager.integers(0, 1_000_000)), 0) for _ in range(6)]
+
     def test_delayed_strategy_waits(self):
         from repro.adversary import DelayedStrategy
 
@@ -128,3 +138,44 @@ class TestStrategyBehaviours:
         proc = ByzantineProcess(1, DelayedStrategy(inner=inner, start_round=4))
         assert proc.step(view(2, [(2, "x")])) == []
         assert proc.step(view(4, [(2, "x")])) != []
+
+
+class TestGeneratorOnFirstUse:
+    """A Byzantine node's generator is made only when a strategy draws."""
+
+    def test_silent_scale_run_makes_no_byzantine_generator(self):
+        # broadcast-scale's largest spec: 1,333 silent attackers.
+        spec = ScenarioSpec(
+            protocol="approximate-agreement", n=4000, f=1333, adversary="silent", seed=3
+        )
+        with mock.patch.object(base, "make_rng", wraps=make_rng) as made:
+            outcome = run_scenario(spec)
+        assert len(outcome.system.byzantine_ids) == 1333
+        assert outcome.result.stop_reason == "stop_condition"
+        assert made.call_count == 0
+
+    def test_a_drawing_strategy_makes_one_generator_per_node(self):
+        with mock.patch.object(base, "make_rng", wraps=make_rng) as made:
+            proc = ByzantineProcess(1, make_strategy("random-noise"), seed=9)
+            assert made.call_count == 0
+            for r in range(1, 5):
+                proc.step(view(r))
+        made.assert_called_once_with(9)
+
+    def test_context_persists_across_rounds(self):
+        contexts = []
+
+        class Spy(SilentStrategy):
+            def act(self, ctx: AdversaryContext):
+                contexts.append((ctx, ctx.round_index))
+                return []
+
+        proc = ByzantineProcess(9, Spy(), seed=4)
+        proc.step(view(1))
+        proc.step(view(2))
+        ctx = contexts[0][0]
+        assert contexts[1][0] is ctx
+        assert [r for _, r in contexts] == [1, 2]
+        assert ctx.node_id == 9 and ctx.seed == 4
+        # The round's inbox is released with the round.
+        assert ctx.view is None

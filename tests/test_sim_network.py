@@ -391,3 +391,133 @@ class TestDeterminism:
         events_first = [(e.kind, e.round_index, e.node_id, e.peer_id) for e in first.trace]
         events_second = [(e.kind, e.round_index, e.node_id, e.peer_id) for e in second.trace]
         assert events_first == events_second
+
+
+class ViewRecorder(Process):
+    """Broadcasts every round, unicasts to ``target`` in round 2 instead,
+    and keeps every view it is handed."""
+
+    def __init__(self, node_id, target=None):
+        super().__init__(node_id)
+        self.target = target
+        self.views = {}
+
+    def step(self, view):
+        self.views[view.round_index] = view
+        if view.round_index == 2 and self.target is not None:
+            return [Unicast(self.target, ("direct", self.node_id))]
+        return [Broadcast(("tick", self.node_id, view.round_index))]
+
+
+class TestOneViewPerInbox:
+    """The round loop builds one :class:`RoundView` per distinct inbox."""
+
+    @staticmethod
+    def views_of(net, round_index):
+        return [net.process(i).views[round_index] for i in sorted(net.active_ids())]
+
+    def test_a_shared_round_hands_every_process_the_same_view(self):
+        net = SynchronousNetwork([ViewRecorder(i) for i in (3, 1, 7, 5)])
+        for _ in range(3):
+            net.step_round()
+        for round_index in (1, 2, 3):
+            views = self.views_of(net, round_index)
+            assert all(view is views[0] for view in views)
+            assert views[0].round_index == round_index
+        assert len(self.views_of(net, 3)[0].inbox) == 4
+
+    @pytest.mark.parametrize("delay", [SynchronousDelay, FixedScheduleDelay])
+    def test_a_per_destination_round_builds_one_view_per_inbox_object(self, delay):
+        # Round 2 unicasts everything to node 1: in round 3 node 1 gets its
+        # own inbox and the others share the round's empty inbox.
+        procs = [ViewRecorder(i, target=1) for i in (1, 2, 3, 4)]
+        net = SynchronousNetwork(procs, delay_model=delay())
+        for _ in range(3):
+            net.step_round()
+        for round_index in (2, 3):
+            views = self.views_of(net, round_index)
+            inboxes = {id(view.inbox) for view in views}
+            assert len({id(view) for view in views}) == len(inboxes)
+        views = self.views_of(net, 3)
+        assert len(views[0].inbox) == 4
+        assert all(len(view.inbox) == 0 for view in views[1:])
+        assert all(view is views[1] for view in views[1:])
+        if delay is FixedScheduleDelay:
+            # Per-destination delivery never shares a non-empty inbox.
+            assert len({id(view) for view in self.views_of(net, 2)}) == 4
+
+    def test_delivery_counters_follow_the_inbox_sizes(self):
+        procs = [ViewRecorder(i, target=1) for i in (1, 2, 3)]
+        net = SynchronousNetwork(procs)
+        for _ in range(3):
+            net.step_round()
+        assert [r.messages_delivered for r in net.metrics.rounds] == [0, 9, 3]
+        assert list(net.metrics.per_node_delivered.items()) == [(1, 6), (2, 3), (3, 3)]
+
+
+class Observer(Process):
+    """A Byzantine stand-in that logs its ``observe_system`` calls and steps."""
+
+    def __init__(self, node_id, log, *, byzantine=True, halt_at=None):
+        super().__init__(node_id)
+        self._byzantine = byzantine
+        self._log = log
+        self._halt_at = halt_at
+
+    @property
+    def is_byzantine(self):
+        return self._byzantine
+
+    def observe_system(self, system):
+        self._log.append(("observe", system.round_index, self.node_id, id(system)))
+
+    def step(self, view):
+        self._log.append(("step", view.round_index, self.node_id))
+        if view.round_index == self._halt_at:
+            self.halt()
+        return ()
+
+
+class Mute(Process):
+    """A Byzantine process without an ``observe_system`` hook."""
+
+    @property
+    def is_byzantine(self):
+        return True
+
+    def step(self, view):
+        return ()
+
+
+def test_observe_system_reaches_scheduled_byzantine_observers_only():
+    log = []
+    net = SynchronousNetwork(
+        [
+            Observer(1, log),
+            Observer(2, log, byzantine=False),  # correct: never observes
+            Mute(3),
+            Observer(4, log, halt_at=2),  # halted: neither observed nor stepped
+            NullProcess(6),
+        ]
+    )
+    net.add_process(Observer(5, log), at_round=3)
+    net.remove_process(1, at_round=4)
+    for _ in range(4):
+        net.step_round()
+    calls = [(kind, r, node) for kind, r, node, *_ in log]
+    assert calls == [
+        ("observe", 1, 1), ("step", 1, 1), ("step", 1, 2),
+        ("observe", 1, 4), ("step", 1, 4),
+        ("observe", 2, 1), ("step", 2, 1), ("step", 2, 2),
+        ("observe", 2, 4), ("step", 2, 4),
+        ("observe", 3, 1), ("step", 3, 1), ("step", 3, 2),
+        ("observe", 3, 5), ("step", 3, 5),
+        ("step", 4, 2),
+        ("observe", 4, 5), ("step", 4, 5),
+    ]
+    # One SystemView per round, shared by that round's observers.
+    per_round = {}
+    for kind, r, _node, *rest in log:
+        if kind == "observe":
+            per_round.setdefault(r, set()).add(rest[0])
+    assert all(len(ids) == 1 for ids in per_round.values())

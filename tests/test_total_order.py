@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import chain_common_prefix_length, chains_are_prefixes
+from repro.core import total_order
 from repro.core.total_order import TotalOrderProcess, finality_horizon
 from repro.adversary import ByzantineProcess, make_strategy
+from repro.api import ScenarioSpec, run_scenario
+from repro.search import evaluate_outcome
 from repro.dynamic import build_total_order_system, generate_churn_schedule
 from repro.sim import SynchronousNetwork
 from repro.workloads import sparse_ids, split_correct_byzantine
@@ -36,6 +39,51 @@ class TestFinalityHorizon:
 
     def test_horizon_grows_with_membership(self):
         assert finality_horizon(10) > finality_horizon(5)
+
+
+class TestFinalityOverruns:
+    """An instance undecided at its horizon is recorded and reported."""
+
+    SPEC = ScenarioSpec(protocol="total-order", n=7, f=2, adversary="random-noise", seed=1)
+
+    @staticmethod
+    def overruns(outcome):
+        return [p.finality_overruns for p in outcome.correct_processes().values()]
+
+    @staticmethod
+    def reported(outcome):
+        return [v.property_name for v in evaluate_outcome(outcome)]
+
+    def test_none_within_the_paper_horizon(self):
+        outcome = run_scenario(self.SPEC)
+        assert min(len(p.chain) for p in outcome.correct_processes().values()) > 0
+        assert self.overruns(outcome) == [{}] * 5
+        assert self.reported(outcome) == []
+
+    def test_a_horizon_shorter_than_the_decision_time_is_reported(self, monkeypatch):
+        baseline = run_scenario(self.SPEC)
+        monkeypatch.setattr(total_order, "finality_horizon", lambda size: 1.0)
+        outcome = run_scenario(self.SPEC)
+        overruns = self.overruns(outcome)
+        assert all(overruns)
+        # Each overrun is recorded once, in the round it was first seen,
+        # after the (shrunk) horizon of 1 round had passed.
+        for per_node in overruns:
+            assert all(seen - instance >= 2 for instance, seen in per_node.items())
+        assert self.reported(outcome) == ["total-order-finality"]
+        # The chain waited for the late instances instead of skipping them,
+        # so every committed entry is one the paper's horizon also commits.
+        for tight, loose in zip(
+            outcome.correct_processes().values(), baseline.correct_processes().values()
+        ):
+            assert len(tight.chain) >= len(loose.chain)
+            assert tight.chain[: len(loose.chain)] == loose.chain
+
+    def test_outside_the_model_an_overrun_is_not_a_violation(self, monkeypatch):
+        monkeypatch.setattr(total_order, "finality_horizon", lambda size: 1.0)
+        outcome = run_scenario(self.SPEC.replace(n=6))  # n = 3f
+        assert any(self.overruns(outcome))
+        assert "total-order-finality" not in self.reported(outcome)
 
 
 class TestStaticMembership:

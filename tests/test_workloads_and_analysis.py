@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     aggregate_rows,
@@ -76,11 +77,66 @@ class TestSplitAndInputs:
         assert all(-5.0 <= v <= 5.0 for v in inputs.values())
 
 
+def reference_derive(seed, *components):
+    """The numpy-scalar FNV mix :func:`derive` used to run, kept as its oracle."""
+
+    acc = np.uint64(seed & 0x7FFFFFFFFFFFFFFF)
+    prime = np.uint64(1099511628211)
+    with np.errstate(over="ignore"):
+        for component in components:
+            for byte in str(component).encode("utf-8"):
+                acc = np.uint64(acc ^ np.uint64(byte)) * prime
+    return int(acc & np.uint64(0x7FFFFFFFFFFFFFFF))
+
+
+SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(2**63, 2**64 + 5),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+COMPONENTS = st.lists(
+    st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=12)), max_size=5
+)
+
+
 class TestRng:
     def test_derive_is_stable_and_sensitive(self):
         assert derive(1, "a", 2) == derive(1, "a", 2)
         assert derive(1, "a", 2) != derive(1, "a", 3)
         assert derive(1, "a") != derive(2, "a")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SEEDS, COMPONENTS)
+    def test_derive_matches_the_numpy_reference(self, seed, components):
+        value = derive(seed, *components)
+        assert type(value) is int
+        assert value == reference_derive(seed, *components)
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            ((0, "ids"), 885621440426874058),
+            ((0, "split"), 6009019583861349440),
+            ((1, "byz", 1234, 0), 709747785166839150),
+            ((-1, "network"), 7874973071680103767),
+            ((2**63 + 5, "é", "日本"), 2695959828536962477),
+            ((np.int64(7), "sys"), 7909480939992035076),
+            ((5,), 5),
+        ],
+    )
+    def test_derive_pinned_values(self, args, expected):
+        assert derive(*args) == expected
+
+    def test_derive_takes_narrow_numpy_integers(self):
+        # The numpy reference could not mask an int32 seed (OverflowError).
+        assert derive(np.int32(-7), "a") == derive(-7, "a")
+        assert derive(np.uint8(200), "a") == derive(200, "a")
+
+    @pytest.mark.parametrize("seed", [2.5, "3", np.float64(1.0)])
+    def test_derive_rejects_non_integer_seeds(self, seed):
+        with pytest.raises(TypeError):
+            derive(seed, "a")
 
     def test_spawn_produces_independent_generators(self):
         children = spawn(make_rng(0), 3)
