@@ -11,8 +11,9 @@ round.  This module factors them out behind inbox-memoized entry points
 columns (:meth:`~repro.sim.messages.Inbox.columns`): it visits the
 round's *distinct* payloads once, and each payload's support is the
 length of its sender list, built once per inbox.  In a synchronous
-broadcast-only round every recipient shares one inbox, so each tally is
-computed once per round rather than once per node.
+broadcast-only round every recipient shares one inbox, and in a round
+with unicasts every recipient of the same rows does, so each tally is
+computed once per distinct inbox rather than once per node.
 
 Result contract
 ---------------

@@ -49,8 +49,9 @@ module provides the building blocks for:
 Derived views of a round's traffic (support indexes, routing tables, the
 ``allowed``-sender restriction of :meth:`Inbox.restricted`) are memoized
 *on the inbox* via :meth:`Inbox.memo`: in a synchronous run every
-receiver of a broadcast-only round shares one :class:`Inbox` object, so a
-pure derivation is computed once per round instead of once per node.
+receiver of a broadcast-only round shares one :class:`Inbox` object, and
+in a round with unicasts every receiver of the same rows does, so a pure
+derivation is computed once per distinct inbox instead of once per node.
 """
 
 from __future__ import annotations
@@ -356,8 +357,9 @@ class Inbox:
         An inbox is immutable, so any pure derivation of its contents (a
         payload index, a per-instance routing table) can be computed once
         and shared by every consumer — crucially including *different
-        receivers* in a synchronous run, where a broadcast-only
-        round hands the same ``Inbox`` object to every node.  The cache
+        receivers* in a synchronous run, where a broadcast-only round
+        hands the same ``Inbox`` object to every node and a round with
+        unicasts hands one to every node with the same rows.  The cache
         dies with the inbox; factories must not mutate the result.
         """
 

@@ -187,30 +187,31 @@ class RunMetrics:
         store.append_round(round_index)
         return RoundMetrics._attached(store, len(store) - 1)
 
-    def record_send(self, node_id: NodeId, fanout: int, broadcast: bool) -> None:
+    def record_sends(
+        self, node_id: NodeId, fanout: int, broadcasts: int, unicasts: int
+    ) -> None:
+        """Account one node's send actions of the current round.
+
+        ``fanout`` is the number of messages they put on the wire (one per
+        destination).  The network calls this once per sending node per
+        round; deliveries it counts itself, in ``per_node_delivered`` and
+        the round's ``messages_delivered``.
+        """
+
         store = self._round_store
         if not len(store):
             return
         store.messages_sent[-1] += fanout
-        if broadcast:
-            store.broadcasts[-1] += 1
-        else:
-            store.unicasts[-1] += 1
+        store.broadcasts[-1] += broadcasts
+        store.unicasts[-1] += unicasts
         self.per_node_sent[node_id] += fanout
-
-    def record_delivery(self, node_id: NodeId, count: int) -> None:
-        store = self._round_store
-        if not len(store):
-            return
-        store.messages_delivered[-1] += count
-        self.per_node_delivered[node_id] += count
 
     def record_payload(self, nbytes: int, copies: int) -> None:
         """Account one send action's payload: ``nbytes`` × ``copies`` wire bytes.
 
-        Called by the network next to :meth:`record_send`, once per send
-        action, when its payload accounting is enabled, so byte totals do
-        not depend on how delivery is filed, just like message counts.
+        Called by the network once per send action when its payload
+        accounting is enabled, so byte totals do not depend on how delivery
+        is filed, just like message counts.
         """
 
         store = self._round_store

@@ -91,9 +91,9 @@ def per_destination_twin():
 
     Patches :attr:`SynchronousDelay.synchronous` to ``False``: the network
     then asks the delay model for every destination's delivery round (still
-    ``r + 1``, with no rng draws) and hands each recipient its own object
-    inbox and scalar tallies instead of the shared columnar inbox.  Timing
-    and rng draws are unchanged, so the run must be bit-identical.  A
+    ``r + 1``, with no rng draws) and hands each recipient its own inbox,
+    where the synchronous path shares one among recipients with equal rows.
+    Timing and rng draws are unchanged, so the run must be bit-identical.  A
     context manager rather than a fixture, because Hypothesis rejects
     function-scoped fixtures.
     """

@@ -1,17 +1,22 @@
 """Metamorphic delivery-path equivalence suite.
 
 The network files messages in flight as batches keyed by delivery round
-and delivers a round one of two ways (see :mod:`repro.sim.network`): a
+and delivers a round one of three ways (see :mod:`repro.sim.network`): a
 broadcast-only synchronous round shares one inbox object among all
-recipients, and every other round hands each recipient its own inbox.
+recipients; a synchronous round with unicasts gives recipients with equal
+``(sender, payload)`` row lists one inbox object; and a delayed round
+hands each recipient its own inbox.
 For every registered protocol, over a grid of seeds, a synchronous run
 must be **bit-identical** to its per-destination twin
-(:func:`make_delayed_digests.per_destination_twin`) — the same trace
-events in the same order, the same metrics (including per-node counter
-*insertion order*), the same outputs, the same stop reason.  A divergence
-anywhere means the shared path changed observable semantics, not just
-speed.  Delayed delivery, which always takes the per-destination
-path, is pinned by the run digests of
+(:func:`make_delayed_digests.per_destination_twin`), which hands each
+recipient its own inbox in every round — the same trace events in the
+same order, the same metrics (including per-node counter *insertion
+order*), the same outputs, the same stop reason.  A divergence anywhere
+means sharing changed observable semantics, not just speed.  The
+grouping rule itself is a Hypothesis property here: recipients share an
+inbox exactly when their row lists are equal (and hashable), and every
+inbox lists what its twin lists.  Delayed delivery, which always takes
+the per-destination path, is pinned by the run digests of
 ``tests/fixtures/delayed_digests.json`` (recorded by two independent
 kernels) and by the delayed fixtures of ``tests/test_trace_golden.py``.
 
@@ -27,18 +32,25 @@ import threading
 import urllib.error
 import urllib.request
 from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import combinations
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, SweepRunner, SweepSpec, available_protocols
 from repro.api.registry import REGISTRY, build_system
 from repro.api.sweep import run_scenario, run_sweep
+from repro.core import tally
 from repro.sim import (
     Broadcast,
     FixedScheduleDelay,
     Process,
     SynchronousNetwork,
+    Unicast,
     UniformRandomDelay,
 )
 from repro.sim.node import NullProcess
@@ -92,18 +104,29 @@ def shared_and_twin(spec: ScenarioSpec) -> tuple:
     return shared, twin
 
 
-def inbox_objects_per_round(spec: ScenarioSpec) -> tuple:
-    """Run ``spec``; return the outcome and, for every round that delivered
-    anything, ``(distinct inbox objects, recipients)``."""
+class DeliveredRound(NamedTuple):
+    """One round that delivered anything, as the round loop saw it."""
+
+    round_index: int
+    inboxes: int  # distinct inbox objects
+    recipients: int
+    builds: int  # tally builds while the round's processes stepped
+
+
+def delivery_per_round(spec: ScenarioSpec) -> tuple:
+    """Run ``spec``; return the outcome and its :class:`DeliveredRound` list."""
 
     rounds = []
     step_processes = SynchronousNetwork._step_processes
 
     def spy(network, round_index, round_metrics, inboxes):
+        builds = tally.profile_snapshot()["builds"]
+        outgoing = step_processes(network, round_index, round_metrics, inboxes)
         if inboxes:
             distinct = len({id(inbox) for inbox in inboxes.values()})
-            rounds.append((distinct, len(inboxes)))
-        return step_processes(network, round_index, round_metrics, inboxes)
+            builds = tally.profile_snapshot()["builds"] - builds
+            rounds.append(DeliveredRound(round_index, distinct, len(inboxes), builds))
+        return outgoing
 
     with mock.patch.object(SynchronousNetwork, "_step_processes", spy):
         outcome = run_scenario(spec)
@@ -133,14 +156,222 @@ def test_shared_and_twin_comparison_is_not_vacuous():
     spec = ScenarioSpec(
         protocol="reliable-broadcast", n=7, f=2, adversary="silent", seed=0, trace=True
     )
-    shared, shared_rounds = inbox_objects_per_round(spec)
+    shared, shared_rounds = delivery_per_round(spec)
     with per_destination_twin():
-        twin, twin_rounds = inbox_objects_per_round(spec)
-    assert shared_rounds and all(distinct == 1 for distinct, _ in shared_rounds)
-    assert any(recipients > 1 for _, recipients in shared_rounds)
-    assert [r for _, r in twin_rounds] == [r for _, r in shared_rounds]
-    assert all(distinct == recipients for distinct, recipients in twin_rounds)
+        twin, twin_rounds = delivery_per_round(spec)
+    assert shared_rounds and all(r.inboxes == 1 for r in shared_rounds)
+    assert any(r.recipients > 1 for r in shared_rounds)
+    assert [r.recipients for r in twin_rounds] == [r.recipients for r in shared_rounds]
+    assert all(r.inboxes == r.recipients for r in twin_rounds)
     assert fingerprint(shared) == fingerprint(twin)
+
+
+def test_unicast_rounds_share_inboxes_and_the_twin_does_not():
+    """Equivocation rounds are shared too, and the twin still is not.
+
+    ``consensus-split-vote`` unicasts one vote to half of the system and
+    the other vote to the rest, so from round 4 on every round delivers
+    unicasts.  The synchronous run gives the recipients of equal rows one
+    inbox object, so it builds fewer inboxes than there are recipients,
+    and fewer tallies than its per-destination twin, which hands out one
+    inbox object per recipient.  The two runs still match.
+    """
+
+    spec = ScenarioSpec(
+        protocol="consensus", n=7, f=2, adversary="consensus-split-vote",
+        seed=0, trace=True,
+    )
+    shared, shared_rounds = delivery_per_round(spec)
+    with per_destination_twin():
+        twin, twin_rounds = delivery_per_round(spec)
+    after_unicasts = {
+        metrics.round_index + 1
+        for metrics in shared.result.metrics.rounds
+        if metrics.unicasts
+    }
+    shared_rounds = [r for r in shared_rounds if r.round_index in after_unicasts]
+    twin_rounds = [r for r in twin_rounds if r.round_index in after_unicasts]
+    assert len(shared_rounds) >= 10
+    for ours, theirs in zip(shared_rounds, twin_rounds, strict=True):
+        assert ours.inboxes < ours.recipients
+        assert theirs.round_index == ours.round_index
+        assert theirs.inboxes == theirs.recipients == ours.recipients
+        assert ours.builds < theirs.builds
+    assert fingerprint(shared) == fingerprint(twin)
+
+
+@dataclass(frozen=True)
+class Vote:
+    """A small hashable payload; every send builds a new instance."""
+
+    value: int
+
+
+#: Payload codes of the grouped-delivery property: a :class:`Vote` value,
+#: or ``UNHASHABLE`` for a list payload (breaks the wire contract, but the
+#: network must still deliver it).
+UNHASHABLE = 3
+
+
+def make_payload(code: int):
+    return ["unhashable"] if code == UNHASHABLE else Vote(code)
+
+
+class Scripted(Process):
+    """Sends ``script[round][node_id]`` — ``(dest, code)`` pairs, ``dest``
+    ``None`` for a broadcast — keeps every inbox, and halts after its
+    first step when it is the script's ``halter``."""
+
+    def __init__(self, node_id, script):
+        super().__init__(node_id)
+        self.script = script
+        self.inboxes = {}
+
+    def step(self, view):
+        self.inboxes[view.round_index] = view.inbox
+        if self.node_id == self.script["halter"]:
+            self.halt()
+        return [
+            Broadcast(make_payload(code)) if dest is None
+            else Unicast(dest, make_payload(code))
+            for dest, code in self.script["sends"].get(view.round_index, {}).get(
+                self.node_id, ()
+            )
+        ]
+
+
+def _members(script, round_index):
+    """``(active, stepped)`` node ids in ``round_index``, each sorted."""
+
+    active = set(script["ids"])
+    if round_index >= 2:
+        active = (active | {script["joiner"]}) - {script["leaver"]}
+    stepped = active - {script["halter"]} if round_index >= 2 else active
+    return sorted(active), sorted(stepped)
+
+
+def expected_rows(script, round_index):
+    """Each recipient's ``(sender, payload)`` rows in ``round_index``,
+    worked out from the script alone."""
+
+    sent_active, senders = _members(script, round_index - 1)
+    _, recipients = _members(script, round_index)
+    rows = {node: [] for node in recipients}
+    for sender in senders:
+        for dest, code in script["sends"].get(round_index - 1, {}).get(sender, ()):
+            for node in sent_active if dest is None else (dest,):
+                if node in rows:
+                    rows[node].append((sender, make_payload(code)))
+    return rows
+
+
+def _hashable(rows) -> bool:
+    try:
+        hash(tuple(rows))
+    except TypeError:
+        return False
+    return True
+
+
+@st.composite
+def delivery_scripts(draw):
+    """Two rounds of broadcasts and unicasts among 3-6 nodes, one of them
+    leaving and one joining in round 2, and one halting after round 1.
+
+    In each round one sender sends a payload by broadcast and again by
+    unicast, so every delivery round carries a unicast, and then unicasts
+    a few payloads to one node and the same payloads, reordered, to
+    another.
+    """
+
+    ids = tuple(range(1, draw(st.integers(3, 6)) + 1))
+    joiner = draw(st.sampled_from((0, len(ids) + 1)))
+    leaver, halter = draw(st.permutations(ids))[:2]
+    everyone = ids + (joiner,)
+    actions = st.lists(
+        st.tuples(
+            st.sampled_from((None, None, *everyone)),
+            st.sampled_from((0, 1, 2) * 3 + (UNHASHABLE,)),
+        ),
+        max_size=3,
+    )
+    script = {"ids": ids, "joiner": joiner, "leaver": leaver, "halter": halter,
+              "sends": {}}
+    for round_index in (1, 2):
+        senders = _members(script, round_index)[1]
+        sends = {node: draw(actions) for node in senders}
+        repeater = draw(st.sampled_from(senders))
+        code = draw(st.integers(0, 2))
+        codes = draw(st.permutations((0, 1, 2)))[: draw(st.integers(0, 3))]
+        first, second = draw(st.permutations(everyone))[:2]
+        sends[repeater] = [
+            (None, code),
+            (draw(st.sampled_from(everyone)), code),
+            *((first, c) for c in codes),
+            *((second, c) for c in reversed(codes)),
+            *sends[repeater],
+        ]
+        script["sends"][round_index] = sends
+    return script
+
+
+def _run_script(script):
+    procs = [Scripted(node, script) for node in script["ids"]]
+    net = SynchronousNetwork(
+        procs,
+        joins={2: [Scripted(script["joiner"], script)]},
+        leaves={2: [script["leaver"]]},
+    )
+    for _ in range(3):
+        net.step_round()
+    return net
+
+
+#: Row lists that a wrong grouping key would share: in round 2 recipients
+#: 1 and 3 get equal payloads from different senders, and in round 3
+#: recipients 1 and 6 get equal rows in a different order.
+GROUPING_TRAPS = {
+    "ids": (1, 2, 3, 4, 5), "joiner": 6, "leaver": 4, "halter": 5,
+    "sends": {
+        1: {1: [(None, 0), (2, 0)], 2: [(3, 1)], 3: [(1, 1)]},
+        2: {2: [(None, 0), (1, 1), (1, 2), (6, 2), (6, 1)]},
+    },
+}
+
+
+@given(script=delivery_scripts())
+@example(script=GROUPING_TRAPS)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_grouped_delivery_matches_the_twin_and_shares_only_equal_rows(script):
+    """Synchronous rounds with unicasts group recipients by their rows.
+
+    Each recipient's inbox lists the same ``(sender, payload)`` pairs, in
+    the same order, as its per-destination twin's; and two recipients
+    share an inbox object exactly when their row lists are equal and
+    hashable.
+    """
+
+    grouped = _run_script(script)
+    with per_destination_twin():
+        twin = _run_script(script)
+    for round_index in (2, 3):
+        rows = expected_rows(script, round_index)
+        inboxes = {
+            node: grouped.process(node).inboxes[round_index] for node in rows
+        }
+        for node, inbox in inboxes.items():
+            theirs = twin.process(node).inboxes[round_index]
+            assert list(inbox.items()) == list(theirs.items())
+        for first, second in combinations(rows, 2):
+            equal = rows[first] == rows[second] and _hashable(rows[first])
+            assert (inboxes[first] is inboxes[second]) == equal, (
+                round_index, first, second
+            )
+    for node, rounds in (
+        (script["halter"], [1]), (script["leaver"], [1]), (script["joiner"], [2, 3])
+    ):
+        assert list(grouped.process(node).inboxes) == rounds
 
 
 def test_total_order_churn_n50_is_trace_identical_across_kernels():
@@ -238,9 +469,9 @@ def test_synchronous_only_engines_reject_delayed_delivery(engine):
     spec = ScenarioSpec(
         protocol="consensus", n=4, f=1, delay=delay, delay_params=delay_params, seed=0
     )
-    _outcome, rounds = inbox_objects_per_round(spec)
-    assert any(recipients > 1 for _, recipients in rounds)
-    assert all(distinct == recipients for distinct, recipients in rounds)
+    _outcome, rounds = delivery_per_round(spec)
+    assert any(r.recipients > 1 for r in rounds)
+    assert all(r.inboxes == r.recipients for r in rounds)
 
 
 class Chatter(Process):

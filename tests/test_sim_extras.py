@@ -80,13 +80,14 @@ class TestMetrics:
     def test_summary_and_decision_rounds(self):
         metrics = RunMetrics()
         metrics.start_round(1)
-        metrics.record_send(1, fanout=3, broadcast=True)
-        metrics.record_delivery(2, 3)
+        metrics.record_sends(1, fanout=3, broadcasts=1, unicasts=0)
         metrics.record_decision(2, 1, "v")
         metrics.record_decision(2, 2, "v")  # later duplicate is ignored for "first round"
         summary = metrics.summary()
         assert summary["rounds"] == 1
         assert summary["messages"] == 3
+        assert summary["broadcasts"] == 1
+        assert metrics.per_node_sent == {1: 3}
         assert metrics.decision_round(2) == 1
         assert metrics.decision_round(99) is None
         assert metrics.messages_per_round() == [3]

@@ -6,6 +6,7 @@ through the HTTP API and reads the NDJSON progress stream end to end.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -14,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro.sim.messages import Inbox, intern_table_size
 from repro.store.serve import build_parser
 from repro.store.service import ScenarioService, create_server
 
@@ -441,3 +443,42 @@ def test_module_docstring_example_request_is_accepted(server):
     assert launch["cells"] == 3
     events = read_stream(server, launch["stream"])
     assert events[-1] == {"event": "sweep-complete", "ran": 3, "skipped": 0, "total": 3}
+
+
+def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
+    """Process-wide state stays bounded across sweeps.
+
+    One in-process service runs the same sweeps over and over, the unicast
+    attacks of consensus and reliable broadcast included.  Each repeat
+    asks for a larger ``max_rounds``: a new spec digest, so the store does
+    not serve the runs from cache, but the same executions, since every
+    run decides long before the limit.  No :class:`Inbox` may outlive its
+    sweep, and after the first sweep the payload intern table may not
+    grow: a grouping table, shared view or memo that outlived its round
+    would show up here.
+    """
+
+    service = ScenarioService(tmp_path / "runs.db")
+
+    def live_inboxes() -> int:
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, Inbox))
+
+    def sweep(extra_rounds: int) -> None:
+        job = service.launch_sweep({"sweeps": [
+            {"protocol": "consensus", "n": 7, "f": 2, "repetitions": 2,
+             "adversary": "consensus-split-vote", "max_rounds": 60 + extra_rounds},
+            {"protocol": "reliable-broadcast", "n": 7, "f": 2,
+             "adversary": "rb-equivocating-sender",
+             "params": {"byzantine_sender": True}, "max_rounds": 60 + extra_rounds},
+        ]})
+        events = list(job.events())
+        assert events[-1] == {"event": "sweep-complete", "ran": 3, "skipped": 0, "total": 3}
+
+    before = live_inboxes()
+    sweep(0)
+    interned = intern_table_size()
+    for extra_rounds in range(1, 6):
+        sweep(extra_rounds)
+        assert live_inboxes() <= before
+        assert intern_table_size() <= interned
