@@ -45,6 +45,7 @@ from .quorums import (
     meets_one_third,
     meets_two_thirds,
     one_third,
+    pick_supported,
     two_thirds,
     values_meeting,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "meets_one_third",
     "meets_two_thirds",
     "one_third",
+    "pick_supported",
     "run_partitioned_consensus",
     "semi_synchronous_partition_execution",
     "synchronous_control_execution",

@@ -52,7 +52,7 @@ from typing import Hashable, Sequence
 
 from ..sim.messages import Broadcast, Inbox, NodeId, Outgoing, Payload
 from ..sim.node import KnownSenders, Process, RoundView
-from .quorums import best_supported_value, meets_one_third, meets_two_thirds
+from .quorums import one_third, pick_supported, two_thirds
 from .rotor_coordinator import Opinion, RotorCoordinatorCore
 from .tally import value_support
 
@@ -271,7 +271,7 @@ class ConsensusProcess(Process):
         if phase_round == 2:
             payloads = list(relays)
             support = self._support(inbox, ConsensusInput)
-            winner = best_supported_value(support, self.nv, fraction="two_thirds")
+            winner, _count = pick_supported(support, two_thirds(self.nv))
             if winner is not None:
                 payloads.append(Prefer(winner))
             return self._broadcast(payloads)
@@ -279,10 +279,11 @@ class ConsensusProcess(Process):
         if phase_round == 3:
             payloads = list(relays)
             support = self._support(inbox, Prefer)
-            adopt = best_supported_value(support, self.nv, fraction="one_third")
+            # One pass: the 2nv/3 pick is the nv/3 winner if it gets there.
+            adopt, count = pick_supported(support, one_third(self.nv))
             if adopt is not None:
                 self._opinion = adopt
-            strong = best_supported_value(support, self.nv, fraction="two_thirds")
+            strong = adopt if count >= two_thirds(self.nv) else None
             if strong is not None:
                 payloads.append(StrongPrefer(strong))
             return self._broadcast(payloads)
@@ -300,8 +301,8 @@ class ConsensusProcess(Process):
         # phase_round == 5
         support = self._pending_strongprefer
         self._pending_strongprefer = {}
-        decide = best_supported_value(support, self.nv, fraction="two_thirds")
-        weak = best_supported_value(support, self.nv, fraction="one_third")
+        weak, count = pick_supported(support, one_third(self.nv))
+        decide = weak if count >= two_thirds(self.nv) else None
         coordinator = self._rotor.last_selected
         if weak is None and coordinator is not None:
             for payload in inbox.payloads_from(coordinator):

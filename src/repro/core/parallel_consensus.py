@@ -33,6 +33,31 @@ All instances share one rotor-coordinator (initialised in the two setup
 rounds, one selection per phase); the phase coordinator broadcasts one
 per-identifier opinion for every instance it tracks.
 
+The per-node step
+-----------------
+Total ordering steps about nine live engines per node per round, so the
+engine's step does each piece of work once:
+
+* **Constants fixed at freeze.**  When ``nv`` freezes (local round 3) the
+  engine computes the sender filter ``known ∩ allowed`` (interned, so the
+  memo key of the shared :meth:`~repro.sim.messages.Inbox.restricted`
+  view is an identity check), ``nv``, both relative thresholds (through
+  :func:`~repro.core.quorums.one_third` and
+  :func:`~repro.core.quorums.two_thirds`, so the float comparisons are
+  those of ``meets_*``) and whether the node is in its own known set.
+  Every later step reads them.
+* **One-pass pick.**  Each support is reduced by one
+  :func:`~repro.core.quorums.pick_supported` pass.  Phase rounds 3 and 5
+  need both an ``nv/3`` and a ``2nv/3`` pick; the latter is the former's
+  winner when its count meets ``2nv/3``, and otherwise there is none.
+  Supports are the shared scan-index counts themselves, copied only when
+  a ``⊥`` or own-message substitution adds to them.
+* **Coordinator-opinion index.**  Phase round 5 reads the coordinator's
+  opinion for each instance whose ``strongprefer`` support stayed below
+  ``nv/3`` from an ``{instance: value}`` index of the coordinator's first
+  ``PCOpinion`` per instance, built once per inbox and coordinator
+  (:func:`_opinion_index`).
+
 The module exposes:
 
 * :class:`ParallelConsensusEngine` — the embeddable state machine (also
@@ -46,10 +71,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
-from ..sim.messages import Broadcast, Inbox, NodeId, Outgoing, Payload
+from ..sim.messages import (
+    Broadcast,
+    Inbox,
+    NodeId,
+    Outgoing,
+    Payload,
+    intern_payload,
+)
 from ..sim.node import KnownSenders, Process, RoundView
 from .consensus import INIT_ROUNDS, LINGER_PHASES, PHASE_LENGTH
-from .quorums import best_supported_value
+from .quorums import one_third, pick_supported, two_thirds
 from .rotor_coordinator import RotorCoordinatorCore
 from .tally import NO_VALUE, scan_index
 
@@ -174,6 +206,15 @@ _ScanIndex = dict[tuple[Hashable, str], dict[Hashable, int]]
 #: Memo key under which the scan index is cached on the inbox.
 _SCAN_KEY = "pc-scan-index"
 
+#: Memo key (with the coordinator's id) of the coordinator-opinion index.
+_OPINION_KEY = "pc-coordinator-opinions"
+
+#: Spoken-set default for a slot nobody spoke for.
+_NOBODY: frozenset[NodeId] = frozenset()
+
+#: Lookup default of the coordinator-opinion index.
+_NO_OPINION = object()
+
 
 def _classify(payload: Payload) -> tuple[tuple[Hashable, str], Hashable] | None:
     """Map one payload to its ``(instance, type)`` slot for the scan index.
@@ -202,6 +243,27 @@ def _classify(payload: Payload) -> tuple[tuple[Hashable, str], Hashable] | None:
     if cls is PCNoStrongPreference:
         return (payload.instance, _TYPE_STRONG), NO_VALUE
     return None
+
+
+def _opinion_index(inbox: Inbox, coordinator: NodeId) -> dict[Hashable, Hashable]:
+    """``{instance: value}`` of ``coordinator``'s first ``PCOpinion`` per
+    instance, in the order it delivered them.
+
+    Phase round 5 looked the opinion up by scanning the coordinator's
+    payloads once per undecided instance; the index is built once per
+    (inbox, coordinator) and shared by every node that reads it.  An
+    unhashable ``instance`` is skipped: it cannot equal the hashable
+    identifier of any tracked instance, so the scan never matched it.
+    """
+
+    index: dict[Hashable, Hashable] = {}
+    for payload in inbox.payloads_from(coordinator):
+        if isinstance(payload, PCOpinion):
+            try:
+                index.setdefault(payload.instance, payload.value)
+            except TypeError:
+                continue
+    return index
 
 
 class ParallelConsensusEngine:
@@ -234,6 +296,17 @@ class ParallelConsensusEngine:
         self._node_id = node_id
         self._allowed = allowed_senders
         self._known = KnownSenders()
+        # Fixed when ``nv`` freezes (local round 3), read by every later
+        # step: the sender filter ``known ∩ allowed`` (interned, like the
+        # frozen known-sender view, so the shared restriction's memo key
+        # is an identity check), ``nv``, both relative thresholds and
+        # whether this node counts itself.  An engine first stepped past
+        # round 3 never freezes and filters by ``allowed`` alone.
+        self._sender_filter = allowed_senders
+        self._nv = 0
+        self._one_third = 0.0
+        self._two_thirds = 0.0
+        self._self_known = False
         self._rotor = RotorCoordinatorCore(node_id)
         self._instances: dict[Hashable, _InstanceState] = {}
         self._loop_senders: set[NodeId] = set()
@@ -325,16 +398,19 @@ class ParallelConsensusEngine:
 
     # -- helpers ----------------------------------------------------------------------
 
-    def _filter(self, inbox: Inbox) -> Inbox:
-        allowed = self._known.ids if self._known.frozen else None
+    def _freeze(self) -> None:
+        """Freeze ``nv`` and fix the constants every later step reads."""
+
+        known = self._known
+        known.freeze()
+        allowed = known.ids
         if self._allowed is not None:
-            allowed = self._allowed if allowed is None else (allowed & self._allowed)
-        if allowed is None:
-            return inbox
-        # Restriction is memoized on the (possibly shared) inbox keyed by
-        # the allowed set, so nodes with the same membership view share one
-        # filtered inbox — and one scan index built on it — per round.
-        return inbox.restricted(allowed)
+            allowed = intern_payload(allowed & self._allowed)
+        self._sender_filter = allowed
+        self._nv = nv = known.count
+        self._one_third = one_third(nv)
+        self._two_thirds = two_thirds(nv)
+        self._self_known = self._node_id in known
 
     def _materialize(
         self, instance: Hashable, opinion: Hashable, started_phase: int
@@ -384,24 +460,24 @@ class ParallelConsensusEngine:
         the ⊥/own-message substitution rules to the round's scan index."""
 
         key = (instance, type_key)
-        supporters = self._scan_support.get(key)
-        # The scan index is shared (memoized on the inbox) — copy the counts
-        # before the substitution rules mutate them.
-        counts = dict(supporters) if supporters else {}
-        senders_of_type = self._scan_spoken.get(key, frozenset())
+        # The scan index is shared (memoized on the inbox): the counts are
+        # returned as they are unless a substitution rule adds to them, and
+        # only then copied.  Callers must not mutate the result.
+        counts = self._scan_support.get(key) or {}
+        senders_of_type = self._scan_spoken.get(key, _NOBODY)
 
         # ``missing`` is ``known − senders_of_type − {self}``.  By the time
         # _support runs (phase rounds only) ``nv`` is frozen and the inbox
         # is filtered to known senders, so ``senders_of_type ⊆ known`` and
         # the *size* of the missing set is pure arithmetic — the set itself
         # is only materialised on the rare substitution path.
-        known = self._known
-        n_missing = known.count - len(senders_of_type)
-        if self._node_id in known and self._node_id not in senders_of_type:
+        n_missing = self._nv - len(senders_of_type)
+        if self._self_known and self._node_id not in senders_of_type:
             n_missing -= 1
         if n_missing > 0:
             if self._phase == 1:
                 # First phase: missing senders default to ⊥ (rule 2).
+                counts = dict(counts)
                 counts[BOTTOM] = counts.get(BOTTOM, 0) + n_missing
             else:
                 # Later phases: substitute the node's own most recent message
@@ -409,9 +485,10 @@ class ParallelConsensusEngine:
                 # inside the loop (rule 3, narrowed as in Algorithm 3).
                 own = state.sent.get(type_key)
                 if own is not None:
-                    missing = known.ids - senders_of_type - {self._node_id}
+                    missing = self._known.ids - senders_of_type - {self._node_id}
                     silent = missing - self._loop_senders
                     if silent:
+                        counts = dict(counts)
                         counts[own] = counts.get(own, 0) + len(silent)
         return counts
 
@@ -428,14 +505,18 @@ class ParallelConsensusEngine:
             return list(self._rotor.init_round_two(inbox))
         if local_round == 3:
             self._known.observe(inbox)
-            self._known.freeze()
+            self._freeze()
 
-        inbox = self._filter(inbox)
+        # Restriction is memoized on the (possibly shared) inbox keyed by
+        # the sender filter, so nodes with the same membership view share
+        # one filtered inbox — and one scan index built on it — per round.
+        if self._sender_filter is not None:
+            inbox = inbox.restricted(self._sender_filter)
         if local_round > 3 and not self._loop_complete:
             self._loop_senders.update(inbox.senders)
             # Once every known sender has spoken inside the loop the set
             # can never grow again (the inbox is filtered to known senders).
-            if len(self._loop_senders) >= self._known.count:
+            if len(self._loop_senders) >= self._nv:
                 self._loop_complete = True
         relays = self._rotor.observe(inbox)
         self._scan_support, self._scan_spoken = scan_index(
@@ -493,7 +574,7 @@ class ParallelConsensusEngine:
             if not state.active:
                 continue
             support = self._support(state.instance, _TYPE_INPUT, state)
-            winner = best_supported_value(support, self.nv, fraction="two_thirds")
+            winner, _count = pick_supported(support, self._two_thirds)
             if winner is not None:
                 payloads.append(PCPrefer(state.instance, winner))
                 state.sent[_TYPE_PREFER] = winner
@@ -509,10 +590,11 @@ class ParallelConsensusEngine:
             if not state.active:
                 continue
             support = self._support(state.instance, _TYPE_PREFER, state)
-            adopt = best_supported_value(support, self.nv, fraction="one_third")
+            # One pass: the 2nv/3 pick is the nv/3 winner if it gets there.
+            adopt, count = pick_supported(support, self._one_third)
             if adopt is not None:
                 state.opinion = adopt
-            strong = best_supported_value(support, self.nv, fraction="two_thirds")
+            strong = adopt if count >= self._two_thirds else None
             if strong is not None:
                 payloads.append(PCStrongPrefer(state.instance, strong))
                 state.sent[_TYPE_STRONG] = strong
@@ -542,21 +624,23 @@ class ParallelConsensusEngine:
         for instance in self._scanned_instances(_TYPE_STRONG):
             self._ensure_instance(instance, self._phase)
         coordinator = self._rotor.last_selected
+        opinions: dict[Hashable, Hashable] | None = None
         for state in self._sorted_states():
             if not state.active:
                 continue
             support = state.pending_strong
             state.pending_strong = {}
-            decide = best_supported_value(support, self.nv, fraction="two_thirds")
-            weak = best_supported_value(support, self.nv, fraction="one_third")
+            weak, count = pick_supported(support, self._one_third)
+            decide = weak if count >= self._two_thirds else None
             if weak is None and coordinator is not None:
-                for payload in inbox.payloads_from(coordinator):
-                    if (
-                        isinstance(payload, PCOpinion)
-                        and payload.instance == state.instance
-                    ):
-                        state.opinion = payload.value
-                        break
+                if opinions is None:
+                    opinions = inbox.memo(
+                        (_OPINION_KEY, coordinator),
+                        lambda ib: _opinion_index(ib, coordinator),
+                    )
+                opinion = opinions.get(state.instance, _NO_OPINION)
+                if opinion is not _NO_OPINION:
+                    state.opinion = opinion
             if decide is not None and not state.decided:
                 state.decided = True
                 state.opinion = decide

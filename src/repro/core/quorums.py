@@ -29,6 +29,7 @@ __all__ = [
     "one_third_mask",
     "two_thirds_mask",
     "values_meeting",
+    "pick_supported",
     "best_supported_value",
     "max_faults_tolerated",
     "is_resilient",
@@ -114,6 +115,39 @@ def values_meeting(
     return sorted(winners, key=repr)
 
 
+def pick_supported(support: Mapping[V, int], threshold: float) -> tuple[V | None, int]:
+    """``(value, count)`` of the best value whose count meets ``threshold``.
+
+    One pass over ``support`` (value → distinct-sender count).  A count
+    meets the threshold when it is positive and at least ``threshold`` —
+    pass :func:`one_third` or :func:`two_thirds` of ``nv`` so the float
+    comparison is the one :func:`meets_one_third`/:func:`meets_two_thirds`
+    make.  The tie-break is highest count, then smallest ``repr``, then
+    first inserted; ``repr`` is only computed for values tied on count.
+    Without a qualifying value the result is ``(None, 0)``.
+
+    A two-thirds pick never needs a second pass: ``2nv/3 ≥ nv/3``, so it
+    is the one-third winner when that winner's count meets ``2nv/3``, and
+    otherwise there is none.
+    """
+
+    best: V | None = None
+    best_count = 0
+    best_repr: str | None = None
+    for value, count in support.items():
+        if count < best_count or count <= 0 or count < threshold:
+            continue
+        if count > best_count:
+            best, best_count, best_repr = value, count, None
+            continue
+        if best_repr is None:
+            best_repr = repr(best)
+        value_repr = repr(value)
+        if value_repr < best_repr:
+            best, best_repr = value, value_repr
+    return best, best_count
+
+
 def best_supported_value(
     support: Mapping[V, int] | Mapping[V, Iterable[object]],
     nv: int,
@@ -126,18 +160,17 @@ def best_supported_value(
     at most one *correct-origin* value can meet ``nv/3``), but a defensive
     deterministic tie-break — highest count, then smallest ``repr`` — keeps
     the implementation total even under model violations (which the
-    resiliency-boundary experiment E5 deliberately provokes).
+    resiliency-boundary experiment E5 deliberately provokes).  ``support``
+    may map values to counts or to collections of distinct supporters;
+    the pick itself is :func:`pick_supported`.
     """
 
-    counted: dict[V, int] = {}
-    for value, raw in support.items():
-        counted[value] = raw if isinstance(raw, int) else len(tuple(raw))
-    check = meets_two_thirds if fraction == "two_thirds" else meets_one_third
-    candidates = [(count, value) for value, count in counted.items() if check(count, nv)]
-    if not candidates:
-        return None
-    candidates.sort(key=lambda item: (-item[0], repr(item[1])))
-    return candidates[0][1]
+    counts = {
+        value: raw if isinstance(raw, int) else len(tuple(raw))
+        for value, raw in support.items()
+    }
+    threshold = two_thirds(nv) if fraction == "two_thirds" else one_third(nv)
+    return pick_supported(counts, threshold)[0]
 
 
 def max_faults_tolerated(n: int) -> int:

@@ -32,6 +32,7 @@ the initial participants are consistently initialised (Section III).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..sim.messages import (
@@ -160,30 +161,24 @@ class _InstanceRecord:
 #: Memo key for the per-instance routing table cached on each inbox.
 _ROUTE_KEY = "total-order-routing"
 
+#: The ``(instance_round, payloads)`` groups of a ``PCBatch``.
+_batch_groups = attrgetter("groups")
+
 
 def _route_instances(inbox: Inbox) -> dict[int, Inbox]:
     """Split an inbox's batched consensus traffic into per-instance inboxes.
 
-    A pure derivation of the inbox contents, memoized on the inbox
-    (:meth:`~repro.sim.messages.Inbox.memo`): in a synchronous run a
-    broadcast-only round hands *the same* inbox object to every node, so
-    the O(total batched payloads) split happens once per round instead of
-    once per node.
+    :meth:`~repro.sim.messages.Inbox.split` over the ``PCBatch`` rows:
+    instance ``r``'s inbox holds every sender's payloads for ``r``, in row
+    order with each sender's duplicates collapsed (a sender that delivered
+    several batches, as a replaying attacker does, has them merged).  The
+    split works on the columns, so a batch that ``k`` senders delivered —
+    the interned steady state — is hashed once, not ``k`` times.  The
+    result is memoized on the inbox (:meth:`~repro.sim.messages.Inbox.memo`):
+    every node handed the same inbox object shares one split per round.
     """
 
-    buckets: dict[int, list[tuple[NodeId, Payload]]] = {}
-    for sender, payload in inbox.items():
-        if type(payload) is PCBatch:
-            for instance_round, group in payload.groups:
-                bucket = buckets.get(instance_round)
-                if bucket is None:
-                    buckets[instance_round] = bucket = []
-                for inner in group:
-                    bucket.append((sender, inner))
-    return {
-        instance_round: Inbox.from_pairs(pairs)
-        for instance_round, pairs in buckets.items()
-    }
+    return inbox.split(PCBatch, _batch_groups)
 
 
 class TotalOrderProcess(Process):

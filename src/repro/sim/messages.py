@@ -52,6 +52,10 @@ Derived views of a round's traffic (support indexes, routing tables, the
 receiver of a broadcast-only round shares one :class:`Inbox` object, and
 in a round with unicasts every receiver of the same rows does, so a pure
 derivation is computed once per distinct inbox instead of once per node.
+The derived inboxes — :meth:`Inbox.restricted` and the per-key split of
+container payloads, :meth:`Inbox.split` — are built from the parent's
+columns: no payload the parent filed is hashed again, and a container's
+inner payloads are hashed once per distinct container, not once per row.
 """
 
 from __future__ import annotations
@@ -271,6 +275,11 @@ class Inbox:
                 kept = list(dict.fromkeys(payload_rows[start:]))
                 payload_rows[start:] = kept
                 sender_rows += [sender] * len(kept)
+        self._set_columns(table, sender_rows, payload_rows)
+
+    def _set_columns(
+        self, table: list[Payload], sender_rows: list[NodeId], payload_rows: list[int]
+    ) -> None:
         self._table = table
         self._sender_rows = sender_rows
         self._payload_rows = payload_rows
@@ -278,6 +287,18 @@ class Inbox:
         self._by_sender: dict[NodeId, tuple[Payload, ...]] | None = None
         self._payload_senders: list[list[NodeId]] | None = None
         self._memo: dict | None = None
+
+    @classmethod
+    def _from_columns(
+        cls, table: list[Payload], sender_rows: list[NodeId], payload_rows: list[int]
+    ) -> "Inbox":
+        """The inbox over ready-made columns, which must already be in the
+        form ``Inbox(by_sender)`` builds: rows grouped by sender, each
+        sender's payloads distinct, the table in first-row order."""
+
+        inbox = cls.__new__(cls)
+        inbox._set_columns(table, sender_rows, payload_rows)
+        return inbox
 
     # -- basic accessors -------------------------------------------------
 
@@ -384,22 +405,128 @@ class Inbox:
         reuses one restricted view — including its own memo cache, which is
         what lets downstream index builds stay once-per-round even in runs
         where Byzantine senders must be stripped.
+
+        The build filters this inbox's rows by sender and re-indexes the
+        table: a kept table entry moves to the position of its first kept
+        row.  No payload is hashed again, and the result has exactly the
+        columns (and table objects) that rebuilding ``Inbox`` from the
+        kept senders' payloads would give.
         """
 
         def build(inbox: "Inbox") -> "Inbox":
             if inbox.senders <= allowed:
                 return inbox
-            return Inbox({
-                sender: payloads
-                for sender, payloads in inbox._grouped().items()
-                if sender in allowed
-            })
+            table = inbox._table
+            moved = [-1] * len(table)
+            kept_table: list[Payload] = []
+            sender_rows: list[NodeId] = []
+            payload_rows: list[int] = []
+            for sender, index in zip(inbox._sender_rows, inbox._payload_rows):
+                if sender in allowed:
+                    new_index = moved[index]
+                    if new_index < 0:
+                        moved[index] = new_index = len(kept_table)
+                        kept_table.append(table[index])
+                    sender_rows.append(sender)
+                    payload_rows.append(new_index)
+            return Inbox._from_columns(kept_table, sender_rows, payload_rows)
 
         # The subset test is O(senders); memoizing even the "nothing to
         # strip" case makes the per-node cost of the common path a single
         # dict probe (frozensets cache their hash, and the interned
         # known-sender views make the key comparison an identity check).
         return self.memo(("wire-restricted", allowed), build)
+
+    def split(
+        self,
+        container: type,
+        groups: Callable[[Payload], Iterable[tuple[Hashable, Iterable[Payload]]]],
+    ) -> dict[Hashable, "Inbox"]:
+        """Per-key inboxes of the payloads carried inside ``container`` rows.
+
+        ``groups(payload)`` lists a container payload's ``(key, payloads)``
+        pairs.  Each key's inbox holds, for every sender, the payloads of
+        all its containers' groups under that key, in row order and with
+        duplicates collapsed, so it equals ``Inbox.from_pairs`` over the
+        ``(sender, inner payload)`` pairs in row order.  Result keys are in
+        first-occurrence order; a key whose groups are all empty gets an
+        empty inbox.  Payloads of other types are ignored.
+
+        The walk visits each distinct container once: its groups' inner
+        payloads are filed in the key's table (hashed once, or matched by
+        equality when unhashable) and their table indexes cached, so a
+        container that ``k`` senders delivered is hashed once, not ``k``
+        times.  Each sender's rows then extend its keys' columns; a sender
+        that delivered several containers has its rows merged first.
+        """
+
+        table = self._table
+        # Per key: its payload table and the index of each hashable entry.
+        filings: dict[Hashable, tuple[list[Payload], dict[Payload, int]]] = {}
+        # Per distinct container (outer table index): key -> inner indexes.
+        filed: dict[int, dict[Hashable, list[int]]] = {}
+
+        def file(entry: int) -> dict[Hashable, list[int]]:
+            by_key: dict[Hashable, list[int]] = {}
+            for key, payloads in groups(table[entry]):
+                filing = filings.get(key)
+                if filing is None:
+                    filings[key] = filing = ([], {})
+                key_table, key_index = filing
+                rows = by_key.get(key)
+                if rows is None:
+                    by_key[key] = rows = []
+                for payload in payloads:
+                    try:
+                        index = key_index.get(payload)
+                    except TypeError:
+                        index = _unhashable_index(key_table, payload)
+                    else:
+                        if index is None:
+                            key_index[payload] = index = len(key_table)
+                            key_table.append(payload)
+                    rows.append(index)
+            for key, rows in by_key.items():
+                if len(rows) > 1:
+                    by_key[key] = list(dict.fromkeys(rows))
+            filed[entry] = by_key
+            return by_key
+
+        # Each sender's containers, in row order (rows are grouped by sender).
+        delivered: list[tuple[NodeId, list[dict[Hashable, list[int]]]]] = []
+        for sender, entry in zip(self._sender_rows, self._payload_rows):
+            if type(table[entry]) is not container:
+                continue
+            by_key = filed.get(entry)
+            if by_key is None:
+                by_key = file(entry)
+            if delivered and delivered[-1][0] == sender:
+                delivered[-1][1].append(by_key)
+            else:
+                delivered.append((sender, [by_key]))
+
+        columns: dict[Hashable, tuple[list[NodeId], list[int]]] = {
+            key: ([], []) for key in filings
+        }
+        for sender, parts in delivered:
+            if len(parts) == 1:
+                by_key = parts[0]
+            else:
+                # Several containers: concatenate the sender's rows per key,
+                # keeping first occurrences.
+                by_key = {}
+                for part in parts:
+                    for key, rows in part.items():
+                        by_key.setdefault(key, []).extend(rows)
+                by_key = {key: list(dict.fromkeys(rows)) for key, rows in by_key.items()}
+            for key, rows in by_key.items():
+                sender_rows, payload_rows = columns[key]
+                sender_rows += [sender] * len(rows)
+                payload_rows += rows
+        return {
+            key: Inbox._from_columns(filing[0], *columns[key])
+            for key, filing in filings.items()
+        }
 
     # -- protocol-oriented queries ----------------------------------------
 

@@ -15,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from repro.sim.messages import Inbox, intern_table_size
+from repro.sim.messages import Inbox, clear_intern_table, intern_table_size
 from repro.store.serve import build_parser
 from repro.store.service import ScenarioService, create_server
 
@@ -445,6 +445,11 @@ def test_module_docstring_example_request_is_accepted(server):
     assert events[-1] == {"event": "sweep-complete", "ran": 3, "skipped": 0, "total": 3}
 
 
+def live_inboxes() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Inbox))
+
+
 def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
     """Process-wide state stays bounded across sweeps.
 
@@ -459,10 +464,6 @@ def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
     """
 
     service = ScenarioService(tmp_path / "runs.db")
-
-    def live_inboxes() -> int:
-        gc.collect()
-        return sum(1 for obj in gc.get_objects() if isinstance(obj, Inbox))
 
     def sweep(extra_rounds: int) -> None:
         job = service.launch_sweep({"sweeps": [
@@ -480,5 +481,40 @@ def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
     interned = intern_table_size()
     for extra_rounds in range(1, 6):
         sweep(extra_rounds)
+        assert live_inboxes() <= before
+        assert intern_table_size() <= interned
+
+
+def test_repeated_total_order_sweeps_leave_no_inboxes_or_interned_payloads_behind(
+    tmp_path,
+):
+    """The same bound for total order, whose engines intern their sender
+    filters next to the known-sender views and the batches.
+
+    A churned, random-noise total-order cell runs on every repeat through
+    a fresh service and store, so it executes again: total order runs to
+    its churn horizon, so a larger ``max_rounds`` would change the run
+    instead of repeating it.  The table starts empty and the cell interns
+    far fewer payloads than the 65,536-entry cap, so no clear can hide
+    growth.
+    """
+
+    def sweep(repeat: int) -> None:
+        service = ScenarioService(tmp_path / f"runs-{repeat}.db")
+        job = service.launch_sweep({"sweep": {
+            "protocol": "total-order", "n": 6, "f": 1, "adversary": "random-noise",
+            "repetitions": 2,
+            "churn": {"rounds": 20, "join_rate": 0.1, "leave_rate": 0.05},
+        }})
+        events = list(job.events())
+        assert events[-1] == {"event": "sweep-complete", "ran": 2, "skipped": 0, "total": 2}
+
+    clear_intern_table()
+    before = live_inboxes()
+    sweep(0)
+    interned = intern_table_size()
+    assert 0 < interned < 4096
+    for repeat in range(1, 4):
+        sweep(repeat)
         assert live_inboxes() <= before
         assert intern_table_size() <= interned
