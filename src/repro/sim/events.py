@@ -39,14 +39,18 @@ are interchangeable (and asserted identical by the analytics tests).
 
 Recording happens through a narrow interface the network calls:
 :meth:`Trace.record_event` appends one event without constructing a
-``TraceEvent``, and the bulk variants
+``TraceEvent`` (round starts, decisions, halts), and the round variants
 :meth:`Trace.record_sends_columnar` /
-:meth:`Trace.record_deliveries_columnar` append a whole fan-out (one
-sender, one payload, many destinations) as column extensions — the network
-records a broadcast round in a handful of ``extend`` calls instead
-of one object allocation per (message, destination) pair.
-:meth:`Trace.record` still accepts a pre-built :class:`TraceEvent` for
-callers outside the hot path.
+:meth:`Trace.record_deliveries_columnar` take a whole round's
+``(sender, payload, dests)`` batch list — the format
+:class:`repro.sim.network.SynchronousNetwork` stages — and extend every
+column once per call.  A traced round therefore costs one call for its
+sends and one for its deliveries, however many unicasts and broadcasts it
+holds.  A spilling trace cuts a round's batch list after the fan-out that
+fills a segment and seals before appending the rest, so its live tail
+never exceeds ``segment_events`` plus one fan-out, exactly as when fan-outs
+were appended one by one.  :meth:`Trace.record` still accepts a pre-built
+:class:`TraceEvent` for callers outside the hot path.
 
 Event order, field values and query results are bit-identical to the
 object-per-event backend; ``tests/test_trace_golden.py`` pins that
@@ -61,12 +65,13 @@ import pickle
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .messages import NodeId, Payload, payload_nbytes
 
 __all__ = [
+    "Batch",
     "DEFAULT_SEGMENT_EVENTS",
     "EventKind",
     "TraceEvent",
@@ -78,6 +83,10 @@ __all__ = [
 #: Shared by :meth:`Trace.export_segments` callers, the spill mode and the
 #: run store layer (re-exported as ``repro.store.DEFAULT_SEGMENT_EVENTS``).
 DEFAULT_SEGMENT_EVENTS = 8192
+
+#: One fan-out of a round: its sender, payload and destinations.  A round's
+#: sends (or deliveries) are a list of these, in recording order.
+Batch = tuple[NodeId, Payload, Sequence[NodeId]]
 
 
 class EventKind(Enum):
@@ -98,6 +107,29 @@ _KIND_CODE: dict[EventKind, int] = {kind: code for code, kind in enumerate(Event
 _KIND_BYTE: dict[EventKind, bytes] = {
     kind: bytes((code,)) for kind, code in _KIND_CODE.items()
 }
+
+
+def _count_kinds(kinds: bytes) -> dict[str, int]:
+    """Events per kind value over a ``kinds`` byte column, in enum order."""
+
+    counts: dict[str, int] = {}
+    for code, kind in enumerate(_KIND_BY_CODE):
+        count = kinds.count(code)
+        if count:
+            counts[kind.value] = count
+    return counts
+
+
+def _repeat_each(values: Sequence, counts: Sequence[int]) -> list:
+    """``values[i]`` repeated ``counts[i]`` times, in order, as one list."""
+
+    out: list = []
+    for value, count in zip(values, counts):
+        if count == 1:
+            out.append(value)
+        else:
+            out.extend(repeat(value, count))
+    return out
 
 
 @dataclass(frozen=True)
@@ -287,94 +319,96 @@ class Trace:
         if self.enabled:
             self._append(kind, round_index, node_id, peer_id, payload, detail)
 
-    def _extend_fanout(
-        self,
-        kind: EventKind,
-        round_index: int,
-        node_column: Iterable[NodeId],
-        peer_column: Iterable[NodeId],
-        payload: Payload,
-        k: int,
+    def _extend_round(
+        self, kind: EventKind, round_index: int, batches: Sequence[Batch]
     ) -> None:
-        """One column extension per column; keeps every column in lockstep."""
+        """Append every (batch, destination) event, one extension per column.
 
-        self._kinds.frombytes(_KIND_BYTE[kind] * k)
-        self._rounds.extend(repeat(round_index, k))
-        self._node_ids.extend(node_column)
-        self._peer_ids.extend(peer_column)
-        self._payloads.extend(repeat(payload, k))
-        self._details.extend(repeat(None, k))
-        if self._spill is not None and len(self._kinds) >= self._segment_events:
-            self._drain_spill()
-
-    def record_sends_columnar(
-        self,
-        round_index: int,
-        sender: NodeId,
-        payload: Payload,
-        dests: Sequence[NodeId],
-    ) -> None:
-        """Bulk-append one ``MESSAGE_SENT`` event per destination.
-
-        Equivalent to recording ``TraceEvent(MESSAGE_SENT, round_index,
-        node_id=sender, peer_id=dest, payload=payload)`` for each ``dest``
-        in order, but as one column extension per column.
+        Sends put the sender in the node column and the destination in the
+        peer column; deliveries swap the two.
         """
 
-        if self.enabled and dests:
-            self._extend_fanout(
-                EventKind.MESSAGE_SENT,
-                round_index,
-                repeat(sender, len(dests)),
-                dests,
-                payload,
-                len(dests),
-            )
+        senders, payloads, dest_lists = zip(*batches)
+        dests = list(chain.from_iterable(dest_lists))
+        total = len(dests)
+        counts = list(map(len, dest_lists))
+        if counts.count(1) != len(counts):
+            senders = _repeat_each(senders, counts)
+            payloads = _repeat_each(payloads, counts)
+        if kind is EventKind.MESSAGE_SENT:
+            nodes, peers = senders, dests
+        else:
+            nodes, peers = dests, senders
+        self._kinds.frombytes(_KIND_BYTE[kind] * total)
+        self._rounds.extend(array("q", (round_index,)) * total)
+        self._node_ids.extend(nodes)
+        self._peer_ids.extend(peers)
+        self._payloads.extend(payloads)
+        self._details.extend(repeat(None, total))
+
+    def _record_round(
+        self, kind: EventKind, round_index: int, batches: Sequence[Batch]
+    ) -> None:
+        if not (self.enabled and batches):
+            return
+        if self._spill is None:
+            self._extend_round(kind, round_index, batches)
+            return
+        # Seal after the fan-out that fills a segment, before appending the
+        # next one: the live tail stays within one segment plus one fan-out.
+        limit = self._segment_events
+        live = len(self._kinds)
+        start = 0
+        for stop, (_, _, dests) in enumerate(batches, 1):
+            live += len(dests)
+            if live >= limit:
+                self._extend_round(kind, round_index, batches[start:stop])
+                self._drain_spill()
+                start, live = stop, len(self._kinds)
+        if start < len(batches):
+            self._extend_round(kind, round_index, batches[start:])
+
+    def record_sends_columnar(
+        self, round_index: int, batches: Sequence[Batch]
+    ) -> None:
+        """Append one ``MESSAGE_SENT`` event per (batch, destination).
+
+        ``batches`` is the round's ``(sender, payload, dests)`` list.
+        Equivalent to recording ``TraceEvent(MESSAGE_SENT, round_index,
+        node_id=sender, peer_id=dest, payload=payload)`` for each batch in
+        order and each ``dest`` in order, but as one extension per column.
+        """
+
+        self._record_round(EventKind.MESSAGE_SENT, round_index, batches)
 
     def record_deliveries_columnar(
-        self,
-        round_index: int,
-        sender: NodeId,
-        payload: Payload,
-        dests: Sequence[NodeId],
+        self, round_index: int, batches: Sequence[Batch]
     ) -> None:
-        """Bulk-append one ``MESSAGE_DELIVERED`` event per destination.
+        """Append one ``MESSAGE_DELIVERED`` event per (batch, destination).
 
         Equivalent to recording ``TraceEvent(MESSAGE_DELIVERED,
         round_index, node_id=dest, peer_id=sender, payload=payload)`` for
-        each ``dest`` in order, but as one column extension per column.
+        each batch in order and each ``dest`` in order, but as one
+        extension per column.
         """
 
-        if self.enabled and dests:
-            self._extend_fanout(
-                EventKind.MESSAGE_DELIVERED,
-                round_index,
-                dests,
-                repeat(sender, len(dests)),
-                payload,
-                len(dests),
-            )
+        self._record_round(EventKind.MESSAGE_DELIVERED, round_index, batches)
 
     # -- persistence hooks -----------------------------------------------------
 
     def _segment_slice(self, start: int, stop: int) -> tuple[dict, dict[str, bytes]]:
         """Project events ``[start, stop)`` onto a ``(footer, blobs)`` pair."""
 
-        kinds = self._kinds[start:stop]
+        kinds = self._kinds[start:stop].tobytes()
         rounds = self._rounds[start:stop]
-        kind_counts = {}
-        for code, kind in enumerate(_KIND_BY_CODE):
-            count = kinds.count(code)
-            if count:
-                kind_counts[kind.value] = count
         footer = {
             "events": stop - start,
-            "kind_counts": kind_counts,
+            "kind_counts": _count_kinds(kinds),
             "round_min": min(rounds),
             "round_max": max(rounds),
         }
         blobs = {
-            "kinds": kinds.tobytes(),
+            "kinds": kinds,
             "rounds": rounds.tobytes(),
             "nodes": pickle.dumps(self._node_ids[start:stop], protocol=4),
             "peers": pickle.dumps(self._peer_ids[start:stop], protocol=4),
@@ -571,17 +605,11 @@ class Trace:
         so the totals always describe the whole run.
         """
 
-        kinds = self._kinds
-        spilled: dict[str, int] = {}
+        totals = _count_kinds(self._kinds.tobytes())
         for footer in self._spilled_footers:
             for value, count in footer["kind_counts"].items():
-                spilled[value] = spilled.get(value, 0) + count
-        counts: dict[str, int] = {}
-        for code, kind in enumerate(_KIND_BY_CODE):
-            count = kinds.count(code) + spilled.get(kind.value, 0)
-            if count:
-                counts[kind.value] = count
-        return counts
+                totals[value] = totals.get(value, 0) + count
+        return {k.value: totals[k.value] for k in EventKind if k.value in totals}
 
     # -- aggregation -----------------------------------------------------------
 

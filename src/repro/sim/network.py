@@ -77,6 +77,7 @@ writes them to :class:`RunMetrics` once per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -90,7 +91,7 @@ from .errors import (
     MembershipError,
     RoundLimitExceeded,
 )
-from .events import DEFAULT_SEGMENT_EVENTS, EventKind, Trace
+from .events import DEFAULT_SEGMENT_EVENTS, Batch, EventKind, Trace
 from .messages import (
     Broadcast,
     Inbox,
@@ -110,10 +111,6 @@ __all__ = [
     "all_correct_decided",
     "all_correct_halted",
 ]
-
-#: One send action in flight: its sender, payload and destination tuple.
-Batch = tuple[NodeId, Any, tuple[NodeId, ...]]
-
 
 @dataclass(frozen=True)
 class SystemView:
@@ -512,21 +509,20 @@ class SynchronousNetwork:
         active = self._active
         trace = self._trace
         if trace.enabled:
-            # One bulk column append per batch: the whole fan-out of a
-            # broadcast becomes a handful of `extend`s instead of one
-            # TraceEvent per (message, destination) pair.  When membership
-            # did not change since staging, the recorded destination tuple
-            # *is* the current sorted-active cache, so the per-destination
-            # liveness filter is skipped entirely.
+            # One trace call for the round.  A broadcast staged since the
+            # last membership change carries the current sorted-active
+            # cache as its destinations, so only the other batches are
+            # checked; the per-destination filter runs only when one of
+            # them names a node that is no longer active.
             active_now = self._active_sorted()
-            bulk = trace.record_deliveries_columnar
-            for sender, payload, dests in batches:
-                delivered = (
-                    dests
-                    if dests is active_now
-                    else [d for d in dests if d in active]
-                )
-                bulk(round_index, sender, payload, delivered)
+            delivered = batches
+            others = [dests for _, _, dests in batches if dests is not active_now]
+            if others and not active.issuperset(chain.from_iterable(others)):
+                delivered = [
+                    (sender, payload, [d for d in dests if d in active])
+                    for sender, payload, dests in batches
+                ]
+            trace.record_deliveries_columnar(round_index, delivered)
         if shared is not None:
             # Broadcast-only round: every recipient sees the same messages,
             # so one inbox serves all of them.  The single shared inbox is
@@ -586,7 +582,8 @@ class SynchronousNetwork:
         broadcast; otherwise :meth:`_schedule_per_destination` files each
         action by its destinations' delivery rounds.  Each node's
         broadcasts, unicasts and messages go to the metrics in one
-        :meth:`RunMetrics.record_sends` call.
+        :meth:`RunMetrics.record_sends` call, and a traced round's batch
+        list goes to the trace in one call.
         """
 
         synchronous = self._delay_model.synchronous
@@ -595,7 +592,6 @@ class SynchronousNetwork:
         # Membership cannot change while staging, so every broadcast in the
         # round shares one destination tuple.
         broadcast_dests = self._active_sorted()
-        trace = self._trace
         metrics = self._metrics
         measure_bytes = self._measure_bytes
         for node_id, actions in outgoing_by_node.items():
@@ -611,22 +607,18 @@ class SynchronousNetwork:
                     raise InvalidOutgoingError(node_id, action)
                 if measure_bytes:
                     metrics.record_payload(payload_nbytes(action.payload), len(dests))
-                if synchronous:
-                    staged.append((node_id, action.payload, dests))
-                else:
+                staged.append((node_id, action.payload, dests))
+                if not synchronous:
                     self._schedule_per_destination(
                         node_id, action.payload, dests, round_index
-                    )
-                if trace.enabled:
-                    trace.record_sends_columnar(
-                        round_index, node_id, action.payload, dests
                     )
             metrics.record_sends(
                 node_id, broadcasts * len(broadcast_dests) + unicasts, broadcasts, unicasts
             )
             if unicasts:
                 any_unicast = True
-        if staged:
+        self._trace.record_sends_columnar(round_index, staged)
+        if synchronous and staged:
             self._in_flight[round_index + 1] = staged
             self._shared[round_index + 1] = None if any_unicast else broadcast_dests
 

@@ -130,7 +130,8 @@ class StoredTrace:
     Queries consult the footers first: ``of_kind`` skips segments whose
     footer shows a zero count for the kind, ``in_round`` skips segments
     whose round range excludes the round, and ``kind_counts``/``len``
-    never load a blob at all.  Loaded segments are cached.
+    never load a blob at all.  The query helpers cache the segments they
+    load; ``select``/``select_batches`` stream them instead.
     """
 
     def __init__(
@@ -157,6 +158,13 @@ class StoredTrace:
         if segment is None:
             segment = self._segments[index] = self._loader(index)
         return segment
+
+    def _uncached(self, index: int) -> Trace:
+        """Segment ``index``: the cached copy if a query loaded it, else a
+        fresh load that is not kept."""
+
+        segment = self._segments.get(index)
+        return self._loader(index) if segment is None else segment
 
     def _select(self, wanted: Callable[[dict], bool]) -> Iterator[Trace]:
         for index, footer in enumerate(self._footers):
@@ -303,8 +311,12 @@ class StoredTrace:
 
         The streaming primitive behind the service's ``/runs/<key>/trace``
         endpoint: segments whose footers cannot match are skipped without
-        blob I/O, and each yielded batch is independent, so a consumer
-        holds at most one segment's events at once.
+        blob I/O, and each yielded batch is independent.  Segments are
+        loaded without being cached (one a query helper already cached is
+        reused), and the loaded segment is released before its batch is
+        yielded, so a stream holds no segment while its consumer works and
+        at most one while the next batch is selected, plus the batches the
+        consumer keeps.
         """
 
         for index, footer in enumerate(self._footers):
@@ -317,7 +329,7 @@ class StoredTrace:
                 footer["round_min"] <= round_index <= footer["round_max"]
             ):
                 continue
-            yield index, self._segment(index).select(
+            yield index, self._uncached(index).select(
                 kind=kind, round_index=round_index, node_id=node_id
             )
 

@@ -34,6 +34,9 @@ __all__ = [
 #: Pinned pickle protocol for object blobs (available since Python 3.4).
 PICKLE_PROTOCOL = 4
 
+#: Types ``to_jsonable`` returns unchanged without further checks.
+_PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def to_jsonable(value: Any) -> Any:
     """Map ``value`` onto plain JSON types, recursively.
@@ -42,9 +45,21 @@ def to_jsonable(value: Any) -> Any:
     holding ``np.float64`` used to serialise differently from the same
     row holding ``float``), tuples become lists and mapping keys become
     strings.  Values with no JSON image raise ``TypeError`` loudly.
+
+    Exact ``str``/``int``/``float``/``bool``/``None``, ``dict``, ``list``
+    and ``tuple`` values, which make up nearly every report row and
+    stream event, are matched by type before the subclass and ABC
+    checks; the result is the same either way.
     """
 
-    if value is None or isinstance(value, (bool, int, float, str)):
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return value
+    if kind is dict:
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, (bool, int, float, str)):
         return value
     if hasattr(value, "item") and not isinstance(value, Mapping):
         # numpy scalar (np.integer / np.floating / np.bool_)

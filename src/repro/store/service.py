@@ -61,17 +61,52 @@ from .serialize import canonical_dumps
 __all__ = ["ScenarioService", "SweepJob", "create_server"]
 
 
-def _trace_event_json(event: TraceEvent) -> dict:
-    """One trace event as a JSON-safe dict (payload/detail via ``repr``)."""
+#: One streamed event's JSON, keys in ``canonical_dumps`` (sorted) order.
+_EVENT_JSON = (
+    '{"detail":%s,"kind":%s,"node":%s,"payload":%s,"peer":%s,"round":%d}'
+)
+#: Each kind's JSON text, keyed by the kind's value (``EventKind._value_``
+#: is a plain attribute; ``.value`` and hashing a member run Python code).
+_KIND_JSON = {kind.value: canonical_dumps(kind.value) for kind in EventKind}
 
-    return {
-        "kind": event.kind.value,
-        "round": event.round_index,
-        "node": event.node_id,
-        "peer": event.peer_id,
-        "payload": None if event.payload is None else repr(event.payload),
-        "detail": None if event.detail is None else repr(event.detail),
-    }
+
+def _segment_line(segment_index: int, batch: list[TraceEvent]) -> str:
+    """The NDJSON text of one ``segment`` stream event.
+
+    Equal to ``canonical_dumps`` of ``{"event": "segment", "segment": i,
+    "events": [...]}`` with one ``{"kind", "round", "node", "peer",
+    "payload", "detail"}`` dict per event, payload and detail as their
+    ``repr``.  A segment's events share a few payload objects (a
+    broadcast's recipients all reference one), so the text is built here
+    from the JSON of each distinct object, ``repr``'d once, rather than
+    by walking one dict per event.
+    """
+
+    texts: dict[int, str] = {}
+
+    def text(value: Any) -> str:
+        found = texts.get(id(value))
+        if found is None:
+            found = texts[id(value)] = (
+                "null" if value is None else canonical_dumps(repr(value))
+            )
+        return found
+
+    def node(value: Any) -> str:
+        return int.__repr__(value) if type(value) is int else canonical_dumps(value)
+
+    events = ",".join(
+        _EVENT_JSON % (
+            text(event.detail),
+            _KIND_JSON[event.kind._value_],
+            node(event.node_id),
+            text(event.payload),
+            node(event.peer_id),
+            event.round_index,
+        )
+        for event in batch
+    )
+    return f'{{"event":"segment","events":[{events}],"segment":{segment_index}}}'
 
 
 def _parse_trace_filters(
@@ -444,18 +479,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
 
-        def write(obj: dict) -> None:
-            self.wfile.write((canonical_dumps(obj) + "\n").encode("ascii"))
+        def write(line: str) -> None:
+            self.wfile.write((line + "\n").encode("ascii"))
             self.wfile.flush()
 
         try:
             write(
-                {
-                    "event": "trace-start",
-                    "run_key": run_key,
-                    "segments": trace.segment_count,
-                    "events": len(trace),
-                }
+                canonical_dumps(
+                    {
+                        "event": "trace-start",
+                        "run_key": run_key,
+                        "segments": trace.segment_count,
+                        "events": len(trace),
+                    }
+                )
             )
             streamed = 0
             for segment_index, batch in trace.select_batches(
@@ -463,15 +500,9 @@ class _Handler(BaseHTTPRequestHandler):
             ):
                 if not batch:
                     continue
-                write(
-                    {
-                        "event": "segment",
-                        "segment": segment_index,
-                        "events": [_trace_event_json(e) for e in batch],
-                    }
-                )
+                write(_segment_line(segment_index, batch))
                 streamed += len(batch)
-            write({"event": "trace-complete", "streamed": streamed})
+            write(canonical_dumps({"event": "trace-complete", "streamed": streamed}))
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-replay; nothing to clean up
 

@@ -295,18 +295,30 @@ trace_events = st.builds(
     detail=trace_details,
 )
 
+#: One fan-out of a round: empty, single-destination (a unicast) or
+#: many-destination (a broadcast).
+trace_batches = st.tuples(
+    st.integers(min_value=0, max_value=9),  # sender
+    trace_payloads,
+    st.one_of(
+        st.just(()),
+        st.tuples(st.integers(min_value=0, max_value=9)),
+        st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=6).map(
+            tuple
+        ),
+    ),
+)
+
 #: One recording action: a pre-built event through ``record``, a scalar
-#: append through ``record_event``, or a bulk fan-out through one of the
-#: columnar variants.
+#: append through ``record_event``, or a round's batch list through one of
+#: the columnar variants.
 trace_ops = st.one_of(
     st.tuples(st.just("record"), trace_events),
     st.tuples(st.just("record_event"), trace_events),
     st.tuples(
         st.sampled_from(["sends", "deliveries"]),
         st.integers(min_value=0, max_value=30),  # round index
-        st.integers(min_value=0, max_value=9),  # sender
-        trace_payloads,
-        st.lists(st.integers(min_value=0, max_value=9), max_size=6).map(tuple),
+        st.lists(trace_batches, max_size=5),
     ),
 )
 
@@ -335,26 +347,40 @@ def apply_trace_ops(trace: Trace, ops) -> list[TraceEvent]:
             )
             reference.append(event)
         else:
-            _, round_index, sender, payload, dests = op
+            _, round_index, batches = op
             if op[0] == "sends":
-                trace.record_sends_columnar(round_index, sender, payload, dests)
+                trace.record_sends_columnar(round_index, batches)
                 kind, node_of, peer_of = (
                     EventKind.MESSAGE_SENT,
-                    lambda d: sender,
-                    lambda d: d,
+                    lambda sender, d: sender,
+                    lambda sender, d: d,
                 )
             else:
-                trace.record_deliveries_columnar(round_index, sender, payload, dests)
+                trace.record_deliveries_columnar(round_index, batches)
                 kind, node_of, peer_of = (
                     EventKind.MESSAGE_DELIVERED,
-                    lambda d: d,
-                    lambda d: sender,
+                    lambda sender, d: d,
+                    lambda sender, d: sender,
                 )
             reference.extend(
-                TraceEvent(kind, round_index, node_of(d), peer_of(d), payload)
+                TraceEvent(
+                    kind,
+                    round_index,
+                    node_of(sender, d),
+                    peer_of(sender, d),
+                    payload,
+                )
+                for sender, payload, dests in batches
                 for d in dests
             )
     return reference
+
+
+def reference_kind_counts(events: list[TraceEvent]) -> dict[str, int]:
+    """Events per kind value, in enum member order, kinds with none left out."""
+
+    counts = {kind.value: sum(e.kind is kind for e in events) for kind in EventKind}
+    return {value: count for value, count in counts.items() if count}
 
 
 @COMMON
@@ -385,6 +411,7 @@ def test_columnar_trace_round_trips_against_object_model(ops):
     assert trace.decisions() == [
         e for e in reference if e.kind == EventKind.NODE_DECIDED
     ]
+    assert trace.kind_counts() == reference_kind_counts(reference)
 
 
 @COMMON
@@ -394,3 +421,62 @@ def test_disabled_trace_ignores_every_recording_path(ops):
     apply_trace_ops(trace, ops)
     assert len(trace) == 0
     assert list(trace) == []
+
+
+class _BoundedSink:
+    """A spill sink that keeps sealed segments and the largest live tail."""
+
+    def __init__(self) -> None:
+        self.trace: Trace | None = None
+        self.segments: list[tuple[dict, dict[str, bytes]]] = []
+        self.peak_live = 0
+
+    def write(self, index: int, footer: dict, blobs: dict[str, bytes]) -> None:
+        assert index == len(self.segments)
+        # Called before the sealed events leave the columns: the tail at
+        # its largest.
+        self.peak_live = max(self.peak_live, self.trace.live_events)
+        self.segments.append((footer, blobs))
+
+
+@settings(COMMON, max_examples=100)
+@given(
+    ops=st.lists(trace_ops, max_size=12),
+    segment_events=st.integers(min_value=1, max_value=7),
+)
+def test_spilling_trace_seals_export_segments_and_bounds_its_tail(
+    ops, segment_events
+):
+    """Round batches spill exactly what ``export_segments`` would cut.
+
+    Every sealed segment equals the in-memory trace's segment, footer and
+    blobs, and the live tail never holds more than ``segment_events - 1``
+    events plus the fan-out that filled it.
+    """
+
+    sink = _BoundedSink()
+    spilling = Trace(spill_to=sink, segment_events=segment_events)
+    sink.trace = spilling
+    reference = apply_trace_ops(spilling, ops)
+    in_memory = Trace()
+    apply_trace_ops(in_memory, ops)
+
+    exported = in_memory.export_segments(max_events=segment_events)
+    sealed = len(reference) // segment_events
+    assert sink.segments == exported[:sealed]
+    for index, (footer, _) in enumerate(exported):
+        events = reference[index * segment_events : (index + 1) * segment_events]
+        assert footer["events"] == len(events)
+        assert footer["kind_counts"] == reference_kind_counts(events)
+    assert spilling.live_events == len(reference) - sealed * segment_events
+    assert list(spilling) == reference[sealed * segment_events :]
+    assert len(spilling) == len(reference)
+    assert spilling.kind_counts() == in_memory.kind_counts()
+    fanouts = [
+        len(dests)
+        for op in ops
+        if op[0] in ("sends", "deliveries")
+        for _, _, dests in op[2]
+    ]
+    largest_fanout = max([1, *fanouts])
+    assert sink.peak_live <= segment_events - 1 + largest_fanout

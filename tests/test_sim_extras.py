@@ -119,8 +119,8 @@ class TestTrace:
     def test_disabled_trace_ignores_scalar_and_bulk_recording(self):
         trace = Trace(enabled=False)
         trace.record_event(EventKind.ROUND_START, 1)
-        trace.record_sends_columnar(1, 3, "m", (1, 2, 3))
-        trace.record_deliveries_columnar(2, 3, "m", (1, 2, 3))
+        trace.record_sends_columnar(1, [(3, "m", (1, 2, 3)), (4, "u", (1,))])
+        trace.record_deliveries_columnar(2, [(3, "m", (1, 2, 3)), (4, "u", (1,))])
         assert len(trace) == 0
         assert list(trace) == []
         assert trace.events == []
@@ -162,21 +162,34 @@ class TestTrace:
 
     def test_bulk_recording_matches_scalar_recording(self):
         bulk, scalar = Trace(), Trace()
-        bulk.record_sends_columnar(1, 9, "m", (1, 2))
-        bulk.record_deliveries_columnar(2, 9, "m", (1, 2))
-        bulk.record_sends_columnar(2, 9, "m", ())  # empty fan-out is a no-op
-        for dest in (1, 2):
-            scalar.record_event(
-                EventKind.MESSAGE_SENT, 1, node_id=9, peer_id=dest, payload="m"
-            )
-        for dest in (1, 2):
-            scalar.record_event(
-                EventKind.MESSAGE_DELIVERED, 2, node_id=dest, peer_id=9, payload="m"
-            )
+        # A round's batches: a broadcast, an empty fan-out (no events) and
+        # a unicast, recorded in batch order.
+        batches = [(9, "m", (1, 2)), (8, "e", ()), (7, "u", (3,))]
+        bulk.record_sends_columnar(1, batches)
+        bulk.record_deliveries_columnar(2, batches)
+        bulk.record_sends_columnar(2, [])  # an empty round is a no-op
+        for sender, payload, dests in batches:
+            for dest in dests:
+                scalar.record_event(
+                    EventKind.MESSAGE_SENT,
+                    1,
+                    node_id=sender,
+                    peer_id=dest,
+                    payload=payload,
+                )
+        for sender, payload, dests in batches:
+            for dest in dests:
+                scalar.record_event(
+                    EventKind.MESSAGE_DELIVERED,
+                    2,
+                    node_id=dest,
+                    peer_id=sender,
+                    payload=payload,
+                )
         assert list(bulk) == list(scalar)
         assert bulk.kind_counts() == {
-            "message_sent": 2,
-            "message_delivered": 2,
+            "message_sent": 3,
+            "message_delivered": 3,
         }
 
 
