@@ -110,7 +110,10 @@ class ProtocolRegistry:
         builder honours and ``params`` the protocol-parameter keys it
         reads; :meth:`build` rejects specs that use anything else, so a
         validated spec never silently misdescribes the execution it
-        produces.
+        produces.  A worker pool started before the registration is
+        replaced at the next parallel call (see
+        :func:`repro.api.sweep.map_jobs`), so its workers know the new
+        protocol.
         """
 
         if stop not in ("decided", "halted", "never"):

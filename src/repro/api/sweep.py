@@ -5,10 +5,14 @@ A :class:`SweepSpec` is a declarative cartesian grid over scenario axes
 repetition count; :meth:`SweepSpec.scenarios` expands it into concrete
 :class:`~repro.api.spec.ScenarioSpec` values, deriving one seed per
 (configuration, repetition) pair.  :class:`SweepRunner` executes the
-scenarios — sequentially or across a ``ProcessPoolExecutor`` — and feeds
-the per-scenario measurement rows into the existing
+scenarios — sequentially or across worker processes — and feeds the
+per-scenario measurement rows into the existing
 :func:`repro.analysis.stats.aggregate_rows` machinery.
 
+Parallel execution goes through :func:`map_jobs`, the one fan-out path of
+the package (sweeps, resumable store sweeps, scenario search).  It keeps
+one ``ProcessPoolExecutor`` alive for the life of the process, so
+repeated calls reuse warm workers instead of forking a pool per call.
 Parallel execution is *bit-deterministic*: every scenario carries its own
 derived seed and rows are collected in expansion order, so ``jobs=1`` and
 ``jobs=N`` produce identical aggregated results.
@@ -18,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -290,39 +296,133 @@ def _run_case(payload: tuple[dict, RowFn]) -> dict:
     return row_fn(run_scenario(ScenarioSpec.from_dict(spec_dict)))
 
 
-def map_jobs(fn: Callable, payloads: Sequence, jobs: int) -> Iterator:
-    """Map ``fn`` over ``payloads`` in order, optionally across a process pool.
+#: The process's one worker pool (see :func:`map_jobs`), what it was forked
+#: with (its worker count and the registered protocols) and how many calls
+#: have work pending on it.  Module state, because the pool must outlive
+#: its callers: every search, sweep request and experiment builds its own
+#: runner.  Reentrant, since a results generator released by the garbage
+#: collector takes the lock from whatever frame the collector runs in.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_KEY: tuple = ()
+_POOL_CALLS = 0
+_POOL_LOCK = threading.RLock()
 
-    The shared execution engine of :class:`SweepRunner` and the resumable
-    layer (:class:`repro.store.resumable.ResumableSweep`): results come
-    back lazily and strictly in payload order, so callers can fire
-    progress callbacks as cells complete while keeping deterministic
-    collection order.  ``jobs == 1`` (or a single payload) runs inline;
-    only pool *creation* falls back to sequential (sandboxes without
-    process support) — errors raised inside ``fn`` propagate unchanged
-    rather than triggering a silent rerun.  ``fn`` must be a module-level
-    function and payloads/results must pickle.
+
+def _retire_pool() -> None:
+    """Shut the live pool down (call under the lock): join it if it is
+    idle, else let the other calls' queued work finish on it."""
+
+    global _POOL
+    _POOL.shutdown(wait=_POOL_CALLS == 0)
+    _POOL = None
+
+
+def _pool_map(fn: Callable, payloads: Sequence, workers: int, chunksize: int):
+    """Submit ``payloads`` to the live pool if it was forked with the same
+    worker count and protocols and is not broken, else to a new one.
+
+    Returns the pool and its lazy, in-order results, or ``None`` when no
+    pool can be created here (sandboxes without process support).
+    """
+
+    global _POOL, _POOL_KEY, _POOL_CALLS
+    key = (workers, tuple(REGISTRY))
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL_KEY != key:
+            _retire_pool()
+        if _POOL is not None:
+            try:
+                results = _POOL.map(fn, payloads, chunksize=chunksize)
+            except BrokenProcessPool:  # a worker died in an earlier call
+                _retire_pool()
+            else:
+                _POOL_CALLS += 1
+                return _POOL, results
+        try:
+            _POOL = ProcessPoolExecutor(max_workers=workers)
+        except OSError as exc:  # pragma: no cover - sandboxes
+            warnings.warn(
+                f"process pool unavailable ({exc}); falling back to "
+                "sequential execution",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
+        _POOL_KEY, _POOL_CALLS = key, 0
+        results = _POOL.map(fn, payloads, chunksize=chunksize)
+        _POOL_CALLS = 1
+        return _POOL, results
+
+
+def _release(pool: ProcessPoolExecutor) -> None:
+    global _POOL_CALLS
+    with _POOL_LOCK:
+        if pool is _POOL:
+            _POOL_CALLS -= 1
+
+
+def map_jobs(fn: Callable, payloads: Sequence, jobs: int) -> Iterator:
+    """Map ``fn`` over ``payloads`` in order, optionally across worker processes.
+
+    The shared execution engine of :class:`SweepRunner`, the resumable
+    layer (:class:`repro.store.resumable.ResumableSweep`) and the scenario
+    search: results come back lazily and strictly in payload order, so
+    callers can fire progress callbacks as cells complete while keeping
+    deterministic collection order.  ``jobs == 1`` (or a single payload)
+    runs inline.  ``fn`` must be a module-level function and
+    payloads/results must pickle.
+
+    Otherwise the payloads run on the process's one worker pool, with
+    ``min(jobs, os.cpu_count())`` workers; work starts at the first
+    ``next``.
+
+    * *Lifetime.*  The first call that needs workers starts the pool, and
+      every later call that needs the same count reuses it until the
+      process exits; concurrent calls with the same count share its
+      workers.  A fresh forked worker runs its first tasks about twice as
+      slowly as a warm one, so a search forks no workers after its first
+      generation.
+    * *Replacement.*  A call that needs another worker count, finds the
+      pool broken (a worker died, so the calls waiting on it raised
+      ``BrokenProcessPool``) or sees a protocol registered since the pool
+      started, retires the pool and starts a new one.  An idle pool is
+      joined first, so a process with one caller never forks while
+      another pool's threads run (Python 3.12 warns about forking a
+      multi-threaded process).  A pool that other calls still have work
+      on is shut down without waiting: their queued work finishes on it,
+      and callers with different ``jobs`` run side by side.  A lock
+      guards this check-and-create step, since the scenario service calls
+      ``map_jobs`` from its sweep threads.
+    * *Fork-time state.*  Workers are copies of the process as it was when
+      the pool started.  Protocols registered later reach them through the
+      replacement above; any other state changed since (a module global,
+      an environment variable) does not, so pass it in the payload.
+    * *Abandoned iterators.*  Closing an unfinished iterator cancels that
+      call's pending work only; the pool stays up.
+    * *Fallback.*  Workers start with the platform's default start method
+      (fork on Linux).  Only pool *creation* falls back to sequential
+      execution, with a ``RuntimeWarning`` (sandboxes without process
+      support); an error raised inside ``fn`` propagates unchanged rather
+      than triggering a silent rerun.
     """
 
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if jobs == 1 or len(payloads) <= 1:
         return map(fn, payloads)
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
-    chunksize = max(1, len(payloads) // (workers * 4))
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except OSError as exc:  # pragma: no cover - sandboxes
-        warnings.warn(
-            f"process pool unavailable ({exc}); falling back to sequential execution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return map(fn, payloads)
+    workers = min(jobs, os.cpu_count() or 1)
+    chunksize = max(1, len(payloads) // (min(workers, len(payloads)) * 4))
 
     def results() -> Iterator:
-        with pool:
-            yield from pool.map(fn, payloads, chunksize=chunksize)
+        submitted = _pool_map(fn, payloads, workers, chunksize)
+        if submitted is None:
+            yield from map(fn, payloads)
+            return
+        pool, mapped = submitted
+        try:
+            yield from mapped
+        finally:
+            _release(pool)
 
     return results()
 

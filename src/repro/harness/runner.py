@@ -29,8 +29,8 @@ produces bit-identical reports.
 The search mutates a base spec (``--search-spec PATH`` to supply one as
 JSON; the default hunts consensus-agreement breaks under
 ``UniformRandomDelay`` at n=4) and reports confirmed counterexamples.
-``--search-jobs N`` evaluates each candidate generation across ``N``
-worker processes — findings are bit-identical for any value.
+``--search-jobs N`` evaluates and confirms each candidate generation
+across ``N`` worker processes — findings are bit-identical for any value.
 ``--search-objective`` swaps the ranking: ``violations`` (default),
 ``rounds`` (worst-case latency) or ``message_volume`` (traffic blowups;
 candidates run under payload accounting).  With ``--store`` every
@@ -47,6 +47,8 @@ import sys
 import time
 from typing import Sequence, TextIO
 
+from ..api.registry import REGISTRY
+from ..api.spec import ScenarioSpec
 from ..store import DEFAULT_SEGMENT_EVENTS, RunStore, canonical_dumps
 from .experiments import EXPERIMENTS, ExperimentResult, run_experiment
 
@@ -159,15 +161,15 @@ def run_search(
 ):
     """Run one property-guided scenario search and report the findings.
 
-    ``jobs`` fans candidate evaluation out over worker processes
-    (findings are bit-identical for any value); ``objective`` picks the
+    ``jobs`` fans candidate evaluation and confirmation out over the
+    process's one worker pool (see :func:`repro.api.sweep.map_jobs`;
+    findings are bit-identical for any value); ``objective`` picks the
     ranking (see :data:`repro.search.OBJECTIVES`).  Returns the
     :class:`repro.search.SearchResult`; when ``out_path`` is given the
     result (specs, violations, run keys, escalations) is also written
     there as JSON so CI can archive counterexamples as artifacts.
     """
 
-    from ..api.spec import ScenarioSpec
     from ..search import ScenarioSearch
 
     stream = stream or sys.stdout
@@ -299,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for candidate evaluation "
+        help="worker processes for candidate evaluation and confirmation "
         "(findings are identical for any value)",
     )
     parser.add_argument(
@@ -350,8 +352,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
         base_spec = None
         if args.search_spec:
-            with open(args.search_spec, "r", encoding="utf-8") as handle:
-                base_spec = json.load(handle)
+            try:
+                with open(args.search_spec, "r", encoding="utf-8") as handle:
+                    base_spec = json.load(handle)
+                if not isinstance(base_spec, dict):
+                    raise TypeError(
+                        f"expected a JSON object, not {type(base_spec).__name__}"
+                    )
+                REGISTRY.info(ScenarioSpec.from_dict(base_spec).protocol)
+            except (OSError, ValueError, TypeError, KeyError) as exc:
+                reason = exc.args[0] if isinstance(exc, KeyError) else exc
+                parser.error(f"--search-spec {args.search_spec}: {reason}")
         store = RunStore(args.store) if args.store else None
         try:
             run_search(

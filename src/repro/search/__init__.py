@@ -35,7 +35,13 @@ The pipeline: mutate → validate-small → confirm-large
    is reported only after a confirmation re-run reproduces its violations,
    and after it has been re-run at the larger sizes in ``escalate_n``
    (escalation results are recorded either way: a violation that vanishes
-   at scale is still a finding, but the report says so).
+   at scale is still a finding, but the report says so).  A generation's
+   candidate findings are confirmed as one batch through
+   :func:`~repro.api.sweep.map_jobs`, one task per candidate (re-run,
+   then escalations only if the re-run reproduced the violation names), on
+   the same warm worker pool as the evaluations.  The parent folds the
+   results in slot order and writes every finding itself, so confirmation
+   too is bit-identical at any ``jobs``.
 
 Store persistence contract
 --------------------------
@@ -47,10 +53,11 @@ under its content-addressed run key (with its measurement row under the
 against the same store re-executes nothing — the run-key cache is the
 dedupe and the resume mechanism in one.  The confirmation re-run of a
 finding runs under the same payload accounting, so
-:func:`repro.store.record_from_outcome` rewrites the very record the
-evaluation stored — full outputs, decisions and per-round metrics —
-under the standard content-addressed run key (spec digest ‖ code
-version), and adds a finding row under the ``row_fn`` label
+:func:`repro.store.record_from_outcome` (called where the re-run ran, in
+a worker when ``jobs > 1``) rebuilds the very record the evaluation
+stored — full outputs, decisions and per-round metrics — under the
+standard content-addressed run key (spec digest ‖ code version); the
+parent rewrites it and adds a finding row under the ``row_fn`` label
 :data:`~repro.search.harness.FINDING_ROW_FN`.
 Counterexamples are therefore first-class stored runs: they are found by
 ``store.query(spec_digest=...)``, and

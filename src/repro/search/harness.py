@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..api.spec import ScenarioSpec
-from ..api.sweep import ScenarioOutcome, map_jobs, run_scenario
+from ..api.sweep import map_jobs, run_scenario
 from ..sim.rng import derive, make_rng
 from .mutate import SpecMutator
 from .score import (
@@ -21,7 +21,6 @@ from .score import (
     PropertyViolation,
     evaluate_outcome,
     evaluation_row,
-    score_outcome,
     score_row,
 )
 
@@ -74,6 +73,61 @@ def _evaluate_candidate(spec_dict: dict) -> dict:
     spec = ScenarioSpec.from_dict(spec_dict)
     outcome = run_scenario(spec, payload_accounting=True)
     return json_normalize(evaluation_row(outcome))
+
+
+def _escalated_spec(spec: ScenarioSpec, n: int) -> ScenarioSpec:
+    changes: dict = {"n": n, "f": min(spec.f, (n - 1) // 3)}
+    if spec.inputs in ("split", "listed", "explicit"):
+        changes["inputs"] = "default"
+        changes["input_params"] = {}
+    if spec.delay in ("partition", "bounded-unknown"):
+        params = dict(spec.delay_params)
+        params["sizes"] = [max(1, n // 2)]
+        changes["delay_params"] = params
+    return spec.replace(**changes)
+
+
+def _confirm_candidate(payload: tuple) -> tuple | None:
+    """Worker entry point for stage 3: confirm one candidate finding.
+
+    Re-runs the candidate under the evaluation's payload accounting and,
+    when that reproduces the evaluation's violation names, runs it at each
+    larger size of ``escalate_n``.  Returns ``None`` for an unreproduced
+    candidate, else ``(rounds, escalations, record)``: ``record`` is the
+    confirmation run's :class:`~repro.store.RunRecord` under
+    ``code_version`` (the record the evaluation stored under the same run
+    key), or ``None`` when the search has no store.  The parent folds
+    these in slot order and stays the only store writer.
+    """
+
+    spec_dict, violation_names, escalate_n, code_version = payload
+    spec = ScenarioSpec.from_dict(spec_dict)
+    outcome = run_scenario(spec, payload_accounting=True)
+    reproduced = sorted(v.property_name for v in evaluate_outcome(outcome))
+    if reproduced != violation_names:
+        return None
+
+    escalations = []
+    for n in escalate_n:
+        if n <= spec.n:
+            continue
+        larger = _escalated_spec(spec, n)
+        larger_violations = evaluate_outcome(run_scenario(larger))
+        escalations.append(
+            {
+                "n": n,
+                "spec_digest": larger.digest(),
+                "reproduced": bool(larger_violations),
+                "violations": sorted(v.property_name for v in larger_violations),
+            }
+        )
+
+    record = None
+    if code_version is not None:
+        from ..store import record_from_outcome
+
+        record = record_from_outcome(outcome, code_version=code_version)
+    return outcome.rounds, escalations, record
 
 
 @dataclass(frozen=True)
@@ -152,11 +206,13 @@ class ScenarioSearch:
         re-running the same search resumes from cache), and confirmed
         findings add a finding row to their run (see package docstring).
     jobs:
-        Worker processes for candidate evaluation.  Each generation of
-        mutated candidates is scored across workers via
-        :func:`~repro.api.sweep.map_jobs`, while the parent process
-        stays the only store writer.  Findings, scores and the mutation
-        trajectory are bit-identical for any ``jobs`` value.
+        Worker processes for candidate evaluation and confirmation.  Each
+        generation's candidates are scored across workers, then its
+        candidate findings are confirmed across them, both via
+        :func:`~repro.api.sweep.map_jobs` and its one warm process pool;
+        the parent process folds results in slot order and stays the only
+        store writer.  Findings, scores and the mutation trajectory are
+        bit-identical for any ``jobs`` value.
     objective:
         ``"violations"`` (default), ``"rounds"`` or ``"message_volume"``
         — see :data:`repro.search.score.OBJECTIVES`.  Candidates always
@@ -200,7 +256,6 @@ class ScenarioSearch:
         self.mutator = SpecMutator(self._rng, max_n=max_n, ops=mutation_ops)
         self._code_version = code_version
         self._seen: set[str] = set()
-        self._reported: set[str] = set()
 
     # -- internals ----------------------------------------------------------
 
@@ -217,83 +272,6 @@ class ScenarioSearch:
         if self._rng.random() < 0.5:
             return frontier[0][1]
         return frontier[int(self._rng.integers(0, len(frontier)))][1]
-
-    def _evaluate(
-        self, spec: ScenarioSpec
-    ) -> tuple[ScenarioOutcome, list[PropertyViolation], float]:
-        outcome = run_scenario(spec)
-        violations = evaluate_outcome(outcome)
-        score = score_outcome(outcome, violations, objective=self.objective)
-        return outcome, violations, score
-
-    def _escalated_spec(self, spec: ScenarioSpec, n: int) -> ScenarioSpec:
-        changes: dict = {"n": n, "f": min(spec.f, (n - 1) // 3)}
-        if spec.inputs in ("split", "listed", "explicit"):
-            changes["inputs"] = "default"
-            changes["input_params"] = {}
-        if spec.delay in ("partition", "bounded-unknown"):
-            params = dict(spec.delay_params)
-            params["sizes"] = [max(1, n // 2)]
-            changes["delay_params"] = params
-        return spec.replace(**changes)
-
-    def _confirm(
-        self, spec: ScenarioSpec, violations: list[PropertyViolation]
-    ) -> Finding | None:
-        """Stage 2+3: confirmation re-run, escalation, persistence.
-
-        The re-run uses the evaluation's payload accounting, so the record
-        it persists equals the one the evaluation stored under the same
-        run key.
-        """
-
-        outcome = run_scenario(spec, payload_accounting=True)
-        reproduced = sorted(v.property_name for v in evaluate_outcome(outcome))
-        if reproduced != sorted(v.property_name for v in violations):
-            return None
-
-        escalations = []
-        for n in self.escalate_n:
-            if n <= spec.n:
-                continue
-            larger = self._escalated_spec(spec, n)
-            _, larger_violations, _ = self._evaluate(larger)
-            escalations.append(
-                {
-                    "n": n,
-                    "spec_digest": larger.digest(),
-                    "reproduced": bool(larger_violations),
-                    "violations": sorted(
-                        v.property_name for v in larger_violations
-                    ),
-                }
-            )
-
-        engines = applicable_engines(spec)
-        run_keys: dict[str, str] = {}
-        if self.store is not None:
-            from ..store import record_from_outcome
-
-            record = record_from_outcome(
-                outcome, code_version=self._resolve_code_version()
-            )
-            row = {
-                "spec_digest": spec.digest(),
-                "violations": [v.as_dict() for v in violations],
-                "rounds": outcome.rounds,
-                "escalations": escalations,
-            }
-            self.store.put_run(record, row=row, row_fn=FINDING_ROW_FN)
-            run_keys = dict.fromkeys(engines, record.run_key)
-
-        return Finding(
-            spec=spec,
-            violations=tuple(violations),
-            rounds=outcome.rounds,
-            engines=engines,
-            run_keys=run_keys,
-            escalations=tuple(escalations),
-        )
 
     # -- the loop -----------------------------------------------------------
 
@@ -344,35 +322,80 @@ class ScenarioSearch:
         worker finished first.
         """
 
-        fresh: list[tuple[int, ScenarioSpec, str]] = []
-        for index, spec in enumerate(specs):
+        fresh: list[ScenarioSpec] = []
+        for spec in specs:
             digest = spec.digest()
             if digest not in self._seen:
                 self._seen.add(digest)
-                fresh.append((index, spec, digest))
-        rows = self._evaluate_rows([spec for _, spec, _ in fresh], result)
-        row_by_slot = {index: row for (index, _, _), row in zip(fresh, rows)}
+                fresh.append(spec)
+        rows = self._evaluate_rows(fresh, result)
         result.evaluations += len(specs)
 
-        for index, spec, digest in fresh:
-            row = row_by_slot[index]
+        candidates: list[tuple[ScenarioSpec, list[PropertyViolation]]] = []
+        for spec, row in zip(fresh, rows):
             score = score_row(row, objective=self.objective)
             if score > result.best_score:
                 result.best_score, result.best_spec = score, spec
             frontier.append((score, spec))
             frontier.sort(key=lambda item: -item[0])
             del frontier[_FRONTIER_SIZE:]
-            violations = [
-                PropertyViolation(v["property"], v["detail"])
-                for v in row["violations"]
-            ]
-            if violations and digest not in self._reported:
-                finding = self._confirm(spec, violations)
-                if finding is None:
-                    result.rejected += 1
-                else:
-                    self._reported.add(digest)
-                    result.findings.append(finding)
+            if row["violations"]:
+                violations = [
+                    PropertyViolation(v["property"], v["detail"])
+                    for v in row["violations"]
+                ]
+                candidates.append((spec, violations))
+        self._confirm_candidates(candidates, result)
+
+    def _confirm_candidates(
+        self,
+        candidates: list[tuple[ScenarioSpec, list[PropertyViolation]]],
+        result: SearchResult,
+    ) -> None:
+        """Stage 3: confirm a generation's candidate findings across ``jobs``.
+
+        Each candidate is one :func:`_confirm_candidate` task through
+        :func:`~repro.api.sweep.map_jobs`; the results fold back in slot
+        order, and this (parent) process writes every finding to the store.
+        """
+
+        code_version = None if self.store is None else self._resolve_code_version()
+        payloads = [
+            (
+                spec.to_dict(),
+                sorted(v.property_name for v in violations),
+                self.escalate_n,
+                code_version,
+            )
+            for spec, violations in candidates
+        ]
+        confirmations = map_jobs(_confirm_candidate, payloads, self.jobs)
+        for (spec, violations), confirmed in zip(candidates, confirmations):
+            if confirmed is None:
+                result.rejected += 1
+                continue
+            rounds, escalations, record = confirmed
+            engines = applicable_engines(spec)
+            run_keys: dict[str, str] = {}
+            if record is not None:
+                row = {
+                    "spec_digest": spec.digest(),
+                    "violations": [v.as_dict() for v in violations],
+                    "rounds": rounds,
+                    "escalations": escalations,
+                }
+                self.store.put_run(record, row=row, row_fn=FINDING_ROW_FN)
+                run_keys = dict.fromkeys(engines, record.run_key)
+            result.findings.append(
+                Finding(
+                    spec=spec,
+                    violations=tuple(violations),
+                    rounds=rounds,
+                    engines=engines,
+                    run_keys=run_keys,
+                    escalations=tuple(escalations),
+                )
+            )
 
     def run(self, budget: int) -> SearchResult:
         """Evaluate up to ``budget`` candidate scenarios (confirmation and
@@ -382,10 +405,12 @@ class ScenarioSearch:
         then each generation mutates :data:`_GENERATION_SIZE` candidates
         from the current frontier (sequentially, through the search's
         single rng), evaluates the batch across ``jobs`` worker processes
-        and folds the measurements back in candidate order.  Mutation
-        happens between generations — never concurrently with evaluation
-        — so the whole trajectory, not just the final findings, is
-        bit-identical for any ``jobs`` value.
+        and folds the measurements back in candidate order.  The
+        generation's candidate findings are then confirmed (re-run and
+        escalated) as one more batch across the same workers, and folded
+        in the same order.  Mutation happens between generations — never
+        concurrently with evaluation — so the whole trajectory, not just
+        the final findings, is bit-identical for any ``jobs`` value.
         """
 
         if budget < 1:

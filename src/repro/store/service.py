@@ -19,6 +19,10 @@ sweep round by round::
 Every connected stream client sees the *full* event sequence regardless of
 when it attached: a :class:`SweepJob` records the events it has emitted and
 replays the prefix to late joiners before handing them live events.
+A sweep with ``jobs > 1`` runs on the process's one worker pool
+(:func:`~repro.api.sweep.map_jobs`): concurrent sweeps with the same
+``jobs`` share its workers, and sweeps with different ``jobs`` run side
+by side.
 
 Query endpoints: ``GET /health``, ``GET /runs`` (filters as query params),
 ``GET /runs/<run_key>``, ``GET /runs/<run_key>/rounds``,

@@ -16,9 +16,12 @@ from repro.api import ScenarioSpec
 from repro.api.registry import REGISTRY
 from repro.api.sweep import run_scenario
 from repro.harness.runner import main as runner_main
+from repro.search import harness as search_harness
 from repro.search import (
     FINDING_ROW_FN,
     MUTATION_OPS,
+    Finding,
+    PropertyViolation,
     ScenarioSearch,
     SpecMutator,
     applicable_engines,
@@ -29,7 +32,7 @@ from repro.search import (
     score_row,
 )
 from repro.sim.rng import make_rng
-from repro.store import RunStore, row_fn_name
+from repro.store import RunStore, record_from_outcome, row_fn_name
 
 #: The planted E6-style regime: consensus at n=4 under uniform-random
 #: delay loses agreement for a healthy fraction of seeds.
@@ -347,6 +350,171 @@ class TestParallelSearch:
             store.close()
 
 
+class SerialConfirmSearch(ScenarioSearch):
+    """The reference for stage 3: the parent folds each generation slot by
+    slot and confirms every candidate finding itself, one at a time —
+    re-run, escalations, store write — as the search did before its
+    confirmations became :func:`~repro.api.sweep.map_jobs` tasks."""
+
+    def _run_generation(self, specs, frontier, result):
+        fresh = []
+        for spec in specs:
+            digest = spec.digest()
+            if digest not in self._seen:
+                self._seen.add(digest)
+                fresh.append(spec)
+        rows = self._evaluate_rows(fresh, result)
+        result.evaluations += len(specs)
+        for spec, row in zip(fresh, rows):
+            score = score_row(row, objective=self.objective)
+            if score > result.best_score:
+                result.best_score, result.best_spec = score, spec
+            frontier.append((score, spec))
+            frontier.sort(key=lambda item: -item[0])
+            del frontier[search_harness._FRONTIER_SIZE:]
+            violations = [
+                PropertyViolation(v["property"], v["detail"])
+                for v in row["violations"]
+            ]
+            if violations:
+                finding = self._confirm(spec, violations)
+                if finding is None:
+                    result.rejected += 1
+                else:
+                    result.findings.append(finding)
+
+    def _confirm(self, spec, violations):
+        outcome = run_scenario(spec, payload_accounting=True)
+        reproduced = sorted(v.property_name for v in evaluate_outcome(outcome))
+        if reproduced != sorted(v.property_name for v in violations):
+            return None
+        escalations = []
+        for n in self.escalate_n:
+            if n <= spec.n:
+                continue
+            larger = search_harness._escalated_spec(spec, n)
+            larger_violations = evaluate_outcome(run_scenario(larger))
+            escalations.append(
+                {
+                    "n": n,
+                    "spec_digest": larger.digest(),
+                    "reproduced": bool(larger_violations),
+                    "violations": sorted(v.property_name for v in larger_violations),
+                }
+            )
+        engines = applicable_engines(spec)
+        run_keys = {}
+        if self.store is not None:
+            record = record_from_outcome(
+                outcome, code_version=self._resolve_code_version()
+            )
+            row = {
+                "spec_digest": spec.digest(),
+                "violations": [v.as_dict() for v in violations],
+                "rounds": outcome.rounds,
+                "escalations": escalations,
+            }
+            self.store.put_run(record, row=row, row_fn=FINDING_ROW_FN)
+            run_keys = dict.fromkeys(engines, record.run_key)
+        return Finding(
+            spec=spec,
+            violations=tuple(violations),
+            rounds=outcome.rounds,
+            engines=engines,
+            run_keys=run_keys,
+            escalations=tuple(escalations),
+        )
+
+
+def _stored_findings(store) -> tuple[list, list]:
+    """The store's finding rows, and every stored run's content."""
+
+    runs = [
+        (
+            run.run_key,
+            run.spec_digest,
+            run.summary,
+            run.rounds_executed,
+            run.stop_reason,
+            run.peak_payload_bytes,
+            run.outputs(),
+            run.decisions(),
+            run.per_round(),
+        )
+        for run in store.query()
+    ]
+    return store.rows(row_fn=FINDING_ROW_FN), runs
+
+
+class TestConfirmationFanOut:
+    """Confirmations run as map_jobs tasks and fold back in slot order; the
+    results, finding rows and stored records equal the serial reference's."""
+
+    SEEDS = (1, 2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    def test_matches_the_serial_reference(self, tmp_path, jobs, with_store):
+        for seed in self.SEEDS:
+            outputs = []
+            for label, cls, search_jobs in (
+                ("reference", SerialConfirmSearch, 1),
+                ("change", ScenarioSearch, jobs),
+            ):
+                store = (
+                    RunStore(str(tmp_path / f"{label}-{seed}.sqlite"))
+                    if with_store
+                    else None
+                )
+                try:
+                    result = cls(
+                        BASE, seed=seed, store=store, jobs=search_jobs,
+                        escalate_n=(8,), code_version="test",
+                    ).run(24)
+                    stored = _stored_findings(store) if with_store else None
+                finally:
+                    if store is not None:
+                        store.close()
+                outputs.append((json.dumps(result.as_dict(), sort_keys=True), stored))
+            reference, change = outputs
+            assert change[0] == reference[0], f"seed {seed}"
+            assert change[1] == reference[1], f"seed {seed}"
+        # Not vacuous: some generation confirmed more than one finding.
+        assert len(json.loads(reference[0])["findings"]) > 1
+
+    def test_confirmation_runs_are_counted(self, monkeypatch):
+        # One run per executed candidate, one confirmation re-run per
+        # candidate finding, and one run per escalation size of each
+        # confirmed finding — none for a candidate whose violations did
+        # not reproduce.  Findings with an odd seed are planted as
+        # unreproduced: their confirmation re-run reports no violation.
+        runs = []
+
+        def counted(spec, **kwargs):
+            runs.append(spec)
+            return run_scenario(spec, **kwargs)
+
+        def planted(outcome):
+            violations = evaluate_outcome(outcome)
+            return [] if outcome.spec.seed % 2 else violations
+
+        monkeypatch.setattr(search_harness, "run_scenario", counted)
+        monkeypatch.setattr(search_harness, "evaluate_outcome", planted)
+        result = ScenarioSearch(
+            BASE, seed=2, jobs=1, escalate_n=(8, 16), code_version="test"
+        ).run(40)
+        assert result.rejected > 0 and result.findings
+        escalations = sum(len(f.escalations) for f in result.findings)
+        assert escalations > 0
+        assert len(runs) == (
+            result.executed
+            + len(result.findings)
+            + result.rejected
+            + escalations
+        )
+        assert all(f.spec.seed % 2 == 0 for f in result.findings)
+
+
 class TestMessageVolumeSearch:
     """The traffic blowup Algorithm 6 really sends: every member answers
     each joiner's ``present`` with its own unicast ack, so churn multiplies
@@ -452,3 +620,31 @@ class TestSearchCli:
         ])
         assert code == 0
         assert "scenarios evaluated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            '{"protocol": ',
+            "[1, 2]",
+            '{"protocol": "consensus", "n": 4}',
+            '{"protocol": "warp", "n": 4, "f": 1}',
+        ],
+        ids=["missing-file", "malformed-json", "json-array", "no-f", "unknown-protocol"],
+    )
+    def test_bad_search_spec_is_a_usage_error(self, tmp_path, capsys, content):
+        spec_path = tmp_path / "base.json"
+        if content is not None:
+            spec_path.write_text(content)
+        store = tmp_path / "runs.sqlite"
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main([
+                "--search", "--search-spec", str(spec_path), "--store", str(store),
+            ])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        message = err.strip().splitlines()[-1]
+        assert "error: --search-spec" in message
+        assert not store.exists()
+
