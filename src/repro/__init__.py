@@ -56,10 +56,18 @@ from .core import (
     RotorCoordinatorProcess,
     TotalOrderProcess,
 )
-from .harness import run_experiment, run_many
+from .harness import run_experiment
 from .sim import SynchronousNetwork
 
 __version__ = "1.1.0"
+
+
+def __getattr__(name: str):
+    # Resolved on first use, so importing the package leaves the runner
+    # module unimported (see ``repro.harness.__getattr__``).
+    if name == "run_many":
+        return harness.run_many
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ApproximateAgreementProcess",

@@ -5,9 +5,9 @@ Markdown for ``EXPERIMENTS.md``).  No third-party dependency is used so the
 harness stays runnable in the offline environment.
 
 Trace-derived columns: :func:`attach_trace_columns` joins the rows of a
-per-round pivot with a trace aggregation (in-memory ``Trace`` or
-``StoredTrace`` — both expose the same ``aggregate``), so report tables
-can cite event counts and payload-byte tallies computed straight from the
+per-round pivot with a trace aggregation (a ``Trace``, whether recorded
+in memory or read back from the run store), so report tables can cite
+event counts and payload-byte tallies computed straight from the
 recorded trace next to the metric columns.
 """
 
@@ -79,11 +79,10 @@ def trace_table(
 ) -> str:
     """Render a trace aggregation as a text table.
 
-    ``trace`` is anything exposing the shared ``aggregate`` signature —
-    an in-memory :class:`repro.sim.events.Trace` or a persisted
-    :class:`repro.store.StoredTrace` (the latter computes footer-pruned,
-    segment by segment).  The remaining arguments pass straight through
-    to ``aggregate``.
+    ``trace`` is a :class:`repro.sim.events.Trace`, in memory or read
+    back from the run store (whose sealed segments aggregate
+    footer-pruned, one at a time).  The remaining arguments pass
+    straight through to ``aggregate``.
     """
 
     return render_table(

@@ -488,7 +488,6 @@ class RotorCoordinatorProcess(Process):
         super().__init__(node_id)
         self._core = RotorCoordinatorCore(node_id)
         self._opinion = opinion if opinion is not None else node_id
-        self._accepted_opinions: list[tuple[int, NodeId, Hashable]] = []
         self._output: Hashable | None = None
 
     # -- results -------------------------------------------------------------
@@ -504,12 +503,6 @@ class RotorCoordinatorProcess(Process):
     @property
     def selection_history(self) -> tuple[SelectionRecord, ...]:
         return self._core.selection_history
-
-    @property
-    def accepted_opinions(self) -> tuple[tuple[int, NodeId, Hashable], ...]:
-        """``(round, coordinator, opinion)`` triples accepted so far."""
-
-        return tuple(self._accepted_opinions)
 
     @property
     def output(self) -> Hashable | None:
@@ -535,9 +528,6 @@ class RotorCoordinatorProcess(Process):
             view.inbox, self._opinion, round_index=view.round_index
         )
         if outcome.opinion_received and outcome.previous is not None:
-            self._accepted_opinions.append(
-                (view.round_index, outcome.previous, outcome.accepted_opinion)
-            )
             self._output = outcome.accepted_opinion
         if outcome.terminated:
             self.halt()

@@ -101,11 +101,6 @@ class ChurnSchedule:
                 return False
         return True
 
-    def all_node_ids(self) -> set[NodeId]:
-        ids = set(self.initial_correct) | set(self.initial_byzantine)
-        ids.update(event.node_id for event in self.events)
-        return ids
-
 
 def _genesis_membership(
     initial_correct: int, initial_byzantine: int

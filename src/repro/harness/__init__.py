@@ -8,7 +8,6 @@ from .experiments import (
     all_experiment_ids,
     run_experiment,
 )
-from .runner import run_many, write_json_report, write_markdown_report
 
 __all__ = [
     "ABLATIONS",
@@ -23,3 +22,14 @@ __all__ = [
     "write_json_report",
     "write_markdown_report",
 ]
+
+
+def __getattr__(name: str):
+    # The runner is imported on first use, not with the package: running
+    # it as ``python -m repro.harness.runner`` imports this package first,
+    # and a runner already in ``sys.modules`` then draws a RuntimeWarning.
+    if name in ("run_many", "write_json_report", "write_markdown_report"):
+        from . import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

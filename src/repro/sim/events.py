@@ -29,13 +29,25 @@ and every query helper (:meth:`Trace.of_kind`, :meth:`Trace.for_node`,
 :meth:`Trace.in_round`, :meth:`Trace.where`, :meth:`Trace.first`, …)
 build event objects on demand from the columns, so the query API is
 unchanged while recording never allocates per-event objects.
+:meth:`Trace.select_batches` yields plain row tuples in
+:class:`TraceEvent` field order, so the service's trace stream encodes
+the columns without building an event at all.
+
+Sealed segments and the live tail
+---------------------------------
+A trace is a list of sealed segments followed by a live tail.  A sealed
+segment is a footer (event count, per-kind counts, round range) plus a
+``load(index)`` that reads its columns back as a tail-only trace; the
+tail is the in-memory columns above.  An in-memory trace has no sealed
+segments; a spilling trace seals one whenever its tail fills; a trace
+read from the run store (:meth:`Trace.from_segments`) is sealed segments
+only.  Each query is written once: it skips the sealed segments whose
+footer cannot match, loads the rest one at a time, then reads the tail,
+so it answers for the whole run whichever of the three it is.
 
 Aggregation happens on the columns too: :meth:`Trace.aggregate` groups
 events by round, node or kind and reduces them to counts or serialised
-payload-byte tallies without materialising a single :class:`TraceEvent` —
-the same rows :meth:`repro.store.db.StoredTrace.aggregate` computes
-segment-by-segment over persisted traces, so in-memory and stored answers
-are interchangeable (and asserted identical by the analytics tests).
+payload-byte tallies without materialising a single :class:`TraceEvent`.
 
 Recording happens through a narrow interface the network calls:
 :meth:`Trace.record_event` appends one event without constructing a
@@ -63,9 +75,10 @@ from __future__ import annotations
 
 import pickle
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .messages import NodeId, Payload, payload_nbytes
@@ -76,7 +89,6 @@ __all__ = [
     "EventKind",
     "TraceEvent",
     "Trace",
-    "format_aggregate_rows",
 ]
 
 #: Default trace-segment granularity (events per sealed/persisted segment).
@@ -144,14 +156,19 @@ class TraceEvent:
     detail: Any = None
 
 
-# -- aggregation plumbing (shared with repro.store.db.StoredTrace) -----------
+#: A query filter left open (``None`` cannot mean that: ``for_node(None)``
+#: asks for the events that have no node).
+_ANY = object()
+
+
+# -- aggregation plumbing ----------------------------------------------------
 
 #: Grouping axes and reducers ``aggregate`` understands.
 AGGREGATE_GROUPS = ("round", "node", "kind")
 AGGREGATE_REDUCERS = ("count", "payload_bytes")
 
 
-def check_aggregate_args(
+def _check_aggregate_args(
     kinds, by: str, reduce
 ) -> tuple[frozenset[int] | None, tuple[str, ...]]:
     """Validate ``aggregate`` arguments; return (kind-code filter, reducers).
@@ -179,7 +196,7 @@ def check_aggregate_args(
     return frozenset(_KIND_CODE[kind] for kind in kinds), reducers
 
 
-def format_aggregate_rows(
+def _format_aggregate_rows(
     groups: dict, by: str, reducers: tuple[str, ...]
 ) -> list[dict]:
     """Turn an accumulated ``{group key: [tallies]}`` dict into sorted rows.
@@ -204,25 +221,28 @@ def format_aggregate_rows(
 
 
 class Trace:
-    """An append-only columnar event store with :class:`TraceEvent` views.
+    """Sealed segments plus a live columnar tail, with :class:`TraceEvent` views.
 
     The constructor accepts an optional iterable of pre-built events (for
     tests and reference models); the network always starts from an empty
     store and append through the ``record_*`` interface.
 
     **Spill mode.** ``spill_to`` takes a segment sink (see
-    :meth:`repro.store.RunStore.trace_sink`): whenever the live columns
-    reach ``segment_events`` entries, the leading ``segment_events`` events
-    are sealed into a ``(footer, blobs)`` segment — byte- and
+    :meth:`repro.store.RunStore.trace_sink`) with ``write(index, footer,
+    blobs)`` and ``load(index)``: whenever the live columns reach
+    ``segment_events`` entries, the leading ``segment_events`` events are
+    sealed into a ``(footer, blobs)`` segment — byte- and
     boundary-identical to what :meth:`export_segments` would have produced
     on the full trace — written through the sink, and dropped from memory,
     so peak trace memory is bounded by one segment regardless of run size.
-    While spilling, ``len``/``kind_counts`` cover the whole trace (sealed
-    footers plus the live tail) but the event-level queries only see the
-    unspilled tail; call :meth:`finalize_spill` after the run to seal the
-    tail and get the :class:`repro.store.StoredTrace` view over everything
-    (``SynchronousNetwork.run`` does this automatically and puts the stored
-    view on its :class:`RunResult`).
+    Every query covers the whole trace at any time, reading sealed
+    segments back through ``load``.  :meth:`finalize_spill` seals the tail
+    after the run (``SynchronousNetwork.run`` does this automatically).
+
+    **Segment caching.** ``of_kind``, ``in_round``, ``for_node``,
+    ``first``, ``aggregate`` and iteration keep the sealed segments they
+    load; ``select`` and ``select_batches`` keep none (a segment already
+    kept is reused), so a stream holds one segment at a time.
     """
 
     __slots__ = (
@@ -235,7 +255,9 @@ class Trace:
         "_details",
         "_spill",
         "_segment_events",
-        "_spilled_footers",
+        "_footers",
+        "_load",
+        "_segments",
     )
 
     def __init__(
@@ -251,7 +273,13 @@ class Trace:
         self.enabled = enabled
         self._spill = spill_to
         self._segment_events = segment_events
-        self._spilled_footers: list[dict] = []
+        #: Sealed segments: their footers, the loader that reads one back
+        #: as a tail-only trace, and the loaded segments queries keep.
+        self._footers: list[dict] = []
+        self._load: Callable[[int], Trace] | None = (
+            None if spill_to is None else spill_to.load
+        )
+        self._segments: dict[int, Trace] = {}
         self._kinds = array("B")
         self._rounds = array("q")
         self._node_ids: list[NodeId | None] = []
@@ -433,69 +461,25 @@ class Trace:
         sharing within a segment survives via the pickle memo.  An empty
         trace exports zero segments.
 
-        A spilling trace already streamed its segments through the sink;
-        exporting it again would double-persist, so it refuses.
+        A spilling trace already streamed its segments through the sink,
+        and a trace read from the store has them there; exporting either
+        would double-persist, so it refuses.
         """
 
         if max_events < 1:
             raise ValueError("max_events must be positive")
-        if self._spill is not None:
+        if self._spill is not None or self._footers:
             raise ValueError(
-                "trace is spilling to a store; its segments are already "
-                "persisted — use finalize_spill() instead of export_segments()"
+                "trace is spilling to a store or was read from one; its "
+                "segments are already persisted — use finalize_spill() "
+                "instead of export_segments()"
             )
         return [
             self._segment_slice(start, min(start + max_events, len(self._kinds)))
             for start in range(0, len(self._kinds), max_events)
         ]
 
-    # -- spill mode ------------------------------------------------------------
-
-    @property
-    def spilling(self) -> bool:
-        return self._spill is not None
-
-    @property
-    def spilled_segment_count(self) -> int:
-        return len(self._spilled_footers)
-
-    @property
-    def live_events(self) -> int:
-        """Events currently held in memory (the unspilled tail)."""
-
-        return len(self._kinds)
-
-    def _seal_segment(self, stop: int) -> None:
-        """Seal the leading ``stop`` events through the sink and drop them."""
-
-        footer, blobs = self._segment_slice(0, stop)
-        self._spill.write(len(self._spilled_footers), footer, blobs)
-        self._spilled_footers.append(footer)
-        del self._kinds[:stop]
-        del self._rounds[:stop]
-        del self._node_ids[:stop]
-        del self._peer_ids[:stop]
-        del self._payloads[:stop]
-        del self._details[:stop]
-
-    def _drain_spill(self) -> None:
-        while len(self._kinds) >= self._segment_events:
-            self._seal_segment(self._segment_events)
-
-    def finalize_spill(self):
-        """Seal the live tail and return the stored, fully queryable view.
-
-        The returned object is whatever the sink's ``stored_trace()``
-        yields — for a :meth:`repro.store.RunStore.trace_sink` that is a
-        :class:`repro.store.StoredTrace` whose query answers are
-        bit-identical to an in-memory trace of the same run.
-        """
-
-        if self._spill is None:
-            raise ValueError("trace has no spill sink to finalize")
-        if self._kinds:
-            self._seal_segment(len(self._kinds))
-        return self._spill.stored_trace()
+    # -- sealed segments -------------------------------------------------------
 
     @classmethod
     def from_segment(cls, blobs: dict[str, bytes]) -> "Trace":
@@ -510,81 +494,221 @@ class Trace:
         trace._details = pickle.loads(blobs["details"])
         return trace
 
+    @classmethod
+    def from_segments(
+        cls, footers: Sequence[dict], load: Callable[[int], "Trace"]
+    ) -> "Trace":
+        """A trace of sealed segments only (what the run store returns):
+        their footers, and ``load(index)`` to read one back as
+        :meth:`from_segment` does."""
+
+        trace = cls()
+        trace._footers, trace._load = list(footers), load
+        return trace
+
+    @property
+    def spilling(self) -> bool:
+        return self._spill is not None
+
+    @property
+    def segment_count(self) -> int:
+        return len(self._footers)
+
+    @property
+    def loaded_segment_count(self) -> int:
+        """Sealed segments that queries loaded and keep."""
+
+        return len(self._segments)
+
+    @property
+    def live_events(self) -> int:
+        """Events currently held in memory (the live tail)."""
+
+        return len(self._kinds)
+
+    def _seal_segment(self, stop: int) -> None:
+        """Seal the leading ``stop`` events through the sink and drop them."""
+
+        footer, blobs = self._segment_slice(0, stop)
+        self._spill.write(len(self._footers), footer, blobs)
+        self._footers.append(footer)
+        del self._kinds[:stop]
+        del self._rounds[:stop]
+        del self._node_ids[:stop]
+        del self._peer_ids[:stop]
+        del self._payloads[:stop]
+        del self._details[:stop]
+
+    def _drain_spill(self) -> None:
+        while len(self._kinds) >= self._segment_events:
+            self._seal_segment(self._segment_events)
+
+    def finalize_spill(self) -> "Trace":
+        """Seal the live tail through the sink and return this trace."""
+
+        if self._spill is None:
+            raise ValueError("trace has no spill sink to finalize")
+        if self._kinds:
+            self._seal_segment(len(self._kinds))
+        return self
+
+    def _segment(self, index: int, keep: bool = True) -> "Trace":
+        """Sealed segment ``index``: the kept copy, else a fresh load that
+        is kept only if ``keep``."""
+
+        segment = self._segments.get(index)
+        if segment is None:
+            segment = self._load(index)
+            if keep:
+                self._segments[index] = segment
+        return segment
+
+    def _scan(
+        self,
+        query: Callable[["Trace"], Any],
+        *,
+        keep: bool,
+        codes: Iterable[int] | None = None,
+        round_index: Any = _ANY,
+    ) -> Iterator[tuple[int, Any]]:
+        """Yield ``(segment index, query(part))`` for each part in order.
+
+        The parts are the sealed segments whose footer shows a kind in
+        ``codes`` (``None``: any) and covers ``round_index``, loaded one at
+        a time and dropped before their answer is yielded, then the live
+        tail (index :attr:`segment_count`) if it holds any event.
+        ``query`` reads the part's live columns.
+        """
+
+        values = None if codes is None else [_KIND_BY_CODE[c].value for c in codes]
+        for index, footer in enumerate(self._footers):
+            if values is not None and not any(
+                footer["kind_counts"].get(value) for value in values
+            ):
+                continue
+            if round_index is not _ANY and not (
+                footer["round_min"] <= round_index <= footer["round_max"]
+            ):
+                continue
+            yield index, query(self._segment(index, keep))
+        if self._kinds:
+            yield len(self._footers), query(self)
+
     # -- materialisation -------------------------------------------------------
 
-    def _view(self, index: int) -> TraceEvent:
-        return TraceEvent(
-            _KIND_BY_CODE[self._kinds[index]],
-            self._rounds[index],
-            self._node_ids[index],
-            self._peer_ids[index],
-            self._payloads[index],
-            self._details[index],
+    def _rows(self, indices: Sequence[int]) -> Iterator[tuple]:
+        """Rows of the live events at ``indices``, in :class:`TraceEvent`
+        field order (``TraceEvent(*row)`` is the event)."""
+
+        kinds = map(_KIND_BY_CODE.__getitem__, map(self._kinds.__getitem__, indices))
+        columns = (
+            self._rounds, self._node_ids, self._peer_ids, self._payloads, self._details
+        )
+        return zip(kinds, *(map(column.__getitem__, indices) for column in columns))
+
+    def _all_rows(self) -> Iterator[tuple]:
+        return chain.from_iterable(
+            rows
+            for _, rows in self._scan(
+                lambda part: part._rows(range(len(part._kinds))), keep=True
+            )
         )
 
     @property
     def events(self) -> list[TraceEvent]:
         """Every event, materialised (kept for backward compatibility)."""
 
-        return [self._view(i) for i in range(len(self._kinds))]
+        return list(self)
 
     def event(self, index: int) -> TraceEvent:
         """The event at ``index``, materialised on demand."""
 
-        if index < 0 or index >= len(self._kinds):
+        if index < 0 or index >= len(self):
             raise IndexError(index)
-        return self._view(index)
+        for segment_index, footer in enumerate(self._footers):
+            if index < footer["events"]:
+                return self._segment(segment_index).event(index)
+            index -= footer["events"]
+        return TraceEvent(*next(self._rows((index,))))
 
     def first_difference(self, other: "Trace") -> int | None:
         """Index of the first event at which two traces differ.
 
-        Compared column-wise (kind, round, node, peer, payload, detail)
-        without materialising events until a mismatch; a shared prefix
+        Compared row by row without materialising events; a shared prefix
         with differing lengths diverges at the shorter length, identical
         traces return ``None``.  The per-segment primitive behind
         :meth:`repro.store.RunStore.diff`'s trace section.
         """
 
-        n = min(len(self._kinds), len(other._kinds))
-        for i in range(n):
-            if (
-                self._kinds[i] != other._kinds[i]
-                or self._rounds[i] != other._rounds[i]
-                or self._node_ids[i] != other._node_ids[i]
-                or self._peer_ids[i] != other._peer_ids[i]
-                or self._payloads[i] != other._payloads[i]
-                or self._details[i] != other._details[i]
-            ):
-                return i
-        if len(self._kinds) != len(other._kinds):
-            return n
-        return None
+        for index, (mine, theirs) in enumerate(
+            zip(self._all_rows(), other._all_rows())
+        ):
+            if mine != theirs:
+                return index
+        mine, theirs = len(self), len(other)
+        return None if mine == theirs else min(mine, theirs)
 
     def __len__(self) -> int:
-        if self._spilled_footers:
-            return sum(f["events"] for f in self._spilled_footers) + len(
-                self._kinds
-            )
-        return len(self._kinds)
+        return sum(footer["events"] for footer in self._footers) + len(self._kinds)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return map(self._view, range(len(self._kinds)))
+        return starmap(TraceEvent, self._all_rows())
 
     # -- queries ---------------------------------------------------------------
 
-    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
-        code = _KIND_CODE[kind]
-        return [self._view(i) for i, c in enumerate(self._kinds) if c == code]
+    def _match(
+        self, code: Any = _ANY, round_index: Any = _ANY, node_id: Any = _ANY
+    ) -> Sequence[int]:
+        """Indices of the live events whose kind code, round and node equal
+        every given filter (``_ANY`` leaves a column open)."""
 
-    def for_node(self, node_id: NodeId) -> list[TraceEvent]:
-        return [
-            self._view(i) for i, n in enumerate(self._node_ids) if n == node_id
-        ]
+        hits: list[int] | None = None
+        for column, wanted in (
+            (self._kinds, code),
+            (self._rounds, round_index),
+            (self._node_ids, node_id),
+        ):
+            if wanted is _ANY:
+                continue
+            if hits is None:
+                hits = [i for i, value in enumerate(column) if value == wanted]
+            else:
+                hits = [i for i in hits if column[i] == wanted]
+        return range(len(self._kinds)) if hits is None else hits
+
+    def _select(
+        self,
+        build: Callable[[Iterator[tuple]], list],
+        keep: bool,
+        kind: EventKind | None = None,
+        round_index: Any = _ANY,
+        node_id: Any = _ANY,
+    ) -> Iterator[tuple[int, list]]:
+        """``(segment index, build(matching rows))`` per part, pruned by
+        footer."""
+
+        code = _ANY if kind is None else _KIND_CODE[kind]
+        return self._scan(
+            lambda part: build(part._rows(part._match(code, round_index, node_id))),
+            keep=keep,
+            codes=None if kind is None else (code,),
+            round_index=round_index,
+        )
+
+    def _events(self, keep: bool = True, **filters: Any) -> list[TraceEvent]:
+        batches = self._select(
+            lambda rows: list(starmap(TraceEvent, rows)), keep, **filters
+        )
+        return list(chain.from_iterable(events for _, events in batches))
+
+    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
+        return self._events(kind=kind)
+
+    def for_node(self, node_id: NodeId | None) -> list[TraceEvent]:
+        return self._events(node_id=node_id)
 
     def in_round(self, round_index: int) -> list[TraceEvent]:
-        return [
-            self._view(i) for i, r in enumerate(self._rounds) if r == round_index
-        ]
+        return self._events(round_index=round_index)
 
     def where(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
         return [e for e in self if predicate(e)]
@@ -592,42 +716,44 @@ class Trace:
     def decisions(self) -> list[TraceEvent]:
         return self.of_kind(EventKind.NODE_DECIDED)
 
-    def first(self, kind: EventKind) -> TraceEvent | None:
+    def _first_row(self, code: int) -> tuple | None:
         try:
-            return self._view(self._kinds.index(_KIND_CODE[kind]))
+            index = self._kinds.index(code)
         except ValueError:
             return None
+        return next(self._rows((index,)))
+
+    def first(self, kind: EventKind) -> TraceEvent | None:
+        code = _KIND_CODE[kind]
+        for _, row in self._scan(
+            lambda part: part._first_row(code), keep=True, codes=(code,)
+        ):
+            if row is not None:
+                return TraceEvent(*row)
+        return None
 
     def kind_counts(self) -> dict[str, int]:
-        """Event counts per kind value (cheap: scans the byte column only).
+        """Event counts per kind value, in enum order, over the whole trace
+        (sealed footers plus a scan of the tail's byte column)."""
 
-        On a spilling trace this covers sealed footers plus the live tail,
-        so the totals always describe the whole run.
-        """
-
-        totals = _count_kinds(self._kinds.tobytes())
-        for footer in self._spilled_footers:
-            for value, count in footer["kind_counts"].items():
-                totals[value] = totals.get(value, 0) + count
+        totals = Counter(_count_kinds(self._kinds.tobytes()))
+        for footer in self._footers:
+            totals.update(footer["kind_counts"])
         return {k.value: totals[k.value] for k in EventKind if k.value in totals}
 
     # -- aggregation -----------------------------------------------------------
 
-    def accumulate_aggregate(
+    def _accumulate(
         self,
         groups: dict,
         codes: frozenset[int] | None,
         by: str,
         reducers: Sequence[str],
     ) -> None:
-        """Fold this trace's columns into a ``{group key: [tallies]}`` dict.
+        """Fold the live columns into a ``{group key: [tallies]}`` dict.
 
-        The accumulation primitive behind :meth:`aggregate` — and behind
-        :meth:`repro.store.db.StoredTrace.aggregate`, which calls it once
-        per loaded segment and merges into one shared dict.  Group keys are
-        kind *codes* for ``by="kind"`` (formatted to values by
-        :func:`format_aggregate_rows`), raw column values otherwise.  No
-        :class:`TraceEvent` is materialised.
+        Group keys are kind *codes* for ``by="kind"``, raw column values
+        otherwise.  No :class:`TraceEvent` is materialised.
         """
 
         kinds = self._kinds
@@ -676,12 +802,26 @@ class Trace:
         payload contribute zero).  Returns one JSON-safe row per group,
         e.g. ``{"round": 3, "count": 120, "payload_bytes": 5400}`` —
         ready for :mod:`repro.analysis.tables` renderers and pivots.
+        A ``kinds`` filter skips the sealed segments whose footer shows no
+        matching event, and a ``by="kind"`` count loads none.
         """
 
-        codes, reducers = check_aggregate_args(kinds, by, reduce)
+        codes, reducers = _check_aggregate_args(kinds, by, reduce)
+        if by == "kind" and set(reducers) == {"count"}:
+            counts = self.kind_counts()
+            return [
+                {"kind": kind.value, "count": counts[kind.value]}
+                for code, kind in enumerate(_KIND_BY_CODE)
+                if kind.value in counts and (codes is None or code in codes)
+            ]
         groups: dict = {}
-        self.accumulate_aggregate(groups, codes, by, reducers)
-        return format_aggregate_rows(groups, by, reducers)
+        for _ in self._scan(
+            lambda part: part._accumulate(groups, codes, by, reducers),
+            keep=True,
+            codes=codes,
+        ):
+            pass
+        return _format_aggregate_rows(groups, by, reducers)
 
     def select(
         self,
@@ -690,21 +830,33 @@ class Trace:
         round_index: int | None = None,
         node_id: NodeId | None = None,
     ) -> list[TraceEvent]:
-        """Events matching every given filter, in recording order.
+        """Events matching every given filter (``None`` leaves one open),
+        in recording order; keeps no segment, as :meth:`select_batches`."""
 
-        The conjunction the streaming trace endpoint applies per segment;
-        filters are tested on the raw columns and only matching events are
-        materialised.
+        return self._events(
+            False, kind=kind, round_index=_open(round_index), node_id=_open(node_id)
+        )
+
+    def select_batches(
+        self,
+        *,
+        kind: EventKind | None = None,
+        round_index: int | None = None,
+        node_id: NodeId | None = None,
+    ) -> Iterator[tuple[int, list[tuple]]]:
+        """Yield ``(segment index, matching rows)`` one part at a time.
+
+        The streaming primitive behind the service's ``/runs/<key>/trace``
+        endpoint; rows are in :class:`TraceEvent` field order, so no event
+        is built.  Sealed segments whose footers cannot match are skipped
+        unloaded, the others are loaded unkept (a kept one is reused) and
+        dropped before their batch is yielded; the live tail comes last.
         """
 
-        code = _KIND_CODE[kind] if kind is not None else None
-        out: list[TraceEvent] = []
-        for i in range(len(self._kinds)):
-            if code is not None and self._kinds[i] != code:
-                continue
-            if round_index is not None and self._rounds[i] != round_index:
-                continue
-            if node_id is not None and self._node_ids[i] != node_id:
-                continue
-            out.append(self._view(i))
-        return out
+        return self._select(list, False, kind, _open(round_index), _open(node_id))
+
+
+def _open(value: Any) -> Any:
+    """A ``select`` filter: ``None`` leaves it open."""
+
+    return _ANY if value is None else value

@@ -555,13 +555,6 @@ class Inbox:
             if any(predicate(p) for p in payloads)
         )
 
-    def payloads_matching(
-        self, predicate: Callable[[Payload], bool]
-    ) -> list[tuple[NodeId, Payload]]:
-        """``(sender, payload)`` pairs whose payload satisfies ``predicate``."""
-
-        return [(s, p) for s, p in self.items() if predicate(p)]
-
     def received_from(self, sender: NodeId, payload: Payload) -> bool:
         """True when ``sender`` delivered exactly ``payload`` this round."""
 

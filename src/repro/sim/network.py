@@ -146,11 +146,10 @@ class RunResult:
 
     processes: dict[NodeId, Process]
     metrics: RunMetrics
-    #: The run's trace: an in-memory :class:`Trace`, or — when the network
-    #: was spilling (``enable_trace_spill``) — the finalized
-    #: :class:`repro.store.StoredTrace` view, which answers the same query
-    #: API bit-identically.
-    trace: Any
+    #: The run's trace.  When the network was spilling
+    #: (``enable_trace_spill``) every event is in a sealed segment the sink
+    #: holds, and queries read the segments back.
+    trace: Trace
     rounds_executed: int
     stop_reason: str
 
@@ -162,10 +161,6 @@ class RunResult:
     @property
     def correct_processes(self) -> dict[NodeId, Process]:
         return {i: p for i, p in self.processes.items() if not p.is_byzantine}
-
-    @property
-    def byzantine_processes(self) -> dict[NodeId, Process]:
-        return {i: p for i, p in self.processes.items() if p.is_byzantine}
 
     def outputs(self, correct_only: bool = True) -> dict[NodeId, Any]:
         """Decision values per node (``None`` for undecided nodes)."""
@@ -289,10 +284,9 @@ class SynchronousNetwork:
         :meth:`repro.store.RunStore.trace_sink`); while the run executes,
         every ``segment_events`` recorded events are sealed and written
         out, bounding peak trace memory by one segment.  :meth:`run`
-        finalizes the spill when it completes and puts the resulting
-        stored view on ``RunResult.trace``, so callers query the finished
-        trace exactly as they would an in-memory one.  Must be configured
-        on a traced network before the first round.
+        seals the tail when it completes; the trace on ``RunResult.trace``
+        answers every query by reading its segments back through the sink.
+        Must be configured on a traced network before the first round.
         """
 
         if not self._trace.enabled:
@@ -421,9 +415,6 @@ class SynchronousNetwork:
     def correct_processes(self) -> list[Process]:
         correct = self._correct_map
         return [correct[i] for i in self._active_sorted() if i in correct]
-
-    def active_correct_processes(self) -> list[Process]:
-        return [p for p in self.correct_processes() if not p.halted]
 
     def pending_messages(self) -> int:
         """Number of (message, destination) pairs in flight."""
@@ -748,16 +739,12 @@ class SynchronousNetwork:
             if condition(self):
                 stop_reason = "stop_condition"
                 break
-        trace = self._trace
-        if trace.spilling:
-            # Seal the tail and hand back the fully queryable stored view;
-            # see enable_trace_spill.  The live Trace stays attached to the
-            # network but is empty from here on.
-            trace = trace.finalize_spill()
+        if self._trace.spilling:
+            self._trace.finalize_spill()  # see enable_trace_spill
         result = RunResult(
             processes=dict(self._processes),
             metrics=self._metrics,
-            trace=trace,
+            trace=self._trace,
             rounds_executed=self._round,
             stop_reason=stop_reason,
         )

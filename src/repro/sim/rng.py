@@ -17,7 +17,6 @@ attackers, which never draw, never pay for one.
 from __future__ import annotations
 
 import operator
-from typing import Iterator
 
 import numpy as np
 
@@ -88,10 +87,3 @@ def sample_without_replacement(
         )
     idx = rng.choice(len(items), size=count, replace=False)
     return [items[i] for i in idx]
-
-
-def integer_stream(rng: np.random.Generator, low: int, high: int) -> Iterator[int]:
-    """Yield an endless stream of integers uniform on ``[low, high)``."""
-
-    while True:
-        yield int(rng.integers(low, high))

@@ -53,12 +53,14 @@ option; a store written under another version refuses to open with
 ``trace_segments``
     Optional columnar trace slices: per segment a JSON footer (event
     count, per-kind counts, round range) plus the six column blobs.
-    :class:`StoredTrace` answers ``of_kind``/``in_round``/``decisions``
-    by consulting footers first and loading only segments that can
-    match; ``kind_counts``/``len`` never touch a blob, and
-    :meth:`StoredTrace.aggregate` reduces per-round/per-node/per-kind
-    counts and payload-byte tallies one segment at a time without
-    materialising events.
+    :meth:`RunStore.get_trace` returns them as a
+    :class:`repro.sim.events.Trace` of sealed segments
+    (``Trace.from_segments(footers, load)``), the same class an
+    in-memory run records into: ``of_kind``/``in_round``/``decisions``
+    consult footers first and load only segments that can match,
+    ``kind_counts``/``len`` never touch a blob, and ``aggregate`` reduces
+    per-round/per-node/per-kind counts and payload-byte tallies one
+    segment at a time without materialising events.
 
 The spill-segment contract
 --------------------------
@@ -72,7 +74,8 @@ Trace segments reach ``trace_segments`` by one of two exclusive routes:
   :class:`~repro.store.db.TraceSegmentSink` (clearing stale segments up
   front); ``Trace(spill_to=sink, segment_events=N)`` then seals and
   writes each exactly-``N``-event segment the moment the live columns
-  fill, each in its own committed transaction.  Peak trace memory is
+  fill, each in its own committed transaction, and reads sealed segments
+  back through the sink's ``load`` when queried.  Peak trace memory is
   bounded by one segment, WAL readers only ever observe fully committed
   sealed segments, and the record persisted afterwards must carry
   ``trace_spilled=True`` so ``put_run`` leaves the streamed segments in
@@ -80,8 +83,8 @@ Trace segments reach ``trace_segments`` by one of two exclusive routes:
 
 Both routes produce byte-identical segments for the same run and
 granularity (spill seals exactly the slices export would have cut), so
-every consumer — :class:`StoredTrace` queries, ``aggregate``, trace
-diffs, the streaming endpoint — is agnostic to how the trace arrived;
+every consumer — trace queries, ``aggregate``, trace diffs, the
+streaming endpoint — is agnostic to how the trace arrived;
 ``tests/test_trace_analytics.py`` pins the equivalence.
 
 Entry points
@@ -98,7 +101,6 @@ from .db import (
     RunStore,
     SCHEMA_VERSION,
     StoredRun,
-    StoredTrace,
     StoreError,
     TraceSegmentSink,
 )
@@ -120,7 +122,6 @@ __all__ = [
     "RunStore",
     "RunRecord",
     "StoredRun",
-    "StoredTrace",
     "TraceSegmentSink",
     "ResumableSweep",
     "SweepReport",

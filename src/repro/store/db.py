@@ -7,11 +7,11 @@ docstring (:mod:`repro.store`) for the schema and the run-key contract.
 Blobs (protocol outputs, decision values, per-node counters, trace
 object columns) are loaded lazily: :meth:`RunStore.get_run` reads only
 the scalar columns, and the :class:`StoredRun` it returns fetches
-metrics, outputs and trace segments on first access.  Persisted trace
-segments are queried through :class:`StoredTrace`, which implements the
-:class:`repro.sim.events.Trace` query API on top of the segment footers
-so ``of_kind``/``in_round``/``decisions`` touch only the segments that
-can contain matching events.
+metrics, outputs and trace segments on first access.  A persisted trace
+comes back as a :class:`repro.sim.events.Trace` of sealed segments
+(:meth:`Trace.from_segments`): its footers, plus a loader that reads one
+segment's columns on demand, so ``of_kind``/``in_round``/``decisions``
+touch only the segments that can contain matching events.
 """
 
 from __future__ import annotations
@@ -22,17 +22,12 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterator, Sequence
+from functools import partial
+from typing import Any, Sequence
 
 from ..analysis.stats import aggregate_rows
 from ..api.spec import ScenarioSpec
-from ..sim.events import (
-    EventKind,
-    Trace,
-    TraceEvent,
-    check_aggregate_args,
-    format_aggregate_rows,
-)
+from ..sim.events import EventKind, Trace
 from ..sim.metrics import DecisionRecord, RunMetrics
 from .serialize import canonical_dumps, pickle_loads
 
@@ -42,7 +37,6 @@ __all__ = [
     "StoreError",
     "RunRecord",
     "StoredRun",
-    "StoredTrace",
     "TraceSegmentSink",
     "RunStore",
 ]
@@ -56,24 +50,9 @@ DEFAULT_ROW_FN = "default"
 
 _TRACE_BLOB_NAMES = ("kinds", "rounds", "nodes", "peers", "payloads", "details")
 
-#: Kind value <-> column code mapping (enum member order, matching
-#: ``repro.sim.events``); used to translate footer ``kind_counts`` keys
-#: (kind *values*) into the codes the aggregation plumbing groups by.
-_KIND_CODE_BY_VALUE = {kind.value: code for code, kind in enumerate(EventKind)}
-
 
 class StoreError(RuntimeError):
     """A run store could not be opened, validated or read."""
-
-
-def _sum_kind_counts(footers: Sequence[dict]) -> dict[str, int]:
-    """Total per-kind event counts across a run's segment footers."""
-
-    counts: dict[str, int] = {}
-    for footer in footers:
-        for value, count in footer["kind_counts"].items():
-            counts[value] = counts.get(value, 0) + count
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -120,218 +99,6 @@ class RunRecord:
             return []
         metrics = RunMetrics.from_columns(self.round_columns)
         return [r.as_dict() for r in metrics.rounds]
-
-
-class StoredTrace:
-    """Lazy, segment-backed implementation of the ``Trace`` query API.
-
-    Holds the (cheap, always-loaded) segment footers plus a loader that
-    materialises one segment's blobs into a :class:`Trace` on demand.
-    Queries consult the footers first: ``of_kind`` skips segments whose
-    footer shows a zero count for the kind, ``in_round`` skips segments
-    whose round range excludes the round, and ``kind_counts``/``len``
-    never load a blob at all.  The query helpers cache the segments they
-    load; ``select``/``select_batches`` stream them instead.
-    """
-
-    def __init__(
-        self, footers: Sequence[dict], loader: Callable[[int], Trace]
-    ) -> None:
-        self._footers = list(footers)
-        self._loader = loader
-        self._segments: dict[int, Trace] = {}
-
-    # -- segment plumbing --------------------------------------------------
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._footers)
-
-    @property
-    def loaded_segment_count(self) -> int:
-        """How many segments have been materialised (laziness observable)."""
-
-        return len(self._segments)
-
-    def _segment(self, index: int) -> Trace:
-        segment = self._segments.get(index)
-        if segment is None:
-            segment = self._segments[index] = self._loader(index)
-        return segment
-
-    def _uncached(self, index: int) -> Trace:
-        """Segment ``index``: the cached copy if a query loaded it, else a
-        fresh load that is not kept."""
-
-        segment = self._segments.get(index)
-        return self._loader(index) if segment is None else segment
-
-    def _select(self, wanted: Callable[[dict], bool]) -> Iterator[Trace]:
-        for index, footer in enumerate(self._footers):
-            if wanted(footer):
-                yield self._segment(index)
-
-    # -- Trace query API ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(f["events"] for f in self._footers)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        for index in range(len(self._footers)):
-            yield from self._segment(index)
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        return list(self)
-
-    def kind_counts(self) -> dict[str, int]:
-        """Aggregated per-kind counts — pure footer arithmetic, no blob I/O."""
-
-        counts: dict[str, int] = {}
-        for footer in self._footers:
-            for kind_value, count in footer["kind_counts"].items():
-                counts[kind_value] = counts.get(kind_value, 0) + count
-        # Stable kind order (enum member order), matching Trace.kind_counts.
-        return {k.value: counts[k.value] for k in EventKind if k.value in counts}
-
-    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
-        events: list[TraceEvent] = []
-        for segment in self._select(
-            lambda f: f["kind_counts"].get(kind.value, 0) > 0
-        ):
-            events.extend(segment.of_kind(kind))
-        return events
-
-    def in_round(self, round_index: int) -> list[TraceEvent]:
-        events: list[TraceEvent] = []
-        for segment in self._select(
-            lambda f: f["round_min"] <= round_index <= f["round_max"]
-        ):
-            events.extend(segment.in_round(round_index))
-        return events
-
-    def for_node(self, node_id) -> list[TraceEvent]:
-        events: list[TraceEvent] = []
-        for index in range(len(self._footers)):
-            events.extend(self._segment(index).for_node(node_id))
-        return events
-
-    def where(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
-        return [e for e in self if predicate(e)]
-
-    def decisions(self) -> list[TraceEvent]:
-        return self.of_kind(EventKind.NODE_DECIDED)
-
-    def first(self, kind: EventKind) -> TraceEvent | None:
-        for segment in self._select(
-            lambda f: f["kind_counts"].get(kind.value, 0) > 0
-        ):
-            found = segment.first(kind)
-            if found is not None:
-                return found
-        return None
-
-    # -- columnar analytics ------------------------------------------------
-
-    def aggregate(
-        self,
-        kinds=None,
-        *,
-        by: str = "round",
-        reduce="count",
-    ) -> list[dict]:
-        """Group-and-reduce over the persisted segments, footer-pruned.
-
-        Same signature and bit-identical rows as
-        :meth:`repro.sim.events.Trace.aggregate` — group by ``"round"``,
-        ``"node"`` or ``"kind"``, reduce to ``"count"`` and/or
-        ``"payload_bytes"`` — but computed segment by segment on the raw
-        columns, so no :class:`TraceEvent` is ever allocated and at most
-        one segment's blobs are decoded at a time.  Footer pruning
-        applies twice over: a ``by="kind"`` count-only aggregate is pure
-        footer arithmetic (zero blob I/O), and a ``kinds`` filter skips
-        every segment whose footer shows no matching events.
-        """
-
-        codes, reducers = check_aggregate_args(kinds, by, reduce)
-        groups: dict = {}
-        if by == "kind" and set(reducers) == {"count"}:
-            for footer in self._footers:
-                for value, count in footer["kind_counts"].items():
-                    code = _KIND_CODE_BY_VALUE[value]
-                    if codes is not None and code not in codes:
-                        continue
-                    tally = groups.get(code)
-                    if tally is None:
-                        tally = groups[code] = [0] * len(reducers)
-                    for slot in range(len(reducers)):
-                        tally[slot] += count
-            return format_aggregate_rows(groups, by, reducers)
-        if codes is None:
-            relevant = range(len(self._footers))
-        else:
-            values = [
-                value
-                for value, code in _KIND_CODE_BY_VALUE.items()
-                if code in codes
-            ]
-            relevant = [
-                index
-                for index, footer in enumerate(self._footers)
-                if any(footer["kind_counts"].get(v, 0) for v in values)
-            ]
-        for index in relevant:
-            self._segment(index).accumulate_aggregate(groups, codes, by, reducers)
-        return format_aggregate_rows(groups, by, reducers)
-
-    def select(
-        self,
-        *,
-        kind: EventKind | None = None,
-        round_index: int | None = None,
-        node_id=None,
-    ) -> list[TraceEvent]:
-        """Events matching every given filter (conjunction), footer-pruned."""
-
-        events: list[TraceEvent] = []
-        for _, batch in self.select_batches(
-            kind=kind, round_index=round_index, node_id=node_id
-        ):
-            events.extend(batch)
-        return events
-
-    def select_batches(
-        self,
-        *,
-        kind: EventKind | None = None,
-        round_index: int | None = None,
-        node_id=None,
-    ) -> Iterator[tuple[int, list[TraceEvent]]]:
-        """Yield ``(segment_index, matching events)`` one segment at a time.
-
-        The streaming primitive behind the service's ``/runs/<key>/trace``
-        endpoint: segments whose footers cannot match are skipped without
-        blob I/O, and each yielded batch is independent.  Segments are
-        loaded without being cached (one a query helper already cached is
-        reused), and the loaded segment is released before its batch is
-        yielded, so a stream holds no segment while its consumer works and
-        at most one while the next batch is selected, plus the batches the
-        consumer keeps.
-        """
-
-        for index, footer in enumerate(self._footers):
-            if (
-                kind is not None
-                and footer["kind_counts"].get(kind.value, 0) == 0
-            ):
-                continue
-            if round_index is not None and not (
-                footer["round_min"] <= round_index <= footer["round_max"]
-            ):
-                continue
-            yield index, self._uncached(index).select(
-                kind=kind, round_index=round_index, node_id=node_id
-            )
 
 
 @dataclass
@@ -393,7 +160,7 @@ class StoredRun:
             return []
         return [DecisionRecord(*triple) for triple in pickle_loads(blob)]
 
-    def trace(self) -> StoredTrace:
+    def trace(self) -> Trace:
         """The persisted trace, queryable lazily segment by segment."""
 
         return self._store._load_trace(self.run_key)
@@ -451,10 +218,11 @@ class TraceSegmentSink:
             )
         self.segments_written += 1
 
-    def stored_trace(self) -> StoredTrace:
-        """The fully queryable view over everything written so far."""
+    def load(self, index: int) -> Trace:
+        """Read sealed segment ``index`` back, for the spilling trace's
+        queries."""
 
-        return self._store._load_trace(self.run_key)
+        return self._store._load_segment(self.run_key, index)
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +517,11 @@ class RunStore:
             _store=self,
         )
 
-    def get_trace(self, run_key: str) -> StoredTrace | None:
+    def get_trace(self, run_key: str) -> Trace | None:
         """The persisted trace for a stored run (``None`` if no such run).
 
-        A stored but untraced run yields an empty :class:`StoredTrace`
-        (zero segments), not ``None``.
+        A stored but untraced run yields an empty :class:`Trace` (zero
+        segments), not ``None``.
         """
 
         if self.get_run(run_key) is None:
@@ -859,9 +627,9 @@ class RunStore:
         runs are untraced); otherwise it reports total event counts,
         per-kind count deltas (differing kinds only) and the first
         divergent event as ``{"segment", "index", "kind", "round"}``.
-        Segments are compared pair-wise with cheap exits — matching
-        footers plus byte-identical blobs skip without decoding — so
-        diffing two identical traced runs never materialises an event.
+        Segments are compared pair-wise with a cheap exit — byte-identical
+        blobs skip without decoding — so diffing two identical traced runs
+        never materialises an event.
         """
 
         a, b = self.get_run(run_key_a), self.get_run(run_key_b)
@@ -900,23 +668,24 @@ class RunStore:
         }
 
     def _diff_trace(self, run_key_a: str, run_key_b: str) -> dict[str, Any]:
-        footers_a = self._load_trace_footers(run_key_a)
-        footers_b = self._load_trace_footers(run_key_b)
-        if not footers_a and not footers_b:
+        a, b = self._load_trace(run_key_a), self._load_trace(run_key_b)
+        if not (a.segment_count or b.segment_count):
             return {}
-        counts_a = _sum_kind_counts(footers_a)
-        counts_b = _sum_kind_counts(footers_b)
-        events_a = sum(f["events"] for f in footers_a)
-        events_b = sum(f["events"] for f in footers_b)
         divergence: dict[str, Any] | None = None
-        shared = min(len(footers_a), len(footers_b))
-        for index in range(shared):
-            blobs_a = self._load_segment_blobs(run_key_a, index)
-            blobs_b = self._load_segment_blobs(run_key_b, index)
-            if footers_a[index] == footers_b[index] and blobs_a == blobs_b:
+        for index in range(max(a.segment_count, b.segment_count)):
+            # Past its last segment, the shorter trace reads as empty.
+            blobs_a, blobs_b = (
+                self._load_segment_blobs(key, index)
+                if index < trace.segment_count
+                else None
+                for key, trace in ((run_key_a, a), (run_key_b, b))
+            )
+            if blobs_a == blobs_b:
                 continue
-            seg_a = Trace.from_segment(blobs_a)
-            seg_b = Trace.from_segment(blobs_b)
+            seg_a, seg_b = (
+                Trace() if blobs is None else Trace.from_segment(blobs)
+                for blobs in (blobs_a, blobs_b)
+            )
             at = seg_a.first_difference(seg_b)
             if at is None:
                 continue  # blobs differ byte-wise but decode identically
@@ -935,27 +704,7 @@ class RunStore:
                 ],
             }
             break
-        if divergence is None and len(footers_a) != len(footers_b):
-            # Shared segments identical; the longer trace diverges at the
-            # first event of its first extra segment.
-            longer_key = run_key_a if len(footers_a) > shared else run_key_b
-            extra = Trace.from_segment(
-                self._load_segment_blobs(longer_key, shared)
-            )
-            event = extra.event(0)
-            a_side = longer_key == run_key_a
-            divergence = {
-                "segment": shared,
-                "index": 0,
-                "kind": [
-                    event.kind.value if a_side else None,
-                    None if a_side else event.kind.value,
-                ],
-                "round": [
-                    event.round_index if a_side else None,
-                    None if a_side else event.round_index,
-                ],
-            }
+        counts_a, counts_b = a.kind_counts(), b.kind_counts()
         kind_deltas = {
             kind.value: [
                 counts_a.get(kind.value, 0),
@@ -964,15 +713,15 @@ class RunStore:
             for kind in EventKind
             if counts_a.get(kind.value, 0) != counts_b.get(kind.value, 0)
         }
-        if divergence is None and not kind_deltas and events_a == events_b:
+        if divergence is None and not kind_deltas and len(a) == len(b):
             return {}
         return {
-            "events": [events_a, events_b],
+            "events": [len(a), len(b)],
             "kind_counts": kind_deltas,
             "first_divergence": divergence,
         }
 
-    # -- blob plumbing (used by StoredRun/StoredTrace) ---------------------
+    # -- blob plumbing (used by StoredRun and stored traces) ---------------
 
     def _load_blob(self, run_key: str, column: str) -> bytes | None:
         found = self._conn.execute(
@@ -997,16 +746,6 @@ class RunStore:
             decoded[name] = column.tolist()
         return decoded
 
-    def _load_trace_footers(self, run_key: str) -> list[dict]:
-        return [
-            json.loads(footer_json)
-            for (footer_json,) in self._conn.execute(
-                "SELECT footer_json FROM trace_segments WHERE run_key = ? "
-                "ORDER BY segment_index",
-                (run_key,),
-            )
-        ]
-
     def _load_segment_blobs(self, run_key: str, index: int) -> dict[str, bytes]:
         found = self._conn.execute(
             f"SELECT {', '.join(_TRACE_BLOB_NAMES)} FROM trace_segments "
@@ -1019,10 +758,16 @@ class RunStore:
             )
         return dict(zip(_TRACE_BLOB_NAMES, found))
 
-    def _load_trace(self, run_key: str) -> StoredTrace:
-        footers = self._load_trace_footers(run_key)
+    def _load_segment(self, run_key: str, index: int) -> Trace:
+        return Trace.from_segment(self._load_segment_blobs(run_key, index))
 
-        def load(index: int) -> Trace:
-            return Trace.from_segment(self._load_segment_blobs(run_key, index))
-
-        return StoredTrace(footers, load)
+    def _load_trace(self, run_key: str) -> Trace:
+        footers = [
+            json.loads(footer_json)
+            for (footer_json,) in self._conn.execute(
+                "SELECT footer_json FROM trace_segments WHERE run_key = ? "
+                "ORDER BY segment_index",
+                (run_key,),
+            )
+        ]
+        return Trace.from_segments(footers, partial(self._load_segment, run_key))

@@ -57,8 +57,8 @@ from typing import Any, Iterator
 from urllib.parse import parse_qs, urlparse
 
 from ..api.sweep import SweepSpec
-from ..sim.events import EventKind, TraceEvent
-from .db import RunStore, StoredTrace, StoreError
+from ..sim.events import EventKind, Trace
+from .db import RunStore, StoreError
 from .resumable import DEFAULT_SEGMENT_EVENTS, ResumableSweep
 from .serialize import canonical_dumps
 
@@ -74,13 +74,14 @@ _EVENT_JSON = (
 _KIND_JSON = {kind.value: canonical_dumps(kind.value) for kind in EventKind}
 
 
-def _segment_line(segment_index: int, batch: list[TraceEvent]) -> str:
+def _segment_line(segment_index: int, batch: list[tuple]) -> str:
     """The NDJSON text of one ``segment`` stream event.
 
-    Equal to ``canonical_dumps`` of ``{"event": "segment", "segment": i,
-    "events": [...]}`` with one ``{"kind", "round", "node", "peer",
-    "payload", "detail"}`` dict per event, payload and detail as their
-    ``repr``.  A segment's events share a few payload objects (a
+    ``batch`` holds :meth:`Trace.select_batches` rows (``TraceEvent``
+    field order).  Equal to ``canonical_dumps`` of ``{"event": "segment",
+    "segment": i, "events": [...]}`` with one ``{"kind", "round", "node",
+    "peer", "payload", "detail"}`` dict per event, payload and detail as
+    their ``repr``.  A segment's events share a few payload objects (a
     broadcast's recipients all reference one), so the text is built here
     from the JSON of each distinct object, ``repr``'d once, rather than
     by walking one dict per event.
@@ -101,14 +102,14 @@ def _segment_line(segment_index: int, batch: list[TraceEvent]) -> str:
 
     events = ",".join(
         _EVENT_JSON % (
-            text(event.detail),
-            _KIND_JSON[event.kind._value_],
-            node(event.node_id),
-            text(event.payload),
-            node(event.peer_id),
-            event.round_index,
+            text(detail),
+            _KIND_JSON[kind._value_],
+            node(node_id),
+            text(payload),
+            node(peer_id),
+            round_index,
         )
-        for event in batch
+        for kind, round_index, node_id, peer_id, payload, detail in batch
     )
     return f'{{"event":"segment","events":[{events}],"segment":{segment_index}}}'
 
@@ -414,7 +415,7 @@ class ScenarioService:
         run = self.reader().get_run(run_key)
         return run.per_round() if run else None
 
-    def get_trace(self, run_key: str) -> StoredTrace | None:
+    def get_trace(self, run_key: str) -> Trace | None:
         run = self.reader().get_run(run_key)
         return run.trace() if run else None
 
@@ -473,7 +474,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_trace(
         self,
         run_key: str,
-        trace: StoredTrace,
+        trace: Trace,
         kind: EventKind | None,
         round_index: int | None,
     ) -> None:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness import (
     EXPERIMENTS,
     ExperimentDefinition,
@@ -157,3 +161,26 @@ class TestSmallScaleRuns:
         message = err.strip().splitlines()[-1]
         assert named in message and "Traceback" not in err
         assert not store.exists()
+
+    def test_running_the_runner_module_draws_no_runtime_warning(self):
+        # ``python -m`` imports the package first; a package that imports
+        # the runner eagerly makes runpy warn that the module is already in
+        # sys.modules, which -W error turns into a traceback.
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.harness.runner",
+                "E99",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+        assert "unknown experiment 'E99'" in out.stderr

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -15,6 +17,8 @@ import urllib.request
 
 import pytest
 
+from repro.api import REGISTRY, register_protocol
+from repro.api import sweep as sweep_module
 from repro.sim.messages import Inbox, clear_intern_table, intern_table_size
 from repro.store.serve import build_parser
 from repro.store.service import ScenarioService, create_server
@@ -518,3 +522,57 @@ def test_repeated_total_order_sweeps_leave_no_inboxes_or_interned_payloads_behin
         sweep(repeat)
         assert live_inboxes() <= before
         assert intern_table_size() <= interned
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test after 60 s, as ``tests/test_worker_pool.py`` does, so
+    a hung pool fails it instead of stalling the suite."""
+
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("deadlines use SIGALRM")
+
+    def expire(signum, frame):
+        raise TimeoutError("service pool test passed its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# The sweep threads fork the pools while the server's threads run; Python
+# 3.12 warns about any fork in a multi-threaded process.
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_broken_worker_pool_fails_only_its_own_request(server, monkeypatch, deadline):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # The registration below is undone when the test ends.
+    monkeypatch.setattr(REGISTRY, "_protocols", dict(REGISTRY._protocols))
+    parent = os.getpid()
+    consensus = REGISTRY.info("consensus").builder
+
+    def dies_in_workers(spec):
+        if os.getpid() != parent:
+            os._exit(1)
+        return consensus(spec)
+
+    register_protocol("dies-in-workers")(dies_in_workers)
+    broken = post_json(server, "/sweeps", {
+        "sweep": {"protocol": "dies-in-workers", "grid": {"n": [4, 5]}, "max_rounds": 30},
+        "jobs": 2,
+    })
+    events = read_stream(server, broken["stream"])
+    assert events[-1]["event"] == "error"
+    assert "process pool" in events[-1]["message"]  # BrokenProcessPool
+    assert get_json(server, f"/sweeps/{broken['id']}")["status"] == "failed"
+    broken_pool = sweep_module._POOL
+    assert broken_pool is not None
+
+    healthy = post_json(server, "/sweeps", dict(SWEEP_REQUEST, jobs=2))
+    events = read_stream(server, healthy["stream"])
+    assert events[-1] == {"event": "sweep-complete", "ran": 2, "skipped": 0, "total": 2}
+    assert get_json(server, f"/sweeps/{healthy['id']}")["status"] == "complete"
+    assert sweep_module._POOL not in (None, broken_pool)

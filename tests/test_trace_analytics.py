@@ -2,15 +2,17 @@
 
 Differential guarantees, mirroring the golden-trace pattern:
 
-* ``Trace.aggregate`` == ``StoredTrace.aggregate`` (and every other query)
-  over the full golden-trace scenario grid — persisted answers are
-  bit-identical to in-memory answers;
+* a trace of sealed segments (``Trace.from_segments``) answers
+  ``aggregate`` and every other query like the in-memory trace it was
+  exported from, over the full golden-trace scenario grid — persisted
+  answers are bit-identical to in-memory answers;
 * a run traced with in-run spill (``Trace(spill_to=...)``) produces
   byte-identical segments, event streams and aggregates to the same run
-  traced in memory and exported post-hoc;
-* ``StoredTrace`` footer pruning is observable (``loaded_segment_count``)
-  and correct at the edges: exact round-range boundaries, empty traces,
-  kinds with zero footer counts;
+  traced in memory and exported post-hoc, and answers every query over
+  the whole run while it is still spilling;
+* footer pruning of sealed segments is observable
+  (``loaded_segment_count``) and correct at the edges: exact round-range
+  boundaries, empty traces, kinds with zero footer counts;
 * concurrent store readers during an active spill-writing run see only
   complete sealed segments (WAL single-writer discipline).
 """
@@ -31,7 +33,7 @@ from repro.analysis.tables import attach_trace_columns, trace_table  # noqa: E40
 from repro.api.registry import REGISTRY  # noqa: E402
 from repro.api.sweep import resolve_stop, run_scenario  # noqa: E402
 from repro.sim.events import EventKind, Trace, TraceEvent  # noqa: E402
-from repro.store import RunStore, StoredTrace, record_from_outcome  # noqa: E402
+from repro.store import RunStore, record_from_outcome  # noqa: E402
 
 SEGMENT_EVENTS = 64  # small, so every scenario spans multiple segments
 
@@ -50,11 +52,11 @@ AGG_CASES = [
 ]
 
 
-def stored_view(trace: Trace, *, max_events: int = SEGMENT_EVENTS) -> StoredTrace:
-    """A StoredTrace over an in-memory export (no database needed)."""
+def stored_view(trace: Trace, *, max_events: int = SEGMENT_EVENTS) -> Trace:
+    """A sealed-segment trace over an in-memory export (no database needed)."""
 
     segments = trace.export_segments(max_events=max_events)
-    return StoredTrace(
+    return Trace.from_segments(
         [footer for footer, _ in segments],
         lambda index: Trace.from_segment(segments[index][1]),
     )
@@ -70,11 +72,8 @@ class ListSink:
         assert index == len(self.segments), "segments must arrive in order"
         self.segments.append((footer, blobs))
 
-    def stored_trace(self) -> StoredTrace:
-        return StoredTrace(
-            [footer for footer, _ in self.segments],
-            lambda index: Trace.from_segment(self.segments[index][1]),
-        )
+    def load(self, index: int) -> Trace:
+        return Trace.from_segment(self.segments[index][1])
 
 
 def run_spilled(spec, sink, *, segment_events: int = SEGMENT_EVENTS):
@@ -133,7 +132,7 @@ def test_spill_is_bit_identical_to_in_memory(options):
     sink = ListSink()
     result = run_spilled(spec, sink)
     spilled = result.trace
-    assert isinstance(spilled, StoredTrace)
+    assert spilled.live_events == 0  # the run sealed its tail
     # Byte-identical segments: spill seals exactly the slices export cuts.
     exported = reference.export_segments(max_events=SEGMENT_EVENTS)
     assert len(sink.segments) == len(exported)
@@ -200,12 +199,42 @@ def test_spill_bounds_live_memory_to_one_segment():
     for i in range(1000):
         trace.record(make_event(i // 50))
         assert trace.live_events < 100  # sealing happens the moment it fills
-    assert trace.spilled_segment_count == 10
+    assert trace.segment_count == 10
     assert len(trace) == 1000
     assert trace.kind_counts() == {"message_sent": 1000}
     stored = trace.finalize_spill()
     assert stored.segment_count == 10
     assert len(stored) == 1000
+
+
+def test_spilling_trace_answers_queries_over_the_whole_run():
+    """Before finalize_spill, queries read the sealed segments back."""
+
+    events = [
+        make_event(
+            i // 50,
+            EventKind.NODE_DECIDED if i % 7 == 0 else EventKind.MESSAGE_SENT,
+        )
+        for i in range(250)
+    ]
+    spilling = Trace(spill_to=ListSink(), segment_events=100)
+    for event in events:
+        spilling.record(event)
+    in_memory = Trace(events)
+    assert (spilling.segment_count, spilling.live_events) == (2, 50)
+    assert list(spilling) == list(in_memory) == events
+    assert spilling.in_round(0) == in_memory.in_round(0)
+    assert spilling.aggregate(by="round") == in_memory.aggregate(by="round")
+    assert [row["round"] for row in spilling.aggregate(by="round")] == [
+        0, 1, 2, 3, 4,
+    ]
+    for filters in (
+        dict(kind=EventKind.NODE_DECIDED),
+        dict(kind=EventKind.MESSAGE_SENT, round_index=4),
+        dict(round_index=1, node_id=1),
+    ):
+        selected = spilling.select(**filters)
+        assert selected and selected == in_memory.select(**filters)
 
 
 def test_spill_finalize_seals_partial_tail():
@@ -224,6 +253,8 @@ def test_spilling_trace_refuses_export_and_requires_fresh_network():
     trace.record(make_event(0))
     with pytest.raises(ValueError, match="finalize_spill"):
         trace.export_segments()
+    with pytest.raises(ValueError, match="already persisted"):
+        stored_view(boundary_trace(), max_events=10).export_segments()
     with pytest.raises(ValueError, match="no spill sink"):
         Trace().finalize_spill()
     with pytest.raises(ValueError, match="segment_events"):

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, run_scenario
 from repro.sim.events import EventKind, Trace, TraceEvent
-from repro.store import RunStore, StoredTrace
+from repro.store import RunStore
 from repro.store.serialize import canonical_dumps, to_jsonable
 from repro.store.service import create_server
 
@@ -222,7 +222,9 @@ def reference_trace_body(store_path, run_key: str, kind, round_index) -> bytes:
                 {
                     "event": "segment",
                     "segment": segment_index,
-                    "events": [reference_trace_event_json(e) for e in batch],
+                    "events": [
+                        reference_trace_event_json(TraceEvent(*row)) for row in batch
+                    ],
                 }
             )
             streamed += len(batch)
@@ -358,12 +360,12 @@ def test_streaming_a_stored_trace_keeps_at_most_one_segment_alive():
         loads.append(weakref.ref(segment))
         return segment
 
-    stored = StoredTrace([footer for footer, _ in segments], loader)
+    stored = Trace.from_segments([footer for footer, _ in segments], loader)
     alive_at_yield: list[int] = []
     streamed: list[TraceEvent] = []
     for _, batch in stored.select_batches():
         alive_at_yield.append(alive())
-        streamed.extend(batch)
+        streamed.extend(TraceEvent(*row) for row in batch)
     assert len(loads) == len(segments) > 3
     assert max(alive_at_load) == 0 and max(alive_at_yield) <= 1
     assert alive() == 0
@@ -376,7 +378,6 @@ def test_streaming_a_stored_trace_keeps_at_most_one_segment_alive():
     loads.clear()
     batches = list(stored.select_batches(round_index=1))
     assert len(loads) == 0
-    assert [e for _, batch in batches for e in batch] == stored.select(
-        round_index=1
-    ) == first_round
+    streamed = [TraceEvent(*row) for _, batch in batches for row in batch]
+    assert streamed == stored.select(round_index=1) == first_round
     assert stored.loaded_segment_count == cached
