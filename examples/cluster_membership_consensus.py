@@ -20,6 +20,7 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis import render_table
+from repro.analysis.properties import agreement, holds, termination
 from repro.api import ScenarioSpec, run_scenario
 
 
@@ -57,7 +58,7 @@ def main() -> None:
     print(f"cluster of {n} members, {f} Byzantine, "
           f"{len(proposed_config)} configuration keys agreed in parallel\n")
     print(render_table(rows, title="agreed configuration"))
-    identical = all(output == reference for output in outputs.values())
+    identical = holds(termination(outputs), agreement(outputs))
     print(f"\nall correct members hold the identical configuration: {identical}")
     print(f"decided within {outcome.result.metrics.latest_decision_round()} rounds, "
           f"{outcome.messages} messages total")

@@ -22,7 +22,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis import chains_are_prefixes
+from repro.analysis.properties import chain_prefix, holds
 from repro.api import ScenarioSpec, run_scenario
 
 
@@ -64,7 +64,7 @@ def main() -> None:
     lengths = {node: len(chain) for node, chain in chains.items()}
     print(f"ledger lengths per surviving genesis replica: {lengths}")
     print(f"chain-prefix property holds                 : "
-          f"{chains_are_prefixes(list(chains.values()))}")
+          f"{holds(chain_prefix(list(chains.values())))}")
     if joins:
         joiner = network.process(joins[0].node_id)
         print(f"first joiner caught up                      : joined={joiner.joined}, "

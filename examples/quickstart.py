@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis import consensus_agreement, consensus_validity, render_table
+from repro.analysis import render_table
+from repro.analysis.properties import agreement, holds, termination, validity
 from repro.api import ScenarioSpec, run_scenario
 
 
@@ -42,7 +43,7 @@ def main() -> None:
           f"(ids are sparse, and no node knows n or f)")
     print(f"correct inputs: {inputs}")
 
-    outputs = outcome.result.decided_outputs()
+    outputs = outcome.outputs()
     rows = [
         {
             "node": node,
@@ -55,8 +56,8 @@ def main() -> None:
     print()
     print(render_table(rows, title="per-node decisions"))
     print()
-    print(f"agreement reached : {consensus_agreement(outputs)}")
-    print(f"validity satisfied: {consensus_validity(outputs, inputs)}")
+    print(f"agreement reached : {holds(termination(outputs), agreement(outputs))}")
+    print(f"validity satisfied: {holds(validity(outputs, inputs))}")
     print(f"rounds executed   : {outcome.rounds}")
     print(f"messages exchanged: {outcome.messages}")
 

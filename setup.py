@@ -24,7 +24,5 @@ setup(
         "test": ["pytest", "hypothesis>=6.100,<7"],
         # CI coverage gate (pytest --cov=repro)
         "cov": ["pytest-cov"],
-        # pytest-benchmark timing for the per-experiment benchmarks
-        "bench": ["pytest-benchmark"],
     },
 )

@@ -1,35 +1,15 @@
-"""Experiment analysis: statistics, property checkers and table rendering."""
+"""Experiment analysis: the paper's properties, statistics and tables."""
 
-from .properties import (
-    approx_outputs_in_range,
-    approx_range_reduced,
-    chain_common_prefix_length,
-    chains_are_prefixes,
-    consensus_agreement,
-    consensus_validity,
-    reliable_broadcast_correctness,
-    reliable_broadcast_relay,
-    rotor_good_round_exists,
-)
 from .stats import aggregate_rows, fraction_true, mean, stdev, summarize
 from .tables import format_cell, render_markdown_table, render_table
 
 __all__ = [
     "aggregate_rows",
-    "approx_outputs_in_range",
-    "approx_range_reduced",
-    "chain_common_prefix_length",
-    "chains_are_prefixes",
-    "consensus_agreement",
-    "consensus_validity",
     "format_cell",
     "fraction_true",
     "mean",
-    "reliable_broadcast_correctness",
-    "reliable_broadcast_relay",
     "render_markdown_table",
     "render_table",
-    "rotor_good_round_exists",
     "stdev",
     "summarize",
 ]

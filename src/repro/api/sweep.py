@@ -29,6 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from ..analysis.properties import agreement, holds, termination
 from ..analysis.stats import aggregate_rows
 from ..core.quorums import max_faults_tolerated
 from ..sim.network import RunResult, all_correct_halted
@@ -95,14 +96,15 @@ class ScenarioOutcome:
     def summary_row(self) -> dict[str, Any]:
         """The default measurement row for sweeps without a custom row_fn."""
 
-        procs = self.correct_processes().values()
+        outputs = self.outputs()
+        decided = termination(outputs)
         return {
             "protocol": self.spec.protocol,
             "n": self.spec.n,
             "f": self.spec.f,
             "adversary": self.spec.adversary,
-            "decided": all(p.decided for p in procs),
-            "agreement": self.result.agreement_reached(),
+            "decided": holds(decided),
+            "agreement": holds(decided, agreement(outputs)),
             "rounds": self.rounds,
             "decision_round": self.decision_rounds_exhausted(),
             "messages": self.messages,

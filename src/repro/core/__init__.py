@@ -20,13 +20,6 @@ from .consensus import (
     Prefer,
     StrongPrefer,
 )
-from .impossibility import (
-    PartitionOutcome,
-    asynchronous_partition_execution,
-    run_partitioned_consensus,
-    semi_synchronous_partition_execution,
-    synchronous_control_execution,
-)
 from .parallel_consensus import (
     BOTTOM,
     ParallelConsensusEngine,
@@ -102,7 +95,6 @@ __all__ = [
     "PHASE_LENGTH",
     "ParallelConsensusEngine",
     "ParallelConsensusProcess",
-    "PartitionOutcome",
     "Prefer",
     "Present",
     "PresentMsg",
@@ -116,7 +108,6 @@ __all__ = [
     "StrongPrefer",
     "TotalOrderProcess",
     "ValueMessage",
-    "asynchronous_partition_execution",
     "best_supported_value",
     "finality_horizon",
     "is_resilient",
@@ -125,9 +116,6 @@ __all__ = [
     "meets_two_thirds",
     "one_third",
     "pick_supported",
-    "run_partitioned_consensus",
-    "semi_synchronous_partition_execution",
-    "synchronous_control_execution",
     "trim_and_midpoint",
     "two_thirds",
     "values_meeting",

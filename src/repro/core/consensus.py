@@ -105,8 +105,8 @@ class ConsensusProcess(Process):
       substituted for.  This variant is *unsound* — the substitution
       in effect lets the local node vote on behalf of silent peers, and a
       split-vote adversary can then drive two correct nodes over
-      conflicting ``2·nv/3`` quorums.  It exists only for the ablation
-      benchmark (``benchmarks/bench_a1_substitution_rule.py``) that
+      conflicting ``2·nv/3`` quorums.  It exists only for ablation A1
+      (:func:`repro.harness.ablations.a1_substitution_rule`), which
       demonstrates why the narrow rule matters.
     """
 

@@ -21,14 +21,26 @@ implementation makes the choices it makes:
 
 from __future__ import annotations
 
-from ..analysis.properties import consensus_agreement
+from ..analysis.properties import (
+    agreement,
+    holds,
+    rb_correctness,
+    rb_unforgeability,
+    termination,
+)
 from ..analysis.stats import aggregate_rows
-from ..api import ScenarioSpec, run_scenario
+from ..api import ScenarioOutcome, ScenarioSpec, run_scenario
 from ..core.quorums import max_faults_tolerated
 from ..sim.rng import derive
-from .experiments import ExperimentResult
+from .experiments import ExperimentResult, _every, _some
 
-__all__ = ["a1_substitution_rule", "a2_misconfigured_fault_bound", "ABLATIONS"]
+__all__ = [
+    "a1_claim",
+    "a1_substitution_rule",
+    "a2_claim",
+    "a2_misconfigured_fault_bound",
+    "ABLATIONS",
+]
 
 
 def a1_substitution_rule(scale: int = 1, seed: int = 101) -> ExperimentResult:
@@ -61,7 +73,7 @@ def a1_substitution_rule(scale: int = 1, seed: int = 101) -> ExperimentResult:
                         "n": n,
                         "f": f,
                         "substitution": rule,
-                        "agreement": consensus_agreement(outputs),
+                        "agreement": holds(termination(outputs), agreement(outputs)),
                     }
                 )
     aggregated = aggregate_rows(rows, group_by=["substitution", "n"], metrics=["agreement"])
@@ -71,6 +83,17 @@ def a1_substitution_rule(scale: int = 1, seed: int = 101) -> ExperimentResult:
         claim="The narrow rule preserves agreement; the broad rule is unsound under a split-vote adversary.",
         rows=aggregated,
         notes="broad substitution lets the local node vote on behalf of any silent peer, inflating conflicting quorums.",
+        run_rows=rows,
+    )
+
+
+def a1_claim(rows: list[dict]) -> list[str]:
+    """A1's claim over its per-run rows: the parts some run broke."""
+
+    narrow = [row for row in rows if row["substitution"] == "narrow"]
+    broad = [row for row in rows if row["substitution"] == "broad"]
+    return _every(narrow, "agreement", where=" (narrow)") + _some(
+        broad, "agreement (broad)", lambda row: not row["agreement"]
     )
 
 
@@ -94,16 +117,7 @@ def a2_misconfigured_fault_bound(scale: int = 1, seed: int = 103) -> ExperimentR
                     params={"assumed_f": assumed_f},
                 )
             )
-            source = classic.system.params["source"]
-            correct = classic.system.correct_ids
-            forged = any(
-                rec.message == "forged"
-                for i in correct
-                for rec in classic.network.process(i).accepted
-            )
-            delivered = all(
-                classic.network.process(i).has_accepted("hello", source) for i in correct
-            )
+            classic_forged, classic_delivered = _broadcast_checks(classic)
             # The id-only algorithm on the identical workload, for contrast.
             id_only = run_scenario(
                 ScenarioSpec(
@@ -116,18 +130,13 @@ def a2_misconfigured_fault_bound(scale: int = 1, seed: int = 103) -> ExperimentR
                     stop="never",
                 )
             )
-            id_only_forged = any(
-                rec.message == "forged"
-                for i in id_only.system.correct_ids
-                for rec in id_only.network.process(i).accepted
-            )
             rows.append(
                 {
                     "assumed_f": assumed_f,
                     "real_f": real_f,
-                    "classic_accepts_forgery": forged,
-                    "classic_delivers": delivered,
-                    "id_only_accepts_forgery": id_only_forged,
+                    "classic_accepts_forgery": classic_forged,
+                    "classic_delivers": classic_delivered,
+                    "id_only_accepts_forgery": _broadcast_checks(id_only)[0],
                 }
             )
     aggregated = aggregate_rows(
@@ -140,6 +149,33 @@ def a2_misconfigured_fault_bound(scale: int = 1, seed: int = 103) -> ExperimentR
         title="Ablation: misconfigured fault bound in the classic baseline",
         claim="The classic algorithm's unforgeability depends on the configured f; the id-only algorithm has no such knob.",
         rows=aggregated,
+        run_rows=rows,
+    )
+
+
+def _broadcast_checks(outcome: ScenarioOutcome) -> tuple[bool, bool]:
+    """Whether a correct node accepted a forgery, and whether every correct
+    node delivered the sender's message."""
+
+    params = outcome.system.params
+    accepted = (outcome.correct_processes(), params["message"], params["source"])
+    forged = rb_unforgeability(*accepted, outcome.system.byzantine_ids)
+    return not holds(forged), holds(rb_correctness(*accepted))
+
+
+def a2_claim(rows: list[dict]) -> list[str]:
+    """A2's claim over its per-run rows: the parts some run broke."""
+
+    return _every(
+        rows,
+        classic_unforgeable_at_true_f=lambda row: (
+            row["assumed_f"] < row["real_f"] or not row["classic_accepts_forgery"]
+        ),
+        id_only_unforgeable=lambda row: not row["id_only_accepts_forgery"],
+    ) + _some(
+        [row for row in rows if row["assumed_f"] == 0],
+        "classic_accepts_forgery (assumed_f = 0)",
+        lambda row: row["classic_accepts_forgery"],
     )
 
 

@@ -9,8 +9,10 @@ was.
 
 Each experiment is an :class:`ExperimentDefinition` — a set of
 :class:`~repro.api.SweepSpec` grids, a module-level *row function* that
-turns one executed scenario into a measurement row, and an aggregation
-recipe (``group_by`` + ``metrics``).  The :class:`~repro.api.SweepRunner`
+turns one executed scenario into a measurement row through
+:mod:`repro.analysis.properties`, an aggregation recipe (``group_by`` +
+``metrics``) and the paper claim, as text and as a check over the per-run
+rows.  The :class:`~repro.api.SweepRunner`
 expands the grids, executes every scenario (optionally across a process
 pool via ``jobs``), and the rows aggregate through
 :func:`repro.analysis.stats.aggregate_rows` into the tables recorded in
@@ -18,8 +20,9 @@ pool via ``jobs``), and the rows aggregate through
 they must stay module-level (picklable by reference).
 
 All experiments accept ``scale`` (a small positive integer) so the same
-definitions serve quick test runs (``scale=1``), the benchmark suite and
-full reproduction runs, and ``seed`` so whole sweeps can be re-drawn.
+definitions serve quick test runs (``scale=1``, where the tier-1 suite
+checks every claim run by run) and full reproduction runs, and ``seed`` so
+whole sweeps can be re-drawn.
 """
 
 from __future__ import annotations
@@ -28,21 +31,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..analysis.properties import (
-    approx_outputs_in_range,
-    approx_range_reduced,
-    chains_are_prefixes,
-    consensus_agreement,
-    consensus_validity,
-    reliable_broadcast_correctness,
-    reliable_broadcast_relay,
-    rotor_good_round_exists,
+    agreement,
+    chain_prefix,
+    holds,
+    parallel_validity,
+    range_containment,
+    range_reduction,
+    rb_correctness,
+    rb_relay,
+    rb_unforgeability,
+    rotor_good_round,
+    termination,
+    validity,
 )
 from ..analysis.stats import aggregate_rows
 from ..analysis.tables import render_markdown_table, render_table
 from ..api import ScenarioOutcome, SweepRunner, SweepSpec
-from ..core.impossibility import outcome_from_outputs
-from ..core.quorums import max_faults_tolerated
-from ..sim.delays import split_into_groups
 from ..store import (
     DEFAULT_SEGMENT_EVENTS,
     SCHEMA_VERSION,
@@ -76,6 +80,10 @@ class ExperimentResult:
     #: store derives its keys from, so a JSON report identifies exactly
     #: which sweep produced it.
     sweep_digest: str = ""
+    #: The per-run rows the claim checks read; not part of any report.
+    run_rows: list[dict[str, object]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def to_text(self) -> str:
         header = f"[{self.experiment_id}] {self.title}\nclaim: {self.claim}"
@@ -127,6 +135,9 @@ class ExperimentDefinition:
     experiment_id: str
     title: str
     claim: str
+    #: The claim as a check over the per-run rows: each part some run
+    #: broke, named; ``[]`` when the claim holds.
+    claim_check: Callable[[list[dict]], list[str]]
     sweeps: Callable[[int, int], Sequence[SweepSpec]]
     row_fn: Callable[[ScenarioOutcome], dict]
     group_by: tuple[str, ...]
@@ -168,11 +179,43 @@ class ExperimentDefinition:
             sweep_digest=sweep_digest(
                 spec for sweep in sweeps for spec in sweep.scenarios()
             ),
+            run_rows=rows,
         )
 
 
 def _sizes(scale: int, base: tuple[int, ...], extra: tuple[int, ...]) -> tuple[int, ...]:
     return base + (extra if scale > 1 else ())
+
+
+# ---------------------------------------------------------------------------
+# Claim checks over the per-run rows
+# ---------------------------------------------------------------------------
+
+# Theorem 4 halves the range; the contraction is a float power (worst run
+# 0.5 + 1.2e-14), hence the slack.  The other bounds are slack the
+# implementation chose, not paper constants (worst runs 1.75, 1.5, 22 inside).
+_HALVING, _FLOAT_SLACK = 0.5, 1e-9
+_ROTOR_ROUNDS_PER_N = 3  # E2: Theorem 2's O(n) termination
+_RB_MESSAGE_RATIO = 2  # E9: id-only over classic reliable-broadcast messages
+_ROUNDS_FACTOR, _ROUNDS_EXTRA = 3, 10  # E9: id-only <= 3·classic + 10 rounds
+
+
+def _every(rows: list[dict], *columns: str, where: str = "", **checks) -> list[str]:
+    """The claim parts some run broke, with their counts.  A part is a boolean
+    column (a run without it has no subject for it) or a named predicate."""
+
+    checks = {**{c: (lambda row, c=c: row.get(c, True)) for c in columns}, **checks}
+    return [
+        f"{name}{where}: broken in {broken} of {len(rows)} runs"
+        for name, ok in checks.items()
+        if (broken := sum(1 for row in rows if not ok(row)))
+    ]
+
+
+def _some(rows: list[dict], part: str, broken: Callable[[dict], bool]) -> list[str]:
+    """The claim part "some run is broken", failed when no run is."""
+
+    return [] if any(map(broken, rows)) else [f"{part}: no run broke it"]
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +238,21 @@ def _e1_sweeps(scale: int, seed: int) -> list[SweepSpec]:
 
 
 def _e1_row(outcome: ScenarioOutcome) -> dict:
-    system = outcome.system
-    procs = [system.network.process(i) for i in system.correct_ids]
-    message = system.params["message"]
-    source = system.params["source"]
+    processes = outcome.correct_processes()
+    message = outcome.system.params["message"]
+    source = outcome.system.params["source"]
     return {
         "n": outcome.spec.n,
         "f": outcome.spec.f,
         "adversary": outcome.spec.adversary,
-        "correctness": reliable_broadcast_correctness(procs, message, source),
-        "relay": reliable_broadcast_relay(procs),
-        "no_forgery": not any(
-            rec.message == "forged" or rec.message == "phantom"
-            for p in procs
-            for rec in p.accepted
+        "correctness": holds(rb_correctness(processes, message, source)),
+        "relay": holds(rb_relay(processes)),
+        "no_forgery": holds(
+            rb_unforgeability(processes, message, source, outcome.system.byzantine_ids)
         ),
         "accept_round": max(
-            (rec.round_index for p in procs for rec in p.accepted), default=0
+            (rec.round_index for p in processes.values() for rec in p.accepted),
+            default=0,
         ),
         "messages": outcome.messages,
     }
@@ -242,16 +283,18 @@ def _e2_sweeps(scale: int, seed: int) -> list[SweepSpec]:
 
 
 def _e2_row(outcome: ScenarioOutcome) -> dict:
-    procs = list(outcome.correct_processes().values())
+    processes = outcome.correct_processes()
     return {
         "n": outcome.spec.n,
         "f": outcome.spec.f,
         "adversary": outcome.spec.adversary,
+        # The rotor terminates by halting: the run met its ``halted`` stop
+        # condition before the round limit.
         "terminated": outcome.result.stop_reason == "stop_condition",
-        "good_round": rotor_good_round_exists(procs, outcome.system.correct_ids),
+        "good_round": holds(rotor_good_round(processes)),
         "rounds": outcome.rounds,
         "rounds_over_n": outcome.rounds / outcome.spec.n,
-        "selections": max(len(p.selection_history) for p in procs),
+        "selections": max(len(p.selection_history) for p in processes.values()),
     }
 
 
@@ -289,8 +332,8 @@ def _e3_row(outcome: ScenarioOutcome) -> dict:
         "f": outcome.spec.f,
         "adversary": outcome.spec.adversary,
         "ones_fraction": float(outcome.spec.input_params["ones_fraction"]),
-        "agreement": consensus_agreement(outputs),
-        "validity": consensus_validity(outputs, outcome.system.params["inputs"]),
+        "agreement": holds(termination(outputs), agreement(outputs)),
+        "validity": holds(validity(outputs, outcome.system.params["inputs"])),
         "rounds": decision_round,
         "rounds_over_f": decision_round / max(outcome.spec.f, 1),
         "messages": outcome.messages,
@@ -338,8 +381,10 @@ def _e4_row(outcome: ScenarioOutcome) -> dict:
         "in_range": in_range,
         "out_range": final_range,
         "per_round_contraction": ratio,
-        "outputs_in_range": approx_outputs_in_range(outputs, inputs),
-        "range_reduced": approx_range_reduced(outputs, inputs),
+        "outputs_in_range": holds(
+            termination(outputs), range_containment(outputs, inputs)
+        ),
+        "range_reduced": holds(termination(outputs), range_reduction(outputs, inputs)),
     }
 
 
@@ -373,9 +418,17 @@ def _e5_row(outcome: ScenarioOutcome) -> dict:
         "f": outcome.spec.f,
         "resilient_config": outcome.spec.n > 3 * outcome.spec.f,
         "adversary": outcome.spec.adversary,
-        "agreement": consensus_agreement(outputs),
-        "validity": consensus_validity(outputs, outcome.system.params["inputs"]),
+        "agreement": holds(termination(outputs), agreement(outputs)),
+        "validity": holds(validity(outputs, outcome.system.params["inputs"])),
     }
+
+
+def _e5_claim(rows: list[dict]) -> list[str]:
+    inside = [row for row in rows if row["resilient_config"]]
+    outside = [row for row in rows if not row["resilient_config"]]
+    return _every(inside, "agreement", "validity", where=" (n > 3f)") + _some(
+        outside, "n <= 3f", lambda row: not (row["agreement"] and row["validity"])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +442,15 @@ _E6_MODELS = {
 }
 
 
+# Section IX: with n and f unknown, consensus is impossible without
+# synchrony (Lemma 14: asynchronous; Lemma 15: a delay bound exists but is
+# unknown).  Both proofs build the execution swept here: all-correct
+# consensus, group A holding input 1 and group B input 0, each group's view
+# indistinguishable from a system without the other, because cross-group
+# messages are delayed forever (``partition``) or past both groups' decision
+# (``bounded-unknown``, Δ = 40).  Under synchronous delivery the same split
+# inputs reach agreement: the loss of synchrony causes the disagreement.
 def _e6_sweeps(scale: int, seed: int) -> list[SweepSpec]:
-    # All-correct consensus, group A holding input 1 and group B input 0;
-    # only the delay model varies — exactly the Lemma 14/15 constructions.
     return [
         SweepSpec(
             protocol="consensus",
@@ -409,22 +468,23 @@ def _e6_sweeps(scale: int, seed: int) -> list[SweepSpec]:
 
 
 def _e6_row(outcome: ScenarioOutcome) -> dict:
-    sizes = [int(s) for s in outcome.spec.delay_params["sizes"]]
-    group_a, group_b = split_into_groups(outcome.system.correct_ids, sizes)[:2]
-    partition = outcome_from_outputs(
-        sorted(group_a),
-        sorted(group_b),
-        outcome.outputs(),
-        rounds=outcome.rounds,
-        delay_model=outcome.spec.delay,
-    )
+    outputs = outcome.outputs()
+    decided = termination(outputs)
     return {
         "model": _E6_MODELS[outcome.spec.delay],
-        "all_decided": partition.all_decided,
-        "disagreement": partition.disagreement,
-        "agreement": partition.agreement,
-        "rounds": partition.rounds,
+        "all_decided": holds(decided),
+        "disagreement": not holds(agreement(outputs)),
+        "agreement": holds(decided, agreement(outputs)),
+        "rounds": outcome.rounds,
     }
+
+
+def _e6_claim(rows: list[dict]) -> list[str]:
+    control = [row for row in rows if row["model"] == "synchronous-control"]
+    partitioned = [row for row in rows if row["model"] != "synchronous-control"]
+    return _every(
+        partitioned, "all_decided", "disagreement", where=" (no synchrony)"
+    ) + _every(control, "agreement", where=" (synchronous)")
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +508,18 @@ def _e7_sweeps(scale: int, seed: int) -> list[SweepSpec]:
 
 
 def _e7_row(outcome: ScenarioOutcome) -> dict:
-    pairs = outcome.system.params["pairs"]
     outputs = outcome.outputs()
-    decided = all(o is not None for o in outputs.values())
-    frozen = {
-        i: tuple(sorted(o.items())) if o is not None else None
-        for i, o in outputs.items()
-    }
-    agreement = decided and len(set(frozen.values())) == 1
-    validity = decided and all(
-        o is not None and all(o.get(key) == value for key, value in pairs.items())
-        for o in outputs.values()
-    )
+    decided = termination(outputs)
     return {
         "n": outcome.spec.n,
         "f": outcome.spec.f,
         "k_instances": int(outcome.spec.params["k_instances"]),
         "adversary": outcome.spec.adversary,
-        "terminated": decided,
-        "agreement": agreement,
-        "validity": validity,
+        "terminated": holds(decided),
+        "agreement": holds(decided, agreement(outputs)),
+        "validity": holds(
+            decided, parallel_validity(outputs, outcome.system.params["pairs"])
+        ),
         "rounds": outcome.decision_rounds_exhausted(),
         "messages": outcome.messages,
     }
@@ -521,7 +573,7 @@ def _e8_row(outcome: ScenarioOutcome) -> dict:
         "churn": outcome.spec.churn["label"],
         "joins": sum(1 for e in schedule.events if e.kind == "join"),
         "leaves": sum(1 for e in schedule.events if e.kind == "leave"),
-        "chain_prefix": chains_are_prefixes(chains),
+        "chain_prefix": holds(chain_prefix(chains)),
     }
     if lengths:
         # With every genesis correct node gone the growth claim has no
@@ -572,18 +624,32 @@ def _e9_sweeps(scale: int, seed: int) -> list[SweepSpec]:
 
 def _e9_row(outcome: ScenarioOutcome) -> dict:
     outputs = outcome.outputs()
-    if outcome.spec.protocol in ("consensus", "known-f-consensus"):
-        agreement = consensus_agreement(outputs)
-    else:
-        agreement = all(p.decided for p in outcome.correct_processes().values())
     return {
         "n": outcome.spec.n,
         "f": outcome.spec.f,
         "algorithm": _E9_ALGORITHMS[outcome.spec.protocol],
         "messages": outcome.messages,
         "rounds": outcome.decision_rounds_exhausted(),
-        "agreement": agreement,
+        "agreement": holds(termination(outputs), agreement(outputs)),
     }
+
+
+def _e9_claim(rows: list[dict]) -> list[str]:
+    # The four sweeps expand the same (n, repetition) grid in the same
+    # order, so the i-th run of each algorithm makes one paired run.
+    runs: dict[str, list[dict]] = {}
+    for row in rows:
+        runs.setdefault(row["algorithm"], []).append(row)
+    consensus = [row for row in rows if row["algorithm"].startswith("cons-")]
+    return _every(consensus, "agreement") + _every(
+        list(zip(*(runs[algorithm] for algorithm in _E9_ALGORITHMS.values()))),
+        rb_msg_ratio=lambda run: (
+            run[0]["messages"] / max(run[1]["messages"], 1) < _RB_MESSAGE_RATIO
+        ),
+        cons_idonly_rounds=lambda run: (
+            run[2]["rounds"] <= _ROUNDS_FACTOR * run[3]["rounds"] + _ROUNDS_EXTRA
+        ),
+    )
 
 
 def _e9_pivot(rows: list[dict]) -> list[dict]:
@@ -642,17 +708,12 @@ def _e10_row(outcome: ScenarioOutcome) -> dict:
     departed = set(outcome.system.params["departed"])
     survivors = [i for i in outcome.system.correct_ids if i not in departed]
     estimates = {i: outcome.network.process(i).estimate for i in survivors}
-    in_range = max(inputs.values()) - min(inputs.values())
-    out_range = max(estimates.values()) - min(estimates.values())
     return {
         "churn_fraction": float(outcome.spec.churn["join_fraction"]),
-        "in_range": in_range,
-        "out_range": out_range,
-        "contracted": out_range < in_range,
-        "outputs_in_range": all(
-            min(inputs.values()) <= v <= max(inputs.values())
-            for v in estimates.values()
-        ),
+        "in_range": max(inputs.values()) - min(inputs.values()),
+        "out_range": max(estimates.values()) - min(estimates.values()),
+        "contracted": holds(range_reduction(estimates, inputs)),
+        "outputs_in_range": holds(range_containment(estimates, inputs)),
     }
 
 
@@ -667,6 +728,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E1",
             title="Reliable broadcast in the id-only model",
             claim="All three reliable-broadcast properties hold for every n > 3f.",
+            claim_check=lambda rows: _every(rows, "correctness", "relay", "no_forgery"),
             sweeps=_e1_sweeps,
             row_fn=_e1_row,
             group_by=("n", "f", "adversary"),
@@ -678,6 +740,12 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E2",
             title="Rotor-coordinator: termination and good rounds",
             claim="Every correct node terminates in O(n) rounds and witnesses a good round first.",
+            claim_check=lambda rows: _every(
+                rows,
+                "terminated",
+                "good_round",
+                rounds_over_n=lambda row: row["rounds_over_n"] < _ROTOR_ROUNDS_PER_N,
+            ),
             sweeps=_e2_sweeps,
             row_fn=_e2_row,
             group_by=("n", "f", "adversary"),
@@ -689,6 +757,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E3",
             title="Consensus in the id-only model",
             claim="Agreement and validity hold and termination takes O(f) rounds.",
+            claim_check=lambda rows: _every(rows, "agreement", "validity"),
             sweeps=_e3_sweeps,
             row_fn=_e3_row,
             group_by=("n", "f", "adversary"),
@@ -700,6 +769,14 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E4",
             title="Approximate agreement convergence",
             claim="Outputs stay inside the correct input range and the range halves (contraction ≤ 0.5) every iteration.",
+            claim_check=lambda rows: _every(
+                rows,
+                "outputs_in_range",
+                "range_reduced",
+                per_round_contraction=lambda row: (
+                    row["per_round_contraction"] <= _HALVING + _FLOAT_SLACK
+                ),
+            ),
             sweeps=_e4_sweeps,
             row_fn=_e4_row,
             group_by=("n", "f", "adversary"),
@@ -717,6 +794,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E5",
             title="Resiliency boundary sweep (consensus, n = 12)",
             claim="Agreement/validity hold whenever n > 3f; beyond the bound the adversary can break them.",
+            claim_check=_e5_claim,
             sweeps=_e5_sweeps,
             row_fn=_e5_row,
             group_by=("n", "f", "resilient_config"),
@@ -728,6 +806,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E6",
             title="Synchrony necessity (Lemma 14/15 constructions)",
             claim="Without synchrony the partition executions terminate in disagreement; the synchronous control agrees.",
+            claim_check=_e6_claim,
             sweeps=_e6_sweeps,
             row_fn=_e6_row,
             group_by=("model",),
@@ -738,6 +817,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E7",
             title="Parallel consensus over k instances",
             claim="Validity, agreement and termination hold for every instance regardless of k.",
+            claim_check=lambda rows: _every(rows, "terminated", "agreement", "validity"),
             sweeps=_e7_sweeps,
             row_fn=_e7_row,
             group_by=("n", "k_instances", "adversary"),
@@ -748,6 +828,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E8",
             title="Dynamic total ordering under churn",
             claim="Chains at correct nodes are prefixes of one another and keep growing while events are submitted.",
+            claim_check=lambda rows: _every(rows, "chain_prefix", "chain_grew"),
             sweeps=_e8_sweeps,
             row_fn=_e8_row,
             group_by=("churn",),
@@ -766,6 +847,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E9",
             title="Id-only algorithms vs classic known-(n, f) baselines",
             claim="Removing the knowledge of n and f leaves message/round complexity essentially unchanged (small constant factors).",
+            claim_check=_e9_claim,
             sweeps=_e9_sweeps,
             row_fn=_e9_row,
             group_by=("n", "f", "algorithm"),
@@ -778,6 +860,7 @@ EXPERIMENTS: dict[str, ExperimentDefinition] = {
             experiment_id="E10",
             title="Iterated approximate agreement under churn",
             claim="The correct-value range keeps contracting under joins/leaves as long as n > 3f each round; joiners can widen it only through their inputs.",
+            claim_check=lambda rows: _every(rows, "contracted", "outputs_in_range"),
             sweeps=_e10_sweeps,
             row_fn=_e10_row,
             group_by=("churn_fraction",),

@@ -1,27 +1,31 @@
 """Scoring executed scenarios against the paper's correctness properties.
 
-The checkers themselves live in :mod:`repro.analysis.properties`; this
-module dispatches them per protocol over a
-:class:`~repro.api.sweep.ScenarioOutcome` and turns failures into
-:class:`PropertyViolation` records the search harness can rank, confirm
-and persist.  Only *safety* properties are treated as violations — a run
-that merely exhausts its round budget without deciding is slow, not
-wrong, and shows up through the score's round-count term instead.  The
-one round bound checked is total order's finality horizon (Theorem 6),
-and only for specs with ``n > 3f``: an instance still undecided at its
-horizon would let the chain wait where the paper promises finality.
+:func:`evaluate_outcome` is a per-protocol table of the functions in
+:mod:`repro.analysis.properties`, each fed from a
+:class:`~repro.api.sweep.ScenarioOutcome`; the search ranks, confirms and
+persists the :class:`PropertyViolation` records they return.  The table
+holds *safety* properties only: a run that exhausts its round budget
+undecided is slow, not wrong, and shows up in the score's round term.  Its
+one round bound is total order's finality horizon (Theorem 6), which
+applies to specs with ``n > 3f``.  Unforgeability, parallel-consensus
+validity and range reduction are checked by the experiments only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..analysis.properties import (
-    chains_are_prefixes,
-    consensus_validity,
-    reliable_broadcast_relay,
-    rotor_good_round_exists,
+    PropertyViolation,
+    agreement,
+    chain_prefix,
+    finality,
+    parallel_agreement,
+    range_containment,
+    rb_correctness,
+    rb_relay,
+    rotor_good_round,
+    validity,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -30,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 __all__ = [
     "OBJECTIVES",
     "PropertyViolation",
+    "SAFETY_PROPERTIES",
     "evaluate_outcome",
     "evaluation_row",
     "score_outcome",
@@ -67,176 +72,51 @@ OBJECTIVES = ("violations", "rounds", "message_volume")
 MESSAGE_WEIGHT = 1_000.0
 
 
-@dataclass(frozen=True)
-class PropertyViolation:
-    """One broken invariant in one executed scenario."""
-
-    property_name: str
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {"property": self.property_name, "detail": self.detail}
+def _consensus(o: "ScenarioOutcome") -> list[PropertyViolation]:
+    outputs = o.outputs()
+    return agreement(outputs) + validity(outputs, o.system.params["inputs"])
 
 
-def _decided(outputs: dict) -> dict:
-    return {node: value for node, value in outputs.items() if value is not None}
+def _broadcast(o: "ScenarioOutcome") -> list[PropertyViolation]:
+    processes, params = o.correct_processes(), o.system.params
+    correctness = rb_correctness(processes, params["message"], params["source"])
+    return correctness + rb_relay(processes)
 
 
-def _check_consensus(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
-    outputs = outcome.outputs()
-    decided = _decided(outputs)
-    violations: list[PropertyViolation] = []
-    if len(set(decided.values())) > 1:
-        violations.append(
-            PropertyViolation(
-                "consensus-agreement",
-                f"correct nodes decided conflicting values: {sorted(set(decided.values()))!r}",
-            )
-        )
-    inputs = outcome.system.params.get("inputs") or {}
-    if inputs and not consensus_validity(outputs, inputs):
-        violations.append(
-            PropertyViolation(
-                "consensus-validity",
-                f"decisions {sorted(set(decided.values()))!r} are not valid for "
-                f"inputs {sorted(set(inputs.values()))!r}",
-            )
-        )
-    return violations
+def _approximate(o: "ScenarioOutcome") -> list[PropertyViolation]:
+    return range_containment(o.outputs(), o.system.params["inputs"])
 
 
-def _check_parallel_consensus(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
-    violations: list[PropertyViolation] = []
-    per_instance: dict = {}
-    for node, output in outcome.outputs().items():
-        if not output:
-            continue
-        for instance, value in output.items():
-            per_instance.setdefault(instance, {})[node] = value
-    for instance, decisions in sorted(per_instance.items(), key=lambda kv: str(kv[0])):
-        if len(set(decisions.values())) > 1:
-            violations.append(
-                PropertyViolation(
-                    "parallel-consensus-agreement",
-                    f"instance {instance!r} decided "
-                    f"{sorted(set(decisions.values()))!r} across correct nodes",
-                )
-            )
-    return violations
-
-
-def _check_reliable_broadcast(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
-    processes = list(outcome.correct_processes().values())
-    params = outcome.system.params
-    violations: list[PropertyViolation] = []
-    source = params.get("source")
-    message = params.get("message")
-    if source in set(outcome.system.correct_ids):
-        accepted = [p.has_accepted(message, source) for p in processes]
-        if not all(accepted):
-            missing = sum(1 for a in accepted if not a)
-            violations.append(
-                PropertyViolation(
-                    "rb-correctness",
-                    f"{missing} correct node(s) never accepted the correct "
-                    f"sender's message {message!r}",
-                )
-            )
-    if not reliable_broadcast_relay(processes):
-        violations.append(
-            PropertyViolation(
-                "rb-relay",
-                "acceptances of the same (message, source) pair diverged across "
-                "correct nodes by more than one round (or were not universal)",
-            )
-        )
-    return violations
-
-
-def _check_rotor(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
-    processes = list(outcome.correct_processes().values())
-    if rotor_good_round_exists(processes, outcome.system.correct_ids):
-        return []
-    return [
-        PropertyViolation(
-            "rotor-good-round",
-            "no selection index had every correct node agree on one correct "
-            "coordinator (Theorem 2's good round never occurred)",
-        )
-    ]
-
-
-def _check_approx(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
-    outputs = _decided(outcome.outputs())
-    inputs = outcome.system.params.get("inputs") or {}
-    if not outputs or not inputs:
-        return []
-    lo, hi = min(inputs.values()), max(inputs.values())
-    out_of_range = {
-        node: value for node, value in outputs.items() if not lo <= value <= hi
-    }
-    if not out_of_range:
-        return []
-    return [
-        PropertyViolation(
-            "approx-range",
-            f"outputs {sorted(out_of_range.values())!r} left the correct "
-            f"input range [{lo}, {hi}]",
-        )
-    ]
-
-
-def _check_total_order(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
-    processes = outcome.correct_processes().values()
-    violations: list[PropertyViolation] = []
-    if not chains_are_prefixes([p.chain for p in processes]):
-        violations.append(
-            PropertyViolation(
-                "total-order-prefix",
-                "two correct nodes hold chains that are not prefixes of each other",
-            )
-        )
-    spec = outcome.spec
-    # Theorem 6's horizon holds only inside the paper's model; total order
-    # always runs synchronously (the registry rejects other delay models),
-    # so that leaves n > 3f.
-    if spec.n > 3 * spec.f:
-        overruns = sorted({r for p in processes for r in p.finality_overruns})
-        if overruns:
-            violations.append(
-                PropertyViolation(
-                    "total-order-finality",
-                    f"instance(s) {overruns} were still undecided at a correct "
-                    "node past the finality horizon 5·|S|/2 + 2 (Theorem 6)",
-                )
-            )
-    return violations
-
-
-_CHECKERS = {
-    "consensus": _check_consensus,
-    "known-f-consensus": _check_consensus,
-    "parallel-consensus": _check_parallel_consensus,
-    "reliable-broadcast": _check_reliable_broadcast,
-    "srikanth-toueg-broadcast": _check_reliable_broadcast,
-    "rotor-coordinator": _check_rotor,
-    "approximate-agreement": _check_approx,
-    "iterated-approximate-agreement": _check_approx,
-    "dolev-approx": _check_approx,
-    "total-order": _check_total_order,
+#: Per protocol, the safety properties the search checks, each read from
+#: the outcome.  A protocol missing here would be searched unchecked, so
+#: every registered protocol has an entry (``tests/test_search.py``).
+SAFETY_PROPERTIES: dict[str, Callable[..., list[PropertyViolation]]] = {
+    "consensus": _consensus,
+    "known-f-consensus": _consensus,
+    "parallel-consensus": lambda o: parallel_agreement(o.outputs()),
+    "reliable-broadcast": _broadcast,
+    "srikanth-toueg-broadcast": _broadcast,
+    "rotor-coordinator": lambda o: rotor_good_round(o.correct_processes()),
+    "approximate-agreement": _approximate,
+    "iterated-approximate-agreement": _approximate,
+    "dolev-approx": _approximate,
+    "total-order": lambda o: (
+        chain_prefix([p.chain for p in o.correct_processes().values()])
+        + finality(o.correct_processes(), o.spec.n, o.spec.f)
+    ),
 }
 
 
 def evaluate_outcome(outcome: "ScenarioOutcome") -> list[PropertyViolation]:
     """All safety-property violations observable in one executed scenario.
 
-    Dispatches on the spec's protocol; protocols without a registered
-    checker produce no violations (they can still be searched for
-    worst-case round counts).
+    Dispatches on the spec's protocol through :data:`SAFETY_PROPERTIES`;
+    a protocol without an entry produces no violations (it can still be
+    searched for worst-case round counts).
     """
 
-    checker = _CHECKERS.get(outcome.spec.protocol)
-    return checker(outcome) if checker else []
+    check = SAFETY_PROPERTIES.get(outcome.spec.protocol)
+    return check(outcome) if check else []
 
 
 def evaluation_row(outcome: "ScenarioOutcome") -> dict:

@@ -173,18 +173,6 @@ class RunResult:
 
         return {i: p.output for i, p in self.correct_processes.items() if p.decided}
 
-    def agreement_reached(self) -> bool:
-        """True when every correct node decided and on the same value."""
-
-        outputs = [p.output for p in self.correct_processes.values()]
-        if not outputs or any(p is None for p in outputs):
-            return False
-        first = outputs[0]
-        return all(value == first for value in outputs)
-
-    def distinct_decisions(self) -> set[Any]:
-        return {p.output for p in self.correct_processes.values() if p.decided}
-
 
 def all_correct_decided(network: "SynchronousNetwork") -> bool:
     """Stop condition: every correct process (halted or not) has decided."""

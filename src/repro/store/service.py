@@ -24,6 +24,10 @@ A sweep with ``jobs > 1`` runs on the process's one worker pool
 ``jobs`` share its workers, and sweeps with different ``jobs`` run side
 by side.
 
+The service keeps :data:`MAX_FINISHED_JOBS` finished sweeps and drops the
+oldest finished one beyond that (never a running one); ``GET /sweeps/<id>``
+and its stream then answer 404, while attached subscribers read on.
+
 Query endpoints: ``GET /health``, ``GET /runs`` (filters as query params),
 ``GET /runs/<run_key>``, ``GET /runs/<run_key>/rounds``,
 ``GET /sweeps/<id>``.  ``GET /runs/<run_key>/trace?kind=&round=`` streams
@@ -52,8 +56,9 @@ import dataclasses
 import itertools
 import json
 import threading
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 from urllib.parse import parse_qs, urlparse
 
 from ..api.sweep import SweepSpec
@@ -62,7 +67,11 @@ from .db import RunStore, StoreError
 from .resumable import DEFAULT_SEGMENT_EVENTS, ResumableSweep
 from .serialize import canonical_dumps
 
-__all__ = ["ScenarioService", "SweepJob", "create_server"]
+__all__ = ["MAX_FINISHED_JOBS", "ScenarioService", "SweepJob", "create_server"]
+
+#: Finished sweeps a service keeps, with their event logs, for
+#: ``GET /sweeps/<id>`` and replayed streams.
+MAX_FINISHED_JOBS = 32
 
 
 #: One streamed event's JSON, keys in ``canonical_dumps`` (sorted) order.
@@ -168,7 +177,9 @@ class SweepJob:
     concurrent stream clients all observe the same sequence.
     """
 
-    def __init__(self, job_id: str, cells: int) -> None:
+    def __init__(
+        self, job_id: str, cells: int, on_done: Callable[["SweepJob"], None]
+    ) -> None:
         self.job_id = job_id
         self.cells = cells
         self.status = "running"
@@ -176,7 +187,15 @@ class SweepJob:
         self.report_summary: dict | None = None
         self._events: list[dict] = []
         self._done = False
+        self._on_done = on_done
         self._cond = threading.Condition()
+
+    def _set_done(self) -> None:
+        # With ``_cond`` held, so ``on_done`` runs before a subscriber sees
+        # the job done.
+        self._done = True
+        self._on_done(self)
+        self._cond.notify_all()
 
     # -- producer side (sweep executor thread) -----------------------------
 
@@ -189,8 +208,7 @@ class SweepJob:
         with self._cond:
             self.status = status
             self.error = error
-            self._done = True
-            self._cond.notify_all()
+            self._set_done()
 
     def ensure_finished(self, *, error: str) -> None:
         """Force a terminal state if the job does not have one yet.
@@ -209,8 +227,7 @@ class SweepJob:
             self._events.append({"event": "error", "message": error})
             self.status = "failed"
             self.error = error
-            self._done = True
-            self._cond.notify_all()
+            self._set_done()
 
     # -- consumer side (stream handlers) -----------------------------------
 
@@ -252,6 +269,7 @@ class ScenarioService:
         self.jobs = jobs
         self.segment_events = segment_events
         self._jobs: dict[str, SweepJob] = {}
+        self._finished: deque[str] = deque()  # oldest finished first
         self._job_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -273,6 +291,15 @@ class ScenarioService:
         with self._lock:
             return self._jobs.get(job_id)
 
+    def _retire(self, job: SweepJob) -> None:
+        """Count ``job`` as finished; drop the oldest finished jobs beyond
+        :data:`MAX_FINISHED_JOBS`."""
+
+        with self._lock:
+            self._finished.append(job.job_id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
+
     def launch_sweep(self, payload: dict) -> SweepJob:
         """Validate the request, start the executor thread, return the job."""
 
@@ -293,7 +320,7 @@ class ScenarioService:
         scenarios = [spec for sweep in sweeps for spec in sweep.scenarios()]
 
         with self._lock:
-            job = SweepJob(f"sweep-{next(self._job_ids)}", len(scenarios))
+            job = SweepJob(f"sweep-{next(self._job_ids)}", len(scenarios), self._retire)
             self._jobs[job.job_id] = job
 
         worker = threading.Thread(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import consensus_agreement
+from repro.analysis.properties import agreement, holds, termination
 from repro.api import ScenarioSpec, build_system
 from repro.harness import ABLATIONS
 from repro.harness.ablations import a2_misconfigured_fault_bound
@@ -37,11 +37,11 @@ class TestSubstitutionRuleRegression:
 
     def test_consensus_split_vote_agreement(self):
         outputs = self._run("narrow")
-        assert consensus_agreement(outputs)
+        assert holds(termination(outputs), agreement(outputs))
 
     def test_broad_substitution_is_demonstrably_unsound(self):
         outputs = self._run("broad")
-        assert not consensus_agreement(outputs)
+        assert not holds(termination(outputs), agreement(outputs))
 
     def test_invalid_substitution_mode_rejected(self):
         from repro.core.consensus import ConsensusProcess

@@ -11,11 +11,13 @@ import pytest
 import repro
 import repro.workloads
 from repro.analysis.properties import (
-    approx_outputs_in_range,
-    approx_range_reduced,
-    chains_are_prefixes,
-    consensus_agreement,
-    consensus_validity,
+    agreement,
+    chain_prefix,
+    holds,
+    range_containment,
+    range_reduction,
+    termination,
+    validity,
 )
 from repro.api import (
     REGISTRY,
@@ -181,8 +183,8 @@ def test_build_run_and_headline_property(protocol):
 
     if protocol in ("consensus", "known-f-consensus"):
         outputs = outcome.outputs()
-        assert consensus_agreement(outputs)
-        assert consensus_validity(outputs, system.params["inputs"])
+        assert holds(termination(outputs), agreement(outputs))
+        assert holds(validity(outputs, system.params["inputs"]))
     elif protocol in ("reliable-broadcast", "srikanth-toueg-broadcast"):
         message, source = system.params["message"], system.params["source"]
         for process in outcome.correct_processes().values():
@@ -192,19 +194,21 @@ def test_build_run_and_headline_property(protocol):
         assert all(p.halted for p in outcome.correct_processes().values())
     elif protocol in ("approximate-agreement", "dolev-approx"):
         outputs = outcome.outputs()
-        assert approx_outputs_in_range(outputs, system.params["inputs"])
+        assert holds(
+            termination(outputs), range_containment(outputs, system.params["inputs"])
+        )
     elif protocol == "iterated-approximate-agreement":
         outputs = outcome.outputs()
         inputs = system.params["inputs"]
-        assert approx_outputs_in_range(outputs, inputs)
-        assert approx_range_reduced(outputs, inputs)
+        assert holds(termination(outputs), range_containment(outputs, inputs))
+        assert holds(range_reduction(outputs, inputs))
     elif protocol == "parallel-consensus":
         outputs = outcome.outputs()
         pairs = system.params["pairs"]
         assert all(o == pairs for o in outputs.values())
     elif protocol == "total-order":
         chains = [outcome.network.process(i).chain for i in system.correct_ids]
-        assert chains_are_prefixes(chains)
+        assert holds(chain_prefix(chains))
         assert max(len(c) for c in chains) > 0
     else:  # pragma: no cover - fails when a protocol is added untested
         pytest.fail(f"no property check for protocol {protocol!r}")

@@ -7,7 +7,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import approx_outputs_in_range, approx_range_reduced
+from repro.analysis.properties import (
+    holds,
+    range_containment,
+    range_reduction,
+    termination,
+)
 from repro.api import ScenarioSpec, build_system
 from repro.core.approximate_agreement import trim_and_midpoint
 from repro.core.quorums import max_faults_tolerated
@@ -75,8 +80,8 @@ class TestSingleShotSystem:
         spec.network.run(max_rounds=6)
         inputs = spec.params["inputs"]
         outputs = {i: spec.network.process(i).output for i in spec.correct_ids}
-        assert approx_outputs_in_range(outputs, inputs)
-        assert approx_range_reduced(outputs, inputs)
+        assert holds(termination(outputs), range_containment(outputs, inputs))
+        assert holds(range_reduction(outputs, inputs))
 
     def test_output_range_at_most_half_of_input_range(self):
         spec = build_approx(13, 4, strategy="approx-outlier", seed=5)

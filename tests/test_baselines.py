@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import consensus_agreement, consensus_validity
+from repro.analysis.properties import agreement, holds, termination, validity
 from repro.baselines import (
     DolevApproxProcess,
     KnownFConsensusProcess,
@@ -86,8 +86,8 @@ class TestKnownFConsensus:
         spec, inputs = self.build(n, f, seed=n)
         spec.network.run(max_rounds=80)
         outputs = {i: spec.network.process(i).output for i in spec.correct_ids}
-        assert consensus_agreement(outputs)
-        assert consensus_validity(outputs, inputs)
+        assert holds(termination(outputs), agreement(outputs))
+        assert holds(validity(outputs, inputs))
 
     def test_unanimous_inputs_fast_path(self):
         spec, inputs = self.build(10, 3, ones_fraction=1.0, strategy="silent", seed=3)

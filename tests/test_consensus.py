@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import consensus_agreement, consensus_validity
+from repro.analysis.properties import agreement, holds, termination, validity
 from repro.api import ScenarioSpec, build_system
 from repro.core.consensus import INIT_ROUNDS, PHASE_LENGTH, ConsensusProcess
 from repro.core.quorums import max_faults_tolerated
@@ -43,7 +43,7 @@ def run_consensus(n, f, *, ones_fraction, strategy, seed):
 class TestFastPath:
     def test_unanimous_inputs_decide_in_one_phase(self):
         spec, run, outputs = run_consensus(10, 3, ones_fraction=1.0, strategy="silent", seed=1)
-        assert consensus_agreement(outputs)
+        assert holds(termination(outputs), agreement(outputs))
         assert set(outputs.values()) == {1}
         # 2 init rounds + one 5-round phase
         assert run.metrics.latest_decision_round() == INIT_ROUNDS + PHASE_LENGTH
@@ -54,8 +54,8 @@ class TestFastPath:
 
     def test_no_faults_mixed_inputs(self):
         spec, _, outputs = run_consensus(6, 0, ones_fraction=0.5, strategy="silent", seed=3)
-        assert consensus_agreement(outputs)
-        assert consensus_validity(outputs, spec.params["inputs"])
+        assert holds(termination(outputs), agreement(outputs))
+        assert holds(validity(outputs, spec.params["inputs"]))
 
 
 class TestAgreementAndValidity:
@@ -67,8 +67,10 @@ class TestAgreementAndValidity:
         spec, _, outputs = run_consensus(
             n, f, ones_fraction=ones_fraction, strategy=strategy, seed=hash((strategy, ones_fraction)) % 10_000
         )
-        assert consensus_agreement(outputs), f"agreement violated under {strategy}"
-        assert consensus_validity(outputs, spec.params["inputs"])
+        assert holds(termination(outputs), agreement(outputs)), (
+            f"agreement violated under {strategy}"
+        )
+        assert holds(validity(outputs, spec.params["inputs"]))
 
     @pytest.mark.parametrize("n", [4, 7, 13])
     def test_properties_across_sizes_with_split_vote(self, n):
@@ -76,15 +78,15 @@ class TestAgreementAndValidity:
         spec, _, outputs = run_consensus(
             n, f, ones_fraction=0.5, strategy="consensus-split-vote", seed=n * 7
         )
-        assert consensus_agreement(outputs)
-        assert consensus_validity(outputs, spec.params["inputs"])
+        assert holds(termination(outputs), agreement(outputs))
+        assert holds(validity(outputs, spec.params["inputs"]))
 
     def test_real_valued_inputs(self):
         # Section VII considers real-number inputs (needed for total ordering).
         spec = build_consensus(7, 2, ones_fraction=0.5, strategy="silent", seed=11)
         run = spec.network.run(max_rounds=60)
         outputs = {i: spec.network.process(i).output for i in spec.correct_ids}
-        assert consensus_agreement(outputs)
+        assert holds(termination(outputs), agreement(outputs))
 
 
 class TestRoundComplexity:

@@ -19,12 +19,14 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import chains_are_prefixes
 from repro.analysis.properties import (
-    approx_outputs_in_range,
-    consensus_agreement,
-    consensus_validity,
-    reliable_broadcast_correctness,
+    agreement,
+    chain_prefix,
+    holds,
+    range_containment,
+    rb_correctness,
+    termination,
+    validity,
 )
 from repro.api import ScenarioSpec
 from repro.api.sweep import run_scenario
@@ -80,8 +82,10 @@ def test_consensus_agreement_and_validity(nf, seed, adversary, ones_fraction):
     outcome = run_scenario(spec)
     outputs = outcome.outputs()
     inputs = outcome.system.params["inputs"]
-    assert consensus_agreement(outputs), f"agreement violated: {outputs}"
-    assert consensus_validity(outputs, inputs), f"validity violated: {outputs}"
+    assert holds(termination(outputs), agreement(outputs)), (
+        f"agreement violated: {outputs}"
+    )
+    assert holds(validity(outputs, inputs)), f"validity violated: {outputs}"
 
 
 @COMMON
@@ -98,15 +102,15 @@ def test_reliable_broadcast_correctness_and_no_forgery(nf, seed, adversary):
         protocol="reliable-broadcast", n=n, f=f, adversary=adversary, seed=seed
     )
     outcome = run_scenario(spec)
-    procs = list(outcome.correct_processes().values())
+    processes = outcome.correct_processes()
     message = outcome.system.params["message"]
     source = outcome.system.params["source"]
     # Theorem 1 correctness: every correct node accepts the correct
     # sender's message.
-    assert reliable_broadcast_correctness(procs, message, source)
+    assert holds(rb_correctness(processes, message, source))
     # No-forgery: nothing is ever accepted *from the correct source* other
     # than what it actually broadcast, no matter what the adversary claims.
-    for proc in procs:
+    for proc in processes.values():
         for record in proc.accepted:
             if record.source == source:
                 assert record.message == message
@@ -126,7 +130,7 @@ def test_approximate_agreement_outputs_stay_in_correct_range(nf, seed, adversary
     outcome = run_scenario(spec)
     outputs = outcome.outputs()
     inputs = outcome.system.params["inputs"]
-    assert approx_outputs_in_range(outputs, inputs), (
+    assert holds(termination(outputs), range_containment(outputs, inputs)), (
         f"outputs {outputs} escaped the correct input range "
         f"[{min(inputs.values())}, {max(inputs.values())}]"
     )
@@ -171,7 +175,7 @@ def test_total_order_safety_under_random_churn(
     system.network.run(max_rounds=rounds, stop_when=lambda _net: False)
 
     genesis_chains = list(system.chains().values())
-    assert chains_are_prefixes(genesis_chains)
+    assert holds(chain_prefix(genesis_chains))
 
     correct_nodes = {
         node_id: process

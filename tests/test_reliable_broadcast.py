@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import reliable_broadcast_correctness, reliable_broadcast_relay
+from repro.analysis.properties import holds, rb_correctness, rb_relay
 from repro.api import ScenarioSpec, build_system
 from repro.core.quorums import max_faults_tolerated
 from repro.core.reliable_broadcast import Echo, Initial, Present, ReliableBroadcastProcess
@@ -85,9 +85,10 @@ class TestCorrectSender:
         f = max_faults_tolerated(n)
         spec = build_rb(n, f, strategy=strategy, seed=n * 13 + 1)
         run_system(spec)
-        procs = [spec.network.process(i) for i in spec.correct_ids]
-        assert reliable_broadcast_correctness(
-            procs, spec.params["message"], spec.params["source"]
+        assert holds(
+            rb_correctness(
+                spec.correct_processes(), spec.params["message"], spec.params["source"]
+            )
         )
 
     def test_acceptance_happens_by_round_three_when_sender_correct(self):
@@ -100,8 +101,7 @@ class TestCorrectSender:
     def test_relay_property(self):
         spec = build_rb(13, 4, strategy="rb-false-echo", seed=3)
         run_system(spec)
-        procs = [spec.network.process(i) for i in spec.correct_ids]
-        assert reliable_broadcast_relay(procs)
+        assert holds(rb_relay(spec.correct_processes()))
 
 
 class TestUnforgeability:
@@ -138,8 +138,7 @@ class TestByzantineSender:
             13, 4, strategy="rb-equivocating-sender", byzantine_sender=True, seed=7
         )
         spec.network.run(max_rounds=12, stop_when=lambda net: False)
-        procs = [spec.network.process(i) for i in spec.correct_ids]
-        assert reliable_broadcast_relay(procs)
+        assert holds(rb_relay(spec.correct_processes()))
 
     def test_silent_byzantine_sender_never_delivers(self):
         spec = build_rb(

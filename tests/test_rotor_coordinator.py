@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import rotor_good_round_exists
+from repro.analysis.properties import holds, rotor_good_round
 from repro.core.quorums import max_faults_tolerated
 from repro.core.rotor_coordinator import (
     GOSSIP_ANCHOR_PERIOD,
@@ -239,8 +239,7 @@ class TestSystem:
         spec = build_rotor(n, f, strategy=strategy, seed=n * 31 + len(strategy))
         run = spec.network.run(max_rounds=6 * n + 20, stop_when=all_correct_halted)
         assert run.stop_reason == "stop_condition", "every correct node must terminate"
-        procs = [spec.network.process(i) for i in spec.correct_ids]
-        assert rotor_good_round_exists(procs, spec.correct_ids)
+        assert holds(rotor_good_round(spec.correct_processes()))
 
     def test_termination_is_linear_in_n(self):
         rounds = {}

@@ -17,6 +17,7 @@ from repro.api.registry import REGISTRY
 from repro.api.sweep import run_scenario
 from repro.harness.runner import main as runner_main
 from repro.search import harness as search_harness
+from repro.search.score import SAFETY_PROPERTIES
 from repro.search import (
     FINDING_ROW_FN,
     MUTATION_OPS,
@@ -154,6 +155,13 @@ class TestMutatorDeterminism:
 
 
 class TestScoring:
+    def test_every_built_in_protocol_has_a_safety_entry(self):
+        # evaluate_outcome returns [] for a protocol missing from its table:
+        # the search and perfbench's safety check would pass it unchecked.
+        protocols = REGISTRY.names()
+        assert len(protocols) == 10
+        assert set(protocols) <= set(SAFETY_PROPERTIES)
+
     def test_clean_synchronous_run_has_no_violations(self):
         spec = ScenarioSpec(protocol="consensus", n=7, f=2,
                             adversary="consensus-split-vote", seed=0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.properties import agreement, holds, termination
 from repro.sim import (
     Broadcast,
     DuplicateNodeError,
@@ -164,7 +165,8 @@ class TestRunLoop:
         result = net.run(max_rounds=20)
         assert result.stop_reason == "stop_condition"
         assert result.rounds_executed == 4
-        assert result.agreement_reached()
+        outputs = result.outputs()
+        assert holds(termination(outputs), agreement(outputs))
 
     def test_run_hits_round_limit(self):
         net = SynchronousNetwork([NullProcess(1)])
@@ -181,7 +183,7 @@ class TestRunLoop:
         net = SynchronousNetwork([DeciderAfter(1, 2), DeciderAfter(2, 2)])
         result = net.run(max_rounds=10)
         assert result.outputs() == {1: "done", 2: "done"}
-        assert result.distinct_decisions() == {"done"}
+        assert set(result.decided_outputs().values()) == {"done"}
         assert result.metrics.decision_rounds() == {1: 2, 2: 2}
 
 

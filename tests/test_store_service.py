@@ -21,7 +21,7 @@ from repro.api import REGISTRY, register_protocol
 from repro.api import sweep as sweep_module
 from repro.sim.messages import Inbox, clear_intern_table, intern_table_size
 from repro.store.serve import build_parser
-from repro.store.service import ScenarioService, create_server
+from repro.store.service import MAX_FINISHED_JOBS, ScenarioService, create_server
 
 SWEEP_REQUEST = {
     "sweep": {"protocol": "consensus", "grid": {"n": [4, 5]}, "max_rounds": 30}
@@ -119,6 +119,26 @@ def test_stream_replays_for_late_subscribers(server):
     # The sweep is long finished; a late subscriber still sees every event.
     second = read_stream(server, launch["stream"])
     assert second == first
+
+
+def test_finished_sweeps_beyond_the_cap_are_dropped_oldest_first(server):
+    request = {"sweep": {"protocol": "consensus", "n": 4, "max_rounds": 30}}
+    launches = []
+    for _ in range(MAX_FINISHED_JOBS + 1):
+        launch = post_json(server, "/sweeps", request)
+        events = read_stream(server, launch["stream"])
+        assert events[-1]["event"] == "sweep-complete"
+        launches.append((launch, events))
+
+    dropped = launches[0][0]["id"]
+    for path in (f"/sweeps/{dropped}", f"/sweeps/{dropped}/stream"):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get_json(server, path)
+        assert excinfo.value.code == 404
+        assert json.load(excinfo.value) == {"error": f"no sweep {dropped}"}
+    assert get_json(server, f"/sweeps/{launches[1][0]['id']}")["status"] == "complete"
+    newest, newest_events = launches[-1]
+    assert read_stream(server, newest["stream"]) == newest_events
 
 
 def test_bad_requests(server):

@@ -10,15 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     aggregate_rows,
-    chains_are_prefixes,
-    consensus_agreement,
-    consensus_validity,
     fraction_true,
     mean,
     render_markdown_table,
     render_table,
     stdev,
     summarize,
+)
+from repro.analysis.properties import (
+    agreement,
+    chain_prefix,
+    holds,
+    termination,
+    validity,
 )
 from repro.core.total_order import ChainEntry
 from repro.sim.rng import derive, make_rng, sample_without_replacement, shuffled, spawn
@@ -197,20 +201,23 @@ class TestTables:
 
 class TestPropertyCheckers:
     def test_consensus_agreement(self):
-        assert consensus_agreement({1: "a", 2: "a"})
-        assert not consensus_agreement({1: "a", 2: "b"})
-        assert not consensus_agreement({1: "a", 2: None})
-        assert not consensus_agreement({})
+        for outputs, agreed in (
+            ({1: "a", 2: "a"}, True),
+            ({1: "a", 2: "b"}, False),
+            ({1: "a", 2: None}, False),
+            ({}, False),
+        ):
+            assert holds(termination(outputs), agreement(outputs)) is agreed
 
     def test_consensus_validity(self):
         inputs = {1: 0, 2: 1}
-        assert consensus_validity({1: 0, 2: 0}, inputs)
-        assert not consensus_validity({1: 2, 2: 2}, inputs)
-        assert not consensus_validity({1: 0}, {1: 1, 2: 1})
+        assert holds(validity({1: 0, 2: 0}, inputs))
+        assert not holds(validity({1: 2, 2: 2}, inputs))
+        assert not holds(validity({1: 0}, {1: 1, 2: 1}))
 
     def test_chains_are_prefixes(self):
         a = [ChainEntry(1, 1, "x"), ChainEntry(2, 2, "y")]
         b = a + [ChainEntry(3, 1, "z")]
-        assert chains_are_prefixes([a, b])
+        assert holds(chain_prefix([a, b]))
         c = [ChainEntry(1, 1, "x"), ChainEntry(2, 2, "DIFFERENT")]
-        assert not chains_are_prefixes([c, b])
+        assert not holds(chain_prefix([c, b]))
