@@ -94,11 +94,17 @@ class ScenarioOutcome:
         return self.result.metrics.latest_decision_round() or self.rounds
 
     def summary_row(self) -> dict[str, Any]:
-        """The default measurement row for sweeps without a custom row_fn."""
+        """The default measurement row for sweeps without a custom row_fn.
+
+        A protocol registered to stop when its nodes halt rather than
+        decide (the rotor-coordinator, whose nodes each output the last
+        opinion they accepted) promises no agreement, so its rows omit
+        ``agreement`` and aggregates report NaN for it.
+        """
 
         outputs = self.outputs()
         decided = termination(outputs)
-        return {
+        row = {
             "protocol": self.spec.protocol,
             "n": self.spec.n,
             "f": self.spec.f,
@@ -110,6 +116,9 @@ class ScenarioOutcome:
             "messages": self.messages,
             "stop_reason": self.result.stop_reason,
         }
+        if REGISTRY.info(self.spec.protocol).default_stop == "halted":
+            del row["agreement"]
+        return row
 
 
 def run_scenario(

@@ -129,14 +129,13 @@ class ConsensusProcess(Process):
         self._phase = 0
         # Bookkeeping for the substitution rule: the payloads this node
         # broadcast in the previous round, keyed by message type, and the
-        # set of known senders that have spoken at least once inside the
+        # known senders that have spoken at least once inside the
         # while-loop (only the forever-silent ones are substituted for).
+        # Like ``nv``, the loop senders are a KnownSenders view: its union
+        # is memoized on the shared inbox and interned, so nodes with equal
+        # views share one object instead of each updating its own set.
         self._sent_last_round: dict[type, Payload] = {}
-        self._loop_senders: set[NodeId] = set()
-        # Once every known sender has spoken in the loop, the silent set is
-        # empty forever (senders only accumulate) — skip the per-round set
-        # arithmetic from then on.
-        self._loop_complete = False
+        self._loop = KnownSenders()
         # strongprefer support observed in phase round 4, consumed in round 5.
         self._pending_strongprefer: dict[Hashable, int] = {}
         # Rounds left to keep participating after deciding (termination
@@ -173,6 +172,15 @@ class ConsensusProcess(Process):
     def rotor(self) -> RotorCoordinatorCore:
         return self._rotor
 
+    @property
+    def silent_count(self) -> int:
+        """How many known senders the narrow substitution rule fills in for:
+        those never heard inside the while-loop.  The loop senders are
+        read from inboxes filtered to the frozen known set, so they are a
+        subset of it and the count is a difference of sizes."""
+
+        return self._known.count - self._loop.count
+
     # -- helpers --------------------------------------------------------------------
 
     def _filtered(self, inbox: Inbox) -> Inbox:
@@ -207,20 +215,16 @@ class ConsensusProcess(Process):
             own = self._sent_last_round.get(message_type)
             if own is not None:
                 if self._substitution == "narrow":
-                    silent = (
-                        frozenset()
-                        if self._loop_complete
-                        else self._known.ids - self._loop_senders
-                    )
+                    silent = self.silent_count
                 else:  # "broad" — ablation only, see the class docstring
                     senders_of_type = {
                         sender
                         for sender, payload in inbox.items()
                         if isinstance(payload, message_type)
                     }
-                    silent = self._known.ids - senders_of_type - {self.node_id}
+                    silent = len(self._known.ids - senders_of_type - {self.node_id})
                 if silent:
-                    counts[own.value] = counts.get(own.value, 0) + len(silent)
+                    counts[own.value] = counts.get(own.value, 0) + silent
         return counts
 
     def _broadcast(self, payloads: Sequence[Payload]) -> list[Outgoing]:
@@ -254,12 +258,10 @@ class ConsensusProcess(Process):
             self._known.freeze()
 
         inbox = self._filtered(view.inbox)
-        if round_index > 3 and not self._loop_complete:
+        if round_index > 3 and self.silent_count:
             # Messages delivered from round 4 onwards were sent inside the
             # while-loop; their senders are not eligible for substitution.
-            self._loop_senders.update(inbox.senders)
-            if len(self._loop_senders) >= self._known.count:
-                self._loop_complete = True
+            self._loop.observe(inbox)
         relays = self._rotor.observe(inbox)
         phase_round = (round_index - INIT_ROUNDS - 1) % PHASE_LENGTH + 1
 

@@ -57,6 +57,10 @@ engine's step does each piece of work once:
   ``nv/3`` from an ``{instance: value}`` index of the coordinator's first
   ``PCOpinion`` per instance, built once per inbox and coordinator
   (:func:`_opinion_index`).
+* **Loop senders.**  The known senders heard inside the while-loop are a
+  :class:`~repro.sim.node.KnownSenders` view, like ``nv``'s: its union is
+  memoized on the inbox and interned.  Rule 3's silent set is derived
+  from the two interned views once per inbox and slot.
 
 The module exposes:
 
@@ -245,6 +249,16 @@ def _classify(payload: Payload) -> tuple[tuple[Hashable, str], Hashable] | None:
     return None
 
 
+def _silent_key(
+    slot: tuple[Hashable, str], known: frozenset[NodeId], loop: frozenset[NodeId]
+) -> tuple:
+    """The memo key of the senders rule 3 substitutes for in ``slot``: the
+    node's interned known and loop-sender views are every input that can
+    differ between the engines reading one inbox."""
+
+    return ("pc-silent-senders", slot, known, loop)
+
+
 def _opinion_index(inbox: Inbox, coordinator: NodeId) -> dict[Hashable, Hashable]:
     """``{instance: value}`` of ``coordinator``'s first ``PCOpinion`` per
     instance, in the order it delivered them.
@@ -309,7 +323,9 @@ class ParallelConsensusEngine:
         self._self_known = False
         self._rotor = RotorCoordinatorCore(node_id)
         self._instances: dict[Hashable, _InstanceState] = {}
-        self._loop_senders: set[NodeId] = set()
+        # The known senders heard inside the while-loop: a KnownSenders
+        # view, memoized on the shared inbox and interned like ``nv``'s.
+        self._loop = KnownSenders()
         self._phase = 0
         # Incremental bookkeeping so the hot-path queries stay O(1): the
         # number of undecided instances, the decided-but-still-speaking
@@ -317,7 +333,6 @@ class ParallelConsensusEngine:
         # lazily, invalidated only when an instance is created).
         self._undecided = 0
         self._lingering: list[_InstanceState] = []
-        self._loop_complete = False
         self._sorted_cache: list[_InstanceState] | None = None
         # Per-round support index, rebuilt each step from the shared tally.
         self._scan_support: _ScanIndex = {}
@@ -452,6 +467,7 @@ class ParallelConsensusEngine:
 
     def _support(
         self,
+        inbox: Inbox,
         instance: Hashable,
         type_key: str,
         state: _InstanceState,
@@ -485,12 +501,25 @@ class ParallelConsensusEngine:
                 # inside the loop (rule 3, narrowed as in Algorithm 3).
                 own = state.sent.get(type_key)
                 if own is not None:
-                    missing = self._known.ids - senders_of_type - {self._node_id}
-                    silent = missing - self._loop_senders
+                    silent = self._silent_count(inbox, key, senders_of_type)
                     if silent:
                         counts = dict(counts)
-                        counts[own] = counts.get(own, 0) + len(silent)
+                        counts[own] = counts.get(own, 0) + silent
         return counts
+
+    def _silent_count(
+        self, inbox: Inbox, key: tuple[Hashable, str], spoken: frozenset[NodeId]
+    ) -> int:
+        """``|known − spoken − loop senders − {self}|``: the senders rule 3
+        fills in for.  The set is derived once per inbox from the interned
+        known and loop-sender views, which the key holds; only the
+        node's own membership is tested per node."""
+
+        known, loop = self._known.ids, self._loop.ids
+        silent = inbox.memo(
+            _silent_key(key, known, loop), lambda ib: known - spoken - loop
+        )
+        return len(silent) - (self._node_id in silent)
 
     # -- the round state machine ------------------------------------------------------
 
@@ -512,12 +541,10 @@ class ParallelConsensusEngine:
         # one filtered inbox — and one scan index built on it — per round.
         if self._sender_filter is not None:
             inbox = inbox.restricted(self._sender_filter)
-        if local_round > 3 and not self._loop_complete:
-            self._loop_senders.update(inbox.senders)
-            # Once every known sender has spoken inside the loop the set
+        if local_round > 3 and self._loop.count < self._nv:
+            # Once every known sender has spoken inside the loop the view
             # can never grow again (the inbox is filtered to known senders).
-            if len(self._loop_senders) >= self._nv:
-                self._loop_complete = True
+            self._loop.observe(inbox)
         relays = self._rotor.observe(inbox)
         self._scan_support, self._scan_spoken = scan_index(
             inbox, _classify, memo_key=_SCAN_KEY
@@ -573,7 +600,7 @@ class ParallelConsensusEngine:
         for state in self._sorted_states():
             if not state.active:
                 continue
-            support = self._support(state.instance, _TYPE_INPUT, state)
+            support = self._support(inbox, state.instance, _TYPE_INPUT, state)
             winner, _count = pick_supported(support, self._two_thirds)
             if winner is not None:
                 payloads.append(PCPrefer(state.instance, winner))
@@ -589,7 +616,7 @@ class ParallelConsensusEngine:
         for state in self._sorted_states():
             if not state.active:
                 continue
-            support = self._support(state.instance, _TYPE_PREFER, state)
+            support = self._support(inbox, state.instance, _TYPE_PREFER, state)
             # One pass: the 2nv/3 pick is the nv/3 winner if it gets there.
             adopt, count = pick_supported(support, self._one_third)
             if adopt is not None:
@@ -607,7 +634,9 @@ class ParallelConsensusEngine:
         for state in self._sorted_states():
             if not state.active:
                 continue
-            state.pending_strong = self._support(state.instance, _TYPE_STRONG, state)
+            state.pending_strong = self._support(
+                inbox, state.instance, _TYPE_STRONG, state
+            )
         # One shared rotor-coordinator selection per phase; the selected
         # coordinator publishes a per-instance opinion.
         outcome = self._rotor.execute_selection(

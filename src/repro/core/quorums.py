@@ -18,16 +18,12 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, TypeVar
 
-import numpy as np
-
 __all__ = [
     "one_third",
     "two_thirds",
     "meets_one_third",
     "meets_two_thirds",
     "below_one_third",
-    "one_third_mask",
-    "two_thirds_mask",
     "values_meeting",
     "pick_supported",
     "best_supported_value",
@@ -74,22 +70,6 @@ def below_one_third(count: int, nv: int) -> bool:
     """True when ``count`` is strictly below ``nv/3`` (Algorithm 3, line 15)."""
 
     return not meets_one_third(count, nv)
-
-
-def one_third_mask(counts: np.ndarray, nv: int) -> np.ndarray:
-    """Vectorised :func:`meets_one_third` over an array of support counts.
-
-    Element-wise identical to the scalar check: float64 division is what
-    the scalar path computes, so the comparison bits agree exactly.
-    """
-
-    return (counts > 0) & (counts >= one_third(nv))
-
-
-def two_thirds_mask(counts: np.ndarray, nv: int) -> np.ndarray:
-    """Vectorised :func:`meets_two_thirds` over an array of support counts."""
-
-    return (counts > 0) & (counts >= two_thirds(nv))
 
 
 def values_meeting(

@@ -33,6 +33,20 @@ counting decodes the deltas only, so the candidate-set dynamics are
 bit-identical to the per-candidate encoding; legacy ``RotorEcho`` payloads
 remain accepted inbound.  See :class:`GossipEncoder`/:class:`GossipDecoder`
 and the wire-format notes in :mod:`repro.sim.messages`.
+
+Shared state: in a synchronous round every correct node with the same
+view computes the same ``Cv``, relays and selection, so a core's state is
+immutable and shared between cores.  ``Cv`` is an interned frozenset plus
+its sorted tuple, the echoed set of the delta coder an interned frozenset
+next to its emission count modulo :data:`GOSSIP_ANCHOR_PERIOD`, and ``Sv``
+with the selection history one immutable log that each selection extends.
+:meth:`RotorCoordinatorCore.observe`, the round-2 init gossip and
+:meth:`RotorCoordinatorCore.execute_selection` store their results on the
+inbox (:meth:`~repro.sim.messages.Inbox.memo`) under
+:func:`_transition_key`, which holds every input that can differ between
+cores reading one inbox.  Cores in equal states then run each transition
+once per inbox and adopt the same result objects; a core with its own
+inbox (delayed delivery) runs it alone, with the same result.
 """
 
 from __future__ import annotations
@@ -50,13 +64,8 @@ from ..sim.messages import (
     intern_payload,
 )
 from ..sim.node import KnownSenders, Process, RoundView
-from .quorums import (
-    meets_one_third,
-    meets_two_thirds,
-    one_third_mask,
-    two_thirds_mask,
-)
-from .tally import candidate_support, candidate_support_arrays, init_senders
+from .quorums import meets_one_third, meets_two_thirds
+from .tally import candidate_support, init_senders
 
 __all__ = [
     "RotorInit",
@@ -138,39 +147,59 @@ class CandidateGossip:
         return cached
 
 
+#: The empty set every core, encoder and log starts from.  ``frozenset()``
+#: is not a singleton, and memo keys hold these sets: equal states must
+#: hold the same object for a key lookup to be an identity check.
+_NOBODY: frozenset[NodeId] = frozenset()
+
+
+def _emit(
+    echoed: frozenset[NodeId], phase: int, adds: tuple[NodeId, ...]
+) -> tuple[CandidateGossip | None, frozenset[NodeId], int]:
+    """One emission of the delta coder: ``(gossip, echoed', phase')``.
+
+    ``echoed`` is every candidate gossiped about so far and ``phase`` the
+    emission count modulo :data:`GOSSIP_ANCHOR_PERIOD`; the emission that
+    brings the phase back to 0 carries the full-set anchor.  The gossip
+    and the new echoed set are interned.  Nothing to say is ``None`` and
+    the state unchanged.
+    """
+
+    if not adds:
+        return None, echoed, phase
+    echoed = intern_payload(echoed.union(adds))
+    phase = (phase + 1) % GOSSIP_ANCHOR_PERIOD
+    anchor = tuple(sorted(echoed)) if phase == 0 else None
+    return intern_payload(CandidateGossip(adds=adds, anchor=anchor)), echoed, phase
+
+
 class GossipEncoder:
     """Delta-codes a node's outgoing candidate echoes.
 
     Tracks the full set of candidates echoed so far; :meth:`emit` turns one
     round's newly-echoed candidates into a single interned
     :class:`CandidateGossip`, attaching the full-set anchor every
-    :data:`GOSSIP_ANCHOR_PERIOD`-th emission.
+    :data:`GOSSIP_ANCHOR_PERIOD`-th emission.  The rotor core keeps the
+    same two fields itself and emits through the same function.
     """
 
-    __slots__ = ("_echoed", "_emitted")
+    __slots__ = ("_echoed", "_phase")
 
     def __init__(self) -> None:
-        self._echoed: set[NodeId] = set()
-        self._emitted = 0
+        self._echoed = _NOBODY
+        self._phase = 0
 
     @property
     def echoed(self) -> frozenset[NodeId]:
         """Every candidate this encoder has gossiped about so far."""
 
-        return frozenset(self._echoed)
+        return self._echoed
 
     def emit(self, adds: Iterable[NodeId]) -> CandidateGossip | None:
         """Encode one round's echoes; ``None`` when there is nothing to say."""
 
-        adds = tuple(adds)
-        if not adds:
-            return None
-        self._echoed.update(adds)
-        self._emitted += 1
-        anchor = None
-        if self._emitted % GOSSIP_ANCHOR_PERIOD == 0:
-            anchor = tuple(sorted(self._echoed))
-        return intern_payload(CandidateGossip(adds=adds, anchor=anchor))
+        gossip, self._echoed, self._phase = _emit(self._echoed, self._phase, tuple(adds))
+        return gossip
 
 
 class GossipDecoder:
@@ -255,6 +284,102 @@ _ECHO_KEY = "rotor-echo-index"
 _INIT_KEY = "rotor-init-index"
 
 
+class _SelectionLog:
+    """``Sv`` and the selection history, shared by the cores that made the
+    same selections.
+
+    Immutable: a selection makes a new log (:meth:`extend`).  It is hashed
+    by identity, so a memo key holding it costs O(1) however long the
+    history grows; cores that select alike adopt the log one memoized
+    selection built.
+    """
+
+    __slots__ = ("history", "selected")
+
+    def __init__(
+        self, history: tuple[SelectionRecord, ...], selected: frozenset[NodeId]
+    ) -> None:
+        self.history = history
+        self.selected = selected
+
+    def extend(self, record: SelectionRecord) -> "_SelectionLog":
+        return _SelectionLog(
+            self.history + (record,), self.selected | {record.coordinator}
+        )
+
+
+_EMPTY_LOG = _SelectionLog((), _NOBODY)
+
+
+def _transition_key(
+    step: Hashable,
+    nv: int,
+    candidates: frozenset[NodeId],
+    echoed: frozenset[NodeId],
+    phase: int,
+    log: _SelectionLog,
+    index: int,
+) -> tuple:
+    """The memo key of one core transition on an inbox.
+
+    ``step`` names the transition (with its round index for a selection);
+    the rest is every input that can differ between cores reading one
+    inbox: ``nv``, ``Cv``, the echoed set, the emission phase, the
+    selection log and the selection index.  The sets are interned and the
+    log is hashed by identity, so building and probing the key is O(1).
+    """
+
+    return (step, nv, candidates, echoed, phase, log, index)
+
+
+def _observed(
+    support: dict[Hashable, int],
+    nv: int,
+    candidates: frozenset[NodeId],
+    order: tuple[NodeId, ...],
+    echoed: frozenset[NodeId],
+    phase: int,
+) -> tuple:
+    """``observe``'s transition: ``(Cv', order', gossip, echoed', phase')``."""
+
+    if candidates.issuperset(support):
+        # Every echoed candidate is already in ``Cv``: nothing to relay.
+        return candidates, order, None, echoed, phase
+    relays: list[NodeId] = []
+    accepted: list[NodeId] = []
+    for candidate in sorted(support):
+        if candidate in candidates:
+            continue
+        count = support[candidate]
+        if meets_one_third(count, nv):
+            relays.append(candidate)
+        if meets_two_thirds(count, nv):
+            accepted.append(candidate)
+    if accepted:
+        candidates = intern_payload(candidates.union(accepted))
+        order = tuple(sorted((*order, *accepted)))
+    # The round's relays travel as one delta-coded gossip payload; the
+    # per-candidate support a receiver derives from it is identical to
+    # one RotorEcho per relayed candidate.
+    return (candidates, order, *_emit(echoed, phase, tuple(relays)))
+
+
+def _selection(
+    order: tuple[NodeId, ...], log: _SelectionLog, index: int, round_index: int
+) -> tuple[NodeId, _SelectionLog, bool]:
+    """``execute_selection``'s transition: ``(selected, log', terminated)``."""
+
+    # Line 16: p ← Cv[r mod |Cv|].
+    selected = order[index % len(order)]
+    if selected in log.selected:
+        # Lines 21–23: re-selection terminates the rotor.
+        return selected, log, True
+    record = SelectionRecord(
+        selection_index=index, round_index=round_index, coordinator=selected
+    )
+    return selected, log.extend(record), False
+
+
 class RotorCoordinatorCore:
     """The candidate-set and selection machinery, independent of scheduling.
 
@@ -265,19 +390,29 @@ class RotorCoordinatorCore:
     and :meth:`execute_selection` in every round that counts as a
     rotor-coordinator round (every round for Algorithm 2, one per phase for
     Algorithms 3 and 5).
+
+    The candidate, echo and selection fields hold immutable objects that
+    cores in equal states share (see the module docstring); a transition
+    replaces them and never mutates them.
     """
 
     def __init__(self, node_id: NodeId) -> None:
         self._node_id = node_id
         self._known = KnownSenders()
-        self._candidates: list[NodeId] = []  # Cv, kept sorted by identifier
-        self._candidate_set: set[NodeId] = set()  # mirror for O(1) lookups
-        self._selected: set[NodeId] = set()  # Sv
-        self._selection_history: list[SelectionRecord] = []
-        self._selection_round = 0  # the loop variable r of Algorithm 2
+        self._candidates = _NOBODY  # Cv, interned
+        self._order: tuple[NodeId, ...] = ()  # Cv sorted by identifier
+        self._echoed = _NOBODY  # every candidate gossiped so far, interned
+        self._phase = 0  # gossip emissions modulo GOSSIP_ANCHOR_PERIOD
+        self._log = _EMPTY_LOG  # Sv and the selection history
+        self._index = 0  # the loop variable r of Algorithm 2
         self._last_selected: NodeId | None = None
         self._terminated = False
-        self._gossip = GossipEncoder()  # delta-codes outgoing echoes
+
+    def _key(self, step: Hashable) -> tuple:
+        return _transition_key(
+            step, self._known.count, self._candidates, self._echoed,
+            self._phase, self._log, self._index,
+        )
 
     # -- introspection ---------------------------------------------------------
 
@@ -289,17 +424,17 @@ class RotorCoordinatorCore:
     def candidates(self) -> tuple[NodeId, ...]:
         """The ordered candidate set ``Cv``."""
 
-        return tuple(self._candidates)
+        return self._order
 
     @property
     def selected(self) -> frozenset[NodeId]:
         """The set ``Sv`` of coordinators selected so far."""
 
-        return frozenset(self._selected)
+        return self._log.selected
 
     @property
     def selection_history(self) -> tuple[SelectionRecord, ...]:
-        return tuple(self._selection_history)
+        return self._log.history
 
     @property
     def last_selected(self) -> NodeId | None:
@@ -326,12 +461,15 @@ class RotorCoordinatorCore:
         The echoes for the whole init wave — O(n) candidates — travel as
         the ``adds`` of a single :class:`CandidateGossip` instead of one
         ``RotorEcho`` broadcast per candidate.  Every correct node emits
-        the same gossip here, so interning collapses the round's dominant
-        payload to one canonical instance with one cached digest.
+        the same gossip here, and cores reading one inbox encode it once.
         """
 
         self._known.observe(inbox)
-        gossip = self._gossip.emit(init_senders(inbox, RotorInit, memo_key=_INIT_KEY))
+        adds = init_senders(inbox, RotorInit, memo_key=_INIT_KEY)
+        echoed, phase = self._echoed, self._phase
+        gossip, self._echoed, self._phase = inbox.memo(
+            self._key("rotor-init"), lambda ib: _emit(echoed, phase, adds)
+        )
         return [] if gossip is None else [gossip]
 
     # -- per-round candidate maintenance (Algorithm 2, lines 7–15) ------------------
@@ -346,55 +484,21 @@ class RotorCoordinatorCore:
         """
 
         self._known.observe(inbox)
-        nv = self._known.count
         support = candidate_support(
             inbox, CandidateGossip, RotorEcho, memo_key=_ECHO_KEY
         )
         if not support:
             # No echoes this round — nothing can change ``Cv`` or warrant a
             # relay.  This is the steady state of every embedded engine
-            # (echo traffic dies out after the init rounds), and with the
-            # shared tally it makes candidate maintenance O(1) per round.
+            # (echo traffic dies out after the init rounds).
             return []
-
-        candidate_set = self._candidate_set
-        if candidate_set.issuperset(support):
-            # Every echoed candidate is already in ``Cv`` — the per-candidate
-            # loop would skip them all and emit nothing.
-            return []
-
-        relays: list[NodeId] = []
-        accepted: list[NodeId] = []
-        if not candidate_set:
-            # The init echo wave: O(n) candidates arrive at once and none
-            # can be skipped, so threshold the whole sorted count vector in
-            # one pair of numpy comparisons instead of per-candidate calls.
-            candidates, counts = candidate_support_arrays(
-                inbox, CandidateGossip, RotorEcho, memo_key=_ECHO_KEY
-            )
-            relay_mask = one_third_mask(counts, nv).tolist()
-            accept_mask = two_thirds_mask(counts, nv).tolist()
-            relays = [c for c, ok in zip(candidates, relay_mask) if ok]
-            accepted = [c for c, ok in zip(candidates, accept_mask) if ok]
-        else:
-            for candidate in sorted(support):
-                if candidate in candidate_set:
-                    continue
-                count = support[candidate]
-                if meets_one_third(count, nv):
-                    relays.append(candidate)
-                if meets_two_thirds(count, nv):
-                    accepted.append(candidate)
-        if accepted:
-            # One batch insert + sort per round instead of a sort per
-            # candidate (the echo round delivers O(n) acceptances at once).
-            candidate_set.update(accepted)
-            self._candidates.extend(accepted)
-            self._candidates.sort()
-        # The round's relays travel as one delta-coded gossip payload; the
-        # per-candidate support a receiver derives from it is identical to
-        # one RotorEcho per relayed candidate.
-        gossip = self._gossip.emit(relays)
+        nv = self._known.count
+        candidates, order = self._candidates, self._order
+        echoed, phase = self._echoed, self._phase
+        self._candidates, self._order, gossip, self._echoed, self._phase = inbox.memo(
+            self._key("rotor-observe"),
+            lambda ib: _observed(support, nv, candidates, order, echoed, phase),
+        )
         return [] if gossip is None else [gossip]
 
     # -- selection rounds (Algorithm 2, lines 16–29) ---------------------------------
@@ -435,44 +539,30 @@ class RotorCoordinatorCore:
                     opinion_received = True
                     break
 
-        payloads: list[Payload] = []
+        payloads: tuple[Payload, ...] = ()
         selected: NodeId | None = None
-        if self._candidates:
-            # Line 16: p ← Cv[r mod |Cv|].
-            selected = self._candidates[self._selection_round % len(self._candidates)]
-            if selected in self._selected:
-                # Line 21–23: re-selection terminates the rotor.
-                self._terminated = True
-                self._last_selected = selected
-                return RotorRoundOutcome(
-                    payloads=tuple(payloads),
-                    selected=selected,
-                    previous=previous,
-                    accepted_opinion=accepted_opinion,
-                    opinion_received=opinion_received,
-                    terminated=True,
-                )
-            self._selected.add(selected)
-            self._selection_history.append(
-                SelectionRecord(
-                    selection_index=self._selection_round,
-                    round_index=round_index,
-                    coordinator=selected,
-                )
+        terminated = False
+        if self._order:
+            order, log, index = self._order, self._log, self._index
+            selected, log, terminated = inbox.memo(
+                self._key(("rotor-select", round_index)),
+                lambda ib: _selection(order, log, index, round_index),
             )
             self._last_selected = selected
-            if selected == self._node_id:
+            self._log = log
+            self._terminated = terminated
+            if selected == self._node_id and not terminated:
                 # Lines 25–28: the coordinator broadcasts its opinion.
-                payloads.append(Opinion(opinion))
-
-        self._selection_round += 1
+                payloads = (Opinion(opinion),)
+        if not terminated:
+            self._index += 1
         return RotorRoundOutcome(
-            payloads=tuple(payloads),
+            payloads=payloads,
             selected=selected,
             previous=previous,
             accepted_opinion=accepted_opinion,
             opinion_received=opinion_received,
-            terminated=False,
+            terminated=terminated,
         )
 
 

@@ -35,8 +35,6 @@ from itertools import chain
 from time import perf_counter
 from typing import Any, Callable, Hashable
 
-import numpy as np
-
 from ..sim.messages import Inbox, NodeId, Payload
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "value_support",
     "field_support",
     "candidate_support",
-    "candidate_support_arrays",
     "init_senders",
     "scan_index",
     "control_pairs",
@@ -186,33 +183,6 @@ def _candidate_support_build(
                 senders[index] for index in indexes
             )))
     return support
-
-
-def candidate_support_arrays(
-    inbox: Inbox,
-    gossip_type: type,
-    echo_type: type,
-    *,
-    memo_key: Hashable = "rotor-echo-index",
-) -> tuple[list[Hashable], np.ndarray]:
-    """``(sorted candidates, aligned count array)`` for batch thresholding.
-
-    Derived from :func:`candidate_support`; the rotor-coordinator's echo
-    wave applies the quorum masks of :mod:`repro.core.quorums` to the
-    whole candidate set at once instead of looping per candidate per node.
-    """
-
-    def build(ib: Inbox) -> tuple[list[Hashable], np.ndarray]:
-        support = candidate_support(
-            ib, gossip_type, echo_type, memo_key=memo_key
-        )
-        candidates = sorted(support)
-        counts = np.fromiter(
-            (support[c] for c in candidates), dtype=np.int64, count=len(candidates)
-        )
-        return candidates, counts
-
-    return _memoized(inbox, (memo_key, "arrays"), build)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,11 @@ module provides the building blocks for:
   candidate gossip (:class:`repro.core.rotor_coordinator.CandidateGossip`
   with its ``GossipEncoder``/``GossipDecoder``): candidate-set *adds* per
   round, a full sorted anchor with a cached digest every few emissions,
-  and a deterministic receiver-side reconstruction.
+  and a deterministic receiver-side reconstruction.  The encoder state is
+  shared, not kept per node: the echoed set is an interned frozenset and
+  the emission count is kept modulo the anchor period, both in the rotor
+  core's memo key, so correct nodes in equal states encode a round's
+  relays once per inbox and hold one echoed-set object.
 * **Byte accounting** — :func:`payload_nbytes` reports (and caches) the
   serialised size of a payload, which the network uses for the opt-in
   message-volume metrics tracked by ``benchmarks/bench_scaling.py``.
@@ -52,7 +56,9 @@ Derived views of a round's traffic (support indexes, routing tables, the
 receiver of a broadcast-only round shares one :class:`Inbox` object, and
 in a round with unicasts every receiver of the same rows does, so a pure
 derivation is computed once per distinct inbox instead of once per node.
-The derived inboxes — :meth:`Inbox.restricted` and the per-key split of
+A node's state transition is memoized the same way when its key holds
+every input that can differ between the nodes reading the inbox, as the
+rotor core's does.  The derived inboxes — :meth:`Inbox.restricted` and the per-key split of
 container payloads, :meth:`Inbox.split` — are built from the parent's
 columns: no payload the parent filed is hashed again, and a container's
 inner payloads are hashed once per distinct container, not once per row.

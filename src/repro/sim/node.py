@@ -115,6 +115,12 @@ class NullProcess(Process):
         return ()
 
 
+#: The view every :class:`KnownSenders` starts from.  ``frozenset()`` is not
+#: a singleton, and the view is a memo key: equal views must be one object
+#: for the key lookup to be an identity check.
+_NOBODY: frozenset[NodeId] = frozenset()
+
+
 class KnownSenders:
     """Tracks ``nv`` — the nodes that have sent at least one message so far.
 
@@ -129,7 +135,7 @@ class KnownSenders:
 
     def __init__(self) -> None:
         self._frozen = False
-        self._view: frozenset[NodeId] = frozenset()
+        self._view = _NOBODY
 
     def observe(self, inbox: Inbox) -> None:
         """Record every sender in ``inbox``.

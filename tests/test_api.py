@@ -30,6 +30,7 @@ from repro.api import (
     run_sweep,
 )
 from repro.harness import run_experiment
+from repro.search.score import evaluate_outcome
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +302,31 @@ class TestSweepSpec:
 # ---------------------------------------------------------------------------
 # Parallel execution determinism
 # ---------------------------------------------------------------------------
+
+
+class TestSummaryRows:
+    @pytest.mark.parametrize("seed", [4, 5, 14])
+    def test_rotor_rows_claim_no_agreement(self, seed):
+        """Each rotor node outputs the last opinion it accepted, which the
+        paper never promises to agree: these in-model runs halt with
+        differing outputs and break no rotor property, so their rows
+        report no agreement column to fail."""
+
+        outcome = run_scenario(ScenarioSpec(
+            protocol="rotor-coordinator", n=10, f=3,
+            adversary="consensus-split-vote", seed=seed,
+        ))
+        assert not holds(agreement(outcome.outputs()))
+        assert evaluate_outcome(outcome) == []
+        row = outcome.summary_row()
+        assert row["decided"] and "agreement" not in row
+
+    def test_rotor_aggregates_report_nan_agreement(self):
+        kwargs = dict(group_by=("n",), metrics=("agreement", "rounds"))
+        (rotor,) = run_sweep(SweepSpec(protocol="rotor-coordinator", grid={"n": (7,)}), **kwargs)
+        (consensus,) = run_sweep(SweepSpec(protocol="consensus", grid={"n": (7,)}), **kwargs)
+        assert math.isnan(rotor["agreement"]) and rotor["rounds"] > 0
+        assert consensus["agreement"] == 1.0
 
 
 class TestSweepRunnerDeterminism:

@@ -1,4 +1,4 @@
-"""Reference properties for the parallel-consensus step and total order's routing.
+"""Reference properties for the protocol steps and total order's routing.
 
 Each optimisation of the engine step and of the batched-traffic routing
 replaced a simpler implementation.  This file keeps each replaced
@@ -12,7 +12,15 @@ implementation as the reference of a Hypothesis property:
   filing every ``(sender, inner payload)`` pair through
   :meth:`Inbox.from_pairs`;
 * the coordinator-opinion index of phase round 5 against the linear scan
-  of the coordinator's payloads.
+  of the coordinator's payloads;
+* rotor cores, consensus processes and parallel-consensus engines
+  stepped on shared inboxes, where transitions are memoized, against the
+  same nodes stepped on private copies, where nothing is shared.  For
+  each input of the rotor's memo key
+  (:func:`repro.core.rotor_coordinator._transition_key`) and of the
+  parallel-consensus silent-set key
+  (:func:`repro.core.parallel_consensus._silent_key`) a pinned history
+  fails the property once the key drops that input.
 
 Inbox comparisons check the columns, the :meth:`Inbox.items` order and the
 payload-table objects by identity: equal payloads such as ``1``, ``True``
@@ -28,16 +36,22 @@ import copy
 from collections import Counter
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, run_scenario
-from repro.core import total_order
+from repro.core import parallel_consensus, rotor_coordinator, total_order
+from repro.core.consensus import ConsensusInput, ConsensusProcess, Prefer, StrongPrefer
 from repro.core.parallel_consensus import (
     BOTTOM,
     PCInput,
+    PCNoPreference,
+    PCNoStrongPreference,
     PCOpinion,
     PCPrefer,
+    PCStrongPrefer,
+    ParallelConsensusEngine,
     _opinion_index,
 )
 from repro.core.quorums import (
@@ -48,8 +62,16 @@ from repro.core.quorums import (
     pick_supported,
     two_thirds,
 )
+from repro.core.rotor_coordinator import (
+    CandidateGossip,
+    Opinion,
+    RotorCoordinatorCore,
+    RotorEcho,
+    RotorInit,
+)
 from repro.core.total_order import PCBatch, _route_instances
 from repro.sim.messages import Inbox
+from repro.sim.node import RoundView
 
 from make_delayed_digests import fingerprint
 
@@ -349,3 +371,308 @@ def test_total_order_under_replay_matches_the_reference_routing():
     assert several > 0, "no sender delivered two batches in one round"
     assert any(got[0].values()), "nothing committed"
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Shared protocol steps against private inboxes
+# ---------------------------------------------------------------------------
+
+#: The stepped nodes.  They also send, so a core can select itself.
+NODES = (1, 2, 3)
+
+rotor_candidates = st.sampled_from([1, 2, 7, 8])
+
+#: Payloads several senders send alike, so that supports reach the
+#: thresholds of nv = 6: echoes, consensus and parallel-consensus values
+#: (for the one instance ``"x"``) and opinions.
+group_payloads = st.one_of(
+    st.builds(RotorEcho, rotor_candidates),
+    rotor_candidates.map(lambda candidate: CandidateGossip(adds=(candidate,))),
+    st.builds(ConsensusInput, st.integers(0, 1)),
+    st.builds(Prefer, st.integers(0, 1)),
+    st.builds(StrongPrefer, st.integers(0, 1)),
+    st.builds(Opinion, st.sampled_from("ab")),
+    st.builds(PCInput, st.just("x"), st.integers(0, 1)),
+    st.builds(PCPrefer, st.just("x"), st.integers(0, 1)),
+    st.builds(PCStrongPrefer, st.just("x"), st.integers(0, 1)),
+    st.sampled_from([PCNoPreference("x"), PCNoStrongPreference("x")]),
+    st.builds(PCOpinion, st.just("x"), st.integers(0, 1)),
+)
+
+#: Single rows: gossip with several adds and anchors, and junk, from any
+#: sender including 7–9, which no init wave announces.
+odd_rows = st.lists(
+    st.tuples(
+        st.integers(1, 9),
+        st.one_of(
+            st.builds(
+                CandidateGossip,
+                adds=st.lists(rotor_candidates, max_size=3, unique=True).map(tuple),
+                anchor=st.none() | st.lists(rotor_candidates, unique=True).map(
+                    lambda members: tuple(sorted(members))
+                ),
+            ),
+            st.just("junk"),
+        ),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def traffic(draw) -> list:
+    rows = []
+    for payload, supporters in draw(
+        st.lists(st.tuples(group_payloads, st.sets(st.integers(1, 6))), max_size=4)
+    ):
+        rows.extend((sender, payload) for sender in sorted(supporters))
+    return rows + draw(odd_rows)
+
+
+@st.composite
+def history_rounds(draw, first: bool):
+    """One round: up to three inboxes, which one each node reads and
+    whether it runs a selection.  Each inbox is the round's base traffic
+    less some dropped rows, plus rows that reach only it."""
+
+    if first:
+        inits = draw(st.sets(st.integers(1, 9), min_size=1))
+        base = [(sender, RotorInit()) for sender in sorted(inits)]
+    else:
+        base = draw(traffic())
+    inboxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        kept = [pair for pair in base if draw(st.integers(0, 3))]
+        inboxes.append(tuple(kept + draw(odd_rows)))
+    reads = tuple(draw(st.integers(0, len(inboxes) - 1)) for _ in NODES)
+    select = draw(st.booleans())
+    selects = tuple(
+        select if draw(st.integers(0, 3)) else not select for _ in NODES
+    )
+    return tuple(inboxes), reads, selects
+
+
+@st.composite
+def histories(draw):
+    """Rounds 2 onwards; round 2 is the init wave."""
+
+    rest = draw(st.lists(history_rounds(first=False), max_size=8))
+    return (draw(history_rounds(first=True)), *rest)
+
+
+def step_history(history, *, shared: bool) -> list:
+    """Step a rotor core, a consensus process and a parallel-consensus
+    engine per node through ``history``; return everything they emit and
+    expose, round by round.
+
+    With ``shared`` every reader of an inbox gets the same object, as a
+    synchronous round delivers it; otherwise each gets a private copy, so
+    no memo entry is shared.
+    """
+
+    cores = {node: RotorCoordinatorCore(node) for node in NODES}
+    processes = {node: ConsensusProcess(node, input_value=node % 2) for node in NODES}
+    engines = {node: ParallelConsensusEngine(node, {"x": 1}) for node in NODES}
+    for node in NODES:
+        cores[node].init_round_one()
+        processes[node].step(RoundView(1, Inbox.empty()))
+        engines[node].step(1, Inbox.empty())
+    seen = []
+    for round_index, (pair_lists, reads, selects) in enumerate(history, start=2):
+        inboxes = [Inbox.from_pairs(pairs) for pairs in pair_lists]
+        for node, read, select in zip(NODES, reads, selects):
+
+            def delivered() -> Inbox:
+                inbox = inboxes[read]
+                return inbox if shared else Inbox.from_pairs(inbox.items())
+
+            core = cores[node]
+            if round_index == 2:
+                payloads = core.init_round_two(delivered())
+            else:
+                payloads = core.observe(delivered())
+            outcome = None
+            if select and round_index > 2:
+                outcome = core.execute_selection(
+                    delivered(), f"v{node}", round_index=round_index
+                )
+            seen.append((
+                "core", round_index, node, payloads, outcome, core.candidates,
+                core.selection_history, core.selected, core.last_selected, core.nv,
+            ))
+            engine = engines[node]
+            sent = engine.step(round_index, delivered())
+            seen.append((
+                "parallel", round_index, node, sent, engine.nv, engine._loop.ids,
+                engine.opinion("x"), engine.outputs, engine.rotor.selection_history,
+            ))
+            process = processes[node]
+            if process.halted:
+                continue
+            sent = [out.payload for out in process.step(RoundView(round_index, delivered()))]
+            rotor = process.rotor
+            seen.append((
+                "consensus", round_index, node, sent, process.nv,
+                process._loop.ids, process.silent_count, process.opinion,
+                process.output, rotor.candidates, rotor.selection_history,
+                rotor.last_selected,
+            ))
+    return seen
+
+
+def check_shared_equals_private(history) -> None:
+    shared = step_history(history, shared=True)
+    private = step_history(history, shared=False)
+    for got, want in zip(shared, private):
+        assert got == want
+    assert len(shared) == len(private)
+
+
+def wave(inits, junk=()):
+    """An init wave from ``inits``, plus junk from senders that reach only
+    this inbox."""
+
+    return tuple((sender, RotorInit()) for sender in inits) + tuple(
+        (sender, "junk") for sender in junk
+    )
+
+
+def echoes(candidate, senders):
+    return tuple((sender, RotorEcho(candidate)) for sender in senders)
+
+
+def one_round(*inboxes, reads=(0, 0, 0), selects=(False, False, False)):
+    return inboxes, reads, selects
+
+
+#: One history per key input, on which a key without that input lets a
+#: node adopt the transition of a node in another state.  Nodes 1 and 2
+#: diverge on private inboxes, then read one shared inbox.
+DIVERGENT_HISTORIES = {
+    # Node 2 also hears 7–9: four echoes of 7 meet 2nv/3 only at node 1.
+    "nv": (
+        one_round(wave(range(1, 7)), wave(range(1, 7), junk=(7, 8, 9)), reads=(0, 1, 0)),
+        one_round(echoes(7, range(1, 5))),
+    ),
+    # Node 2 misses one echo of 7: both relay it, only node 1 accepts it.
+    # Two more echoes are then nothing to node 1 and a relay to node 2.
+    "candidates": (
+        one_round(wave(range(1, 7))),
+        one_round(echoes(7, range(1, 5)), echoes(7, range(1, 4)), reads=(0, 1, 0)),
+        one_round(echoes(7, (1, 2))),
+    ),
+    # Node 2 hears 6 but not its init: equal nv, different echoed sets,
+    # which the third relay's anchor shows.
+    "echoed": (
+        one_round(wave(range(1, 7)), wave(range(1, 6), junk=(6,)), reads=(0, 1, 0)),
+        one_round(echoes(7, (1, 2))),
+        one_round(echoes(8, (1, 2))),
+        one_round(echoes(9, (1, 2))),
+    ),
+    # Node 1 relays 7 and 8 in two rounds, node 2 both in the second:
+    # equal echoed sets, and only node 1's next relay is an anchor.
+    "phase": (
+        one_round(wave(range(1, 7))),
+        one_round(echoes(7, (1, 2)), (), reads=(0, 1, 0)),
+        one_round(echoes(8, (1, 2)), echoes(7, (1, 2)) + echoes(8, (1, 2)), reads=(0, 1, 0)),
+        one_round(echoes(9, (1, 2))),
+    ),
+    # Node 1 selects 7 while node 2's Cv is still empty; once both hold
+    # 7 alone, node 1 re-selects it and stops, node 2 selects it.
+    "log": (
+        one_round(wave(range(1, 7))),
+        one_round(
+            echoes(7, range(1, 5)), echoes(7, (1, 2)),
+            reads=(0, 1, 0), selects=(True, True, False),
+        ),
+        one_round(echoes(7, range(1, 5)) + echoes(8, (1, 2)), selects=(True, True, False)),
+    ),
+    # Node 1 runs a selection on an empty Cv and node 2 does not: equal
+    # (empty) logs, different indexes, so they pick different candidates.
+    "index": (
+        one_round(wave(range(1, 7))),
+        one_round((), selects=(True, False, False)),
+        one_round(echoes(7, range(1, 5)) + echoes(8, range(1, 5)), selects=(True, True, False)),
+    ),
+}
+
+
+def phase_two_inputs(senders):
+    """Quiet rounds 5–8, then phase 2's inputs (round 9) from ``senders``."""
+
+    inputs = tuple((sender, PCInput("x", 1)) for sender in senders)
+    return (*(one_round(()) for _ in range(4)), one_round(inputs))
+
+
+#: One history per view in the parallel-consensus silent-set key, on
+#: which a key without that view lets engine 2 adopt engine 1's silent
+#: set: in phase 2 the inputs fall one short of 2nv/3 without a stand-in
+#: at one engine and meet it with one at the other.
+SILENT_SET_HISTORIES = {
+    # Only engine 2 hears 6 inside the loop: engine 1 fills in for 6.
+    "loop": (
+        one_round(wave(range(1, 7))),
+        one_round(()),
+        one_round(wave((), junk=range(1, 6)), wave((), junk=range(1, 7)), reads=(0, 1, 0)),
+        *phase_two_inputs((1, 2, 3)),
+    ),
+    # Only engine 2 knows 7, which never speaks: engine 2 fills in for 7.
+    "known": (
+        one_round(wave(range(1, 7))),
+        one_round((), wave((), junk=(7,)), reads=(0, 1, 0)),
+        one_round(wave((), junk=range(1, 7))),
+        *phase_two_inputs((1, 2, 3, 4)),
+    ),
+}
+
+
+def _examples(test):
+    for history in (*DIVERGENT_HISTORIES.values(), *SILENT_SET_HISTORIES.values()):
+        test = example(history=history)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(history=histories())
+@_examples
+def test_shared_steps_equal_private_steps(history):
+    """Cores and consensus processes stepped on shared inboxes emit and
+    hold exactly what they do on private copies: a memoized transition
+    is only ever reused by a node in the same state."""
+
+    check_shared_equals_private(history)
+
+
+def dropping(name: str):
+    """:func:`_transition_key` without the input ``name``."""
+
+    def key(step, nv, candidates, echoed, phase, log, index):
+        inputs = dict(
+            nv=nv, candidates=candidates, echoed=echoed, phase=phase, log=log, index=index
+        )
+        del inputs[name]
+        return (step, *inputs.values())
+
+    return key
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGENT_HISTORIES))
+def test_a_key_without_one_input_fails_the_property(name):
+    history = DIVERGENT_HISTORIES[name]
+    check_shared_equals_private(history)
+    with mock.patch.object(rotor_coordinator, "_transition_key", dropping(name)):
+        with pytest.raises(AssertionError):
+            check_shared_equals_private(history)
+
+
+@pytest.mark.parametrize("view", sorted(SILENT_SET_HISTORIES))
+def test_a_silent_set_key_without_one_view_fails_the_property(view):
+    history = SILENT_SET_HISTORIES[view]
+    check_shared_equals_private(history)
+
+    def key(slot, known, loop):
+        return (slot, loop) if view == "known" else (slot, known)
+
+    with mock.patch.object(parallel_consensus, "_silent_key", key):
+        with pytest.raises(AssertionError):
+            check_shared_equals_private(history)

@@ -478,13 +478,15 @@ def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
     """Process-wide state stays bounded across sweeps.
 
     One in-process service runs the same sweeps over and over, the unicast
-    attacks of consensus and reliable broadcast included.  Each repeat
-    asks for a larger ``max_rounds``: a new spec digest, so the store does
-    not serve the runs from cache, but the same executions, since every
-    run decides long before the limit.  No :class:`Inbox` may outlive its
-    sweep, and after the first sweep the payload intern table may not
-    grow: a grouping table, shared view or memo that outlived its round
-    would show up here.
+    attacks of consensus, reliable broadcast and the rotor included, and
+    parallel consensus under crashes.  Each repeat asks for a larger
+    ``max_rounds``: a new spec digest, so the store does not serve the
+    runs from cache, but the same executions, since every run decides or
+    halts long before the limit.  No :class:`Inbox` may outlive its
+    sweep, and after the first sweep the payload intern table, which also
+    holds the rotor cores' candidate and echoed sets and the known-sender
+    views, may not grow: a grouping table, shared view or memo that
+    outlived its round would show up here.
     """
 
     service = ScenarioService(tmp_path / "runs.db")
@@ -496,9 +498,13 @@ def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
             {"protocol": "reliable-broadcast", "n": 7, "f": 2,
              "adversary": "rb-equivocating-sender",
              "params": {"byzantine_sender": True}, "max_rounds": 60 + extra_rounds},
+            {"protocol": "rotor-coordinator", "n": 7, "f": 2,
+             "adversary": "rotor-split-echo", "max_rounds": 60 + extra_rounds},
+            {"protocol": "parallel-consensus", "n": 7, "f": 2,
+             "adversary": "crash", "max_rounds": 60 + extra_rounds},
         ]})
         events = list(job.events())
-        assert events[-1] == {"event": "sweep-complete", "ran": 3, "skipped": 0, "total": 3}
+        assert events[-1] == {"event": "sweep-complete", "ran": 5, "skipped": 0, "total": 5}
 
     before = live_inboxes()
     sweep(0)

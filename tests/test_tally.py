@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import tally
@@ -194,12 +193,6 @@ def check_candidate_support(inbox):
     # duplicated entry inside one ``adds``) must count exactly once.
     support = tally.candidate_support(inbox, CandidateGossip, RotorEcho)
     assert_same_order(support, ref_candidate_support(inbox, CandidateGossip, RotorEcho))
-    candidates, counts = tally.candidate_support_arrays(
-        inbox, CandidateGossip, RotorEcho
-    )
-    assert candidates == sorted(support)
-    assert counts.dtype == np.int64
-    assert counts.tolist() == [support[c] for c in candidates]
 
 
 def check_init_senders_and_scan_index(inbox):
@@ -335,10 +328,6 @@ def test_empty_round_tallies():
     assert list(empty.items()) == []
     assert tally.value_support(empty, ConsensusInput) == {}
     assert tally.candidate_support(empty, CandidateGossip, RotorEcho) == {}
-    candidates, counts = tally.candidate_support_arrays(
-        empty, CandidateGossip, RotorEcho
-    )
-    assert candidates == [] and counts.tolist() == []
     assert tally.init_senders(empty, RotorInit) == ()
     support, spoken = tally.scan_index(empty, _classify, memo_key="t")
     assert support == {} and spoken == {}
