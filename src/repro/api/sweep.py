@@ -59,6 +59,13 @@ _PREFIX_AXES = ("input_params", "delay_params", "churn", "params")
 # Running a single scenario
 # ---------------------------------------------------------------------------
 
+#: The approximate-agreement protocols: their outputs must stay inside the
+#: correct range and contract (Theorem 4), not agree exactly, so their
+#: summary rows carry no ``agreement``.
+_APPROXIMATE = frozenset(
+    {"approximate-agreement", "iterated-approximate-agreement", "dolev-approx"}
+)
+
 
 @dataclass
 class ScenarioOutcome:
@@ -96,10 +103,12 @@ class ScenarioOutcome:
     def summary_row(self) -> dict[str, Any]:
         """The default measurement row for sweeps without a custom row_fn.
 
-        A protocol registered to stop when its nodes halt rather than
-        decide (the rotor-coordinator, whose nodes each output the last
-        opinion they accepted) promises no agreement, so its rows omit
-        ``agreement`` and aggregates report NaN for it.
+        Two kinds of protocol promise no exact agreement, so their rows
+        omit ``agreement`` and aggregates report NaN for it: a protocol
+        registered to stop when its nodes halt rather than decide (the
+        rotor-coordinator, whose nodes each output the last opinion they
+        accepted), and approximate agreement, whose outputs Theorem 4 only
+        keeps inside the correct range and contracts (:data:`_APPROXIMATE`).
         """
 
         outputs = self.outputs()
@@ -116,7 +125,8 @@ class ScenarioOutcome:
             "messages": self.messages,
             "stop_reason": self.result.stop_reason,
         }
-        if REGISTRY.info(self.spec.protocol).default_stop == "halted":
+        protocol = self.spec.protocol
+        if protocol in _APPROXIMATE or REGISTRY.info(protocol).default_stop == "halted":
             del row["agreement"]
         return row
 

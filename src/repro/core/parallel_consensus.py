@@ -35,32 +35,47 @@ per-identifier opinion for every instance it tracks.
 
 The per-node step
 -----------------
-Total ordering steps about nine live engines per node per round, so the
-engine's step does each piece of work once:
+Total ordering steps about nine live engines per node per round, and in a
+synchronous round every correct node with the same membership view holds
+the same per-identifier state for an instance.  So that state is shared:
 
+* **An immutable table.**  An engine's per-identifier state is one
+  :class:`_Table`: a tuple of frozen :class:`_InstanceState` records in
+  ``repr`` order of the identifiers, the input pairs not started yet, the
+  phase, and how many states are undecided and lingering.  A transition
+  builds a new table and never mutates one.  An engine starts from
+  :func:`initial_table`, interned, so engines with equal inputs hold one
+  table object; total ordering builds it once per inbox.
+* **One transition per inbox.**  Each phase round (1–5) and the linger
+  bookkeeping after it is one pure transition, :func:`_advance`, stored
+  with :meth:`~repro.sim.messages.Inbox.memo` on the engine's restricted
+  inbox under :func:`_table_key`.  The key holds the table and every input
+  that can differ between engines reading that inbox: the frozen known and
+  loop-sender views, whether the node is in each, the rows the node
+  delivered, which fix the slots (identifier and message type) it spoke
+  for, and, in phase rounds 4 and 5, whether it is the phase's coordinator
+  and who that coordinator is.  Engines in
+  equal states then run each transition once and adopt one result; a
+  per-destination or delayed round hands each engine its own inbox, and
+  the same transition runs unshared.  The rotor core is memoized the same
+  way (:mod:`repro.core.rotor_coordinator`).
 * **Constants fixed at freeze.**  When ``nv`` freezes (local round 3) the
-  engine computes the sender filter ``known ∩ allowed`` (interned, so the
-  memo key of the shared :meth:`~repro.sim.messages.Inbox.restricted`
-  view is an identity check), ``nv``, both relative thresholds (through
-  :func:`~repro.core.quorums.one_third` and
-  :func:`~repro.core.quorums.two_thirds`, so the float comparisons are
-  those of ``meets_*``) and whether the node is in its own known set.
-  Every later step reads them.
+  engine fixes its frozen view, the sender filter ``known ∩ allowed``
+  (interned and built once per inbox, so the memo key of the shared
+  :meth:`~repro.sim.messages.Inbox.restricted` view is an identity check)
+  and whether the node is in its own view.
 * **One-pass pick.**  Each support is reduced by one
-  :func:`~repro.core.quorums.pick_supported` pass.  Phase rounds 3 and 5
+  :func:`~repro.core.quorums.pick_supported` pass.  Phase rounds 3 and 4
   need both an ``nv/3`` and a ``2nv/3`` pick; the latter is the former's
   winner when its count meets ``2nv/3``, and otherwise there is none.
   Supports are the shared scan-index counts themselves, copied only when
-  a ``⊥`` or own-message substitution adds to them.
+  a ``⊥`` or own-message substitution adds to them.  Phase round 4 keeps
+  its strongprefer pick in the state for round 5.
 * **Coordinator-opinion index.**  Phase round 5 reads the coordinator's
   opinion for each instance whose ``strongprefer`` support stayed below
   ``nv/3`` from an ``{instance: value}`` index of the coordinator's first
   ``PCOpinion`` per instance, built once per inbox and coordinator
   (:func:`_opinion_index`).
-* **Loop senders.**  The known senders heard inside the while-loop are a
-  :class:`~repro.sim.node.KnownSenders` view, like ``nv``'s: its union is
-  memoized on the inbox and interned.  Rule 3's silent set is derived
-  from the two interned views once per inbox and slot.
 
 The module exposes:
 
@@ -72,8 +87,9 @@ The module exposes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from ..sim.messages import (
     Broadcast,
@@ -177,43 +193,116 @@ _TYPE_PREFER = "prefer"
 _TYPE_STRONG = "strongprefer"
 
 
-@dataclass
-class _InstanceState:
-    """Per-identifier EarlyConsensus state."""
+#: ``strong`` without a pick: one object, so that a transition that picks
+#: nothing can keep the state it was given.
+_NO_PICK: tuple[None, None] = (None, None)
+
+
+class _InstanceState(NamedTuple):
+    """Per-identifier EarlyConsensus state: a frozen record, which a
+    transition replaces and never mutates."""
 
     instance: Hashable
     opinion: Hashable
-    started_phase: int
+    #: Creation order among the engine's instances (the ``outputs`` order).
+    rank: int
     decided: bool = False
     output: Hashable | None = None
-    # Most recent message of each type sent by this node for the instance,
-    # used by the substitution rule.
-    sent: dict[str, Hashable] = field(default_factory=dict)
-    # strongprefer support remembered between phase rounds 4 and 5.
-    pending_strong: dict[Hashable, int] = field(default_factory=dict)
-    # Rounds left to keep speaking after deciding (termination detection).
+    #: The node's most recent ``input``, ``prefer`` and ``strongprefer``
+    #: value for the instance (``None`` before the first), which the
+    #: substitution rule reads.
+    sent: tuple[Hashable, Hashable, Hashable] = (None, None, None)
+    #: Phase round 4's ``(nv/3, 2nv/3)`` picks over the strongprefer
+    #: support, which phase round 5 reads.
+    strong: tuple[Hashable, Hashable] = _NO_PICK
+    #: Rounds left to keep speaking after deciding (termination detection).
     linger_rounds: int | None = None
 
-    @property
-    def active(self) -> bool:
-        """An instance stops speaking once its linger budget is exhausted."""
 
-        if not self.decided:
+def _instance_repr(state: _InstanceState) -> str:
+    return repr(state.instance)
+
+
+def _rank(state: _InstanceState) -> int:
+    return state.rank
+
+
+class _Table:
+    """An engine's per-identifier state, immutable and shared.
+
+    ``states`` holds one :class:`_InstanceState` per started identifier, in
+    ``repr`` order of the identifiers (ties in creation order); ``pending``
+    the ``(identifier, opinion)`` input pairs not started yet; ``phase`` the
+    current phase; ``undecided`` and ``lingering`` how many states are
+    undecided and inside their linger window.  Equality and the hash, which
+    is computed once, cover ``states``, ``pending`` and ``phase``; the
+    counts follow from them.
+    """
+
+    __slots__ = ("states", "pending", "phase", "undecided", "lingering", "_hash")
+
+    def __init__(
+        self,
+        states: tuple[_InstanceState, ...],
+        pending: tuple[tuple[Hashable, Hashable], ...],
+        phase: int,
+        undecided: int,
+        lingering: int,
+    ) -> None:
+        self.states = states
+        self.pending = pending
+        self.phase = phase
+        self.undecided = undecided
+        self.lingering = lingering
+        self._hash: int | None = None
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash((self.states, self.pending, self.phase))
+        return cached
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
             return True
-        return self.linger_rounds is not None and self.linger_rounds >= 0
+        if not isinstance(other, _Table):
+            return NotImplemented
+        return (self.phase, self.pending, self.states) == (
+            other.phase, other.pending, other.states
+        )
 
 
-#: ``(instance, type_key)`` support index built once per round — see
-#: :func:`_classify` and :func:`repro.core.tally.scan_index`.
-_ScanIndex = dict[tuple[Hashable, str], dict[Hashable, int]]
+def initial_table(input_pairs: Mapping[Hashable, Hashable]) -> _Table:
+    """The interned table of an engine with ``input_pairs`` that has not
+    stepped yet (a ``None`` input is ``⊥``).
 
-#: Memo key under which the scan index is cached on the inbox.
+    Input pairs stay pending until first touch: a state is started by the
+    first message about the identifier or by the first phase round, where
+    the input must speak.  The total-order protocol starts one engine per
+    round with O(n) input pairs, so engines that die before their first
+    phase round (run tail, leaving nodes) never start a state at all.
+    """
+
+    pending = tuple(
+        (instance, BOTTOM if value is None else value)
+        for instance, value in input_pairs.items()
+    )
+    return intern_payload(_Table((), pending, 0, 0, 0))
+
+
+#: Memo key under which the ``(instance, type_key)`` support index (see
+#: :func:`_classify` and :func:`repro.core.tally.scan_index`) is cached on
+#: the inbox.
 _SCAN_KEY = "pc-scan-index"
+
+#: Memo key of the ``{sender: payload-table indexes}`` index.
+_ROWS_KEY = "pc-delivered-rows"
 
 #: Memo key (with the coordinator's id) of the coordinator-opinion index.
 _OPINION_KEY = "pc-coordinator-opinions"
 
-#: Spoken-set default for a slot nobody spoke for.
+#: Spoken-set default for a slot nobody spoke for, and the view of an
+#: engine whose ``nv`` never froze.
 _NOBODY: frozenset[NodeId] = frozenset()
 
 #: Lookup default of the coordinator-opinion index.
@@ -249,14 +338,34 @@ def _classify(payload: Payload) -> tuple[tuple[Hashable, str], Hashable] | None:
     return None
 
 
-def _silent_key(
-    slot: tuple[Hashable, str], known: frozenset[NodeId], loop: frozenset[NodeId]
-) -> tuple:
-    """The memo key of the senders rule 3 substitutes for in ``slot``: the
-    node's interned known and loop-sender views are every input that can
-    differ between the engines reading one inbox."""
+def _delivered_rows(inbox: Inbox) -> dict[NodeId, tuple[int, ...]]:
+    """``{sender: the payload-table indexes of its rows}``.
 
-    return ("pc-silent-senders", slot, known, loop)
+    Senders that delivered the same payloads have equal tuples, and a
+    sender's tuple fixes the slots it spoke for.  Rows are grouped by
+    sender, so each sender's indexes are one run of the columns.
+    """
+
+    senders, rows, _table = inbox.columns()
+    delivered: dict[NodeId, tuple[int, ...]] = {}
+    start = 0
+    for sender, run in groupby(senders):
+        end = start + len(tuple(run))
+        delivered[sender] = tuple(rows[start:end])
+        start = end
+    return delivered
+
+
+def _slots(inbox: Inbox, rows: tuple[int, ...] | None) -> set[tuple[Hashable, str]]:
+    """The slots of the payloads at ``rows`` of ``inbox``'s table."""
+
+    table = inbox.columns()[2]
+    slots = set()
+    for index in rows or ():
+        tag = _classify(table[index])
+        if tag is not None:
+            slots.add(tag[0])
+    return slots
 
 
 def _opinion_index(inbox: Inbox, coordinator: NodeId) -> dict[Hashable, Hashable]:
@@ -280,6 +389,227 @@ def _opinion_index(inbox: Inbox, coordinator: NodeId) -> dict[Hashable, Hashable
     return index
 
 
+def _table_key(
+    phase_round: int,
+    table: _Table,
+    view: frozenset[NodeId],
+    loop: frozenset[NodeId],
+    in_view: bool,
+    in_loop: bool,
+    rows: tuple[int, ...] | None,
+    coordinator: Hashable,
+) -> tuple:
+    """The memo key of one table transition on an inbox.
+
+    ``phase_round`` names the transition; the rest is every input that can
+    differ between engines reading one inbox: the table, the frozen known
+    and loop-sender views, whether the node is in each, the rows the node
+    delivered (:func:`_delivered_rows`, which fix the slots it spoke for;
+    phase rounds 2–4 read them), and ``coordinator`` — in phase round 4
+    whether the node is the selected coordinator, in phase round 5 who the
+    coordinator is.  The table's hash is computed once and the views are
+    interned, so building and probing the key is O(1) but for the rows.
+    """
+
+    return ("pc-table", phase_round, table, view, loop, in_view, in_loop, rows, coordinator)
+
+
+def _started(
+    states: tuple[_InstanceState, ...],
+    pending: tuple[tuple[Hashable, Hashable], ...],
+    touched: list[Hashable],
+    phase: int,
+) -> tuple[tuple[_InstanceState, ...], tuple[tuple[Hashable, Hashable], ...]]:
+    """``(states', pending')`` once every identifier in ``touched`` has a
+    state: a pending input starts with its opinion, and any other
+    identifier starts with ``⊥``, in the first phase only (rule 1)."""
+
+    if not pending and phase > 1:
+        return states, pending
+    started = {state.instance for state in states}
+    waiting = dict(pending)
+    created: list[_InstanceState] = []
+    rank = len(states)
+    for instance in touched:
+        if instance in started:
+            continue
+        opinion = waiting.pop(instance, None) if waiting else None
+        if opinion is None:
+            if phase > 1:
+                continue
+            opinion = BOTTOM
+        created.append(_InstanceState(instance, opinion, rank))
+        rank += 1
+        started.add(instance)
+    if not created:
+        return states, pending
+    # A stable sort of the repr-ordered states followed by the new ones in
+    # creation order keeps ties in creation order.
+    states = tuple(sorted((*states, *created), key=_instance_repr))
+    if len(waiting) != len(pending):
+        pending = tuple(waiting.items())
+    return states, pending
+
+
+def _advance(
+    table: _Table,
+    phase_round: int,
+    inbox: Inbox,
+    view: frozenset[NodeId],
+    loop: frozenset[NodeId],
+    in_view: bool,
+    in_loop: bool,
+    rows: tuple[int, ...] | None,
+    coordinator: Hashable,
+) -> tuple[_Table, tuple[Payload, ...]]:
+    """One phase round of ``table`` on ``inbox``, then the linger
+    bookkeeping: ``(table', payloads)``.  The arguments after ``inbox`` are
+    those of :func:`_table_key`."""
+
+    support, spoken = scan_index(inbox, _classify, memo_key=_SCAN_KEY)
+    phase = table.phase + 1 if phase_round == 1 else table.phase
+    states, pending = table.states, table.pending
+    if phase_round == 1:
+        # First input touch: the input pairs must speak this round, so
+        # every still-pending identifier starts now.
+        if pending:
+            states, pending = _started(states, pending, [i for i, _ in pending], phase)
+    elif phase_round != 4:
+        # New identifiers first heard via id:input (round 2), id:prefer
+        # (round 3) or id:strongprefer (round 5) start an instance now.
+        type_key = (_TYPE_INPUT, _TYPE_PREFER, None, _TYPE_STRONG)[phase_round - 2]
+        if pending or phase <= 1:
+            touched = [instance for instance, key in support if key == type_key]
+            states, pending = _started(states, pending, touched, phase)
+
+    nv = len(view)
+    one, two = one_third(nv), two_thirds(nv)
+    # Built on first use: ``view − loop``, and the slots the node spoke for
+    # (those of its own rows).
+    quiet: frozenset[NodeId] | None = None
+    spoke: set[tuple[Hashable, str]] | None = None
+
+    def supported(instance: Hashable, type_key: str, own: Hashable) -> dict[Hashable, int]:
+        """Per-value support for one slot, applying the ⊥/own-message
+        substitution rules to the round's scan index.  The counts are the
+        shared index's own unless a substitution adds to them."""
+
+        nonlocal quiet, spoke
+        key = (instance, type_key)
+        counts = support.get(key) or {}
+        senders_of_type = spoken.get(key, _NOBODY)
+        # ``missing`` is ``view − senders_of_type − {self}``.  The inbox is
+        # filtered to the view, so ``senders_of_type ⊆ view`` and the size
+        # of the missing set is arithmetic on the slots the node spoke for.
+        n_missing = nv - len(senders_of_type)
+        if n_missing <= 0:
+            return counts
+        self_missing = False
+        if in_view:
+            if spoke is None:
+                spoke = _slots(inbox, rows)
+            self_missing = key not in spoke
+            n_missing -= self_missing
+        if n_missing > 0:
+            if phase == 1:
+                # First phase: missing senders default to ⊥ (rule 2).
+                counts = dict(counts)
+                counts[BOTTOM] = counts.get(BOTTOM, 0) + n_missing
+            elif own is not None:
+                # Later phases: substitute the node's own most recent
+                # message of this type, but only for nodes that have never
+                # spoken inside the loop (rule 3, narrowed as in
+                # Algorithm 3).
+                if quiet is None:
+                    quiet = view - loop
+                silent = len(quiet - senders_of_type) - (self_missing and not in_loop)
+                if silent:
+                    counts = dict(counts)
+                    counts[own] = counts.get(own, 0) + silent
+        return counts
+
+    payloads: list[Payload] = []
+    emit = payloads.append
+    opinions: dict[Hashable, Hashable] | None = None
+    changed = phase != table.phase or states is not table.states
+    undecided = lingering = 0
+    advanced: list[_InstanceState] = []
+    for state in states:
+        instance, opinion, rank, decided, output, sent, strong, linger = state
+        if decided and linger < 0:
+            # An instance stops speaking once its linger budget is exhausted.
+            advanced.append(state)
+            continue
+        if phase_round == 1:
+            if opinion != BOTTOM and opinion is not None:
+                emit(PCInput(instance, opinion))
+                sent = (opinion, sent[1], sent[2])
+        elif phase_round == 2:
+            winner, _count = pick_supported(
+                supported(instance, _TYPE_INPUT, sent[0]), two
+            )
+            if winner is not None:
+                emit(PCPrefer(instance, winner))
+                sent = (sent[0], winner, sent[2])
+            else:
+                emit(PCNoPreference(instance))
+        elif phase_round == 3:
+            # One pass: the 2nv/3 pick is the nv/3 winner if it gets there.
+            adopt, count = pick_supported(
+                supported(instance, _TYPE_PREFER, sent[1]), one
+            )
+            if adopt is not None:
+                opinion = adopt
+            if adopt is not None and count >= two:
+                emit(PCStrongPrefer(instance, adopt))
+                sent = (sent[0], sent[1], adopt)
+            else:
+                emit(PCNoStrongPreference(instance))
+        elif phase_round == 4:
+            weak, count = pick_supported(
+                supported(instance, _TYPE_STRONG, sent[2]), one
+            )
+            strong = _NO_PICK if weak is None else (weak, weak if count >= two else None)
+            if coordinator:
+                # The phase's coordinator publishes a per-instance opinion.
+                emit(PCOpinion(instance, opinion))
+        else:
+            weak, decide = strong
+            strong = _NO_PICK
+            if weak is None and coordinator is not None:
+                if opinions is None:
+                    opinions = inbox.memo(
+                        (_OPINION_KEY, coordinator),
+                        lambda ib: _opinion_index(ib, coordinator),
+                    )
+                adopted = opinions.get(instance, _NO_OPINION)
+                if adopted is not _NO_OPINION:
+                    opinion = adopted
+            if decide is not None and not decided:
+                decided = True
+                opinion = decide
+                output = None if decide == BOTTOM else decide
+                linger = LINGER_PHASES * PHASE_LENGTH
+        # Linger bookkeeping: a decided instance speaks while its window
+        # lasts; an exhausted one never reactivates.
+        if decided:
+            linger -= 1
+            if linger >= 0:
+                lingering += 1
+        else:
+            undecided += 1
+            if opinion is state.opinion and sent is state.sent and strong is state.strong:
+                advanced.append(state)
+                continue
+        advanced.append(
+            _InstanceState(instance, opinion, rank, decided, output, sent, strong, linger)
+        )
+        changed = True
+    if not changed:
+        return table, tuple(payloads)
+    return _Table(tuple(advanced), pending, phase, undecided, lingering), tuple(payloads)
+
+
 class ParallelConsensusEngine:
     """The EarlyConsensus/ParallelConsensus state machine.
 
@@ -294,7 +624,9 @@ class ParallelConsensusEngine:
     node_id:
         The local node's identifier.
     input_pairs:
-        The ``(id, x)`` pairs input at this node.
+        The ``(id, x)`` pairs input at this node, or the table
+        :func:`initial_table` made of them (engines with equal inputs can
+        then share it from the start).
     allowed_senders:
         When given (the dynamic-network case), only messages from these
         identifiers are considered and ``nv`` is bounded by this set.
@@ -303,7 +635,7 @@ class ParallelConsensusEngine:
     def __init__(
         self,
         node_id: NodeId,
-        input_pairs: Mapping[Hashable, Hashable] | None = None,
+        input_pairs: Mapping[Hashable, Hashable] | _Table | None = None,
         *,
         allowed_senders: frozenset[NodeId] | None = None,
     ) -> None:
@@ -311,43 +643,21 @@ class ParallelConsensusEngine:
         self._allowed = allowed_senders
         self._known = KnownSenders()
         # Fixed when ``nv`` freezes (local round 3), read by every later
-        # step: the sender filter ``known ∩ allowed`` (interned, like the
-        # frozen known-sender view, so the shared restriction's memo key
-        # is an identity check), ``nv``, both relative thresholds and
-        # whether this node counts itself.  An engine first stepped past
-        # round 3 never freezes and filters by ``allowed`` alone.
+        # step: the frozen view (interned), the sender filter
+        # ``known ∩ allowed`` (interned, so the shared restriction's memo
+        # key is an identity check) and whether this node is in its view.
+        # An engine first stepped past round 3 never freezes: its view
+        # stays empty and it filters by ``allowed`` alone.
+        self._view: frozenset[NodeId] = _NOBODY
         self._sender_filter = allowed_senders
-        self._nv = 0
-        self._one_third = 0.0
-        self._two_thirds = 0.0
-        self._self_known = False
+        self._in_view = False
         self._rotor = RotorCoordinatorCore(node_id)
-        self._instances: dict[Hashable, _InstanceState] = {}
         # The known senders heard inside the while-loop: a KnownSenders
         # view, memoized on the shared inbox and interned like ``nv``'s.
         self._loop = KnownSenders()
-        self._phase = 0
-        # Incremental bookkeeping so the hot-path queries stay O(1): the
-        # number of undecided instances, the decided-but-still-speaking
-        # instances (linger window), and the repr-sorted state list (built
-        # lazily, invalidated only when an instance is created).
-        self._undecided = 0
-        self._lingering: list[_InstanceState] = []
-        self._sorted_cache: list[_InstanceState] | None = None
-        # Per-round support index, rebuilt each step from the shared tally.
-        self._scan_support: _ScanIndex = {}
-        self._scan_spoken: dict[tuple[Hashable, str], frozenset[NodeId]] = {}
-        # Input pairs are held here until first touch; _InstanceState is
-        # materialised lazily (first message about the identifier, or the
-        # first phase round where the input must speak).  The total-order
-        # protocol builds one engine per round with O(n) input pairs, so
-        # eager construction was the remaining O(n²) allocation per round —
-        # engines that die before their first phase round (run tail,
-        # leaving nodes) now never allocate per-identifier state at all.
-        self._pending_inputs: dict[Hashable, Hashable] = {
-            instance: (value if value is not None else BOTTOM)
-            for instance, value in (input_pairs or {}).items()
-        }
+        if not isinstance(input_pairs, _Table):
+            input_pairs = initial_table(input_pairs or {})
+        self._table = input_pairs
 
     # -- introspection ------------------------------------------------------------
 
@@ -361,36 +671,38 @@ class ParallelConsensusEngine:
 
     @property
     def phase(self) -> int:
-        return self._phase
+        return self._table.phase
 
     @property
     def instances(self) -> tuple[Hashable, ...]:
-        if self._pending_inputs:
-            merged = set(self._instances)
-            merged.update(self._pending_inputs)
+        table = self._table
+        if table.pending:
+            merged = {state.instance for state in sorted(table.states, key=_rank)}
+            merged.update(instance for instance, _ in table.pending)
             return tuple(sorted(merged, key=repr))
-        return tuple(sorted(self._instances, key=repr))
+        return tuple(state.instance for state in table.states)
 
     @property
     def rotor(self) -> RotorCoordinatorCore:
         return self._rotor
 
     def opinion(self, instance: Hashable) -> Hashable | None:
-        state = self._instances.get(instance)
-        if state is not None:
-            return state.opinion
-        return self._pending_inputs.get(instance)
+        for state in self._table.states:
+            if state.instance == instance:
+                return state.opinion
+        return dict(self._table.pending).get(instance)
 
     @property
     def all_decided(self) -> bool:
         """True when every tracked instance has decided (vacuously true for
         a node tracking no instances once the first phase has passed)."""
 
-        if self._pending_inputs:
+        table = self._table
+        if table.pending:
             return False
-        if not self._instances:
-            return self._phase >= 2
-        return self._undecided == 0
+        if not table.states:
+            return table.phase >= 2
+        return table.undecided == 0
 
     @property
     def idle(self) -> bool:
@@ -399,7 +711,7 @@ class ParallelConsensusEngine:
         payloads only in reaction to incoming messages (rotor echo relays),
         which lets the total-order protocol stop stepping it entirely."""
 
-        return self.all_decided and not self._lingering
+        return self.all_decided and not self._table.lingering
 
     @property
     def outputs(self) -> dict[Hashable, Hashable]:
@@ -407,121 +719,27 @@ class ParallelConsensusEngine:
 
         return {
             state.instance: state.output
-            for state in self._instances.values()
+            for state in sorted(self._table.states, key=_rank)
             if state.decided and state.output is not None
         }
 
-    # -- helpers ----------------------------------------------------------------------
+    # -- the round state machine ------------------------------------------------------
 
-    def _freeze(self) -> None:
+    def _freeze(self, inbox: Inbox) -> None:
         """Freeze ``nv`` and fix the constants every later step reads."""
 
         known = self._known
         known.freeze()
-        allowed = known.ids
-        if self._allowed is not None:
-            allowed = intern_payload(allowed & self._allowed)
-        self._sender_filter = allowed
-        self._nv = nv = known.count
-        self._one_third = one_third(nv)
-        self._two_thirds = two_thirds(nv)
-        self._self_known = self._node_id in known
-
-    def _materialize(
-        self, instance: Hashable, opinion: Hashable, started_phase: int
-    ) -> _InstanceState:
-        state = _InstanceState(
-            instance=instance, opinion=opinion, started_phase=started_phase
-        )
-        self._instances[instance] = state
-        self._undecided += 1
-        self._sorted_cache = None
-        return state
-
-    def _ensure_instance(self, instance: Hashable, phase: int) -> _InstanceState | None:
-        """Create the instance state on first touch of an identifier.
-
-        A pending input pair materialises whenever it is touched; a
-        message-only identifier is only allowed to start an instance during
-        the first phase (rule 1).
-        """
-
-        state = self._instances.get(instance)
-        if state is not None:
-            return state
-        pending = self._pending_inputs
-        if pending:
-            opinion = pending.pop(instance, None)
-            if opinion is not None:
-                return self._materialize(instance, opinion, started_phase=1)
-        if phase > 1:
-            return None
-        return self._materialize(instance, BOTTOM, started_phase=phase)
-
-    def _scanned_instances(self, type_key: str) -> list[Hashable]:
-        """Identifiers that delivered a *valued* message of ``type_key``."""
-
-        return [
-            instance for instance, key in self._scan_support if key == type_key
-        ]
-
-    def _support(
-        self,
-        inbox: Inbox,
-        instance: Hashable,
-        type_key: str,
-        state: _InstanceState,
-    ) -> dict[Hashable, int]:
-        """Per-value support for one message type of one instance, applying
-        the ⊥/own-message substitution rules to the round's scan index."""
-
-        key = (instance, type_key)
-        # The scan index is shared (memoized on the inbox): the counts are
-        # returned as they are unless a substitution rule adds to them, and
-        # only then copied.  Callers must not mutate the result.
-        counts = self._scan_support.get(key) or {}
-        senders_of_type = self._scan_spoken.get(key, _NOBODY)
-
-        # ``missing`` is ``known − senders_of_type − {self}``.  By the time
-        # _support runs (phase rounds only) ``nv`` is frozen and the inbox
-        # is filtered to known senders, so ``senders_of_type ⊆ known`` and
-        # the *size* of the missing set is pure arithmetic — the set itself
-        # is only materialised on the rare substitution path.
-        n_missing = self._nv - len(senders_of_type)
-        if self._self_known and self._node_id not in senders_of_type:
-            n_missing -= 1
-        if n_missing > 0:
-            if self._phase == 1:
-                # First phase: missing senders default to ⊥ (rule 2).
-                counts = dict(counts)
-                counts[BOTTOM] = counts.get(BOTTOM, 0) + n_missing
-            else:
-                # Later phases: substitute the node's own most recent message
-                # of this type, but only for nodes that have never spoken
-                # inside the loop (rule 3, narrowed as in Algorithm 3).
-                own = state.sent.get(type_key)
-                if own is not None:
-                    silent = self._silent_count(inbox, key, senders_of_type)
-                    if silent:
-                        counts = dict(counts)
-                        counts[own] = counts.get(own, 0) + silent
-        return counts
-
-    def _silent_count(
-        self, inbox: Inbox, key: tuple[Hashable, str], spoken: frozenset[NodeId]
-    ) -> int:
-        """``|known − spoken − loop senders − {self}|``: the senders rule 3
-        fills in for.  The set is derived once per inbox from the interned
-        known and loop-sender views, which the key holds; only the
-        node's own membership is tested per node."""
-
-        known, loop = self._known.ids, self._loop.ids
-        silent = inbox.memo(
-            _silent_key(key, known, loop), lambda ib: known - spoken - loop
-        )
-        return len(silent) - (self._node_id in silent)
-
-    # -- the round state machine ------------------------------------------------------
+        self._view = view = known.ids
+        allowed = self._allowed
+        if allowed is None:
+            self._sender_filter = view
+        else:
+            self._sender_filter = inbox.memo(
+                ("pc-sender-filter", view, allowed),
+                lambda ib: intern_payload(view & allowed),
+            )
+        self._in_view = self._node_id in view
 
     def step(self, local_round: int, inbox: Inbox) -> list[Payload]:
         """Advance one round; return the payloads to broadcast."""
@@ -534,157 +752,44 @@ class ParallelConsensusEngine:
             return list(self._rotor.init_round_two(inbox))
         if local_round == 3:
             self._known.observe(inbox)
-            self._freeze()
+            self._freeze(inbox)
 
         # Restriction is memoized on the (possibly shared) inbox keyed by
         # the sender filter, so nodes with the same membership view share
-        # one filtered inbox — and one scan index built on it — per round.
+        # one filtered inbox — and the scan index and table transitions
+        # memoized on it — per round.
         if self._sender_filter is not None:
             inbox = inbox.restricted(self._sender_filter)
-        if local_round > 3 and self._loop.count < self._nv:
+        view, loop = self._view, self._loop
+        if local_round > 3 and loop.count < len(view):
             # Once every known sender has spoken inside the loop the view
             # can never grow again (the inbox is filtered to known senders).
-            self._loop.observe(inbox)
+            loop.observe(inbox)
         relays = self._rotor.observe(inbox)
-        self._scan_support, self._scan_spoken = scan_index(
-            inbox, _classify, memo_key=_SCAN_KEY
-        )
         phase_round = (local_round - INIT_ROUNDS - 1) % PHASE_LENGTH + 1
-        if phase_round == 1:
-            self._phase += 1
-
-        payloads: list[Payload] = list(relays)
-        handler = {
-            1: self._phase_round_one,
-            2: self._phase_round_two,
-            3: self._phase_round_three,
-            4: self._phase_round_four,
-            5: self._phase_round_five,
-        }[phase_round]
-        payloads.extend(handler(inbox, local_round))
-
-        # Linger bookkeeping for decided instances (only the ones still
-        # inside their linger window — exhausted instances never reactivate).
-        if self._lingering:
-            still: list[_InstanceState] = []
-            for state in self._lingering:
-                state.linger_rounds -= 1
-                if state.linger_rounds >= 0:
-                    still.append(state)
-            self._lingering = still
-        return payloads
-
-    # -- phase rounds -------------------------------------------------------------------
-
-    def _phase_round_one(self, inbox: Inbox, local_round: int) -> list[Payload]:
-        payloads: list[Payload] = []
-        if self._pending_inputs:
-            # First input touch: the input pairs must speak this round, so
-            # every still-pending identifier materialises now.
-            for instance, opinion in self._pending_inputs.items():
-                self._materialize(instance, opinion, started_phase=1)
-            self._pending_inputs.clear()
-        for state in self._sorted_states():
-            if not state.active:
-                continue
-            if state.opinion != BOTTOM and state.opinion is not None:
-                payloads.append(PCInput(state.instance, state.opinion))
-                state.sent[_TYPE_INPUT] = state.opinion
-        return payloads
-
-    def _phase_round_two(self, inbox: Inbox, local_round: int) -> list[Payload]:
-        payloads: list[Payload] = []
-        # New identifiers first heard via id:input start an instance now.
-        for instance in self._scanned_instances(_TYPE_INPUT):
-            self._ensure_instance(instance, self._phase)
-        for state in self._sorted_states():
-            if not state.active:
-                continue
-            support = self._support(inbox, state.instance, _TYPE_INPUT, state)
-            winner, _count = pick_supported(support, self._two_thirds)
-            if winner is not None:
-                payloads.append(PCPrefer(state.instance, winner))
-                state.sent[_TYPE_PREFER] = winner
-            else:
-                payloads.append(PCNoPreference(state.instance))
-        return payloads
-
-    def _phase_round_three(self, inbox: Inbox, local_round: int) -> list[Payload]:
-        payloads: list[Payload] = []
-        for instance in self._scanned_instances(_TYPE_PREFER):
-            self._ensure_instance(instance, self._phase)
-        for state in self._sorted_states():
-            if not state.active:
-                continue
-            support = self._support(inbox, state.instance, _TYPE_PREFER, state)
-            # One pass: the 2nv/3 pick is the nv/3 winner if it gets there.
-            adopt, count = pick_supported(support, self._one_third)
-            if adopt is not None:
-                state.opinion = adopt
-            strong = adopt if count >= self._two_thirds else None
-            if strong is not None:
-                payloads.append(PCStrongPrefer(state.instance, strong))
-                state.sent[_TYPE_STRONG] = strong
-            else:
-                payloads.append(PCNoStrongPreference(state.instance))
-        return payloads
-
-    def _phase_round_four(self, inbox: Inbox, local_round: int) -> list[Payload]:
-        payloads: list[Payload] = []
-        for state in self._sorted_states():
-            if not state.active:
-                continue
-            state.pending_strong = self._support(
-                inbox, state.instance, _TYPE_STRONG, state
-            )
-        # One shared rotor-coordinator selection per phase; the selected
-        # coordinator publishes a per-instance opinion.
-        outcome = self._rotor.execute_selection(
-            inbox, None, round_index=local_round
+        coordinator: Hashable = None
+        if phase_round == 4:
+            # One shared rotor-coordinator selection per phase; the
+            # selected coordinator publishes a per-instance opinion.
+            outcome = self._rotor.execute_selection(inbox, None, round_index=local_round)
+            coordinator = outcome.selected == self._node_id
+        elif phase_round == 5:
+            coordinator = self._rotor.last_selected
+        node, table, loop_ids = self._node_id, self._table, loop.ids
+        in_view, in_loop = self._in_view, node in loop_ids
+        rows = None
+        if 2 <= phase_round <= 4:
+            rows = inbox.memo(_ROWS_KEY, _delivered_rows).get(node)
+        self._table, payloads = inbox.memo(
+            _table_key(
+                phase_round, table, view, loop_ids, in_view, in_loop, rows, coordinator
+            ),
+            lambda ib: _advance(
+                table, phase_round, ib, view, loop_ids, in_view, in_loop, rows,
+                coordinator,
+            ),
         )
-        if outcome.selected == self._node_id:
-            for state in self._sorted_states():
-                if state.active:
-                    payloads.append(PCOpinion(state.instance, state.opinion))
-        return payloads
-
-    def _phase_round_five(self, inbox: Inbox, local_round: int) -> list[Payload]:
-        payloads: list[Payload] = []
-        for instance in self._scanned_instances(_TYPE_STRONG):
-            self._ensure_instance(instance, self._phase)
-        coordinator = self._rotor.last_selected
-        opinions: dict[Hashable, Hashable] | None = None
-        for state in self._sorted_states():
-            if not state.active:
-                continue
-            support = state.pending_strong
-            state.pending_strong = {}
-            weak, count = pick_supported(support, self._one_third)
-            decide = weak if count >= self._two_thirds else None
-            if weak is None and coordinator is not None:
-                if opinions is None:
-                    opinions = inbox.memo(
-                        (_OPINION_KEY, coordinator),
-                        lambda ib: _opinion_index(ib, coordinator),
-                    )
-                opinion = opinions.get(state.instance, _NO_OPINION)
-                if opinion is not _NO_OPINION:
-                    state.opinion = opinion
-            if decide is not None and not state.decided:
-                state.decided = True
-                state.opinion = decide
-                state.output = None if decide == BOTTOM else decide
-                state.linger_rounds = LINGER_PHASES * PHASE_LENGTH
-                self._undecided -= 1
-                self._lingering.append(state)
-        return payloads
-
-    def _sorted_states(self) -> list[_InstanceState]:
-        cache = self._sorted_cache
-        if cache is None:
-            cache = [self._instances[k] for k in sorted(self._instances, key=repr)]
-            self._sorted_cache = cache
-        return cache
+        return [*relays, *payloads]
 
 
 class ParallelConsensusProcess(Process):

@@ -46,7 +46,7 @@ from ..sim.messages import (
     intern_payload,
 )
 from ..sim.node import Process, RoundView
-from .parallel_consensus import ParallelConsensusEngine
+from .parallel_consensus import ParallelConsensusEngine, _Table, initial_table
 from .tally import control_pairs
 
 __all__ = [
@@ -161,6 +161,13 @@ class _InstanceRecord:
 #: Memo key for the per-instance routing table cached on each inbox.
 _ROUTE_KEY = "total-order-routing"
 
+#: Memo key (with the round number and membership view) of one round's
+#: membership and event intake.
+_INTAKE_KEY = "total-order-intake"
+
+#: Memo key of the empty inbox of the instances without traffic.
+_QUIET_KEY = "total-order-quiet"
+
 #: The ``(instance_round, payloads)`` groups of a ``PCBatch``.
 _batch_groups = attrgetter("groups")
 
@@ -179,6 +186,53 @@ def _route_instances(inbox: Inbox) -> dict[int, Inbox]:
     """
 
     return inbox.split(PCBatch, _batch_groups)
+
+
+def _quiet(inbox: Inbox) -> Inbox:
+    return Inbox.empty()
+
+
+def _intake(
+    inbox: Inbox, round_number: int, members: frozenset[NodeId]
+) -> tuple[frozenset[NodeId], tuple[NodeId, ...], _Table]:
+    """One round's membership and event intake: ``(members', joiners,
+    start)``.
+
+    ``members'`` is the membership view after this round's ``present`` and
+    ``absent`` announcements (interned), ``joiners`` the ``present``
+    senders in row order, each owed an ack, and ``start`` the interned
+    :func:`~repro.core.parallel_consensus.initial_table` of this round's
+    instance, whose input pairs are the events tagged with the previous
+    protocol round (a small tolerance of one round absorbs the join skew).
+    It depends on the inbox, the round number and the view alone, so nodes
+    reading one inbox with one view compute it once
+    (:meth:`~repro.sim.messages.Inbox.memo`) and start their instances
+    from one table.  Batched consensus traffic is routed separately
+    (:func:`_route_instances`); this pass only reads the O(events)
+    control-plane rows, filtered once per inbox by
+    :func:`~repro.core.tally.control_pairs`.
+    """
+
+    current: set[NodeId] | None = None
+    joiners: list[NodeId] = []
+    events: list[tuple[NodeId, Hashable]] = []
+    for sender, payload in control_pairs(inbox, _BULK_TYPES):
+        if isinstance(payload, PresentMsg):
+            if current is None:
+                current = set(members)
+            current.add(sender)
+            joiners.append(sender)
+        elif isinstance(payload, AbsentMsg):
+            if current is None:
+                current = set(members)
+            current.discard(sender)
+        elif isinstance(payload, EventMsg):
+            if payload.round_number >= round_number - 2:
+                events.append((sender, payload.event))
+    if current is not None:
+        members = intern_payload(frozenset(current))
+    pairs = {(sender, repr(event)): event for sender, event in events}
+    return members, tuple(joiners), initial_table(pairs)
 
 
 class TotalOrderProcess(Process):
@@ -215,9 +269,11 @@ class TotalOrderProcess(Process):
     ) -> None:
         super().__init__(node_id)
         self._joining = initial_members is None
-        self._members: set[NodeId] = set(initial_members or ())
+        # The membership view ``S``, interned: nodes with equal views hold
+        # one frozenset, which keys the shared intake and sender filters.
+        self._members: frozenset[NodeId] = frozenset()
         if not self._joining:
-            self._members.add(node_id)
+            self._members = intern_payload(frozenset((*initial_members, node_id)))
         self._round = 0  # the protocol round r
         self._join_phase = 0  # 0 = not started, 1 = present sent, 2 = active
         self._join_wait = 0  # silent rounds since `present` went out
@@ -253,7 +309,7 @@ class TotalOrderProcess(Process):
     def members(self) -> frozenset[NodeId]:
         """The node's current membership view ``S``."""
 
-        return frozenset(self._members)
+        return self._members
 
     @property
     def protocol_round(self) -> int:
@@ -327,7 +383,7 @@ class TotalOrderProcess(Process):
         # ``_participate`` increment it keeps our round counter aligned with
         # theirs (which is what makes the instance tags line up).
         self._round = majority_round
-        self._members = set(acks) | {self.node_id}
+        self._members = intern_payload(frozenset(acks) | {self.node_id})
         self._join_phase = 2
         return self._participate(view, just_joined=True)
 
@@ -336,23 +392,14 @@ class TotalOrderProcess(Process):
         self._round += 1
         round_number = self._round
 
-        # -- 1. membership and event intake -------------------------------------
-        # Batched consensus traffic is routed separately (and shared across
-        # nodes in synchronous runs) by _instance_inboxes; this pass only
-        # handles the O(events) membership/event payloads, pre-filtered once
-        # per shared inbox by the memoized control-plane tally.
-        incoming_events: list[tuple[NodeId, Hashable]] = []
-        for sender, payload in control_pairs(view.inbox, _BULK_TYPES):
-            if isinstance(payload, PresentMsg):
-                self._members.add(sender)
-                outgoing.append(Unicast(sender, AckMsg(round_number)))
-            elif isinstance(payload, AbsentMsg):
-                self._members.discard(sender)
-            elif isinstance(payload, EventMsg):
-                # Accept events tagged with the previous protocol round (a
-                # small tolerance of one round absorbs the join skew).
-                if payload.round_number >= round_number - 2:
-                    incoming_events.append((sender, payload.event))
+        # -- 1. membership and event intake, once per inbox and view -----------
+        members = self._members
+        self._members, joiners, start = view.inbox.memo(
+            (_INTAKE_KEY, round_number, members),
+            lambda ib: _intake(ib, round_number, members),
+        )
+        for sender in joiners:
+            outgoing.append(Unicast(sender, AckMsg(round_number)))
 
         # -- 2. our own event for this round ----------------------------------------
         if not self._leaving and not just_joined:
@@ -371,16 +418,13 @@ class TotalOrderProcess(Process):
 
         # -- 4. start this round's parallel-consensus instance -----------------------
         if not self._leaving and not just_joined:
-            pairs = {(sender, repr(event)): event for sender, event in incoming_events}
             engine = ParallelConsensusEngine(
-                self.node_id,
-                pairs,
-                allowed_senders=frozenset(self._members),
+                self.node_id, start, allowed_senders=self._members
             )
             self._instances[round_number] = _InstanceRecord(
                 instance_round=round_number,
                 engine=engine,
-                membership=frozenset(self._members),
+                membership=self._members,
             )
 
         # -- 5. advance the live (non-quiescent) instances ---------------------------
@@ -391,7 +435,9 @@ class TotalOrderProcess(Process):
         # instead of growing with the ~5n/2-round finality horizon.
         routed = view.inbox.memo(_ROUTE_KEY, _route_instances)
         groups: list[tuple[int, tuple[Payload, ...]]] = []
-        empty = Inbox.empty()
+        # Instances without traffic this round read one empty inbox per
+        # round inbox, so their engines share transitions like the rest.
+        empty = view.inbox.memo(_QUIET_KEY, _quiet)
         for record in self._instances.values():
             if record.quiescent:
                 continue

@@ -328,6 +328,41 @@ class TestSummaryRows:
         assert math.isnan(rotor["agreement"]) and rotor["rounds"] > 0
         assert consensus["agreement"] == 1.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "protocol", ["approximate-agreement", "iterated-approximate-agreement"]
+    )
+    def test_approximate_rows_claim_no_agreement(self, protocol, seed):
+        """Approximate agreement only keeps outputs inside the correct
+        range and contracts them (Theorem 4): under the outlier attack
+        these in-model runs decide distinct values and break no property,
+        so their rows report no agreement column to fail."""
+
+        outcome = run_scenario(ScenarioSpec(
+            protocol=protocol, n=10, f=3, adversary="approx-outlier", seed=seed,
+        ))
+        assert not holds(agreement(outcome.outputs()))
+        assert evaluate_outcome(outcome) == []
+        row = outcome.summary_row()
+        assert row["decided"] and "agreement" not in row
+
+    def test_dolev_approx_rows_claim_no_agreement(self):
+        outcome = run_scenario(ScenarioSpec(
+            protocol="dolev-approx", n=10, f=3, adversary="approx-outlier", seed=0,
+        ))
+        assert evaluate_outcome(outcome) == []
+        assert "agreement" not in outcome.summary_row()
+
+    @pytest.mark.parametrize(
+        "protocol", ["approximate-agreement", "iterated-approximate-agreement", "dolev-approx"]
+    )
+    def test_approximate_aggregates_report_nan_agreement(self, protocol):
+        kwargs = dict(group_by=("n",), metrics=("agreement", "rounds"))
+        (approximate,) = run_sweep(SweepSpec(protocol=protocol, grid={"n": (7,)}), **kwargs)
+        (consensus,) = run_sweep(SweepSpec(protocol="consensus", grid={"n": (7,)}), **kwargs)
+        assert math.isnan(approximate["agreement"]) and approximate["rounds"] > 0
+        assert consensus["agreement"] == 1.0
+
 
 class TestSweepRunnerDeterminism:
     SWEEP = SweepSpec(

@@ -10,7 +10,9 @@ from repro.core.parallel_consensus import (
     ParallelConsensusEngine,
     ParallelConsensusProcess,
     PCInput,
+    PCNoPreference,
 )
+from repro.core.rotor_coordinator import RotorInit
 from repro.core.quorums import max_faults_tolerated
 from repro.sim import Inbox, SynchronousNetwork
 from repro.workloads import build_network, sparse_ids, split_correct_byzantine
@@ -127,6 +129,19 @@ class TestEngineUnit:
         engine.step(9, Inbox.from_pairs([(42, PCInput("late", 3))]))
         assert "late" not in engine.instances
 
+    def test_a_round_that_changes_no_state_still_speaks(self):
+        # Six known senders and three inputs for "x": neither 1 nor the two
+        # ⊥ stand-ins meet 2nv/3, so the state stays as it was and the
+        # engine says nopreference.
+        engine = ParallelConsensusEngine(1, {"x": 1})
+        engine.step(1, Inbox.empty())
+        engine.step(2, Inbox.from_pairs([(s, RotorInit()) for s in range(1, 7)]))
+        engine.step(3, Inbox.empty())
+        before = engine._table
+        payloads = engine.step(4, Inbox.from_pairs([(s, PCInput("x", 1)) for s in (2, 3, 4)]))
+        assert payloads == [PCNoPreference("x")]
+        assert engine._table is before
+
     def test_allowed_senders_filtering(self):
         engine = ParallelConsensusEngine(1, {"x": 5}, allowed_senders=frozenset({1, 2}))
         engine.step(1, Inbox.empty())
@@ -146,11 +161,12 @@ class TestLazyInstanceState:
         # … but no per-identifier state exists through the init rounds.
         engine.step(1, Inbox.empty())
         engine.step(2, Inbox.empty())
-        assert engine._instances == {}
+        assert engine._table.states == ()
         # The first phase round is the first input touch: everything
         # pending materialises and speaks.
         payloads = engine.step(3, Inbox.empty())
-        assert set(engine._instances) == {"x", "y"}
+        assert {state.instance for state in engine._table.states} == {"x", "y"}
+        assert engine._table.pending == ()
         assert [p for p in payloads if isinstance(p, PCInput)] == [
             PCInput("x", 5),
             PCInput("y", 6),
@@ -162,7 +178,7 @@ class TestLazyInstanceState:
         engine = ParallelConsensusEngine(1, {f"i{k}": k for k in range(50)})
         engine.step(1, Inbox.empty())
         engine.step(2, Inbox.empty())
-        assert engine._instances == {}
+        assert engine._table.states == ()
         assert len(engine.instances) == 50
 
     def test_lazy_engine_matches_eager_outputs(self):

@@ -13,13 +13,16 @@ implementation as the reference of a Hypothesis property:
   :meth:`Inbox.from_pairs`;
 * the coordinator-opinion index of phase round 5 against the linear scan
   of the coordinator's payloads;
+* parallel-consensus engines, whose per-identifier state is one shared
+  immutable table, against the mutable per-node engine they replaced
+  (``pc_reference.ReferenceEngine``);
 * rotor cores, consensus processes and parallel-consensus engines
   stepped on shared inboxes, where transitions are memoized, against the
   same nodes stepped on private copies, where nothing is shared.  For
   each input of the rotor's memo key
   (:func:`repro.core.rotor_coordinator._transition_key`) and of the
-  parallel-consensus silent-set key
-  (:func:`repro.core.parallel_consensus._silent_key`) a pinned history
+  parallel-consensus table key
+  (:func:`repro.core.parallel_consensus._table_key`) a pinned history
   fails the property once the key drops that input.
 
 Inbox comparisons check the columns, the :meth:`Inbox.items` order and the
@@ -74,6 +77,7 @@ from repro.sim.messages import Inbox
 from repro.sim.node import RoundView
 
 from make_delayed_digests import fingerprint
+from pc_reference import ReferenceEngine
 
 # ---------------------------------------------------------------------------
 # The replaced implementations
@@ -382,9 +386,12 @@ NODES = (1, 2, 3)
 
 rotor_candidates = st.sampled_from([1, 2, 7, 8])
 
+#: The engines' input ``"x"`` and ``"y"``, which only messages start.
+pc_instances = st.sampled_from("xy")
+
 #: Payloads several senders send alike, so that supports reach the
 #: thresholds of nv = 6: echoes, consensus and parallel-consensus values
-#: (for the one instance ``"x"``) and opinions.
+#: and opinions.
 group_payloads = st.one_of(
     st.builds(RotorEcho, rotor_candidates),
     rotor_candidates.map(lambda candidate: CandidateGossip(adds=(candidate,))),
@@ -392,11 +399,12 @@ group_payloads = st.one_of(
     st.builds(Prefer, st.integers(0, 1)),
     st.builds(StrongPrefer, st.integers(0, 1)),
     st.builds(Opinion, st.sampled_from("ab")),
-    st.builds(PCInput, st.just("x"), st.integers(0, 1)),
-    st.builds(PCPrefer, st.just("x"), st.integers(0, 1)),
-    st.builds(PCStrongPrefer, st.just("x"), st.integers(0, 1)),
-    st.sampled_from([PCNoPreference("x"), PCNoStrongPreference("x")]),
-    st.builds(PCOpinion, st.just("x"), st.integers(0, 1)),
+    st.builds(PCInput, pc_instances, st.integers(0, 1)),
+    st.builds(PCPrefer, pc_instances, st.integers(0, 1)),
+    st.builds(PCStrongPrefer, pc_instances, st.integers(0, 1)),
+    st.builds(PCNoPreference, pc_instances),
+    st.builds(PCNoStrongPreference, pc_instances),
+    st.builds(PCOpinion, pc_instances, st.integers(0, 1)),
 )
 
 #: Single rows: gossip with several adds and anchors, and junk, from any
@@ -504,7 +512,9 @@ def step_history(history, *, shared: bool) -> list:
             sent = engine.step(round_index, delivered())
             seen.append((
                 "parallel", round_index, node, sent, engine.nv, engine._loop.ids,
-                engine.opinion("x"), engine.outputs, engine.rotor.selection_history,
+                engine._table.states, engine._table.pending, engine.phase,
+                engine.all_decided, engine.idle, engine.outputs,
+                engine.rotor.selection_history,
             ))
             process = processes[node]
             if process.halted:
@@ -597,37 +607,82 @@ DIVERGENT_HISTORIES = {
 }
 
 
-def phase_two_inputs(senders):
-    """Quiet rounds 5–8, then phase 2's inputs (round 9) from ``senders``."""
-
-    inputs = tuple((sender, PCInput("x", 1)) for sender in senders)
-    return (*(one_round(()) for _ in range(4)), one_round(inputs))
+def junk(senders):
+    return tuple((sender, "junk") for sender in senders)
 
 
-#: One history per view in the parallel-consensus silent-set key, on
-#: which a key without that view lets engine 2 adopt engine 1's silent
-#: set: in phase 2 the inputs fall one short of 2nv/3 without a stand-in
-#: at one engine and meet it with one at the other.
-SILENT_SET_HISTORIES = {
+def inputs(senders):
+    return tuple((sender, PCInput("x", 1)) for sender in senders)
+
+
+QUIET = one_round(())
+
+
+#: One history per input of the parallel-consensus table key, on which a
+#: key without that input lets engine 2 adopt the transition of engine 1,
+#: whose state or view differs only in that input.  Local round 3 is the
+#: first phase round; phase 2 starts at round 8.
+TABLE_HISTORIES = {
+    # Only engine 1 sees four inputs and prefers 1; the same quiet round
+    # then leaves the engines' tables apart.
+    "table": (
+        one_round(wave(range(1, 7))),
+        QUIET,
+        one_round(inputs((3, 4, 5, 6)), inputs((3, 4, 5)) + junk((6,)), reads=(0, 1, 0)),
+        QUIET,
+    ),
+    # Engine 2 also knows 7: four inputs meet 2nv/3 at engine 1 only.
+    "view": (
+        one_round(wave(range(1, 7))),
+        one_round((), junk((7,)), reads=(0, 1, 0)),
+        one_round(inputs((1, 2, 3, 4))),
+    ),
     # Only engine 2 hears 6 inside the loop: engine 1 fills in for 6.
     "loop": (
         one_round(wave(range(1, 7))),
-        one_round(()),
-        one_round(wave((), junk=range(1, 6)), wave((), junk=range(1, 7)), reads=(0, 1, 0)),
-        *phase_two_inputs((1, 2, 3)),
+        QUIET,
+        one_round(junk(range(1, 6)), junk(range(1, 7)), reads=(0, 1, 0)),
+        *(QUIET for _ in range(4)),
+        one_round(inputs((1, 2, 3))),
     ),
-    # Only engine 2 knows 7, which never speaks: engine 2 fills in for 7.
-    "known": (
+    # Node 2 never spoke in the init rounds: its engine does not count
+    # itself as missing, and four ⊥ stand-ins meet 2nv/3 there only.
+    "in_view": (
+        one_round(wave((1, 3, 4, 5, 6, 7))),
+        QUIET,
+        one_round(inputs((3, 4))),
+    ),
+    # Node 2 never speaks inside the loop: in phase 2 its engine fills in
+    # for one sender fewer than engine 1, whose own-message stand-ins
+    # meet 2nv/3.
+    "in_loop": (
         one_round(wave(range(1, 7))),
-        one_round((), wave((), junk=(7,)), reads=(0, 1, 0)),
-        one_round(wave((), junk=range(1, 7))),
-        *phase_two_inputs((1, 2, 3, 4)),
+        QUIET,
+        one_round(junk((1, 3))),
+        *(QUIET for _ in range(4)),
+        one_round(inputs((4,))),
+    ),
+    # Node 2 sends junk but no input: its engine counts itself among the
+    # missing, and one ⊥ stand-in fewer falls short of 2nv/3.
+    "rows": (
+        one_round(wave(range(1, 7))),
+        QUIET,
+        one_round(inputs((1, 3)) + junk((2,))),
+    ),
+    # Cv is {1}, so node 1 is the first phase's coordinator and only its
+    # engine publishes opinions.
+    "coordinator": (
+        one_round(wave(range(1, 7))),
+        one_round(echoes(1, range(1, 5))),
+        QUIET,
+        QUIET,
+        QUIET,
     ),
 }
 
 
 def _examples(test):
-    for history in (*DIVERGENT_HISTORIES.values(), *SILENT_SET_HISTORIES.values()):
+    for history in (*DIVERGENT_HISTORIES.values(), *TABLE_HISTORIES.values()):
         test = example(history=history)(test)
     return test
 
@@ -636,11 +691,60 @@ def _examples(test):
 @given(history=histories())
 @_examples
 def test_shared_steps_equal_private_steps(history):
-    """Cores and consensus processes stepped on shared inboxes emit and
-    hold exactly what they do on private copies: a memoized transition
-    is only ever reused by a node in the same state."""
+    """Rotor cores, consensus processes and parallel-consensus engines
+    stepped on shared inboxes emit and hold exactly what they do on
+    private copies: a memoized transition is only ever reused by a node in
+    the same state."""
 
     check_shared_equals_private(history)
+
+
+#: Engine inputs for the reference comparison: node 3's differ, and its
+#: ``"y"`` input is ⊥.
+REFERENCE_INPUTS = {1: {"x": 1}, 2: {"x": 1}, 3: {"x": 0, "y": None}}
+
+#: Everyone's messages for ``"x"`` decide it in phase round 5 (round 7);
+#: quiet rounds then run past the end of the linger window.
+LINGER_HISTORY = (
+    one_round(wave(range(1, 7))),
+    QUIET,
+    one_round(inputs(range(1, 7))),
+    one_round(tuple((sender, PCPrefer("x", 1)) for sender in range(1, 7))),
+    one_round(tuple((sender, PCStrongPrefer("x", 1)) for sender in range(1, 7))),
+    *(QUIET for _ in range(7)),
+)
+
+
+def observables(engine) -> tuple:
+    return (
+        engine.nv, engine.phase, engine.instances, engine.opinion("x"),
+        engine.opinion("y"), engine.outputs, engine.all_decided, engine.idle,
+        engine.rotor.selection_history,
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(history=histories())
+@example(history=LINGER_HISTORY)
+@_examples
+def test_engines_match_the_mutable_reference(history):
+    """Engines stepped on shared inboxes emit and expose exactly what the
+    mutable per-node engine they replaced does on private copies."""
+
+    engines = {node: ParallelConsensusEngine(node, REFERENCE_INPUTS[node]) for node in NODES}
+    references = {node: ReferenceEngine(node, REFERENCE_INPUTS[node]) for node in NODES}
+    for node in NODES:
+        engines[node].step(1, Inbox.empty())
+        references[node].step(1, Inbox.empty())
+    for round_index, (pair_lists, reads, _selects) in enumerate(history, start=2):
+        inboxes = [Inbox.from_pairs(pairs) for pairs in pair_lists]
+        for node, read in zip(NODES, reads):
+            inbox = inboxes[read]
+            got = engines[node].step(round_index, inbox)
+            want = references[node].step(round_index, Inbox.from_pairs(inbox.items()))
+            assert [repr(p) for p in got] == [repr(p) for p in want]
+            assert got == want
+            assert observables(engines[node]) == observables(references[node])
 
 
 def dropping(name: str):
@@ -665,14 +769,24 @@ def test_a_key_without_one_input_fails_the_property(name):
             check_shared_equals_private(history)
 
 
-@pytest.mark.parametrize("view", sorted(SILENT_SET_HISTORIES))
-def test_a_silent_set_key_without_one_view_fails_the_property(view):
-    history = SILENT_SET_HISTORIES[view]
+def dropping_table_input(name: str):
+    """:func:`_table_key` without the input ``name``."""
+
+    def key(phase_round, table, view, loop, in_view, in_loop, rows, coordinator):
+        inputs = dict(
+            table=table, view=view, loop=loop, in_view=in_view, in_loop=in_loop,
+            rows=rows, coordinator=coordinator,
+        )
+        del inputs[name]
+        return (phase_round, *inputs.values())
+
+    return key
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_HISTORIES))
+def test_a_table_key_without_one_input_fails_the_property(name):
+    history = TABLE_HISTORIES[name]
     check_shared_equals_private(history)
-
-    def key(slot, known, loop):
-        return (slot, loop) if view == "known" else (slot, known)
-
-    with mock.patch.object(parallel_consensus, "_silent_key", key):
+    with mock.patch.object(parallel_consensus, "_table_key", dropping_table_input(name)):
         with pytest.raises(AssertionError):
             check_shared_equals_private(history)

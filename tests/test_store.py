@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
+from contextlib import closing
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -391,6 +394,114 @@ def test_version_one_store_refuses_to_open(tmp_path):
         store._conn.commit()
     with pytest.raises(StoreError, match="schema version 1; this code expects 2"):
         RunStore(path)
+
+
+# ---------------------------------------------------------------------------
+# Killed writers
+# ---------------------------------------------------------------------------
+
+#: The cells a killed writer leaves half done, and the code version every
+#: process keys them with.
+CRASH_SPECS = [small_spec(seed=seed, trace=True) for seed in (1, 2, 3)]
+CRASH_CODE_VERSION = "killed-writer"
+
+#: Child prologue: the cells, and a store with the first one complete.
+_CRASH_PROLOGUE = """
+import os, signal, sys
+from repro.api import ScenarioSpec
+from repro.store import ResumableSweep, RunStore
+specs = [ScenarioSpec.from_dict(spec) for spec in {specs!r}]
+store = RunStore(sys.argv[1])
+sweep = ResumableSweep(store, code_version={version!r})
+sweep.run_specs(specs[:1])
+"""
+
+#: Dies inside ``put_run`` of the second cell: SQLite reports each
+#: statement as it starts, and the statement after the ``runs`` insert,
+#: in the same transaction, clears the cell's round columns.
+_KILL_IN_PUT_RUN = """
+def die_after_runs_insert(sql):
+    if sql.startswith("DELETE FROM round_columns"):
+        os.kill(os.getpid(), signal.SIGKILL)
+store._conn.set_trace_callback(die_after_runs_insert)
+sweep.run_specs(specs)
+"""
+
+#: Dies inside the second cell's trace spill, once the sink has
+#: committed its first sealed segment.
+_KILL_IN_SPILL = """
+from repro.api import build_system
+from repro.store import TraceSegmentSink, run_key
+write = TraceSegmentSink.write
+def write_then_die(self, index, footer, blobs):
+    write(self, index, footer, blobs)
+    os.kill(os.getpid(), signal.SIGKILL)
+TraceSegmentSink.write = write_then_die
+spec = specs[1]
+system = build_system(spec)
+sink = store.trace_sink(run_key(spec, code_version={version!r}))
+system.network.enable_trace_spill(sink, segment_events=50)
+system.network.run(max_rounds=spec.max_rounds)
+"""
+
+
+def _kill_writer(path, body: str) -> None:
+    """Run ``body`` in a child that SIGKILLs itself at its code point."""
+
+    import repro
+
+    fill = dict(specs=[spec.to_dict() for spec in CRASH_SPECS], version=CRASH_CODE_VERSION)
+    script = (_CRASH_PROLOGUE + body).format(**fill)
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr
+
+
+@pytest.mark.parametrize(
+    "body, orphan_segments",
+    [(_KILL_IN_PUT_RUN, 0), (_KILL_IN_SPILL, 1)],
+    ids=["put-run", "spill"],
+)
+def test_a_killed_writer_leaves_a_store_that_resumes(tmp_path, body, orphan_segments):
+    path = tmp_path / "killed.db"
+    _kill_writer(path, body)
+    killed_key = run_key(CRASH_SPECS[1], code_version=CRASH_CODE_VERSION)
+
+    with closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("PRAGMA quick_check").fetchall() == [("ok",)]
+        # The spill committed its first segment before the kill; put_run's
+        # uncommitted transaction left nothing.
+        (segments,) = conn.execute(
+            "SELECT COUNT(*) FROM trace_segments WHERE run_key = ?", (killed_key,)
+        ).fetchone()
+        assert segments == orphan_segments
+    with RunStore(path) as store:
+        # Only the first cell committed; the killed one left no run behind.
+        listed = store.query(status=None)
+        assert [run.run_key for run in listed] == [
+            run_key(CRASH_SPECS[0], code_version=CRASH_CODE_VERSION)
+        ]
+        assert all(run.status == "complete" for run in listed)
+        assert store.get_run(killed_key) is None and not store.has_run(killed_key)
+        resumed = ResumableSweep(store, code_version=CRASH_CODE_VERSION).run_specs(
+            CRASH_SPECS
+        )
+        assert (resumed.ran, resumed.skipped) == (2, 1)
+        stored_trace = list(store.get_trace(killed_key))
+
+    with RunStore(tmp_path / "uninterrupted.db") as store:
+        fresh = ResumableSweep(store, code_version=CRASH_CODE_VERSION).run_specs(
+            CRASH_SPECS
+        )
+        assert resumed.rows == fresh.rows
+        assert resumed.run_keys == fresh.run_keys
+        assert stored_trace == list(store.get_trace(killed_key))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import REGISTRY, register_protocol
 from repro.api import sweep as sweep_module
+from repro.core.parallel_consensus import _Table
 from repro.sim.messages import Inbox, clear_intern_table, intern_table_size
 from repro.store.serve import build_parser
 from repro.store.service import MAX_FINISHED_JOBS, ScenarioService, create_server
@@ -474,6 +475,15 @@ def live_inboxes() -> int:
     return sum(1 for obj in gc.get_objects() if isinstance(obj, Inbox))
 
 
+def live_tables() -> int:
+    """Parallel-consensus instance tables alive: engines and inbox memos
+    hold them only while their run lasts, the intern table the initial
+    tables."""
+
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, _Table))
+
+
 def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
     """Process-wide state stays bounded across sweeps.
 
@@ -483,10 +493,12 @@ def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
     ``max_rounds``: a new spec digest, so the store does not serve the
     runs from cache, but the same executions, since every run decides or
     halts long before the limit.  No :class:`Inbox` may outlive its
-    sweep, and after the first sweep the payload intern table, which also
-    holds the rotor cores' candidate and echoed sets and the known-sender
-    views, may not grow: a grouping table, shared view or memo that
-    outlived its round would show up here.
+    sweep, and after the first sweep neither the payload intern table,
+    which also holds the rotor cores' candidate and echoed sets, the
+    known-sender views and the parallel-consensus engines' initial tables,
+    nor the number of live instance tables may grow: a grouping table,
+    shared view, state table or memo that outlived its round would show
+    up here.
     """
 
     service = ScenarioService(tmp_path / "runs.db")
@@ -508,18 +520,21 @@ def test_repeated_sweeps_leave_no_inboxes_or_interned_payloads_behind(tmp_path):
 
     before = live_inboxes()
     sweep(0)
-    interned = intern_table_size()
+    interned, tables = intern_table_size(), live_tables()
     for extra_rounds in range(1, 6):
         sweep(extra_rounds)
         assert live_inboxes() <= before
         assert intern_table_size() <= interned
+        assert live_tables() <= tables
 
 
 def test_repeated_total_order_sweeps_leave_no_inboxes_or_interned_payloads_behind(
     tmp_path,
 ):
-    """The same bound for total order, whose engines intern their sender
-    filters next to the known-sender views and the batches.
+    """The same bound for total order, whose nodes intern their membership
+    views and the table each instance starts from, and whose engines
+    intern their sender filters, next to the known-sender views and the
+    batches.
 
     A churned, random-noise total-order cell runs on every repeat through
     a fresh service and store, so it executes again: total order runs to
@@ -542,12 +557,13 @@ def test_repeated_total_order_sweeps_leave_no_inboxes_or_interned_payloads_behin
     clear_intern_table()
     before = live_inboxes()
     sweep(0)
-    interned = intern_table_size()
+    interned, tables = intern_table_size(), live_tables()
     assert 0 < interned < 4096
     for repeat in range(1, 4):
         sweep(repeat)
         assert live_inboxes() <= before
         assert intern_table_size() <= interned
+        assert live_tables() <= tables
 
 
 @pytest.fixture
