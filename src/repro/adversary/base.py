@@ -24,17 +24,49 @@ different payloads to different destinations) is expressed directly with
 unicasts.  The one thing a strategy can *not* do is forge the sender field —
 the network stamps the true identifier on every envelope, exactly as the
 model prescribes.
+
+Colluding nodes step once
+-------------------------
+The ``f`` attackers of a scenario usually run one strategy and tell the
+same lies to the same nodes, so in a synchronous round the attackers that
+read one inbox object would compute the same actions.  A strategy class
+that sets :attr:`AdversaryStrategy.shared_act` declares that its ``act``
+reads nothing node-specific: not ``ctx.node_id``, ``ctx.rng``,
+``ctx.memory``, ``ctx.seed`` or an inner process, only the inbox and what
+:func:`_act_key` holds — the strategy's class and field values, the round
+index, the node's interned known senders, and the round's active and
+Byzantine ids (all that :meth:`AdversaryContext.targets` and
+:attr:`AdversaryContext.correct_ids` read).  :meth:`ByzantineProcess.step`
+then stores the node's step on the inbox
+(:meth:`~repro.sim.messages.Inbox.memo`) under that key — its known
+senders with the inbox's added, and the strategy's actions — so nodes
+with equal keys reading one inbox share one ``act`` call and its payload
+objects; the memo holds actions, never an inbox, and dies with the round.
+
+Ten registered strategies declare it: ``crash``, ``replay``,
+``equivocate-value``, ``rb-false-echo``, ``rb-forged-source``,
+``rotor-candidate-stuffer``, ``rotor-usurper``, ``consensus-split-vote``,
+``consensus-strongprefer-spoofer`` and ``approx-outlier``.  The other
+registered strategies step privately: ``silent`` sends nothing, so a memo
+would cost more than its ``act``; ``random-noise`` draws from the node's
+generator; ``coordinated-equivocation`` keeps its activation round in the
+node's memory; ``rb-equivocating-sender`` and ``rotor-split-echo`` put
+their own id in their payloads.  So do ``mimic-correct``, which runs an
+inner process, and ``delayed``, which wraps any strategy.  A declared
+strategy also steps privately when the node has no system view
+(``targets()`` then reads its own id) or a field value is unhashable, and
+in effect in every delayed round, whose inboxes are one per recipient.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
-from ..sim.messages import Broadcast, NodeId, Outgoing, Payload, Unicast, intern_payload
+from ..sim.messages import Broadcast, Inbox, NodeId, Outgoing, Payload, Unicast, intern_payload
 from ..sim.network import SystemView
 from ..sim.node import Process, RoundView
 from ..sim.rng import make_rng
@@ -94,10 +126,30 @@ class AdversaryContext:
 
 
 class AdversaryStrategy(abc.ABC):
-    """A pluggable Byzantine behaviour."""
+    """A pluggable Byzantine behaviour.
+
+    A subclass sets :attr:`shared_act` when its ``act`` returns actions
+    determined by the inbox and the inputs :func:`_act_key` holds alone:
+    the strategy's class and field values, the round index, the node's
+    known senders, and the round's active and Byzantine ids.  Byzantine
+    nodes with equal keys that read one inbox object then share one
+    ``act`` call.  Such a strategy keeps its state in its fields (hashable
+    values; an unhashable one makes the node step privately) and never
+    reads ``ctx.node_id``, ``ctx.rng``, ``ctx.memory``, ``ctx.seed`` or
+    ``ctx.system`` beyond ``targets()`` and ``correct_ids``.  Strategies
+    that read their own id (``rb-equivocating-sender``,
+    ``rotor-split-echo``), generator (``random-noise``) or memory
+    (``coordinated-equivocation``), run an inner process
+    (``mimic-correct``) or wrap another strategy (``delayed``) do not
+    declare it, and neither does ``silent``, whose empty ``act`` costs less
+    than a memo probe.
+    """
 
     #: Human-readable name used by the registry and by experiment reports.
     name: str = "abstract"
+
+    #: ``act`` reads nothing node-specific, so its actions are shared.
+    shared_act: ClassVar[bool] = False
 
     @abc.abstractmethod
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
@@ -136,21 +188,72 @@ class ByzantineProcess(Process):
 
     def step(self, view: RoundView) -> Sequence[Outgoing]:
         ctx = self._ctx
-        # Same shared-union memoization as KnownSenders.observe: every
-        # Byzantine node with the same prior membership reuses one union
-        # per shared inbox instead of copying an O(n) frozenset a round.
-        known = ctx.known_ids
-        ctx.known_ids = view.inbox.memo(
-            ("byz-known", known),
-            lambda ib: intern_payload(known | ib.senders),
-        )
+        strategy = self._strategy
+        system = ctx.system
+        key = None
+        if strategy.shared_act and system is not None:
+            try:
+                key = _act_key(
+                    type(strategy), tuple(vars(strategy).values()), view.round_index,
+                    ctx.known_ids, system.active_ids, system.byzantine_ids,
+                )
+                hash(key)
+            except TypeError:  # an unhashable field value
+                key = None
         ctx.view = view
         try:
-            return list(self._strategy.act(ctx))
+            if key is not None:
+                ctx.known_ids, actions = view.inbox.memo(key, self._learn_and_act)
+                return list(actions)
+            self._learn(view.inbox)
+            return list(strategy.act(ctx))
         finally:
             # Let the round's inbox, and everything memoized on it, go
             # with the round instead of living until this node's next step.
             ctx.view = None
+
+    def _learn(self, inbox: Inbox) -> None:
+        """Add the inbox's senders to the node's known ids."""
+
+        ctx = self._ctx
+        # Same shared-union memoization as KnownSenders.observe: every
+        # Byzantine node with the same prior membership reuses one union
+        # per shared inbox instead of copying an O(n) frozenset a round.
+        known = ctx.known_ids
+        ctx.known_ids = inbox.memo(
+            ("byz-known", known),
+            lambda ib: intern_payload(known | ib.senders),
+        )
+
+    def _learn_and_act(self, inbox: Inbox) -> tuple[frozenset[NodeId], tuple]:
+        """:meth:`_learn`, then act: the new known ids and the actions."""
+
+        self._learn(inbox)
+        ctx = self._ctx
+        return ctx.known_ids, tuple(self._strategy.act(ctx))
+
+
+def _act_key(
+    cls: type,
+    fields: tuple,
+    round_index: int,
+    known: frozenset[NodeId],
+    active: frozenset[NodeId],
+    byzantine: frozenset[NodeId],
+) -> tuple:
+    """The memo key of a :attr:`~AdversaryStrategy.shared_act` node's step
+    on an inbox.
+
+    It holds every input such a step may read besides the inbox: the
+    strategy's class and field values (its instance attributes, in
+    definition order), the round index, the node's known senders before
+    the round (with the inbox they fix the set ``act`` reads), and the
+    round's active and Byzantine ids.  The known senders are interned and
+    the round's id sets are one object per round, so probing the key
+    compares them by identity.
+    """
+
+    return ("byz-act", cls, fields, round_index, known, active, byzantine)
 
 
 def send_split(

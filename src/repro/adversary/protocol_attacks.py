@@ -81,6 +81,7 @@ class FalseEchoStrategy(AdversaryStrategy):
     forged_message: Hashable = "forged"
     victim_source: NodeId | None = None
     name = "rb-false-echo"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         if ctx.round_index == 1:
@@ -106,6 +107,7 @@ class ForgedSourceEchoStrategy(AdversaryStrategy):
     phantom_id: NodeId = 10_000_000
     forged_message: Hashable = "phantom"
     name = "rb-forged-source"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         if ctx.round_index == 1:
@@ -131,6 +133,7 @@ class CandidateStufferStrategy(AdversaryStrategy):
     phantom_ids: tuple[NodeId, ...] = (9_000_001, 9_000_002, 9_000_003)
     participate: bool = True
     name = "rotor-candidate-stuffer"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         if ctx.round_index == 1:
@@ -156,16 +159,12 @@ class SplitEchoStrategy(AdversaryStrategy):
     name = "rotor-split-echo"
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
-        me = ctx.node_id
         if ctx.round_index == 1:
             targets = ctx.targets()
-            half = targets[: len(targets) // 2]
-            return [Unicast(dest, RotorInit()) for dest in half]
-        return [
-            Unicast(dest, RotorEcho(me))
-            for index, dest in enumerate(ctx.targets())
-            if index % 2 == 0
-        ]
+            init = RotorInit()
+            return [Unicast(dest, init) for dest in targets[: len(targets) // 2]]
+        echo = RotorEcho(ctx.node_id)
+        return [Unicast(dest, echo) for dest in ctx.targets()[::2]]
 
 
 @dataclass
@@ -182,6 +181,7 @@ class UsurperCoordinatorStrategy(AdversaryStrategy):
     opinion_a: Hashable = 0
     opinion_b: Hashable = 1
     name = "rotor-usurper"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         if ctx.round_index == 1:
@@ -211,22 +211,25 @@ class SplitVoteStrategy(AdversaryStrategy):
     value_a: Hashable = 0
     value_b: Hashable = 1
     name = "consensus-split-vote"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         if ctx.round_index == 1:
             return [Broadcast(RotorInit())]
         if ctx.round_index == 2:
             return [Broadcast(RotorEcho(sender)) for sender in sorted(ctx.known_ids)]
-        actions: list[Outgoing] = []
+        # Each value's four votes are built once and sent to its whole half.
+        votes_a, votes_b = (
+            (ConsensusInput(value), Prefer(value), StrongPrefer(value), Opinion(value))
+            for value in (self.value_a, self.value_b)
+        )
         targets = ctx.targets()
         half = len(targets) // 2
-        for index, dest in enumerate(targets):
-            value = self.value_a if index < half else self.value_b
-            actions.append(Unicast(dest, ConsensusInput(value)))
-            actions.append(Unicast(dest, Prefer(value)))
-            actions.append(Unicast(dest, StrongPrefer(value)))
-            actions.append(Unicast(dest, Opinion(value)))
-        return actions
+        return [
+            Unicast(dest, payload)
+            for index, dest in enumerate(targets)
+            for payload in (votes_a if index < half else votes_b)
+        ]
 
 
 @dataclass
@@ -241,6 +244,7 @@ class StrongPreferSpooferStrategy(AdversaryStrategy):
 
     value: Hashable = 1
     name = "consensus-strongprefer-spoofer"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         if ctx.round_index == 1:
@@ -267,15 +271,19 @@ class OutlierValueStrategy(AdversaryStrategy):
     low: float = -1.0e9
     high: float = 1.0e9
     name = "approx-outlier"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
-        actions: list[Outgoing] = []
+        # One payload per (value, iteration), built once: each target gets
+        # its value for this iteration and, from the second on, the last.
         iteration = ctx.round_index - 1
-        for index, dest in enumerate(ctx.targets()):
-            value = self.low if index % 2 == 0 else self.high
-            actions.append(Unicast(dest, ValueMessage(value, iteration=iteration)))
-            if iteration > 0:
-                actions.append(
-                    Unicast(dest, ValueMessage(value, iteration=iteration - 1))
-                )
-        return actions
+        iterations = (iteration, iteration - 1) if iteration > 0 else (iteration,)
+        low, high = (
+            tuple(ValueMessage(value, iteration=i) for i in iterations)
+            for value in (self.low, self.high)
+        )
+        return [
+            Unicast(dest, payload)
+            for index, dest in enumerate(ctx.targets())
+            for payload in (low if index % 2 == 0 else high)
+        ]

@@ -57,6 +57,7 @@ class CrashStrategy(AdversaryStrategy):
     crash_after_round: int = 1
     filler: Payload = "present"
     name = "crash"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         if ctx.round_index > self.crash_after_round:
@@ -97,17 +98,17 @@ class ReplayStrategy(AdversaryStrategy):
     An amplification attack: the adversary tries to push other nodes over
     their relative thresholds by repeating whatever echoes are in flight.
     (The model permits duplicates across rounds; within a round duplicates
-    are discarded by the receivers.)
+    are discarded by the receivers.)  The inbox's payload table lists the
+    round's distinct payloads in the order of their first row, so each is
+    sent once, in the order it first arrived.
     """
 
     name = "replay"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
-        seen: list[Payload] = []
-        for _, payload in ctx.view.inbox.items():
-            if payload not in seen:
-                seen.append(payload)
-        return [Broadcast(payload) for payload in seen]
+        _senders, _rows, table = ctx.view.inbox.columns()
+        return [Broadcast(payload) for payload in table]
 
 
 @dataclass
@@ -123,6 +124,7 @@ class EquivocateValueStrategy(AdversaryStrategy):
     payload_a: Payload = ("value", 0)
     payload_b: Payload = ("value", 1)
     name = "equivocate-value"
+    shared_act = True
 
     def act(self, ctx: AdversaryContext) -> Sequence[Outgoing]:
         return send_split(ctx.targets(), self.payload_a, self.payload_b)

@@ -11,7 +11,9 @@ must be **bit-identical** to its per-destination twin
 (:func:`make_delayed_digests.per_destination_twin`), which hands each
 recipient its own inbox in every round — the same trace events in the
 same order, the same metrics (including per-node counter *insertion
-order*), the same outputs, the same stop reason.  A divergence anywhere
+order*), the same outputs, the same stop reason.  Every registered
+adversary strategy runs on both paths too, so the twin is also the
+private reference for the attackers' shared steps.  A divergence anywhere
 means sharing changed observable semantics, not just speed.  The
 grouping rule itself is a Hypothesis property here: recipients share an
 inbox exactly when their row lists are equal (and hashable), and every
@@ -41,6 +43,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import available_strategies
 from repro.api import ScenarioSpec, SweepRunner, SweepSpec, available_protocols
 from repro.api.registry import REGISTRY, build_system
 from repro.api.sweep import run_scenario, run_sweep
@@ -95,6 +98,24 @@ SCENARIOS = {
 }
 
 
+#: One scenario for each registered strategy the table above does not use,
+#: each on a protocol it attacks, so every strategy runs on both paths.
+#: The twin gives every recipient of a message its own inbox, so each
+#: attacker that hears anything computes its own actions there: it is the
+#: private reference for the shared ``act`` of the strategies that declare
+#: :attr:`repro.adversary.AdversaryStrategy.shared_act`.
+STRATEGY_SCENARIOS = {
+    "silent": dict(protocol="reliable-broadcast", n=7, f=2),
+    "crash": dict(protocol="consensus", n=7, f=2),
+    "replay": dict(protocol="parallel-consensus", n=7, f=2),
+    "coordinated-equivocation": dict(protocol="consensus", n=7, f=2),
+    "rb-forged-source": dict(protocol="reliable-broadcast", n=7, f=2),
+    "rotor-candidate-stuffer": dict(protocol="rotor-coordinator", n=7, f=2),
+    "rotor-usurper": dict(protocol="rotor-coordinator", n=7, f=2),
+    "consensus-strongprefer-spoofer": dict(protocol="consensus", n=7, f=2),
+}
+
+
 def shared_and_twin(spec: ScenarioSpec) -> tuple:
     """Fingerprints of ``spec`` on the shared path and on its twin."""
 
@@ -141,6 +162,21 @@ def test_scenario_table_covers_every_registered_protocol():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vector_fast_queue_and_legacy_are_trace_identical(protocol, seed):
     spec = ScenarioSpec(protocol=protocol, seed=seed, trace=True, **SCENARIOS[protocol])
+    shared, twin = shared_and_twin(spec)
+    assert shared == twin
+
+
+def test_scenario_tables_cover_every_registered_strategy():
+    used = {scenario["adversary"] for scenario in SCENARIOS.values()}
+    assert not used & set(STRATEGY_SCENARIOS)
+    assert sorted(used | set(STRATEGY_SCENARIOS)) == available_strategies()
+
+
+@pytest.mark.parametrize("adversary", sorted(STRATEGY_SCENARIOS))
+def test_every_strategy_matches_its_per_destination_twin(adversary):
+    spec = ScenarioSpec(
+        adversary=adversary, seed=0, trace=True, **STRATEGY_SCENARIOS[adversary]
+    )
     shared, twin = shared_and_twin(spec)
     assert shared == twin
 

@@ -23,7 +23,15 @@ implementation as the reference of a Hypothesis property:
   (:func:`repro.core.rotor_coordinator._transition_key`) and of the
   parallel-consensus table key
   (:func:`repro.core.parallel_consensus._table_key`) a pinned history
-  fails the property once the key drops that input.
+  fails the property once the key drops that input;
+* ``replay``'s one pass over the inbox's payload table against the scan
+  that kept each payload's first row;
+* Byzantine nodes whose strategy declares ``shared_act``, stepped on
+  shared inboxes, where their actions are memoized, against the same
+  nodes on private copies.  For each input of the action key
+  (:func:`repro.adversary.base._act_key`) a pinned history fails the
+  property once the key drops that input, and one fails it once a
+  strategy that reads its own id is declared shared.
 
 Inbox comparisons check the columns, the :meth:`Inbox.items` order and the
 payload-table objects by identity: equal payloads such as ``1``, ``True``
@@ -37,13 +45,24 @@ from __future__ import annotations
 
 import copy
 from collections import Counter
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import (
+    STRATEGY_FACTORIES,
+    ByzantineProcess,
+    ReplayStrategy,
+    SplitEchoStrategy,
+    make_strategy,
+)
+from repro.adversary import base as adversary
+from repro.adversary.base import AdversaryContext
 from repro.api import ScenarioSpec, run_scenario
+from repro.core.approximate_agreement import ValueMessage
 from repro.core import parallel_consensus, rotor_coordinator, total_order
 from repro.core.consensus import ConsensusInput, ConsensusProcess, Prefer, StrongPrefer
 from repro.core.parallel_consensus import (
@@ -73,8 +92,10 @@ from repro.core.rotor_coordinator import (
     RotorInit,
 )
 from repro.core.total_order import PCBatch, _route_instances
-from repro.sim.messages import Inbox
+from repro.sim.messages import Broadcast, Inbox, Unicast
+from repro.sim.network import SystemView
 from repro.sim.node import RoundView
+from repro.sim.rng import make_rng
 
 from make_delayed_digests import fingerprint
 from pc_reference import ReferenceEngine
@@ -138,6 +159,17 @@ def reference_opinion(inbox, coordinator, instance):
         if isinstance(payload, PCOpinion) and payload.instance == instance:
             return payload.value
     return _MISSING
+
+
+def reference_replay(inbox):
+    """``ReplayStrategy.act`` as a scan of the rows that keeps each
+    payload's first occurrence."""
+
+    seen = []
+    for _, payload in inbox.items():
+        if payload not in seen:
+            seen.append(payload)
+    return [Broadcast(payload) for payload in seen]
 
 
 def assert_same_inbox(got: Inbox, want: Inbox) -> None:
@@ -334,6 +366,37 @@ def test_opinion_index_matches_the_linear_scan(coordinator_payloads, other_paylo
         assert index.get(instance, _MISSING) is reference_opinion(
             inbox, coordinator, instance
         )
+
+
+def replayed(inbox):
+    return ReplayStrategy().act(AdversaryContext(9, view=RoundView(2, inbox)))
+
+
+@settings(max_examples=200)
+@given(pairs=st.lists(st.tuples(st.integers(0, 4), payloads), max_size=10))
+def test_replay_matches_the_first_row_scan(pairs):
+    inbox = Inbox.from_pairs(pairs)
+    got, want = replayed(inbox), reference_replay(inbox)
+    assert got == want
+    assert [repr(action) for action in got] == [repr(action) for action in want]
+    assert all(a.payload is b.payload for a, b in zip(got, want))
+
+
+def test_replay_sends_each_distinct_payload_once_in_first_row_order():
+    """Senders 4 and 5 repeat sender 3's payloads, one of them unhashable;
+    each goes out once, where the scan first met it."""
+
+    inbox = Inbox.from_pairs([
+        (3, "a"), (4, [1]), (4, "a"), (5, True), (5, [1]), (3, 1.0), (5, "b"),
+    ])
+    got = replayed(inbox)
+    assert got == reference_replay(inbox)
+    assert [repr(action) for action in got] == [
+        "Broadcast(payload='a')",
+        "Broadcast(payload=1.0)",
+        "Broadcast(payload=[1])",
+        "Broadcast(payload='b')",
+    ]
 
 
 def test_total_order_under_replay_matches_the_reference_routing():
@@ -790,3 +853,320 @@ def test_a_table_key_without_one_input_fails_the_property(name):
     with mock.patch.object(parallel_consensus, "_table_key", dropping_table_input(name)):
         with pytest.raises(AssertionError):
             check_shared_equals_private(history)
+
+
+# ---------------------------------------------------------------------------
+# Byzantine steps: shared actions against private inboxes
+# ---------------------------------------------------------------------------
+
+#: The stepped Byzantine nodes.
+BYZANTINE = (10, 11, 12)
+
+#: The strategies that declare ``shared_act``, each with field values that
+#: change what it sends.
+SHARED_VARIANTS = {
+    "crash": ({}, {"crash_after_round": 2}),
+    "replay": ({},),
+    "equivocate-value": ({}, {"payload_b": ("value", 7)}),
+    "rb-false-echo": ({}, {"victim_source": 4}),
+    "rb-forged-source": ({}, {"phantom_id": 99}),
+    "rotor-candidate-stuffer": ({}, {"participate": False}),
+    "rotor-usurper": ({}, {"opinion_b": 7}),
+    "consensus-split-vote": ({}, {"value_a": 7}),
+    "consensus-strongprefer-spoofer": ({}, {"value": 0}),
+    "approx-outlier": ({}, {"high": 5.0}),
+}
+
+#: ``(name, kwargs)`` of every declared strategy variant.
+SHARED_CHOICES = tuple(
+    (name, tuple(kwargs.items()))
+    for name, variants in SHARED_VARIANTS.items()
+    for kwargs in variants
+)
+
+
+class ByzantineHistory(NamedTuple):
+    """Byzantine nodes stepped through rounds 1, 2, …
+
+    ``strategies`` holds each node's ``(name, kwargs)``.  Each row list of
+    ``inboxes`` becomes one inbox for the whole history, so a later round
+    can read an inbox an earlier one read; ``systems`` are ``(active,
+    byzantine)`` id sets.  Each round gives every node the index of the
+    inbox it reads and of its system view, or ``None`` for none.
+    """
+
+    strategies: tuple
+    inboxes: tuple
+    systems: tuple
+    rounds: tuple
+
+
+byzantine_payloads = st.one_of(
+    st.just(RotorInit()),
+    st.builds(RotorEcho, st.sampled_from([1, 2, 10])),
+    st.builds(ConsensusInput, st.integers(0, 1)),
+    st.builds(ValueMessage, st.sampled_from([0.0, 1.0]), st.integers(0, 2)),
+    few_payloads,
+)
+
+byzantine_rows = st.lists(
+    st.tuples(st.sampled_from((1, 2, 3, 4, 5, 6, *BYZANTINE)), byzantine_payloads),
+    max_size=6,
+).map(tuple)
+
+system_ids = st.tuples(
+    st.frozensets(st.integers(1, 6), min_size=1),
+    st.frozensets(st.sampled_from((1, *BYZANTINE))),
+).map(lambda ids: (ids[0] | ids[1], ids[1]))
+
+
+@st.composite
+def byzantine_histories(draw):
+    """Up to four rounds of up to three inboxes and two system views; the
+    nodes run one to three strategies, so equal ones often meet."""
+
+    pool = draw(st.lists(st.sampled_from(SHARED_CHOICES), min_size=1, max_size=3))
+    strategies = tuple(draw(st.sampled_from(pool)) for _ in BYZANTINE)
+    inboxes = tuple(draw(st.lists(byzantine_rows, min_size=1, max_size=3)))
+    systems = tuple(draw(st.lists(system_ids, min_size=1, max_size=2)))
+    # Mostly with a system view: without one a node steps privately.
+    system = st.sampled_from((None, *tuple(range(len(systems))) * 3))
+    reads = st.tuples(*(
+        st.tuples(st.integers(0, len(inboxes) - 1), system) for _ in BYZANTINE
+    ))
+    rounds = tuple(draw(st.lists(reads, min_size=1, max_size=4)))
+    return ByzantineHistory(strategies, inboxes, systems, rounds)
+
+
+def step_byzantine(history: ByzantineHistory, *, shared: bool) -> list:
+    """Step the history's nodes; return each step's actions, their
+    ``repr`` and the node's known senders.
+
+    With ``shared`` every reader of an inbox gets the same object;
+    otherwise each step gets a private copy, so no memo entry is shared.
+    """
+
+    nodes = [
+        ByzantineProcess(node, make_strategy(name, **dict(kwargs)))
+        for node, (name, kwargs) in zip(BYZANTINE, history.strategies)
+    ]
+    inboxes = [Inbox.from_pairs(rows) for rows in history.inboxes]
+    systems = [
+        SystemView(
+            round_index=0, active_ids=active, byzantine_ids=byzantine,
+            correct_processes={}, rng=make_rng(0),
+        )
+        for active, byzantine in history.systems
+    ]
+    seen = []
+    for round_index, reads in enumerate(history.rounds, start=1):
+        for process, (read, system) in zip(nodes, reads):
+            process.observe_system(None if system is None else systems[system])
+            inbox = inboxes[read]
+            if not shared:
+                inbox = Inbox.from_pairs(inbox.items())
+            actions = process.step(RoundView(round_index, inbox))
+            seen.append((
+                round_index, process.node_id, actions, [repr(a) for a in actions],
+                process._ctx.known_ids,
+            ))
+    return seen
+
+
+def check_byzantine_shared_equals_private(history: ByzantineHistory) -> None:
+    shared = step_byzantine(history, shared=True)
+    private = step_byzantine(history, shared=False)
+    for got, want in zip(shared, private):
+        assert got == want
+    assert len(shared) == len(private)
+
+
+def byzantine_history(strategies, *rounds, inboxes, systems):
+    return ByzantineHistory(
+        tuple((name, tuple(kwargs.items())) for name, kwargs in strategies),
+        inboxes, systems, rounds,
+    )
+
+
+#: Senders 1–3, and 4–5: a node that read the second knows other senders.
+_FIRST = tuple((sender, RotorInit()) for sender in (1, 2, 3))
+_SECOND = tuple((sender, RotorInit()) for sender in (4, 5))
+_CORRECT = frozenset(range(1, 7))
+_EVERYONE = (_CORRECT | {10, 11}, frozenset({10, 11}))
+#: A round in which nodes 10 and 11 both read inbox 0 with view 0.
+_ALIKE = ((0, 0), (0, 0))
+
+#: One history per input of the action key, on which a key without that
+#: input lets node 11 adopt the step of node 10, which differs from it only
+#: in that input; and one on which declaring ``rotor-split-echo`` shared
+#: does, since its echo names the sender.
+ACT_HISTORIES = {
+    # A usurper and a split voter with equal field values (0, 1): in
+    # round 3 one sends opinions, the other four votes per target.
+    "cls": byzantine_history(
+        [("rotor-usurper", {}), ("consensus-split-vote", {})],
+        _ALIKE, _ALIKE, _ALIKE,
+        inboxes=(_FIRST,), systems=(_EVERYONE,),
+    ),
+    "fields": byzantine_history(
+        [("consensus-split-vote", {}), ("consensus-split-vote", {"value_a": 7})],
+        _ALIKE, _ALIKE, _ALIKE,
+        inboxes=(_FIRST,), systems=(_EVERYONE,),
+    ),
+    # Node 10 reads the first inbox in round 1; node 11, which has read
+    # only an empty one, in round 2.  Node 10 is alive, node 11 crashed.
+    "round_index": byzantine_history(
+        [("crash", {}), ("crash", {})],
+        ((0, 0), (1, 0)),
+        ((1, 0), (0, 0)),
+        inboxes=(_FIRST, ()), systems=(_EVERYONE,),
+    ),
+    # Node 11 also knows 4 and 5, so it echoes them in round 2.
+    "known": byzantine_history(
+        [("rotor-candidate-stuffer", {}), ("rotor-candidate-stuffer", {})],
+        ((0, 0), (1, 0)),
+        _ALIKE,
+        inboxes=(_FIRST, _SECOND), systems=(_EVERYONE,),
+    ),
+    # Node 11's view lacks node 6, so its halves split elsewhere.
+    "active": byzantine_history(
+        [("equivocate-value", {}), ("equivocate-value", {})],
+        ((0, 0), (0, 1)),
+        inboxes=(_FIRST,),
+        systems=(_EVERYONE, (_EVERYONE[0] - {6}, _EVERYONE[1])),
+    ),
+    # Node 11's view counts node 1 as Byzantine: it echoes for node 2.
+    "byzantine": byzantine_history(
+        [("rb-false-echo", {}), ("rb-false-echo", {})],
+        ((0, 0), (0, 1)),
+        ((0, 0), (0, 1)),
+        inboxes=(_FIRST,),
+        systems=(_EVERYONE, (_EVERYONE[0], _EVERYONE[1] | {1})),
+    ),
+}
+
+#: Two split echoers in one state: each echoes its own id.
+SPLIT_ECHO_HISTORY = byzantine_history(
+    [("rotor-split-echo", {}), ("rotor-split-echo", {})],
+    _ALIKE, _ALIKE,
+    inboxes=(_FIRST,), systems=(_EVERYONE,),
+)
+
+#: Every node on one declared strategy, its variants side by side, over
+#: four rounds of shared inboxes and two views.
+EVERY_STRATEGY_HISTORIES = [
+    byzantine_history(
+        [(name, variants[index % len(variants)]) for index in range(len(BYZANTINE))],
+        ((0, 0), (1, 0), (0, None)),
+        ((2, 0), (2, 0), (2, 1)),
+        ((0, 1), (2, 1), (0, 1)),
+        ((2, 0), (2, 0), (2, 0)),
+        inboxes=(
+            _FIRST,
+            _SECOND + ((10, [1]),),
+            _FIRST + ((4, RotorEcho(1)), (5, ValueMessage(1.0)), (11, RotorEcho(1))),
+        ),
+        systems=(_EVERYONE, (_EVERYONE[0] - {6}, _EVERYONE[1] | {1})),
+    )
+    for name, variants in SHARED_VARIANTS.items()
+]
+
+
+def _byzantine_examples(test):
+    for history in (*ACT_HISTORIES.values(), SPLIT_ECHO_HISTORY, *EVERY_STRATEGY_HISTORIES):
+        test = example(history=history)(test)
+    return test
+
+
+def test_the_declared_strategies_are_the_ten_that_read_no_node_state():
+    declared = sorted(
+        name for name, factory in STRATEGY_FACTORIES.items() if factory.shared_act
+    )
+    assert declared == sorted(SHARED_VARIANTS)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(history=byzantine_histories())
+@_byzantine_examples
+def test_shared_byzantine_steps_equal_private_steps(history):
+    """Byzantine nodes stepped on shared inboxes send exactly what they
+    send on private copies, and know the same senders: memoized actions
+    are only ever reused by a node with the same key."""
+
+    check_byzantine_shared_equals_private(history)
+
+
+def dropping_act_input(name: str):
+    """:func:`repro.adversary.base._act_key` without the input ``name``."""
+
+    def key(cls, fields, round_index, known, active, byzantine):
+        inputs = dict(
+            cls=cls, fields=fields, round_index=round_index, known=known,
+            active=active, byzantine=byzantine,
+        )
+        del inputs[name]
+        return ("byz-act", *inputs.values())
+
+    return key
+
+
+@pytest.mark.parametrize("name", sorted(ACT_HISTORIES))
+def test_an_act_key_without_one_input_fails_the_property(name):
+    history = ACT_HISTORIES[name]
+    check_byzantine_shared_equals_private(history)
+    with mock.patch.object(adversary, "_act_key", dropping_act_input(name)):
+        with pytest.raises(AssertionError):
+            check_byzantine_shared_equals_private(history)
+
+
+def test_declaring_a_strategy_that_reads_its_id_shared_fails_the_property():
+    check_byzantine_shared_equals_private(SPLIT_ECHO_HISTORY)
+    with mock.patch.object(SplitEchoStrategy, "shared_act", True):
+        with pytest.raises(AssertionError):
+            check_byzantine_shared_equals_private(SPLIT_ECHO_HISTORY)
+
+
+def test_equal_nodes_act_once_per_inbox_and_the_rest_alone():
+    """Equal nodes on one inbox make one ``act`` call; a node without a
+    system view, or with an unhashable field value, makes its own."""
+
+    calls = Counter()
+
+    def counted(cls):
+        act = cls.act
+
+        def wrapper(self, ctx):
+            calls[type(self).name, ctx.node_id] += 1
+            return act(self, ctx)
+
+        return mock.patch.object(cls, "act", wrapper)
+
+    everyone = SystemView(
+        round_index=1, active_ids=_EVERYONE[0], byzantine_ids=_EVERYONE[1],
+        correct_processes={}, rng=make_rng(0),
+    )
+    split = STRATEGY_FACTORIES["consensus-split-vote"]
+    stuffer = STRATEGY_FACTORIES["rotor-candidate-stuffer"]
+    voters = [ByzantineProcess(node, split()) for node in (10, 11, 12)]
+    stuffers = [
+        ByzantineProcess(13, stuffer(phantom_ids=[7, 8])),
+        ByzantineProcess(14, stuffer(phantom_ids=[7, 8])),
+    ]
+    inbox = Inbox.from_pairs(_FIRST)
+    with counted(split), counted(stuffer):
+        for process in (*voters, *stuffers):
+            if process.node_id != 12:
+                process.observe_system(everyone)
+            process.step(RoundView(3, inbox))
+    assert calls == {
+        ("consensus-split-vote", 10): 1,
+        ("consensus-split-vote", 12): 1,
+        ("rotor-candidate-stuffer", 13): 1,
+        ("rotor-candidate-stuffer", 14): 1,
+    }
+    # One entry, for nodes 10 and 11: known ids and actions, no inbox.
+    [(known, actions)] = [
+        value for key, value in inbox._memo.items() if key[0] == "byz-act"
+    ]
+    assert known == {1, 2, 3}
+    assert actions and all(isinstance(action, Unicast) for action in actions)
