@@ -39,9 +39,11 @@ Byzantine ids (all that :meth:`AdversaryContext.targets` and
 :attr:`AdversaryContext.correct_ids` read).  :meth:`ByzantineProcess.step`
 then stores the node's step on the inbox
 (:meth:`~repro.sim.messages.Inbox.memo`) under that key — its known
-senders with the inbox's added, and the strategy's actions — so nodes
-with equal keys reading one inbox share one ``act`` call and its payload
-objects; the memo holds actions, never an inbox, and dies with the round.
+senders with the inbox's added, and the strategy's actions as a tuple —
+so nodes with equal keys reading one inbox share one ``act`` call, its
+payload objects and the actions tuple itself, which ``step`` returns:
+the network stages that tuple once for all of them.  The memo holds
+actions, never an inbox, and dies with the round.
 
 Ten registered strategies declare it: ``crash``, ``replay``,
 ``equivocate-value``, ``rb-false-echo``, ``rb-forged-source``,
@@ -187,6 +189,13 @@ class ByzantineProcess(Process):
         self._ctx.system = system
 
     def step(self, view: RoundView) -> Sequence[Outgoing]:
+        """The strategy's actions for this round.
+
+        A shared step returns the memoized actions tuple itself, the same
+        object for every node with an equal key on this inbox; a private
+        step returns a new list.
+        """
+
         ctx = self._ctx
         strategy = self._strategy
         system = ctx.system
@@ -204,7 +213,7 @@ class ByzantineProcess(Process):
         try:
             if key is not None:
                 ctx.known_ids, actions = view.inbox.memo(key, self._learn_and_act)
-                return list(actions)
+                return actions
             self._learn(view.inbox)
             return list(strategy.act(ctx))
         finally:

@@ -591,10 +591,11 @@ class Inbox:
     def from_pairs(pairs: Iterable[tuple[NodeId, Payload]]) -> "Inbox":
         """The inbox of ``(sender, payload)`` pairs, in any sender order.
 
-        Every delivery path builds its inboxes here.  Senders may arrive
-        interleaved (delayed delivery mixes batches from several send
-        rounds), so the pairs are grouped by sender, in first-occurrence
-        order, before ``Inbox(by_sender)`` builds the columns.
+        Broadcast-only and delayed rounds build their inboxes here.
+        Senders may arrive interleaved (delayed delivery mixes batches
+        from several send rounds), so the pairs are grouped by sender, in
+        first-occurrence order, before ``Inbox(by_sender)`` builds the
+        columns.
         """
 
         by_sender: dict[NodeId, list[Payload]] = {}

@@ -19,32 +19,45 @@ treat every (configuration, seed) pair as a reproducible data point.
 
 Delivery
 --------
-Messages in flight are per-action batches — ``(sender, payload,
-destinations)`` — bucketed by delivery round
-(``dict[deliver_round, list[batch]]``), so each round pops exactly the
-batches that are due.  The delay model alone decides how a round's sends
-are filed:
+Messages in flight are filed by delivery round
+(``dict[deliver_round, list[item]]``), so each round pops exactly the
+items that are due.  An item is a per-action batch ``(sender, payload,
+destinations)``, or, for a node whose action list carries a unicast, a
+``(sender, plan)`` pair: the list compiled once per list object per round
+into a :class:`_Plan` of its broadcast and unicast entries.  Colluding
+Byzantine nodes that share one ``act`` call hand the network one action
+tuple (:meth:`repro.adversary.base.ByzantineProcess.step`), so ``f``
+attackers stage one plan, not ``f · n`` unicasts.  The delay model alone
+decides how a round's sends are filed:
 
 * Under the synchronous model of Section IV
   (:attr:`~repro.sim.delays.DelayModel.synchronous`), everything sent in
-  round ``r`` is due in round ``r + 1``, so the round's batch list — one
-  batch per send action — becomes round ``r + 1``'s bucket as it is.  A
-  round of broadcasts only (the common case for the paper's algorithms)
-  shows every recipient the same messages, so the bucket also records the
-  shared destination tuple, and delivery builds one
+  round ``r`` is due in round ``r + 1``, so the round's item list becomes
+  round ``r + 1``'s bucket as it is.  A round of broadcasts only (the
+  common case for the paper's algorithms) holds no plan and shows every
+  recipient the same messages, so delivery builds one
   :class:`~repro.sim.messages.Inbox` and hands it to all of them; every
   tally and memoized derivation in :mod:`repro.core` is then computed
   once per round instead of once per node.
-* A synchronous round that carried a unicast (an equivocating Byzantine
-  sender, a protocol's direct reply) collects each recipient's
-  ``(sender, payload)`` rows in batch order and builds one inbox per
-  distinct row list: recipients whose rows are equal — same senders and
-  payloads, by payload equality, in the same order — share the inbox,
-  its :class:`RoundView` and its tallies, as in a broadcast-only round.
-  A row list holding an unhashable payload gets its own inbox.  Over one
-  ``perfbench`` cycle (seed 7) the rounds with unicasts hand out 26
-  recipients per inbox on ``byzantine-unicast`` and 4.9 on
-  ``small-n-batch``.
+* A synchronous round with plans (an equivocating Byzantine sender, a
+  protocol's direct reply) splits its recipients into classes of equal
+  ``(sender, payload)`` row lists — same senders and payloads, by payload
+  equality, in the same order — without building any row list.  Whether
+  a recipient is in the round's broadcast destinations fixes its rows
+  from the broadcast batches.  Each plan's payloads are numbered by
+  equality (each distinct payload object hashed once), and plans with
+  the same broadcast positions, destinations and numbers — attackers
+  that send one pattern with their own payloads — split recipients
+  alike, so each distinct such *shape* splits the classes once, in one
+  pass over its unicasts.  Each class gets one inbox, built by one walk
+  over the round's items, and its recipients share it, its
+  :class:`RoundView` and its tallies, as in a broadcast-only round.  A
+  recipient with an unhashable payload in its rows gets its own inbox.
+  The cost is O(batches + plans' entries + classes × rows), with only
+  the distinct shapes' entries walked in Python, not O(recipients ×
+  rows).  Over one ``perfbench`` cycle (seed 7) the rounds
+  with unicasts hand out 26 recipients per inbox on ``byzantine-unicast``
+  and 4.9 on ``small-n-batch``.
 * Any other delay model (the Section IX impossibility constructions) is
   asked for one delivery round per destination, in send order, and an
   action's destinations are grouped into one batch per delivery round.
@@ -52,15 +65,17 @@ are filed:
   ``search-fanout``, the workload of delayed runs, recipients rarely have
   equal rows (1.09 recipients per distinct content).
 
-Every round builds its inboxes with the one constructor
-(:meth:`Inbox.from_pairs`), so the trace, metrics and outputs do not
-depend on which recipients share: a synchronous run sent down the
-per-destination path (one inbox per recipient in every round) is
-bit-identical to the grouped one (``tests/test_engine_equivalence.py``),
-and delayed delivery is pinned by recorded fixtures
-(``tests/test_trace_golden.py``, ``tests/fixtures/delayed_digests.json``).
-Membership churn is handled by filtering each batch's recorded
-destinations against the active set at delivery time.
+Every round builds its inboxes with the one constructor (:class:`Inbox`),
+so the trace, metrics and outputs do not depend on which recipients
+share: a synchronous run sent down the per-destination path (one inbox
+per recipient in every round) is bit-identical to the grouped one
+(``tests/test_engine_equivalence.py``), and delayed delivery is pinned by
+recorded fixtures (``tests/test_trace_golden.py``,
+``tests/fixtures/delayed_digests.json``).  A traced round expands its
+plans back into per-action batches, in action order, so the trace lists
+the same events either way.  Membership churn is handled by filtering
+each item's recorded destinations against the active set at delivery
+time.
 
 The network caches the sorted active-membership list and the Byzantine
 id set, invalidated only on membership events, and builds the omniscient
@@ -78,6 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -111,6 +127,174 @@ __all__ = [
     "all_correct_decided",
     "all_correct_halted",
 ]
+
+_payload_of = attrgetter("payload")
+_dest_of = attrgetter("dest")
+
+
+class _Plan:
+    """A node's action list that carries a unicast, staged as one item.
+
+    ``actions`` holds the list as a tuple, ``kinds`` each action's class
+    (:class:`Broadcast` or :class:`Unicast`), and ``dests`` the round's
+    broadcast destinations.  ``messages`` counts a message per
+    destination, as the metrics do.  Delivery sets ``payloads`` and
+    ``shape`` (:meth:`lay_out`).
+    """
+
+    __slots__ = ("actions", "kinds", "dests", "broadcasts", "unicasts", "messages",
+                 "payloads", "shape")
+
+    def __init__(
+        self, node_id: NodeId, actions: Sequence[Outgoing], dests: tuple[NodeId, ...]
+    ) -> None:
+        self.actions = actions = tuple(actions)
+        kinds = list(map(type, actions))
+        broadcasts = kinds.count(Broadcast)
+        if broadcasts + kinds.count(Unicast) < len(kinds):
+            kinds = [_kind(node_id, action) for action in actions]
+            broadcasts = kinds.count(Broadcast)
+        self.kinds = kinds
+        self.dests = dests
+        self.broadcasts = broadcasts
+        self.unicasts = len(kinds) - broadcasts
+        self.messages = broadcasts * len(dests) + self.unicasts
+
+    def batches(self, sender: NodeId) -> list[Batch]:
+        """The plan as per-action batches, in action order."""
+
+        dests = self.dests
+        return [
+            (sender, action.payload, dests if kind is Broadcast else (action.dest,))
+            for action, kind in zip(self.actions, self.kinds)
+        ]
+
+    def lay_out(self, shapes: dict[tuple, "_Shape"]) -> None:
+        """Set ``payloads`` and the plan's shape, shared through ``shapes``
+        by the round's plans that split the recipients alike.
+
+        The shape's key holds the broadcasts' positions, each action's
+        destination and each payload's number within the plan: equal
+        payloads get one number, each distinct payload object is hashed
+        once, and an unhashable one gets a negative number of its own.
+        Two recipients get equal rows from a plan exactly when they get
+        equal numbers from its shape.
+        """
+
+        self.payloads = payloads = list(map(_payload_of, self.actions))
+        ids = list(map(id, payloads))
+        numbers: dict[Any, int] = {}
+        code_of: dict[int, int] = {}
+        for key, payload in dict(zip(ids, payloads)).items():
+            try:
+                code_of[key] = numbers.setdefault(payload, len(numbers))
+            except TypeError:
+                code_of[key] = -1 - len(code_of)
+        codes = tuple(map(code_of.__getitem__, ids))
+        if self.broadcasts:
+            kinds = self.kinds
+            spread = tuple(i for i, kind in enumerate(kinds) if kind is Broadcast)
+            targets = tuple(
+                action.dest if kind is Unicast else None
+                for action, kind in zip(self.actions, kinds)
+            )
+        else:
+            spread, targets = (), tuple(map(_dest_of, self.actions))
+        key = (spread, targets, codes)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _Shape(spread, targets, codes)
+        self.shape = shape
+
+
+def _kind(node_id: NodeId, action: Any) -> type:
+    if isinstance(action, Broadcast):
+        return Broadcast
+    if isinstance(action, Unicast):
+        return Unicast
+    raise InvalidOutgoingError(node_id, action)
+
+
+class _Shape:
+    """What a plan sends each recipient, as positions and payload numbers.
+
+    ``spread`` lists the broadcasts' positions and ``shared`` their
+    numbers; ``to`` maps each unicast destination to its positions;
+    ``codes`` numbers every position's payload.
+    """
+
+    __slots__ = ("spread", "shared", "to", "codes", "unhashable")
+
+    def __init__(
+        self, spread: tuple[int, ...], targets: tuple, codes: tuple[int, ...]
+    ) -> None:
+        to: dict[NodeId, list[int]] = {}
+        skip = set(spread)
+        for position, dest in enumerate(targets):
+            if position not in skip:
+                positions = to.get(dest)
+                if positions is None:
+                    to[dest] = [position]
+                else:
+                    positions.append(position)
+        self.spread = list(spread)
+        self.shared = tuple([codes[position] for position in spread])
+        self.to = to
+        self.codes = codes
+        self.unhashable = min(codes) < 0
+
+    def rows(self, own: list[int] | None, member: bool) -> list[int]:
+        """The positions of a recipient's rows, in action order: its own
+        unicasts' positions ``own``, and the broadcasts if it is a
+        ``member``."""
+
+        if member and self.spread:
+            return sorted(self.spread + own) if own else self.spread
+        return own or []
+
+
+def _batches(items: list) -> list[Batch]:
+    """A round's items as per-action batches, plans expanded in action order."""
+
+    batches: list[Batch] = []
+    for item in items:
+        if len(item) == 3:
+            batches.append(item)
+        else:
+            batches += item[1].batches(item[0])
+    return batches
+
+
+def _class_inbox(items: list, member: bool, dest: NodeId) -> Inbox:
+    """The inbox of recipient ``dest`` and its class, built by one walk
+    over the round's items; ``member`` says whether ``dest`` is one of the
+    round's broadcast destinations."""
+
+    by_sender: dict[NodeId, list[Any]] = {}
+    for item in items:
+        if len(item) == 3:
+            if member:
+                sender, payload, _ = item
+                payloads = by_sender.get(sender)
+                if payloads is None:
+                    by_sender[sender] = [payload]
+                else:
+                    payloads.append(payload)
+            continue
+        sender, plan = item
+        shape = plan.shape
+        positions = shape.rows(shape.to.get(dest), member)
+        if not positions:
+            continue
+        payloads = plan.payloads
+        rows = [payloads[position] for position in positions]
+        earlier = by_sender.get(sender)
+        if earlier is None:
+            by_sender[sender] = rows
+        else:
+            earlier += rows
+    return Inbox(by_sender)
+
 
 @dataclass(frozen=True)
 class SystemView:
@@ -244,11 +428,10 @@ class SynchronousNetwork:
         self._leaves: dict[int, list[NodeId]] = {
             int(r): list(ids) for r, ids in (leaves or {}).items()
         }
-        # Messages in flight (see module docstring): batches keyed by
-        # delivery round, and each due round's shared destination tuple
-        # (None when the round's recipients get per-destination inboxes).
-        self._in_flight: dict[int, list[Batch]] = {}
-        self._shared: dict[int, tuple[NodeId, ...] | None] = {}
+        # Messages in flight (see module docstring): items keyed by
+        # delivery round, and each due synchronous round's distinct plans.
+        self._in_flight: dict[int, list] = {}
+        self._plans: dict[int, list[_Plan]] = {}
         # membership caches (see module docstring).
         self._sorted_cache: tuple[NodeId, ...] | None = None
         self._byz_cache: frozenset[NodeId] | None = None
@@ -408,9 +591,9 @@ class SynchronousNetwork:
         """Number of (message, destination) pairs in flight."""
 
         return sum(
-            len(dests)
-            for batches in self._in_flight.values()
-            for _, _, dests in batches
+            len(item[2]) if len(item) == 3 else item[1].messages
+            for items in self._in_flight.values()
+            for item in items
         )
 
     def _active_sorted(self) -> tuple[NodeId, ...]:
@@ -473,17 +656,18 @@ class SynchronousNetwork:
     # -- delivery ------------------------------------------------------------------
 
     def _deliver(self, round_index: int) -> dict[NodeId, Inbox]:
-        """Turn the batches due this round into inboxes.
+        """Turn the items due this round into inboxes.
 
-        A shared (broadcast-only, synchronous) round builds one inbox from
-        all of its batches and gives it to every recipient.  A synchronous
-        round with unicasts builds one inbox per distinct row list, and a
-        delayed round one inbox per recipient.
+        A synchronous round without plans (broadcasts only) builds one
+        inbox from all of its batches and gives it to every recipient; a
+        synchronous round with plans builds one per class of recipients
+        with equal rows (:meth:`_deliver_classes`), and a delayed round one
+        per recipient.
         """
 
-        batches = self._in_flight.pop(round_index, None)
-        shared = self._shared.pop(round_index, None)
-        if not batches:
+        items = self._in_flight.pop(round_index, None)
+        plans = self._plans.pop(round_index, None)
+        if not items:
             return {}
         active = self._active
         trace = self._trace
@@ -494,26 +678,28 @@ class SynchronousNetwork:
             # checked; the per-destination filter runs only when one of
             # them names a node that is no longer active.
             active_now = self._active_sorted()
-            delivered = batches
-            others = [dests for _, _, dests in batches if dests is not active_now]
+            delivered = _batches(items) if plans else items
+            others = [dests for _, _, dests in delivered if dests is not active_now]
             if others and not active.issuperset(chain.from_iterable(others)):
                 delivered = [
                     (sender, payload, [d for d in dests if d in active])
-                    for sender, payload, dests in batches
+                    for sender, payload, dests in delivered
                 ]
             trace.record_deliveries_columnar(round_index, delivered)
-        if shared is not None:
+        if plans:
+            return self._deliver_classes(items, plans)
+        if self._delay_model.synchronous:
             # Broadcast-only round: every recipient sees the same messages,
             # so one inbox serves all of them.  The single shared inbox is
             # also what lets the batched total-order wrapper be routed once
             # per round instead of once per receiving node (see
             # repro.core.total_order).
             inbox = Inbox.from_pairs(
-                (sender, payload) for sender, payload, _dests in batches
+                (sender, payload) for sender, payload, _dests in items
             )
-            return {dest: inbox for dest in shared if dest in active}
+            return {dest: inbox for dest in items[0][2] if dest in active}
         pairs_by_dest: dict[NodeId, list[tuple[NodeId, Any]]] = {}
-        for sender, payload, dests in batches:
+        for sender, payload, dests in items:
             pair = (sender, payload)
             for dest in dests:
                 if dest in active:
@@ -522,28 +708,101 @@ class SynchronousNetwork:
                         pairs_by_dest[dest] = bucket = []
                     bucket.append(pair)
         processes = self._processes
-        if not self._delay_model.synchronous:
-            return {
-                dest: Inbox.from_pairs(pairs)
-                for dest, pairs in pairs_by_dest.items()
-                if not processes[dest].halted
-            }
-        # Synchronous round with unicasts: recipients whose row lists are
-        # equal (same senders and payloads, in the same order) share one
-        # inbox; a row list holding an unhashable payload gets its own.
+        return {
+            dest: Inbox.from_pairs(pairs)
+            for dest, pairs in pairs_by_dest.items()
+            if not processes[dest].halted
+        }
+
+    def _deliver_classes(self, items: list, plans: list[_Plan]) -> dict[NodeId, Inbox]:
+        """One inbox per class of recipients with equal row lists.
+
+        A recipient's rows from the broadcast batches depend only on
+        whether it is one of the round's broadcast destinations (a
+        *member*), and whether two recipients get equal rows from a plan
+        depends only on the plan's shape, so the round's distinct shapes
+        split the recipients, one pass over each shape's unicasts.  A
+        recipient's class starts at 0 and moves, for each shape whose
+        numbers for it differ from the shape's broadcasts, to the class
+        interned for (class, shape, numbers); a non-member also moves for
+        every shape with broadcasts that does not unicast to it.
+        Recipients share an inbox when their classes are equal and, if the
+        round has broadcast batches, so is their membership: exactly when
+        their row lists are equal, unless a row is unhashable, which gives
+        the recipient its own inbox.
+        """
+
+        active = self._active
+        processes = self._processes
+        dests = plans[0].dests
+        members = set(dests)
+        batched = unhashable_spread = False
+        for item in items:
+            if len(item) == 3:
+                batched = True
+                try:
+                    hash(item[1])
+                except TypeError:
+                    unhashable_spread = True
+        shapes: dict[tuple, _Shape] = {}
+        for plan in plans:
+            plan.lay_out(shapes)
+        outsiders: set[NodeId] = set()
+        for shape in shapes.values():
+            if shape.shared and min(shape.shared) < 0:
+                unhashable_spread = True
+            if not members.issuperset(shape.to):
+                outsiders.update(
+                    dest for dest in shape.to
+                    if dest not in members and dest in active
+                    and not processes[dest].halted
+                )
+        classes: dict[NodeId, int] = {}
+        interned: dict[tuple, int] = {}
+        solo: set[NodeId] = set()
+        skipped: set[NodeId] = set()
+        for index, shape in enumerate(shapes.values()):
+            shared, codes, unhashable = shape.shared, shape.codes, shape.unhashable
+            for dest, positions in shape.to.items():
+                cls = classes.get(dest)
+                if cls is None:
+                    if dest in skipped:
+                        continue
+                    if dest not in active or processes[dest].halted:
+                        skipped.add(dest)
+                        continue
+                    cls = 0
+                if shared:
+                    positions = shape.rows(positions, dest in members)
+                numbers = tuple([codes[position] for position in positions])
+                if numbers != shared:
+                    cls = interned.setdefault((cls, index, numbers), len(interned) + 1)
+                classes[dest] = cls
+                if unhashable and min(numbers) < 0:
+                    solo.add(dest)
+            if shared:
+                # A non-member gets none of the shape's broadcasts.
+                for dest in outsiders:
+                    if dest not in shape.to:
+                        classes[dest] = interned.setdefault(
+                            (classes.get(dest, 0), index, ()), len(interned) + 1
+                        )
+        if batched or any(shape.shared for shape in shapes.values()):
+            # Members that no plan unicasts to get the broadcast rows alone.
+            for dest in dests:
+                if dest in active and dest not in classes and not processes[dest].halted:
+                    classes[dest] = 0
         inboxes: dict[NodeId, Inbox] = {}
-        by_rows: dict[tuple, Inbox] = {}
-        for dest, pairs in pairs_by_dest.items():
-            if processes[dest].halted:
+        by_class: dict[tuple[bool, int], Inbox] = {}
+        for dest, cls in classes.items():
+            member = dest in members
+            if dest in solo or (member and unhashable_spread):
+                inboxes[dest] = _class_inbox(items, member, dest)
                 continue
-            key = tuple(pairs)
-            try:
-                inbox = by_rows.get(key)
-            except TypeError:
-                inbox = Inbox.from_pairs(pairs)
-            else:
-                if inbox is None:
-                    by_rows[key] = inbox = Inbox.from_pairs(pairs)
+            key = (batched and member, cls)
+            inbox = by_class.get(key)
+            if inbox is None:
+                inbox = by_class[key] = _class_inbox(items, member, dest)
             inboxes[dest] = inbox
         return inboxes
 
@@ -554,52 +813,71 @@ class SynchronousNetwork:
         outgoing_by_node: dict[NodeId, Sequence[Outgoing]],
         round_index: int,
     ) -> None:
-        """File this round's sends as batches for their delivery rounds.
+        """File this round's sends for their delivery rounds.
 
-        Under the synchronous model the round's batch list becomes round
-        ``round_index + 1``'s bucket, shared when every action was a
-        broadcast; otherwise :meth:`_schedule_per_destination` files each
-        action by its destinations' delivery rounds.  Each node's
-        broadcasts, unicasts and messages go to the metrics in one
-        :meth:`RunMetrics.record_sends` call, and a traced round's batch
-        list goes to the trace in one call.
+        A node whose actions are all broadcasts stages one ``(sender,
+        payload, dests)`` batch per action; a node whose actions carry a
+        unicast stages one ``(sender, plan)`` item, its list compiled into
+        a :class:`_Plan` once per list object.  Under the synchronous model
+        the round's items become round ``round_index + 1``'s bucket;
+        otherwise :meth:`_schedule_per_destination` files each action by
+        its destinations' delivery rounds.  Each node's broadcasts,
+        unicasts and messages go to the metrics in one
+        :meth:`RunMetrics.record_sends` call, and a traced round's batches
+        go to the trace in one call.
         """
 
         synchronous = self._delay_model.synchronous
-        staged: list[Batch] = []
-        any_unicast = False
+        staged: list = []
+        plans: dict[int, _Plan] = {}
         # Membership cannot change while staging, so every broadcast in the
         # round shares one destination tuple.
         broadcast_dests = self._active_sorted()
+        fanout = len(broadcast_dests)
         metrics = self._metrics
         measure_bytes = self._measure_bytes
         for node_id, actions in outgoing_by_node.items():
-            broadcasts = unicasts = 0
-            for action in actions:
-                if isinstance(action, Broadcast):
-                    dests = broadcast_dests
-                    broadcasts += 1
-                elif isinstance(action, Unicast):
-                    dests = (action.dest,)
-                    unicasts += 1
+            plan = plans.get(id(actions)) if plans else None
+            if plan is None:
+                start = len(staged)
+                for action in actions:
+                    if not isinstance(action, Broadcast):
+                        del staged[start:]
+                        plan = plans[id(actions)] = _Plan(
+                            node_id, actions, broadcast_dests
+                        )
+                        break
+                    staged.append((node_id, action.payload, broadcast_dests))
                 else:
-                    raise InvalidOutgoingError(node_id, action)
-                if measure_bytes:
-                    metrics.record_payload(payload_nbytes(action.payload), len(dests))
-                staged.append((node_id, action.payload, dests))
-                if not synchronous:
-                    self._schedule_per_destination(
-                        node_id, action.payload, dests, round_index
-                    )
-            metrics.record_sends(
-                node_id, broadcasts * len(broadcast_dests) + unicasts, broadcasts, unicasts
+                    count = len(staged) - start
+                    metrics.record_sends(node_id, count * fanout, count, 0)
+                    if measure_bytes or not synchronous:
+                        self._file(staged[start:], round_index)
+                    continue
+            staged.append((node_id, plan))
+            metrics.record_sends(node_id, plan.messages, plan.broadcasts, plan.unicasts)
+            if measure_bytes or not synchronous:
+                self._file(plan.batches(node_id), round_index)
+        if self._trace.enabled:
+            self._trace.record_sends_columnar(
+                round_index, _batches(staged) if plans else staged
             )
-            if unicasts:
-                any_unicast = True
-        self._trace.record_sends_columnar(round_index, staged)
         if synchronous and staged:
             self._in_flight[round_index + 1] = staged
-            self._shared[round_index + 1] = None if any_unicast else broadcast_dests
+            if plans:
+                self._plans[round_index + 1] = list(plans.values())
+
+    def _file(self, batches: list[Batch], round_index: int) -> None:
+        """Account one node's batches' payload bytes, when enabled, and
+        schedule them per destination under a delayed model."""
+
+        if self._measure_bytes:
+            record_payload = self._metrics.record_payload
+            for _, payload, dests in batches:
+                record_payload(payload_nbytes(payload), len(dests))
+        if not self._delay_model.synchronous:
+            for sender, payload, dests in batches:
+                self._schedule_per_destination(sender, payload, dests, round_index)
 
     def _schedule_per_destination(
         self,
@@ -612,8 +890,7 @@ class SynchronousNetwork:
 
         One ``delivery_round`` call per destination, in order, so the rng
         draws follow the send order; the destinations are then grouped
-        into one batch per delivery round, in first-occurrence order, and
-        those rounds are marked as not shared.
+        into one batch per delivery round, in first-occurrence order.
         """
 
         delivery_round = self._delay_model.delivery_round
@@ -630,7 +907,6 @@ class SynchronousNetwork:
             self._in_flight.setdefault(deliver, []).append(
                 (sender, payload, tuple(group))
             )
-            self._shared[deliver] = None
 
     # -- stepping -------------------------------------------------------------------
 

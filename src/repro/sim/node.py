@@ -97,7 +97,13 @@ class Process(abc.ABC):
 
     @abc.abstractmethod
     def step(self, view: RoundView) -> Sequence[Outgoing]:
-        """Consume one round of messages, return the messages to send."""
+        """Consume one round of messages, return the messages to send.
+
+        The network reads the returned sequence when it stages the round,
+        after every node has stepped, so it must not be mutated before
+        then.  Nodes may return one shared object: the network compiles a
+        sequence that carries a unicast once per object per round.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "halted" if self.halted else "running"

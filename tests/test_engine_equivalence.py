@@ -410,6 +410,165 @@ def test_grouped_delivery_matches_the_twin_and_shares_only_equal_rows(script):
         assert list(grouped.process(node).inboxes) == rounds
 
 
+class SharedScripted(Scripted):
+    """Returns ``lists[round][index]`` for the script's entry ``index`` of
+    its node: one action tuple per round and entry, the same object for
+    every node the entry names."""
+
+    def __init__(self, node_id, script, lists):
+        super().__init__(node_id, script)
+        self.lists = lists
+
+    def step(self, view):
+        self.inboxes[view.round_index] = view.inbox
+        if self.node_id == self.script["halter"]:
+            self.halt()
+        index = self.script["sends"].get(view.round_index, {}).get(self.node_id)
+        return () if index is None else self.lists[view.round_index][index]
+
+
+def _action_lists(script):
+    """Each round's entries as action tuples.  An entry sends one payload
+    object per code, so a code it broadcasts and unicasts is one object."""
+
+    lists = {}
+    for round_index, entries in script["lists"].items():
+        lists[round_index] = []
+        for entry in entries:
+            payloads = {}
+            lists[round_index].append(tuple(
+                Broadcast(payloads.setdefault(code, make_payload(code)))
+                if dest is None
+                else Unicast(dest, payloads.setdefault(code, make_payload(code)))
+                for dest, code in entry
+            ))
+    return lists
+
+
+def _sends_by_node(script):
+    """The script in :class:`Scripted`'s form: each node's ``(dest, code)``
+    pairs, for :func:`expected_rows`."""
+
+    return dict(script, sends={
+        round_index: {
+            node: script["lists"][round_index][index] for node, index in sends.items()
+        }
+        for round_index, sends in script["sends"].items()
+    })
+
+
+@st.composite
+def shared_list_scripts(draw):
+    """Two rounds among 3-6 nodes, one leaving and one joining in round 2
+    and one halting after round 1, in which nodes return shared entries.
+
+    Each round has a few entries: ones that broadcast and unicast, one that
+    unicasts a payload and may broadcast the same payload object, and one
+    of broadcasts only.  Each node returns one of them, or nothing, and
+    one node returns the second, so every delivery round carries a
+    unicast.
+    """
+
+    ids = tuple(range(1, draw(st.integers(3, 6)) + 1))
+    joiner = draw(st.sampled_from((0, len(ids) + 1)))
+    leaver, halter = draw(st.permutations(ids))[:2]
+    everyone = ids + (joiner,)
+    codes = st.sampled_from((0, 1, 2) * 3 + (UNHASHABLE,))
+    action = st.tuples(st.sampled_from((None, None, *everyone)), codes)
+    script = {"ids": ids, "joiner": joiner, "leaver": leaver, "halter": halter,
+              "lists": {}, "sends": {}}
+    for round_index in (1, 2):
+        code = draw(codes)
+        repeated = [(None, code)] if draw(st.booleans()) else []
+        entries = [
+            *draw(st.lists(st.lists(action, min_size=1, max_size=4), max_size=2)),
+            [*repeated, (draw(st.sampled_from(everyone)), code)],
+            draw(st.lists(st.tuples(st.none(), codes), min_size=1, max_size=2)),
+        ]
+        senders = _members(script, round_index)[1]
+        choice = st.sampled_from((None, *range(len(entries))))
+        sends = {node: draw(choice) for node in senders}
+        sends[draw(st.sampled_from(senders))] = len(entries) - 2
+        script["lists"][round_index] = entries
+        script["sends"][round_index] = {
+            node: index for node, index in sends.items() if index is not None
+        }
+    return script
+
+
+#: Rows that a key starting from broadcast membership would split, or
+#: that a class built only for members would drop.  In round 2 the joiner
+#: 0 gets node 1's vote by unicast and node 3 the same vote by broadcast,
+#: so the two share an inbox; in the second script the joiner's only row
+#: is an unhashable payload, and it still gets an inbox of its own; in
+#: the third, nodes 3 and 4 get one unhashable payload object each by
+#: unicast, equal rows that must not share an inbox; in the fourth, nodes
+#: 1 and 2 unicast to the same nodes, but only node 2 tells 3 and 4
+#: different things, so 3 and 4 must not share; in the fifth, no one
+#: broadcasts, so node 4, which hears nothing, shares the joiner's empty
+#: inbox.
+SHARED_LIST_TRAPS = (
+    {"ids": (1, 2, 3), "joiner": 0, "leaver": 1, "halter": 2,
+     "lists": {1: [[(None, 0), (0, 0)]]}, "sends": {1: {1: 0}}},
+    {"ids": (1, 2, 3), "joiner": 0, "leaver": 2, "halter": 3,
+     "lists": {1: [[(0, UNHASHABLE)], [(None, 1)]]}, "sends": {1: {1: 0, 2: 1}}},
+    {"ids": (1, 2, 3, 4), "joiner": 0, "leaver": 1, "halter": 2,
+     "lists": {1: [[(3, UNHASHABLE), (4, UNHASHABLE)]]}, "sends": {1: {1: 0}}},
+    {"ids": (1, 2, 3, 4), "joiner": 5, "leaver": 1, "halter": 2,
+     "lists": {1: [[(3, 0), (4, 0)], [(3, 0), (4, 1)]]}, "sends": {1: {1: 0, 2: 1}}},
+    {"ids": (1, 2, 3, 4), "joiner": 0, "leaver": 1, "halter": 2,
+     "lists": {1: [[(3, 0)]]}, "sends": {1: {1: 0}}},
+)
+
+
+def _run_shared_script(script):
+    lists = _action_lists(script)
+    procs = [SharedScripted(node, script, lists) for node in script["ids"]]
+    net = SynchronousNetwork(
+        procs,
+        joins={2: [SharedScripted(script["joiner"], script, lists)]},
+        leaves={2: [script["leaver"]]},
+    )
+    for _ in range(3):
+        net.step_round()
+    return net
+
+
+@given(script=shared_list_scripts())
+@example(script=SHARED_LIST_TRAPS[0])
+@example(script=SHARED_LIST_TRAPS[1])
+@example(script=SHARED_LIST_TRAPS[2])
+@example(script=SHARED_LIST_TRAPS[3])
+@example(script=SHARED_LIST_TRAPS[4])
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_shared_action_lists_group_like_the_twin(script):
+    """Nodes that return one action object are grouped by their rows too.
+
+    Every recipient's inbox lists what its per-destination twin's lists,
+    and two recipients share an inbox object exactly when their row lists
+    are equal and hashable, whether a row came by broadcast or by unicast.
+    """
+
+    grouped = _run_shared_script(script)
+    with per_destination_twin():
+        twin = _run_shared_script(script)
+    by_node = _sends_by_node(script)
+    for round_index in (2, 3):
+        rows = expected_rows(by_node, round_index)
+        inboxes = {
+            node: grouped.process(node).inboxes[round_index] for node in rows
+        }
+        for node, inbox in inboxes.items():
+            theirs = twin.process(node).inboxes[round_index]
+            assert list(inbox.items()) == list(theirs.items())
+        for first, second in combinations(rows, 2):
+            equal = rows[first] == rows[second] and _hashable(rows[first])
+            assert (inboxes[first] is inboxes[second]) == equal, (
+                round_index, first, second
+            )
+
+
 def test_total_order_churn_n50_is_trace_identical_across_kernels():
     """Total-order at n=50 with churn, on both delivery paths.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.analysis.properties import agreement, holds, termination
@@ -523,3 +525,92 @@ def test_observe_system_reaches_scheduled_byzantine_observers_only():
         if kind == "observe":
             per_round.setdefault(r, set()).add(rest[0])
     assert all(len(ids) == 1 for ids in per_round.values())
+
+
+class CountedVote:
+    """A payload that counts the calls of its ``__hash__``."""
+
+    hashes = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        CountedVote.hashes += 1
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, CountedVote) and other.value == self.value
+
+
+class SendsOnce(Process):
+    """Returns ``actions`` in round 1, the same object for every node it
+    was given to, keeps every inbox, and halts after round 1 if asked."""
+
+    def __init__(self, node_id, actions, *, halts=False):
+        super().__init__(node_id)
+        self.actions = actions
+        self.halts = halts
+        self.inboxes = {}
+
+    def step(self, view):
+        self.inboxes[view.round_index] = view.inbox
+        if self.halts:
+            self.halt()
+        return self.actions if view.round_index == 1 else ()
+
+
+class TestSharedActionLists:
+    """Senders that return one action tuple are staged and delivered once."""
+
+    IDS = range(64)
+
+    def split_vote_network(self, halted=()):
+        # 21 colluders return one tuple of 64 unicasts, a first vote to the
+        # lower half and a second to the upper half; the other 43 nodes
+        # each broadcast one payload.
+        votes = CountedVote(0), CountedVote(1)
+        split = tuple(Unicast(dest, votes[dest >= 32]) for dest in self.IDS)
+        return SynchronousNetwork(
+            [SendsOnce(i, split if i < 21 else [Broadcast(("vote", i))],
+                       halts=i in halted)
+             for i in self.IDS]
+        )
+
+    def test_a_shared_unicast_tuple_is_hashed_per_payload_not_per_message(self):
+        # Keying each recipient's 64 rows hashed the votes 1,430 times in
+        # this round; numbering the shared tuple's payloads once hashes
+        # them twice, and building the two inboxes once per row.
+        net = self.split_vote_network()
+        CountedVote.hashes = 0
+        net.step_round()
+        net.step_round()
+        assert CountedVote.hashes <= 64
+        assert net.metrics.rounds[0].messages_sent == 4096
+        inboxes = [net.process(i).inboxes[2] for i in self.IDS]
+        assert len({id(inbox) for inbox in inboxes}) == 2
+        assert inboxes[0] is inboxes[31] and inboxes[32] is inboxes[63]
+        assert len(inboxes[0]) == len(inboxes[63]) == 64
+
+    def test_pending_messages_counts_each_destination_of_a_shared_list(self):
+        net = self.split_vote_network()
+        net.step_round()
+        assert net.pending_messages() == 4096
+        net.step_round()
+        assert net.pending_messages() == 0
+
+    def test_halted_and_departed_recipients_get_no_inbox(self):
+        net = self.split_vote_network(halted=(5, 40))
+        net.remove_process(50, at_round=2)
+        step_processes = SynchronousNetwork._step_processes
+        handed = {}
+
+        def spy(network, round_index, round_metrics, inboxes):
+            handed[round_index] = inboxes
+            return step_processes(network, round_index, round_metrics, inboxes)
+
+        with mock.patch.object(SynchronousNetwork, "_step_processes", spy):
+            net.step_round()
+            net.step_round()
+        assert sorted(handed[2]) == [i for i in self.IDS if i not in (5, 40, 50)]
+        assert len({id(inbox) for inbox in handed[2].values()}) == 2
