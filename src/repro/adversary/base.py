@@ -31,32 +31,33 @@ The ``f`` attackers of a scenario usually run one strategy and tell the
 same lies to the same nodes, so in a synchronous round the attackers that
 read one inbox object would compute the same actions.  A strategy class
 that sets :attr:`AdversaryStrategy.shared_act` declares that its ``act``
-reads nothing node-specific: not ``ctx.node_id``, ``ctx.rng``,
-``ctx.memory``, ``ctx.seed`` or an inner process, only the inbox and what
-:func:`_act_key` holds — the strategy's class and field values, the round
-index, the node's interned known senders, and the round's active and
-Byzantine ids (all that :meth:`AdversaryContext.targets` and
-:attr:`AdversaryContext.correct_ids` read).  :meth:`ByzantineProcess.step`
-then stores the node's step on the inbox
-(:meth:`~repro.sim.messages.Inbox.memo`) under that key — its known
-senders with the inbox's added, and the strategy's actions as a tuple —
-so nodes with equal keys reading one inbox share one ``act`` call, its
-payload objects and the actions tuple itself, which ``step`` returns:
-the network stages that tuple once for all of them.  The memo holds
-actions, never an inbox, and dies with the round.
+reads nothing node-specific, and is a frozen dataclass, which hashes and
+compares by class and field values.  :meth:`ByzantineProcess.step` then
+applies :func:`_shared_step` on the inbox
+(:meth:`~repro.sim.messages.Inbox.apply`) with the strategy, the round
+index, the node's interned known senders and the round's active and
+Byzantine ids.  Those arguments are the key, and ``act`` gets a context
+built from them alone (:class:`SharedContext`): the view, the known
+senders, ``targets()`` and ``correct_ids``.  A strategy that reads
+``node_id``, ``rng``, ``memory`` or ``seed`` therefore fails on its first
+call.  Nodes with equal arguments reading one inbox share one ``act``
+call, its payload objects and the actions tuple itself, which ``step``
+returns: the network stages that tuple once for all of them.  The cached
+result holds actions, never an inbox, and dies with the round.
 
 Ten registered strategies declare it: ``crash``, ``replay``,
 ``equivocate-value``, ``rb-false-echo``, ``rb-forged-source``,
 ``rotor-candidate-stuffer``, ``rotor-usurper``, ``consensus-split-vote``,
 ``consensus-strongprefer-spoofer`` and ``approx-outlier``.  The other
-registered strategies step privately: ``silent`` sends nothing, so a memo
-would cost more than its ``act``; ``random-noise`` draws from the node's
-generator; ``coordinated-equivocation`` keeps its activation round in the
-node's memory; ``rb-equivocating-sender`` and ``rotor-split-echo`` put
-their own id in their payloads.  So do ``mimic-correct``, which runs an
-inner process, and ``delayed``, which wraps any strategy.  A declared
-strategy also steps privately when the node has no system view
-(``targets()`` then reads its own id) or a field value is unhashable, and
+registered strategies step privately: ``silent`` sends nothing, so a
+shared step would cost more than its ``act``; ``random-noise`` draws from
+the node's generator; ``coordinated-equivocation`` keeps its activation
+round in the node's memory; ``rb-equivocating-sender`` and
+``rotor-split-echo`` put their own id in their payloads.  So do
+``mimic-correct``, which runs an inner process, and ``delayed``, which
+wraps any strategy.  A declared strategy also steps privately when the
+node has no system view (``targets()`` then reads its own id) or a field
+value is unhashable, which is decided once, when the node is built; and
 in effect in every delayed round, whose inboxes are one per recipient.
 """
 
@@ -68,9 +69,9 @@ from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
-from ..sim.messages import Broadcast, Inbox, NodeId, Outgoing, Payload, Unicast, intern_payload
+from ..sim.messages import Inbox, NodeId, Outgoing, Payload, Unicast
 from ..sim.network import SystemView
-from ..sim.node import Process, RoundView
+from ..sim.node import Process, RoundView, with_senders
 from ..sim.rng import make_rng
 
 __all__ = ["AdversaryContext", "AdversaryStrategy", "ByzantineProcess", "send_split"]
@@ -127,24 +128,54 @@ class AdversaryContext:
         return sorted(self.known_ids | {self.node_id})
 
 
+class SharedContext:
+    """What a :attr:`~AdversaryStrategy.shared_act` strategy's ``act`` may
+    read: the round's view, the node's known senders, ``targets()`` and
+    ``correct_ids``, all built from the arguments of :func:`_shared_step`.
+
+    It has no ``node_id``, ``rng``, ``memory``, ``seed`` or ``system``, so
+    a shared strategy that reads one fails on its first call.
+    """
+
+    __slots__ = ("view", "known_ids", "_active", "_byzantine")
+
+    def __init__(
+        self,
+        view: RoundView,
+        known_ids: frozenset[NodeId],
+        active: frozenset[NodeId],
+        byzantine: frozenset[NodeId],
+    ) -> None:
+        self.view = view
+        self.known_ids = known_ids
+        self._active = active
+        self._byzantine = byzantine
+
+    round_index = AdversaryContext.round_index
+
+    @property
+    def correct_ids(self) -> frozenset[NodeId]:
+        return self._active - self._byzantine
+
+    def targets(self) -> list[NodeId]:
+        return sorted(self._active)
+
+
 class AdversaryStrategy(abc.ABC):
     """A pluggable Byzantine behaviour.
 
     A subclass sets :attr:`shared_act` when its ``act`` returns actions
-    determined by the inbox and the inputs :func:`_act_key` holds alone:
-    the strategy's class and field values, the round index, the node's
-    known senders, and the round's active and Byzantine ids.  Byzantine
-    nodes with equal keys that read one inbox object then share one
-    ``act`` call.  Such a strategy keeps its state in its fields (hashable
-    values; an unhashable one makes the node step privately) and never
-    reads ``ctx.node_id``, ``ctx.rng``, ``ctx.memory``, ``ctx.seed`` or
-    ``ctx.system`` beyond ``targets()`` and ``correct_ids``.  Strategies
-    that read their own id (``rb-equivocating-sender``,
-    ``rotor-split-echo``), generator (``random-noise``) or memory
-    (``coordinated-equivocation``), run an inner process
-    (``mimic-correct``) or wrap another strategy (``delayed``) do not
-    declare it, and neither does ``silent``, whose empty ``act`` costs less
-    than a memo probe.
+    determined by the inbox and a :class:`SharedContext` alone, and is
+    then a frozen dataclass: its class and field values are part of the
+    key of the shared step, so it keeps its state in hashable fields (an
+    unhashable value makes the node step privately).  Byzantine nodes
+    with equal strategies, round index, known senders and system view
+    that read one inbox object share one ``act`` call.  Strategies that
+    read their own id (``rb-equivocating-sender``, ``rotor-split-echo``),
+    generator (``random-noise``) or memory (``coordinated-equivocation``),
+    run an inner process (``mimic-correct``) or wrap another strategy
+    (``delayed``) do not declare it, and neither does ``silent``, whose
+    empty ``act`` costs less than a shared step.
     """
 
     #: Human-readable name used by the registry and by experiment reports.
@@ -174,6 +205,12 @@ class ByzantineProcess(Process):
         super().__init__(node_id)
         self._strategy = strategy
         self._ctx = AdversaryContext(node_id, seed=seed)
+        self._shared = strategy.shared_act
+        if self._shared:
+            try:
+                hash(strategy)
+            except TypeError:  # an unhashable field value
+                self._shared = False
 
     @property
     def is_byzantine(self) -> bool:
@@ -191,78 +228,47 @@ class ByzantineProcess(Process):
     def step(self, view: RoundView) -> Sequence[Outgoing]:
         """The strategy's actions for this round.
 
-        A shared step returns the memoized actions tuple itself, the same
-        object for every node with an equal key on this inbox; a private
-        step returns a new list.
+        A shared step returns the actions tuple itself, the same object
+        for every node with equal arguments on this inbox; a private step
+        returns a new list.
         """
 
         ctx = self._ctx
-        strategy = self._strategy
         system = ctx.system
-        key = None
-        if strategy.shared_act and system is not None:
-            try:
-                key = _act_key(
-                    type(strategy), tuple(vars(strategy).values()), view.round_index,
-                    ctx.known_ids, system.active_ids, system.byzantine_ids,
-                )
-                hash(key)
-            except TypeError:  # an unhashable field value
-                key = None
+        if self._shared and system is not None:
+            ctx.known_ids, actions = view.inbox.apply(
+                _shared_step, self._strategy, view.round_index, ctx.known_ids,
+                system.active_ids, system.byzantine_ids,
+            )
+            return actions
+        ctx.known_ids = view.inbox.apply(with_senders, ctx.known_ids)
         ctx.view = view
         try:
-            if key is not None:
-                ctx.known_ids, actions = view.inbox.memo(key, self._learn_and_act)
-                return actions
-            self._learn(view.inbox)
-            return list(strategy.act(ctx))
+            return list(self._strategy.act(ctx))
         finally:
-            # Let the round's inbox, and everything memoized on it, go
-            # with the round instead of living until this node's next step.
+            # Let the round's inbox, and everything cached on it, go with
+            # the round instead of living until this node's next step.
             ctx.view = None
 
-    def _learn(self, inbox: Inbox) -> None:
-        """Add the inbox's senders to the node's known ids."""
 
-        ctx = self._ctx
-        # Same shared-union memoization as KnownSenders.observe: every
-        # Byzantine node with the same prior membership reuses one union
-        # per shared inbox instead of copying an O(n) frozenset a round.
-        known = ctx.known_ids
-        ctx.known_ids = inbox.memo(
-            ("byz-known", known),
-            lambda ib: intern_payload(known | ib.senders),
-        )
-
-    def _learn_and_act(self, inbox: Inbox) -> tuple[frozenset[NodeId], tuple]:
-        """:meth:`_learn`, then act: the new known ids and the actions."""
-
-        self._learn(inbox)
-        ctx = self._ctx
-        return ctx.known_ids, tuple(self._strategy.act(ctx))
-
-
-def _act_key(
-    cls: type,
-    fields: tuple,
+def _shared_step(
+    inbox: Inbox,
+    strategy: AdversaryStrategy,
     round_index: int,
     known: frozenset[NodeId],
     active: frozenset[NodeId],
     byzantine: frozenset[NodeId],
-) -> tuple:
-    """The memo key of a :attr:`~AdversaryStrategy.shared_act` node's step
-    on an inbox.
+) -> tuple[frozenset[NodeId], tuple]:
+    """A :attr:`~AdversaryStrategy.shared_act` node's step: its known
+    senders with the inbox's added, and the strategy's actions as a tuple.
 
-    It holds every input such a step may read besides the inbox: the
-    strategy's class and field values (its instance attributes, in
-    definition order), the round index, the node's known senders before
-    the round (with the inbox they fix the set ``act`` reads), and the
-    round's active and Byzantine ids.  The known senders are interned and
-    the round's id sets are one object per round, so probing the key
-    compares them by identity.
+    The known senders are interned and the round's id sets are one object
+    per round, so probing the key compares them by identity.
     """
 
-    return ("byz-act", cls, fields, round_index, known, active, byzantine)
+    known = inbox.apply(with_senders, known)
+    view = RoundView(round_index, inbox)
+    return known, tuple(strategy.act(SharedContext(view, known, active, byzantine)))
 
 
 def send_split(

@@ -68,7 +68,7 @@ class EquivocatingSenderStrategy(AdversaryStrategy):
         return ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FalseEchoStrategy(AdversaryStrategy):
     """Echoes a message the designated sender never broadcast.
 
@@ -95,7 +95,7 @@ class FalseEchoStrategy(AdversaryStrategy):
         return [Broadcast(Echo(self.forged_message, source))]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForgedSourceEchoStrategy(AdversaryStrategy):
     """Echoes on behalf of a *non-existent* node identifier.
 
@@ -120,7 +120,7 @@ class ForgedSourceEchoStrategy(AdversaryStrategy):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateStufferStrategy(AdversaryStrategy):
     """Tries to stuff the candidate set ``C_v`` with phantom identifiers so
     the rotation never reaches a correct coordinator.
@@ -167,7 +167,7 @@ class SplitEchoStrategy(AdversaryStrategy):
         return [Unicast(dest, echo) for dest in ctx.targets()[::2]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UsurperCoordinatorStrategy(AdversaryStrategy):
     """Behaves just enough to get into the candidate set, then — whenever it
     could plausibly be the selected coordinator — sends *different* opinions
@@ -198,7 +198,7 @@ class UsurperCoordinatorStrategy(AdversaryStrategy):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitVoteStrategy(AdversaryStrategy):
     """Full-stack consensus equivocation.
 
@@ -232,7 +232,7 @@ class SplitVoteStrategy(AdversaryStrategy):
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrongPreferSpooferStrategy(AdversaryStrategy):
     """Stays quiet except for ``strongprefer`` spam for a fixed value,
     attempting to trick nodes into terminating with a value nobody input.
@@ -259,7 +259,7 @@ class StrongPreferSpooferStrategy(AdversaryStrategy):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutlierValueStrategy(AdversaryStrategy):
     """Sends wildly different extreme values to different nodes, trying to
     push their trimmed midpoints apart (or outside the correct input range).

@@ -44,7 +44,7 @@ class SilentStrategy(AdversaryStrategy):
         return ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrashStrategy(AdversaryStrategy):
     """Participates honestly-looking (broadcasts a filler payload) for a few
     rounds, then crashes and stays silent forever.
@@ -91,7 +91,7 @@ class RandomNoiseStrategy(AdversaryStrategy):
         return actions
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayStrategy(AdversaryStrategy):
     """Re-broadcasts every payload it received in the previous round.
 
@@ -111,7 +111,7 @@ class ReplayStrategy(AdversaryStrategy):
         return [Broadcast(payload) for payload in table]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivocateValueStrategy(AdversaryStrategy):
     """Sends ``payload_a`` to one half of the system and ``payload_b`` to the
     other half, every round.

@@ -70,46 +70,38 @@ def trim_and_midpoint(values: Sequence[float]) -> float:
     return (trimmed[0] + trimmed[-1]) / 2.0
 
 
-def _first_value_per_sender(
-    inbox: Inbox, iteration: int | None = None
-) -> tuple[float, ...]:
+def _first_value_per_sender(inbox: Inbox, iteration: int | None) -> tuple[float, ...]:
     """Extract one value per sender (the model delivers at most one honest
     value per sender per round; equivocating Byzantine senders contribute a
     single deterministic representative).
 
-    The extraction — and with it the O(n log n) sender sort — is memoized
-    on the (shared) inbox per iteration tag, so in a synchronous run
-    every node reads the same tuple instead of rescanning.
+    Callers apply it on the (shared) inbox per iteration tag, so the
+    extraction — and with it the O(n log n) sender sort — runs once per
+    inbox in a synchronous run instead of once per node.
     """
 
-    def build(ib: Inbox) -> tuple[float, ...]:
-        values: list[float] = []
-        for sender in sorted(ib.senders):
-            for payload in ib.payloads_from(sender):
-                if isinstance(payload, ValueMessage) and (
-                    iteration is None or payload.iteration == iteration
-                ):
-                    values.append(float(payload.value))
-                    break
-        return tuple(values)
-
-    return inbox.memo(("approx-values", iteration), build)
+    values: list[float] = []
+    for sender in sorted(inbox.senders):
+        for payload in inbox.payloads_from(sender):
+            if isinstance(payload, ValueMessage) and (
+                iteration is None or payload.iteration == iteration
+            ):
+                values.append(float(payload.value))
+                break
+    return tuple(values)
 
 
-def _shared_midpoint(inbox: Inbox, iteration: int | None = None) -> float | None:
-    """The trimmed midpoint of the round's values, memoized on the inbox.
+def _shared_midpoint(inbox: Inbox, iteration: int | None) -> float | None:
+    """The trimmed midpoint of the round's values; ``None`` when no values
+    arrived.
 
     Every receiver of a shared broadcast inbox computes the identical
-    aggregate, so the sort inside :func:`trim_and_midpoint` runs once per
-    round instead of once per node.  ``None`` when no values arrived.
+    aggregate, so callers apply it on the inbox and the sort inside
+    :func:`trim_and_midpoint` runs once per round instead of once per node.
     """
 
-    values = _first_value_per_sender(inbox, iteration)
-    if not values:
-        return None
-    return inbox.memo(
-        ("approx-midpoint", iteration), lambda ib: trim_and_midpoint(values)
-    )
+    values = inbox.apply(_first_value_per_sender, iteration)
+    return trim_and_midpoint(values) if values else None
 
 
 class ApproximateAgreementProcess(Process):
@@ -139,8 +131,8 @@ class ApproximateAgreementProcess(Process):
         if view.round_index == 1:
             return [Broadcast(ValueMessage(self._input))]
         if self._output is None:
-            self._received = _first_value_per_sender(view.inbox)
-            self._output = _shared_midpoint(view.inbox)
+            self._received = view.inbox.apply(_first_value_per_sender, None)
+            self._output = view.inbox.apply(_shared_midpoint, None)
             self.halt()
         return ()
 
@@ -195,7 +187,7 @@ class IteratedApproximateAgreementProcess(Process):
         # value — each iteration therefore occupies exactly one round, as in
         # the dynamic-network usage of Section XI.
         if view.round_index > 1:
-            midpoint = _shared_midpoint(view.inbox, iteration=self._completed)
+            midpoint = view.inbox.apply(_shared_midpoint, self._completed)
             if midpoint is not None:
                 self._estimate = midpoint
             self._completed += 1

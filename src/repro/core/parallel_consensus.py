@@ -47,21 +47,17 @@ the same per-identifier state for an instance.  So that state is shared:
   :func:`initial_table`, interned, so engines with equal inputs hold one
   table object; total ordering builds it once per inbox.
 * **One transition per inbox.**  Each phase round (1–5) and the linger
-  bookkeeping after it is one pure transition, :func:`_advance`, stored
-  with :meth:`~repro.sim.messages.Inbox.memo` on the engine's restricted
-  inbox under :func:`_table_key`.  The key holds the table and every input
-  that can differ between engines reading that inbox: the frozen known and
-  loop-sender views, whether the node is in each, the rows the node
-  delivered, which fix the slots (identifier and message type) it spoke
-  for, and, in phase rounds 4 and 5, whether it is the phase's coordinator
-  and who that coordinator is.  Engines in
-  equal states then run each transition once and adopt one result; a
-  per-destination or delayed round hands each engine its own inbox, and
-  the same transition runs unshared.  The rotor core is memoized the same
-  way (:mod:`repro.core.rotor_coordinator`).
+  bookkeeping after it is one pure transition, :func:`_advance`, applied
+  on the engine's restricted inbox with
+  :meth:`~repro.sim.messages.Inbox.apply`, which keys the result by its
+  arguments: the table and every input that can differ between engines
+  reading that inbox.  Engines in equal states then run each transition
+  once and adopt one result; a per-destination or delayed round hands
+  each engine its own inbox, and the same transition runs unshared.  The
+  rotor core is shared the same way (:mod:`repro.core.rotor_coordinator`).
 * **Constants fixed at freeze.**  When ``nv`` freezes (local round 3) the
   engine fixes its frozen view, the sender filter ``known ∩ allowed``
-  (interned and built once per inbox, so the memo key of the shared
+  (interned and built once per inbox, so the key of the shared
   :meth:`~repro.sim.messages.Inbox.restricted` view is an identity check)
   and whether the node is in its own view.
 * **One-pass pick.**  Each support is reduced by one
@@ -290,17 +286,6 @@ def initial_table(input_pairs: Mapping[Hashable, Hashable]) -> _Table:
     return intern_payload(_Table((), pending, 0, 0, 0))
 
 
-#: Memo key under which the ``(instance, type_key)`` support index (see
-#: :func:`_classify` and :func:`repro.core.tally.scan_index`) is cached on
-#: the inbox.
-_SCAN_KEY = "pc-scan-index"
-
-#: Memo key of the ``{sender: payload-table indexes}`` index.
-_ROWS_KEY = "pc-delivered-rows"
-
-#: Memo key (with the coordinator's id) of the coordinator-opinion index.
-_OPINION_KEY = "pc-coordinator-opinions"
-
 #: Spoken-set default for a slot nobody spoke for, and the view of an
 #: engine whose ``nv`` never froze.
 _NOBODY: frozenset[NodeId] = frozenset()
@@ -389,29 +374,12 @@ def _opinion_index(inbox: Inbox, coordinator: NodeId) -> dict[Hashable, Hashable
     return index
 
 
-def _table_key(
-    phase_round: int,
-    table: _Table,
-    view: frozenset[NodeId],
-    loop: frozenset[NodeId],
-    in_view: bool,
-    in_loop: bool,
-    rows: tuple[int, ...] | None,
-    coordinator: Hashable,
-) -> tuple:
-    """The memo key of one table transition on an inbox.
+def _sender_filter(
+    inbox: Inbox, view: frozenset[NodeId], allowed: frozenset[NodeId]
+) -> frozenset[NodeId]:
+    """The sender filter ``view ∩ allowed``, interned."""
 
-    ``phase_round`` names the transition; the rest is every input that can
-    differ between engines reading one inbox: the table, the frozen known
-    and loop-sender views, whether the node is in each, the rows the node
-    delivered (:func:`_delivered_rows`, which fix the slots it spoke for;
-    phase rounds 2–4 read them), and ``coordinator`` — in phase round 4
-    whether the node is the selected coordinator, in phase round 5 who the
-    coordinator is.  The table's hash is computed once and the views are
-    interned, so building and probing the key is O(1) but for the rows.
-    """
-
-    return ("pc-table", phase_round, table, view, loop, in_view, in_loop, rows, coordinator)
+    return intern_payload(view & allowed)
 
 
 def _started(
@@ -452,9 +420,9 @@ def _started(
 
 
 def _advance(
-    table: _Table,
-    phase_round: int,
     inbox: Inbox,
+    phase_round: int,
+    table: _Table,
     view: frozenset[NodeId],
     loop: frozenset[NodeId],
     in_view: bool,
@@ -463,10 +431,20 @@ def _advance(
     coordinator: Hashable,
 ) -> tuple[_Table, tuple[Payload, ...]]:
     """One phase round of ``table`` on ``inbox``, then the linger
-    bookkeeping: ``(table', payloads)``.  The arguments after ``inbox`` are
-    those of :func:`_table_key`."""
+    bookkeeping: ``(table', payloads)``.
 
-    support, spoken = scan_index(inbox, _classify, memo_key=_SCAN_KEY)
+    ``phase_round`` names the transition; the other arguments are every
+    input that can differ between engines reading one inbox: the table,
+    the frozen known and loop-sender views, whether the node is in each,
+    the rows the node delivered (:func:`_delivered_rows`, which fix the
+    slots it spoke for; phase rounds 2–4 read them), and ``coordinator`` —
+    in phase round 4 whether the node is the selected coordinator, in
+    phase round 5 who the coordinator is.  The table's hash is computed
+    once and the views are interned, so building and probing the key of
+    :meth:`~repro.sim.messages.Inbox.apply` is O(1) but for the rows.
+    """
+
+    support, spoken = scan_index(inbox, _classify)
     phase = table.phase + 1 if phase_round == 1 else table.phase
     states, pending = table.states, table.pending
     if phase_round == 1:
@@ -578,10 +556,7 @@ def _advance(
             strong = _NO_PICK
             if weak is None and coordinator is not None:
                 if opinions is None:
-                    opinions = inbox.memo(
-                        (_OPINION_KEY, coordinator),
-                        lambda ib: _opinion_index(ib, coordinator),
-                    )
+                    opinions = inbox.apply(_opinion_index, coordinator)
                 adopted = opinions.get(instance, _NO_OPINION)
                 if adopted is not _NO_OPINION:
                     opinion = adopted
@@ -644,8 +619,8 @@ class ParallelConsensusEngine:
         self._known = KnownSenders()
         # Fixed when ``nv`` freezes (local round 3), read by every later
         # step: the frozen view (interned), the sender filter
-        # ``known ∩ allowed`` (interned, so the shared restriction's memo
-        # key is an identity check) and whether this node is in its view.
+        # ``known ∩ allowed`` (interned, so the shared restriction's key
+        # is an identity check) and whether this node is in its view.
         # An engine first stepped past round 3 never freezes: its view
         # stays empty and it filters by ``allowed`` alone.
         self._view: frozenset[NodeId] = _NOBODY
@@ -653,7 +628,7 @@ class ParallelConsensusEngine:
         self._in_view = False
         self._rotor = RotorCoordinatorCore(node_id)
         # The known senders heard inside the while-loop: a KnownSenders
-        # view, memoized on the shared inbox and interned like ``nv``'s.
+        # view, shared on the inbox and interned like ``nv``'s.
         self._loop = KnownSenders()
         if not isinstance(input_pairs, _Table):
             input_pairs = initial_table(input_pairs or {})
@@ -735,10 +710,7 @@ class ParallelConsensusEngine:
         if allowed is None:
             self._sender_filter = view
         else:
-            self._sender_filter = inbox.memo(
-                ("pc-sender-filter", view, allowed),
-                lambda ib: intern_payload(view & allowed),
-            )
+            self._sender_filter = inbox.apply(_sender_filter, view, allowed)
         self._in_view = self._node_id in view
 
     def step(self, local_round: int, inbox: Inbox) -> list[Payload]:
@@ -754,10 +726,10 @@ class ParallelConsensusEngine:
             self._known.observe(inbox)
             self._freeze(inbox)
 
-        # Restriction is memoized on the (possibly shared) inbox keyed by
+        # Restriction is cached on the (possibly shared) inbox keyed by
         # the sender filter, so nodes with the same membership view share
         # one filtered inbox — and the scan index and table transitions
-        # memoized on it — per round.
+        # applied on it — per round.
         if self._sender_filter is not None:
             inbox = inbox.restricted(self._sender_filter)
         view, loop = self._view, self._loop
@@ -775,19 +747,13 @@ class ParallelConsensusEngine:
             coordinator = outcome.selected == self._node_id
         elif phase_round == 5:
             coordinator = self._rotor.last_selected
-        node, table, loop_ids = self._node_id, self._table, loop.ids
-        in_view, in_loop = self._in_view, node in loop_ids
+        node, loop_ids = self._node_id, loop.ids
         rows = None
         if 2 <= phase_round <= 4:
-            rows = inbox.memo(_ROWS_KEY, _delivered_rows).get(node)
-        self._table, payloads = inbox.memo(
-            _table_key(
-                phase_round, table, view, loop_ids, in_view, in_loop, rows, coordinator
-            ),
-            lambda ib: _advance(
-                table, phase_round, ib, view, loop_ids, in_view, in_loop, rows,
-                coordinator,
-            ),
+            rows = inbox.apply(_delivered_rows).get(node)
+        self._table, payloads = inbox.apply(
+            _advance, phase_round, self._table, view, loop_ids, self._in_view,
+            node in loop_ids, rows, coordinator,
         )
         return [*relays, *payloads]
 

@@ -36,22 +36,23 @@ and the wire-format notes in :mod:`repro.sim.messages`.
 
 Shared state: in a synchronous round every correct node with the same
 view computes the same ``Cv``, relays and selection, so a core's state is
-immutable and shared between cores.  ``Cv`` is an interned frozenset plus
-its sorted tuple, the echoed set of the delta coder an interned frozenset
-next to its emission count modulo :data:`GOSSIP_ANCHOR_PERIOD`, and ``Sv``
-with the selection history one immutable log that each selection extends.
-:meth:`RotorCoordinatorCore.observe`, the round-2 init gossip and
-:meth:`RotorCoordinatorCore.execute_selection` store their results on the
-inbox (:meth:`~repro.sim.messages.Inbox.memo`) under
-:func:`_transition_key`, which holds every input that can differ between
-cores reading one inbox.  Cores in equal states then run each transition
-once per inbox and adopt the same result objects; a core with its own
-inbox (delayed delivery) runs it alone, with the same result.
+immutable and shared between cores.  ``Cv`` is one interned
+:class:`_Candidates` (the set and its identifier order), the echoed set
+of the delta coder an interned frozenset next to its emission count
+modulo :data:`GOSSIP_ANCHOR_PERIOD`, and ``Sv`` with the selection history
+one immutable log that each selection extends.  The three transitions —
+:func:`_init_gossip`, :func:`_observed` and :func:`_selection` — are
+module-level functions of the inbox and exactly the state they read,
+applied on the inbox (:meth:`~repro.sim.messages.Inbox.apply`), which
+keys each result by the function and its arguments.  Cores in equal
+states then run each transition once per inbox and adopt the same result
+objects; a core with its own inbox (delayed delivery) runs it alone, with
+the same result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from ..sim.messages import (
@@ -148,8 +149,9 @@ class CandidateGossip:
 
 
 #: The empty set every core, encoder and log starts from.  ``frozenset()``
-#: is not a singleton, and memo keys hold these sets: equal states must
-#: hold the same object for a key lookup to be an identity check.
+#: is not a singleton, and transitions take these sets as arguments: equal
+#: states must hold the same object for a key lookup to be an identity
+#: check.
 _NOBODY: frozenset[NodeId] = frozenset()
 
 
@@ -271,17 +273,20 @@ class RotorRoundOutcome:
     terminated: bool
 
 
-#: Memo key for the echo-support tally cached on each inbox.  Support comes
-#: from the ``adds`` of :class:`CandidateGossip` payloads (one per correct
-#: sender per round) plus any legacy per-candidate :class:`RotorEcho`
-#: payloads; gossip anchors are deliberately *not* counted — they re-state
-#: old echoes for resynchronisation, and counting them would let a replayed
-#: anchor manufacture fresh support.  See
-#: :func:`repro.core.tally.candidate_support`.
-_ECHO_KEY = "rotor-echo-index"
+@dataclass(frozen=True)
+class _Candidates:
+    """``Cv``: an interned set of identifiers and its identifier order.
 
-#: Memo key for the init-announcement index cached on each inbox.
-_INIT_KEY = "rotor-init-index"
+    Hashed and compared by the set alone, whose hash the frozenset caches:
+    an argument of a transition must hash in O(1), and ``order`` follows
+    from ``ids``.
+    """
+
+    ids: frozenset[NodeId]
+    order: tuple[NodeId, ...] = field(compare=False)
+
+
+_NO_CANDIDATES = _Candidates(_NOBODY, ())
 
 
 class _SelectionLog:
@@ -289,9 +294,9 @@ class _SelectionLog:
     same selections.
 
     Immutable: a selection makes a new log (:meth:`extend`).  It is hashed
-    by identity, so a memo key holding it costs O(1) however long the
-    history grows; cores that select alike adopt the log one memoized
-    selection built.
+    by identity, so a key holding it costs O(1) however long the history
+    grows; cores that select alike adopt the log one shared selection
+    built.
     """
 
     __slots__ = ("history", "selected")
@@ -311,44 +316,28 @@ class _SelectionLog:
 _EMPTY_LOG = _SelectionLog((), _NOBODY)
 
 
-def _transition_key(
-    step: Hashable,
-    nv: int,
-    candidates: frozenset[NodeId],
-    echoed: frozenset[NodeId],
-    phase: int,
-    log: _SelectionLog,
-    index: int,
-) -> tuple:
-    """The memo key of one core transition on an inbox.
+def _init_gossip(
+    inbox: Inbox, echoed: frozenset[NodeId], phase: int
+) -> tuple[CandidateGossip | None, frozenset[NodeId], int]:
+    """The round-2 transition: one echo for every sender whose ``init``
+    arrived, ``(gossip, echoed', phase')``."""
 
-    ``step`` names the transition (with its round index for a selection);
-    the rest is every input that can differ between cores reading one
-    inbox: ``nv``, ``Cv``, the echoed set, the emission phase, the
-    selection log and the selection index.  The sets are interned and the
-    log is hashed by identity, so building and probing the key is O(1).
-    """
-
-    return (step, nv, candidates, echoed, phase, log, index)
+    return _emit(echoed, phase, init_senders(inbox, RotorInit))
 
 
 def _observed(
-    support: dict[Hashable, int],
-    nv: int,
-    candidates: frozenset[NodeId],
-    order: tuple[NodeId, ...],
-    echoed: frozenset[NodeId],
-    phase: int,
-) -> tuple:
-    """``observe``'s transition: ``(Cv', order', gossip, echoed', phase')``."""
+    inbox: Inbox, nv: int, candidates: _Candidates, echoed: frozenset[NodeId], phase: int
+) -> tuple[_Candidates, CandidateGossip | None, frozenset[NodeId], int]:
+    """``observe``'s transition: ``(Cv', gossip, echoed', phase')``."""
 
-    if candidates.issuperset(support):
+    support = candidate_support(inbox, CandidateGossip, RotorEcho)
+    if candidates.ids.issuperset(support):
         # Every echoed candidate is already in ``Cv``: nothing to relay.
-        return candidates, order, None, echoed, phase
+        return candidates, None, echoed, phase
     relays: list[NodeId] = []
     accepted: list[NodeId] = []
     for candidate in sorted(support):
-        if candidate in candidates:
+        if candidate in candidates.ids:
             continue
         count = support[candidate]
         if meets_one_third(count, nv):
@@ -356,20 +345,22 @@ def _observed(
         if meets_two_thirds(count, nv):
             accepted.append(candidate)
     if accepted:
-        candidates = intern_payload(candidates.union(accepted))
-        order = tuple(sorted((*order, *accepted)))
+        candidates = intern_payload(_Candidates(
+            candidates.ids.union(accepted), tuple(sorted((*candidates.order, *accepted)))
+        ))
     # The round's relays travel as one delta-coded gossip payload; the
     # per-candidate support a receiver derives from it is identical to
     # one RotorEcho per relayed candidate.
-    return (candidates, order, *_emit(echoed, phase, tuple(relays)))
+    return (candidates, *_emit(echoed, phase, tuple(relays)))
 
 
 def _selection(
-    order: tuple[NodeId, ...], log: _SelectionLog, index: int, round_index: int
+    inbox: Inbox, candidates: _Candidates, log: _SelectionLog, index: int, round_index: int
 ) -> tuple[NodeId, _SelectionLog, bool]:
     """``execute_selection``'s transition: ``(selected, log', terminated)``."""
 
     # Line 16: p ← Cv[r mod |Cv|].
+    order = candidates.order
     selected = order[index % len(order)]
     if selected in log.selected:
         # Lines 21–23: re-selection terminates the rotor.
@@ -399,20 +390,13 @@ class RotorCoordinatorCore:
     def __init__(self, node_id: NodeId) -> None:
         self._node_id = node_id
         self._known = KnownSenders()
-        self._candidates = _NOBODY  # Cv, interned
-        self._order: tuple[NodeId, ...] = ()  # Cv sorted by identifier
+        self._candidates = _NO_CANDIDATES  # Cv, interned
         self._echoed = _NOBODY  # every candidate gossiped so far, interned
         self._phase = 0  # gossip emissions modulo GOSSIP_ANCHOR_PERIOD
         self._log = _EMPTY_LOG  # Sv and the selection history
         self._index = 0  # the loop variable r of Algorithm 2
         self._last_selected: NodeId | None = None
         self._terminated = False
-
-    def _key(self, step: Hashable) -> tuple:
-        return _transition_key(
-            step, self._known.count, self._candidates, self._echoed,
-            self._phase, self._log, self._index,
-        )
 
     # -- introspection ---------------------------------------------------------
 
@@ -424,7 +408,7 @@ class RotorCoordinatorCore:
     def candidates(self) -> tuple[NodeId, ...]:
         """The ordered candidate set ``Cv``."""
 
-        return self._order
+        return self._candidates.order
 
     @property
     def selected(self) -> frozenset[NodeId]:
@@ -465,10 +449,8 @@ class RotorCoordinatorCore:
         """
 
         self._known.observe(inbox)
-        adds = init_senders(inbox, RotorInit, memo_key=_INIT_KEY)
-        echoed, phase = self._echoed, self._phase
-        gossip, self._echoed, self._phase = inbox.memo(
-            self._key("rotor-init"), lambda ib: _emit(echoed, phase, adds)
+        gossip, self._echoed, self._phase = inbox.apply(
+            _init_gossip, self._echoed, self._phase
         )
         return [] if gossip is None else [gossip]
 
@@ -484,20 +466,13 @@ class RotorCoordinatorCore:
         """
 
         self._known.observe(inbox)
-        support = candidate_support(
-            inbox, CandidateGossip, RotorEcho, memo_key=_ECHO_KEY
-        )
-        if not support:
+        if not candidate_support(inbox, CandidateGossip, RotorEcho):
             # No echoes this round — nothing can change ``Cv`` or warrant a
             # relay.  This is the steady state of every embedded engine
             # (echo traffic dies out after the init rounds).
             return []
-        nv = self._known.count
-        candidates, order = self._candidates, self._order
-        echoed, phase = self._echoed, self._phase
-        self._candidates, self._order, gossip, self._echoed, self._phase = inbox.memo(
-            self._key("rotor-observe"),
-            lambda ib: _observed(support, nv, candidates, order, echoed, phase),
+        self._candidates, gossip, self._echoed, self._phase = inbox.apply(
+            _observed, self._known.count, self._candidates, self._echoed, self._phase
         )
         return [] if gossip is None else [gossip]
 
@@ -542,14 +517,11 @@ class RotorCoordinatorCore:
         payloads: tuple[Payload, ...] = ()
         selected: NodeId | None = None
         terminated = False
-        if self._order:
-            order, log, index = self._order, self._log, self._index
-            selected, log, terminated = inbox.memo(
-                self._key(("rotor-select", round_index)),
-                lambda ib: _selection(order, log, index, round_index),
+        if self._candidates.ids:
+            selected, self._log, terminated = inbox.apply(
+                _selection, self._candidates, self._log, self._index, round_index
             )
             self._last_selected = selected
-            self._log = log
             self._terminated = terminated
             if selected == self._node_id and not terminated:
                 # Lines 25–28: the coordinator broadcasts its opinion.

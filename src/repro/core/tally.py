@@ -6,14 +6,15 @@ tallies*: how many distinct senders backed a value (consensus), echoed a
 identifier (the rotor-coordinator), or spoke for an ``(instance, type)``
 slot (parallel consensus).  Those reductions used to live inline in each
 protocol's hot loop, re-scanning the inbox object-by-object per node per
-round.  This module factors them out behind inbox-memoized entry points
-(:meth:`repro.sim.messages.Inbox.memo`), each computed over the inbox's
-columns (:meth:`~repro.sim.messages.Inbox.columns`): it visits the
-round's *distinct* payloads once, and each payload's support is the
-length of its sender list, built once per inbox.  In a synchronous
-broadcast-only round every recipient shares one inbox, and in a round
-with unicasts every recipient of the same rows does, so each tally is
-computed once per distinct inbox rather than once per node.
+round.  This module factors them out behind entry points that apply a
+build to the inbox (:meth:`repro.sim.messages.Inbox.apply`), keyed by
+the build and its arguments.  Each build runs over the inbox's columns
+(:meth:`~repro.sim.messages.Inbox.columns`): it visits the round's
+*distinct* payloads once, and each payload's support is the length of
+its sender list, built once per inbox.  In a synchronous broadcast-only
+round every recipient shares one inbox, and in a round with unicasts
+every recipient of the same rows does, so each tally is computed once
+per distinct inbox and arguments rather than once per node.
 
 Result contract
 ---------------
@@ -70,16 +71,15 @@ def reset_profile() -> None:
     _PROFILE["builds"] = 0
 
 
-def _memoized(inbox: Inbox, key: Hashable, build: Callable[[Inbox], Any]) -> Any:
-    def timed(ib: Inbox) -> Any:
-        start = perf_counter()
-        try:
-            return build(ib)
-        finally:
-            _PROFILE["seconds"] += perf_counter() - start
-            _PROFILE["builds"] += 1
+def _timed(inbox: Inbox, build: Callable[..., Any], *args: Hashable) -> Any:
+    """``build(inbox, *args)``, its time added to the build profile."""
 
-    return inbox.memo(key, timed)
+    start = perf_counter()
+    try:
+        return build(inbox, *args)
+    finally:
+        _PROFILE["seconds"] += perf_counter() - start
+        _PROFILE["builds"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +108,7 @@ def field_support(
     keys echo support by ``(message, source)``).
     """
 
-    return _memoized(
-        inbox,
-        ("tally-field-support", message_type, fields),
-        lambda ib: _field_support_build(ib, message_type, fields),
-    )
+    return inbox.apply(_timed, _field_support_build, message_type, fields)
 
 
 def _field_support_build(
@@ -140,23 +136,19 @@ def _field_support_build(
 
 
 def candidate_support(
-    inbox: Inbox,
-    gossip_type: type,
-    echo_type: type,
-    *,
-    memo_key: Hashable = "rotor-echo-index",
+    inbox: Inbox, gossip_type: type, echo_type: type
 ) -> dict[Hashable, int]:
     """``candidate → distinct-sender count`` from gossip adds + legacy echoes.
 
     A sender backing the same candidate through several payloads (a gossip
     *and* a legacy echo, or duplicate entries inside one ``adds`` tuple)
     counts once — the ``(sender, candidate)`` pair is deduplicated exactly
-    as the original per-candidate sender sets did.
+    as the original per-candidate sender sets did.  Gossip anchors are not
+    counted: they re-state old echoes for resynchronisation, and counting
+    them would let a replayed anchor manufacture fresh support.
     """
 
-    return _memoized(
-        inbox, memo_key, lambda ib: _candidate_support_build(ib, gossip_type, echo_type)
-    )
+    return inbox.apply(_timed, _candidate_support_build, gossip_type, echo_type)
 
 
 def _candidate_support_build(
@@ -190,12 +182,10 @@ def _candidate_support_build(
 # ---------------------------------------------------------------------------
 
 
-def init_senders(
-    inbox: Inbox, init_type: type, *, memo_key: Hashable = "rotor-init-index"
-) -> tuple[NodeId, ...]:
+def init_senders(inbox: Inbox, init_type: type) -> tuple[NodeId, ...]:
     """Sorted ids of every sender that delivered an ``init_type`` payload."""
 
-    return _memoized(inbox, memo_key, lambda ib: _init_senders_build(ib, init_type))
+    return inbox.apply(_timed, _init_senders_build, init_type)
 
 
 def _init_senders_build(inbox: Inbox, init_type: type) -> tuple[NodeId, ...]:
@@ -216,8 +206,6 @@ def _init_senders_build(inbox: Inbox, init_type: type) -> tuple[NodeId, ...]:
 def scan_index(
     inbox: Inbox,
     classify: Callable[[Payload], tuple[Hashable, Any] | None],
-    *,
-    memo_key: Hashable,
 ) -> tuple[dict[Hashable, dict[Hashable, int]], dict[Hashable, frozenset[NodeId]]]:
     """One-pass ``(support, spoken)`` index over classified payloads.
 
@@ -228,10 +216,11 @@ def scan_index(
     the frozen set of senders that spoke for it at all.  ``support`` key
     order is first occurrence among *valued* rows — parallel consensus
     derives instance creation order from it, which reaches stored-output
-    dict order.
+    dict order.  ``classify`` is part of the key, so it must be a
+    module-level function.
     """
 
-    return _memoized(inbox, memo_key, lambda ib: _scan_index_build(ib, classify))
+    return inbox.apply(_timed, _scan_index_build, classify)
 
 
 def _scan_index_build(
@@ -268,10 +257,7 @@ def _scan_index_build(
 
 
 def control_pairs(
-    inbox: Inbox,
-    bulk_types: tuple[type, ...],
-    *,
-    memo_key: Hashable = "tally-control-pairs",
+    inbox: Inbox, bulk_types: tuple[type, ...]
 ) -> tuple[tuple[NodeId, Payload], ...]:
     """The ``(sender, payload)`` rows whose payload is *not* bulk traffic.
 
@@ -281,9 +267,7 @@ def control_pairs(
     removes the O(n²) scan.  Row order is preserved exactly.
     """
 
-    return _memoized(
-        inbox, (memo_key, bulk_types), lambda ib: _control_pairs_build(ib, bulk_types)
-    )
+    return inbox.apply(_timed, _control_pairs_build, bulk_types)
 
 
 def _control_pairs_build(

@@ -158,16 +158,6 @@ class _InstanceRecord:
         return self.decided_outputs if self.quiescent else self.engine.outputs
 
 
-#: Memo key for the per-instance routing table cached on each inbox.
-_ROUTE_KEY = "total-order-routing"
-
-#: Memo key (with the round number and membership view) of one round's
-#: membership and event intake.
-_INTAKE_KEY = "total-order-intake"
-
-#: Memo key of the empty inbox of the instances without traffic.
-_QUIET_KEY = "total-order-quiet"
-
 #: The ``(instance_round, payloads)`` groups of a ``PCBatch``.
 _batch_groups = attrgetter("groups")
 
@@ -180,15 +170,17 @@ def _route_instances(inbox: Inbox) -> dict[int, Inbox]:
     order with each sender's duplicates collapsed (a sender that delivered
     several batches, as a replaying attacker does, has them merged).  The
     split works on the columns, so a batch that ``k`` senders delivered —
-    the interned steady state — is hashed once, not ``k`` times.  The
-    result is memoized on the inbox (:meth:`~repro.sim.messages.Inbox.memo`):
-    every node handed the same inbox object shares one split per round.
+    the interned steady state — is hashed once, not ``k`` times.  It is
+    applied on the inbox (:meth:`~repro.sim.messages.Inbox.apply`): every
+    node handed the same inbox object shares one split per round.
     """
 
     return inbox.split(PCBatch, _batch_groups)
 
 
 def _quiet(inbox: Inbox) -> Inbox:
+    """The empty inbox of the instances without traffic this round."""
+
     return Inbox.empty()
 
 
@@ -206,7 +198,7 @@ def _intake(
     protocol round (a small tolerance of one round absorbs the join skew).
     It depends on the inbox, the round number and the view alone, so nodes
     reading one inbox with one view compute it once
-    (:meth:`~repro.sim.messages.Inbox.memo`) and start their instances
+    (:meth:`~repro.sim.messages.Inbox.apply`) and start their instances
     from one table.  Batched consensus traffic is routed separately
     (:func:`_route_instances`); this pass only reads the O(events)
     control-plane rows, filtered once per inbox by
@@ -393,10 +385,8 @@ class TotalOrderProcess(Process):
         round_number = self._round
 
         # -- 1. membership and event intake, once per inbox and view -----------
-        members = self._members
-        self._members, joiners, start = view.inbox.memo(
-            (_INTAKE_KEY, round_number, members),
-            lambda ib: _intake(ib, round_number, members),
+        self._members, joiners, start = view.inbox.apply(
+            _intake, round_number, self._members
         )
         for sender in joiners:
             outgoing.append(Unicast(sender, AckMsg(round_number)))
@@ -433,11 +423,11 @@ class TotalOrderProcess(Process):
         # outputs survive), and it is never stepped again.  This is what
         # keeps the per-round cost bounded by the decide+linger window
         # instead of growing with the ~5n/2-round finality horizon.
-        routed = view.inbox.memo(_ROUTE_KEY, _route_instances)
+        routed = view.inbox.apply(_route_instances)
         groups: list[tuple[int, tuple[Payload, ...]]] = []
         # Instances without traffic this round read one empty inbox per
         # round inbox, so their engines share transitions like the rest.
-        empty = view.inbox.memo(_QUIET_KEY, _quiet)
+        empty = view.inbox.apply(_quiet)
         for record in self._instances.values():
             if record.quiescent:
                 continue

@@ -43,25 +43,27 @@ module provides the building blocks for:
   round, a full sorted anchor with a cached digest every few emissions,
   and a deterministic receiver-side reconstruction.  The encoder state is
   shared, not kept per node: the echoed set is an interned frozenset and
-  the emission count is kept modulo the anchor period, both in the rotor
-  core's memo key, so correct nodes in equal states encode a round's
-  relays once per inbox and hold one echoed-set object.
+  the emission count is kept modulo the anchor period, both arguments of
+  the rotor core's transitions, so correct nodes in equal states encode a
+  round's relays once per inbox and hold one echoed-set object.
 * **Byte accounting** — :func:`payload_nbytes` reports (and caches) the
   serialised size of a payload, which the network uses for the opt-in
   message-volume metrics tracked by ``benchmarks/bench_scaling.py``.
 
 Derived views of a round's traffic (support indexes, routing tables, the
-``allowed``-sender restriction of :meth:`Inbox.restricted`) are memoized
-*on the inbox* via :meth:`Inbox.memo`: in a synchronous run every
-receiver of a broadcast-only round shares one :class:`Inbox` object, and
-in a round with unicasts every receiver of the same rows does, so a pure
-derivation is computed once per distinct inbox instead of once per node.
-A node's state transition is memoized the same way when its key holds
-every input that can differ between the nodes reading the inbox, as the
-rotor core's does.  The derived inboxes — :meth:`Inbox.restricted` and the per-key split of
-container payloads, :meth:`Inbox.split` — are built from the parent's
-columns: no payload the parent filed is hashed again, and a container's
-inner payloads are hashed once per distinct container, not once per row.
+``allowed``-sender restriction of :meth:`Inbox.restricted`) and the
+nodes' state transitions are computed *on the inbox* by
+:meth:`Inbox.apply`, once per function and argument tuple: in a
+synchronous run every receiver of a broadcast-only round shares one
+:class:`Inbox` object, and in a round with unicasts every receiver of the
+same rows does, so a pure derivation is computed once per distinct inbox
+and distinct arguments instead of once per node.  A transition is a
+module-level function of the inbox and its arguments, so a node can only
+reuse a result computed from inputs equal to its own.  The derived
+inboxes — :meth:`Inbox.restricted` and the per-key split of container
+payloads, :meth:`Inbox.split` — are built from the parent's columns: no
+payload the parent filed is hashed again, and a container's inner
+payloads are hashed once per distinct container, not once per row.
 """
 
 from __future__ import annotations
@@ -247,8 +249,7 @@ class Inbox:
     such row points at the first sender's instance.  Payload identity is
     therefore an integer compare, which is what lets :mod:`repro.core.tally`
     reduce the round to support counts over the columns.  The per-sender
-    tuples behind the object API (:meth:`payloads_from`, :meth:`senders_of`,
-    …) are built lazily on first use.
+    tuples behind :meth:`payloads_from` are built lazily on first use.
     """
 
     __slots__ = ("_table", "_sender_rows", "_payload_rows", "_by_sender",
@@ -378,26 +379,29 @@ class Inbox:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Inbox({self._grouped()!r})"
 
-    def memo(self, key: Hashable, factory: "Callable[[Inbox], Any]") -> Any:
-        """Cache ``factory(self)`` on this inbox under ``key``.
+    def apply(self, fn: Callable[..., Any], *args: Hashable) -> Any:
+        """``fn(self, *args)``, computed once per ``(fn, args)`` on this inbox.
 
-        An inbox is immutable, so any pure derivation of its contents (a
-        payload index, a per-instance routing table) can be computed once
+        An inbox is immutable, so a pure derivation of it (a payload index,
+        a routing table, a node's state transition) can be computed once
         and shared by every consumer — crucially including *different
-        receivers* in a synchronous run, where a broadcast-only round
-        hands the same ``Inbox`` object to every node and a round with
-        unicasts hands one to every node with the same rows.  The cache
-        dies with the inbox; factories must not mutate the result.
+        receivers* in a synchronous run, where a broadcast-only round hands
+        the same ``Inbox`` object to every node and a round with unicasts
+        hands one to every node with the same rows.  The arguments are the
+        key, so ``fn`` must be a module-level function that reads the inbox
+        and its arguments only, and each argument must hash in O(1)
+        (interned sets, identity-hashed logs, tables with a cached hash).
+        The cache dies with the inbox; callers must not mutate the result.
         """
 
         cache = self._memo
         if cache is None:
             self._memo = cache = {}
+        key = (fn, args)
         try:
             return cache[key]
         except KeyError:
-            value = factory(self)
-            cache[key] = value
+            value = cache[key] = fn(self, *args)
             return value
 
     def restricted(self, allowed: frozenset[NodeId]) -> "Inbox":
@@ -405,43 +409,19 @@ class Inbox:
 
         Returns ``self`` when nothing needs stripping (the common case —
         protocols restrict to their known-sender sets, which usually cover
-        everyone who spoke).  Otherwise the restriction is built once and
-        memoized on this inbox keyed by ``allowed``, so in a synchronous
+        everyone who spoke).  Otherwise the restriction is built once per
+        ``allowed`` set on this inbox (:meth:`apply`), so in a synchronous
         run every node applying the same filter to the shared inbox
-        reuses one restricted view — including its own memo cache, which is
+        reuses one restricted view — including its own cache, which is
         what lets downstream index builds stay once-per-round even in runs
-        where Byzantine senders must be stripped.
-
-        The build filters this inbox's rows by sender and re-indexes the
-        table: a kept table entry moves to the position of its first kept
-        row.  No payload is hashed again, and the result has exactly the
-        columns (and table objects) that rebuilding ``Inbox`` from the
-        kept senders' payloads would give.
+        where Byzantine senders must be stripped.  Even the "nothing to
+        strip" answer is cached, as ``None`` so that the cache does not
+        hold its own inbox: the subset test is O(senders), and a probe
+        keyed by an interned known-sender view is one identity compare.
         """
 
-        def build(inbox: "Inbox") -> "Inbox":
-            if inbox.senders <= allowed:
-                return inbox
-            table = inbox._table
-            moved = [-1] * len(table)
-            kept_table: list[Payload] = []
-            sender_rows: list[NodeId] = []
-            payload_rows: list[int] = []
-            for sender, index in zip(inbox._sender_rows, inbox._payload_rows):
-                if sender in allowed:
-                    new_index = moved[index]
-                    if new_index < 0:
-                        moved[index] = new_index = len(kept_table)
-                        kept_table.append(table[index])
-                    sender_rows.append(sender)
-                    payload_rows.append(new_index)
-            return Inbox._from_columns(kept_table, sender_rows, payload_rows)
-
-        # The subset test is O(senders); memoizing even the "nothing to
-        # strip" case makes the per-node cost of the common path a single
-        # dict probe (frozensets cache their hash, and the interned
-        # known-sender views make the key comparison an identity check).
-        return self.memo(("wire-restricted", allowed), build)
+        kept = self.apply(_restricted, allowed)
+        return self if kept is None else kept
 
     def split(
         self,
@@ -534,46 +514,6 @@ class Inbox:
             for key, filing in filings.items()
         }
 
-    # -- protocol-oriented queries ----------------------------------------
-
-    def senders_of(self, payload: Payload) -> frozenset[NodeId]:
-        """The distinct senders that delivered exactly ``payload``."""
-
-        return frozenset(
-            sender
-            for sender, payloads in self._grouped().items()
-            if payload in payloads
-        )
-
-    def count(self, payload: Payload) -> int:
-        """Number of distinct senders that delivered exactly ``payload``."""
-
-        return len(self.senders_of(payload))
-
-    def senders_matching(
-        self, predicate: Callable[[Payload], bool]
-    ) -> frozenset[NodeId]:
-        """Senders that delivered at least one payload satisfying ``predicate``."""
-
-        return frozenset(
-            sender
-            for sender, payloads in self._grouped().items()
-            if any(predicate(p) for p in payloads)
-        )
-
-    def received_from(self, sender: NodeId, payload: Payload) -> bool:
-        """True when ``sender`` delivered exactly ``payload`` this round."""
-
-        return payload in self.payloads_from(sender)
-
-    def group_by_type(self) -> dict[type, list[tuple[NodeId, Payload]]]:
-        """Group ``(sender, payload)`` pairs by the payload's Python type."""
-
-        grouped: dict[type, list[tuple[NodeId, Payload]]] = {}
-        for sender, payload in self.items():
-            grouped.setdefault(type(payload), []).append((sender, payload))
-        return grouped
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -606,6 +546,34 @@ class Inbox:
             else:
                 payloads.append(payload)
         return Inbox(by_sender)
+
+
+def _restricted(inbox: Inbox, allowed: frozenset[NodeId]) -> Inbox | None:
+    """:meth:`Inbox.restricted`'s build: the inbox's rows filtered by
+    sender, or ``None`` when every sender is allowed.
+
+    A kept table entry moves to the position of its first kept row.  No
+    payload is hashed again, and the result has exactly the columns (and
+    table objects) that rebuilding ``Inbox`` from the kept senders'
+    payloads would give.
+    """
+
+    if inbox.senders <= allowed:
+        return None
+    table = inbox._table
+    moved = [-1] * len(table)
+    kept_table: list[Payload] = []
+    sender_rows: list[NodeId] = []
+    payload_rows: list[int] = []
+    for sender, index in zip(inbox._sender_rows, inbox._payload_rows):
+        if sender in allowed:
+            new_index = moved[index]
+            if new_index < 0:
+                moved[index] = new_index = len(kept_table)
+                kept_table.append(table[index])
+            sender_rows.append(sender)
+            payload_rows.append(new_index)
+    return Inbox._from_columns(kept_table, sender_rows, payload_rows)
 
 
 def _unhashable_index(table: list[Payload], payload: Payload) -> int:

@@ -122,9 +122,15 @@ class NullProcess(Process):
 
 
 #: The view every :class:`KnownSenders` starts from.  ``frozenset()`` is not
-#: a singleton, and the view is a memo key: equal views must be one object
-#: for the key lookup to be an identity check.
+#: a singleton, and the view is a key of :meth:`Inbox.apply`: equal views
+#: must be one object for the key lookup to be an identity check.
 _NOBODY: frozenset[NodeId] = frozenset()
+
+
+def with_senders(inbox: Inbox, known: frozenset[NodeId]) -> frozenset[NodeId]:
+    """``known`` with the inbox's senders added, interned."""
+
+    return intern_payload(known | inbox.senders)
 
 
 class KnownSenders:
@@ -150,29 +156,24 @@ class KnownSenders:
         and 5 freeze ``nv`` after their two initialization rounds and
         discard messages from unknown senders afterwards.
 
-        The union is memoized on the inbox, keyed by the membership going
-        in: with a shared inbox every node with the same prior
-        view (all of them, in the common lock-step case) reuses one union
-        computed once per round instead of paying an O(n) set update each.
-        The result is interned, so in the steady state — no new senders —
-        the memo hands back the *same* frozenset object and this is a
-        dict lookup plus an identity-equal assignment.
+        The union is :func:`with_senders`, applied on the inbox with the
+        membership going in: with a shared inbox every node with the same
+        prior view (all of them, in the common lock-step case) reuses one
+        union computed once per round instead of paying an O(n) set update
+        each.  The result is interned, so in the steady state — no new
+        senders — the inbox hands back the *same* frozenset object and this
+        is a dict lookup plus an identity-equal assignment.
         """
 
-        if self._frozen:
-            return
-        view = self._view
-        self._view = inbox.memo(
-            ("known-senders", view),
-            lambda ib: intern_payload(view | ib.senders),
-        )
+        if not self._frozen:
+            self._view = inbox.apply(with_senders, self._view)
 
     def freeze(self) -> None:
         """Stop growing the set (used after the init rounds of Alg. 3/5).
 
         The frozen view is interned: correct nodes overwhelmingly freeze
         identical memberships, and sharing one canonical frozenset makes
-        the memo-key comparisons of :meth:`~repro.sim.messages.Inbox.memo`
+        the key comparisons of :meth:`~repro.sim.messages.Inbox.apply`
         (restricted views are keyed by the allowed set) an identity check
         instead of an element-wise hash-and-compare.
         """
@@ -195,7 +196,7 @@ class KnownSenders:
         """The membership as a frozenset — the storage itself.
 
         Quorum counting queries this every support count, and the wire
-        layer uses it as the memo key of the shared
+        layer uses it as the key of the shared
         :meth:`~repro.sim.messages.Inbox.restricted` filter — returning the
         same object (with frozenset's internally cached hash) keeps those
         lookups cheap at scale.

@@ -1,10 +1,10 @@
 """The mutable per-node parallel-consensus engine, kept as a reference.
 
 :class:`repro.core.parallel_consensus.ParallelConsensusEngine` keeps its
-per-identifier state in one immutable table and memoizes each phase-round
+per-identifier state in one immutable table and shares each phase-round
 transition on the inbox.  Before that, every engine kept its own mutable
 ``_ReferenceState`` per identifier and ran every phase round itself; this
-module is that implementation, unchanged but for its names.
+module is that implementation, renamed and without its inbox caches.
 ``tests/test_step_equivalence.py`` steps both on the same histories and
 requires the same payloads, opinions and outputs.
 """
@@ -65,12 +65,6 @@ class _ReferenceState:
 #: :func:`_classify` and :func:`repro.core.tally.scan_index`.
 _ScanIndex = dict[tuple[Hashable, str], dict[Hashable, int]]
 
-#: Memo key under which the scan index is cached on the inbox.
-_SCAN_KEY = "pc-scan-index"
-
-#: Memo key (with the coordinator's id) of the coordinator-opinion index.
-_OPINION_KEY = "pc-coordinator-opinions"
-
 #: Spoken-set default for a slot nobody spoke for.
 _NOBODY: frozenset[NodeId] = frozenset()
 
@@ -105,16 +99,6 @@ def _classify(payload: Payload) -> tuple[tuple[Hashable, str], Hashable] | None:
     if cls is PCNoStrongPreference:
         return (payload.instance, _TYPE_STRONG), NO_VALUE
     return None
-
-
-def _silent_key(
-    slot: tuple[Hashable, str], known: frozenset[NodeId], loop: frozenset[NodeId]
-) -> tuple:
-    """The memo key of the senders rule 3 substitutes for in ``slot``: the
-    node's interned known and loop-sender views are every input that can
-    differ between the engines reading one inbox."""
-
-    return ("pc-silent-senders", slot, known, loop)
 
 
 def _opinion_index(inbox: Inbox, coordinator: NodeId) -> dict[Hashable, Hashable]:
@@ -170,8 +154,8 @@ class ReferenceEngine:
         self._known = KnownSenders()
         # Fixed when ``nv`` freezes (local round 3), read by every later
         # step: the sender filter ``known ∩ allowed`` (interned, like the
-        # frozen known-sender view, so the shared restriction's memo key
-        # is an identity check), ``nv``, both relative thresholds and
+        # frozen known-sender view, so the shared restriction's key is
+        # an identity check), ``nv``, both relative thresholds and
         # whether this node counts itself.  An engine first stepped past
         # round 3 never freezes and filters by ``allowed`` alone.
         self._sender_filter = allowed_senders
@@ -359,25 +343,13 @@ class ReferenceEngine:
                 # inside the loop (rule 3, narrowed as in Algorithm 3).
                 own = state.sent.get(type_key)
                 if own is not None:
-                    silent = self._silent_count(inbox, key, senders_of_type)
+                    # |known − spoken − loop senders − {self}|
+                    quiet = self._known.ids - senders_of_type - self._loop.ids
+                    silent = len(quiet) - (self._node_id in quiet)
                     if silent:
                         counts = dict(counts)
                         counts[own] = counts.get(own, 0) + silent
         return counts
-
-    def _silent_count(
-        self, inbox: Inbox, key: tuple[Hashable, str], spoken: frozenset[NodeId]
-    ) -> int:
-        """``|known − spoken − loop senders − {self}|``: the senders rule 3
-        fills in for.  The set is derived once per inbox from the interned
-        known and loop-sender views, which the key holds; only the
-        node's own membership is tested per node."""
-
-        known, loop = self._known.ids, self._loop.ids
-        silent = inbox.memo(
-            _silent_key(key, known, loop), lambda ib: known - spoken - loop
-        )
-        return len(silent) - (self._node_id in silent)
 
     # -- the round state machine ------------------------------------------------------
 
@@ -404,9 +376,7 @@ class ReferenceEngine:
             # can never grow again (the inbox is filtered to known senders).
             self._loop.observe(inbox)
         relays = self._rotor.observe(inbox)
-        self._scan_support, self._scan_spoken = scan_index(
-            inbox, _classify, memo_key=_SCAN_KEY
-        )
+        self._scan_support, self._scan_spoken = scan_index(inbox, _classify)
         phase_round = (local_round - INIT_ROUNDS - 1) % PHASE_LENGTH + 1
         if phase_round == 1:
             self._phase += 1
@@ -521,10 +491,7 @@ class ReferenceEngine:
             decide = weak if count >= self._two_thirds else None
             if weak is None and coordinator is not None:
                 if opinions is None:
-                    opinions = inbox.memo(
-                        (_OPINION_KEY, coordinator),
-                        lambda ib: _opinion_index(ib, coordinator),
-                    )
+                    opinions = _opinion_index(inbox, coordinator)
                 opinion = opinions.get(state.instance, _NO_OPINION)
                 if opinion is not _NO_OPINION:
                     state.opinion = opinion

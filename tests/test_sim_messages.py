@@ -35,12 +35,12 @@ class TestInbox:
         assert inbox.payloads_from(1) == ()
 
     def test_empty_inboxes_do_not_outlive_their_round(self):
-        # Protocols memoize derivations on inboxes, so an empty inbox shared
-        # process-wide would keep collecting memo entries for as long as the
-        # process lives.
+        # Protocols apply derivations on inboxes, so an empty inbox shared
+        # process-wide would keep collecting cached results for as long as
+        # the process lives.
         builds = []
-        Inbox.empty().memo("probe", builds.append)
-        Inbox.empty().memo("probe", builds.append)
+        Inbox.empty().apply(builds.append)
+        Inbox.empty().apply(builds.append)
         assert len(builds) == 2
 
         class Listener(Process):
@@ -105,45 +105,12 @@ class TestInbox:
         inbox = Inbox({1: [[7]]})
         assert inbox.payloads_from(1) == ([7],)
         assert len(inbox) == 1
-        assert inbox.received_from(1, [7])
-
-    def test_count_counts_distinct_senders_not_messages(self):
-        inbox = Inbox.from_pairs([(1, "x"), (2, "x"), (2, "x"), (3, "y")])
-        assert inbox.count("x") == 2
-        assert inbox.count("y") == 1
-        assert inbox.count("z") == 0
-
-    def test_senders_of_and_received_from(self):
-        inbox = Inbox.from_pairs([(1, "x"), (2, "y")])
-        assert inbox.senders_of("x") == {1}
-        assert inbox.received_from(1, "x")
-        assert not inbox.received_from(1, "y")
-
-    def test_senders_matching_predicate(self):
-        inbox = Inbox.from_pairs([(1, ("echo", 5)), (2, ("vote", 5)), (3, ("echo", 6))])
-        echoers = inbox.senders_matching(lambda p: p[0] == "echo")
-        assert echoers == {1, 3}
+        assert [7] in inbox.payloads_from(1)
 
     def test_items_iteration_and_contains(self):
         inbox = Inbox.from_pairs([(1, "x"), (2, "y")])
         assert sorted(inbox.items()) == [(1, "x"), (2, "y")]
         assert 1 in inbox and 3 not in inbox
-
-    def test_group_by_type(self):
-        inbox = Inbox.from_pairs([(1, "x"), (2, 42)])
-        grouped = inbox.group_by_type()
-        assert grouped[str] == [(1, "x")]
-        assert grouped[int] == [(2, 42)]
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=0, max_size=40
-        )
-    )
-    def test_property_counts_never_exceed_sender_count(self, pairs):
-        inbox = Inbox.from_pairs(pairs)
-        for _, payload in pairs:
-            assert inbox.count(payload) <= len(inbox.senders)
 
     @given(
         st.lists(
@@ -153,7 +120,7 @@ class TestInbox:
     def test_property_every_pair_is_retrievable(self, pairs):
         inbox = Inbox.from_pairs(pairs)
         for sender, payload in pairs:
-            assert inbox.received_from(sender, payload)
+            assert payload in inbox.payloads_from(sender)
 
 
 @cached_payload_hash
@@ -205,6 +172,8 @@ class TestWireFormat:
     def test_restricted_reuses_inbox_when_nothing_to_strip(self):
         inbox = Inbox.from_pairs([(1, "a"), (2, "b")])
         assert inbox.restricted(frozenset({1, 2, 3})) is inbox
+        # No self-cycle, which would leave the round to the cyclic collector.
+        assert all(value is not inbox for value in inbox._memo.values())
 
     def test_restricted_is_memoized_per_allowed_set(self):
         inbox = Inbox.from_pairs([(1, "a"), (2, "b"), (3, "c")])

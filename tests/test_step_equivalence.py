@@ -17,21 +17,19 @@ implementation as the reference of a Hypothesis property:
   immutable table, against the mutable per-node engine they replaced
   (``pc_reference.ReferenceEngine``);
 * rotor cores, consensus processes and parallel-consensus engines
-  stepped on shared inboxes, where transitions are memoized, against the
-  same nodes stepped on private copies, where nothing is shared.  For
-  each input of the rotor's memo key
-  (:func:`repro.core.rotor_coordinator._transition_key`) and of the
-  parallel-consensus table key
-  (:func:`repro.core.parallel_consensus._table_key`) a pinned history
-  fails the property once the key drops that input;
+  stepped on shared inboxes, where transitions are shared, against the
+  same nodes stepped on private copies, where nothing is shared.  A pinned
+  history per input of the rotor and table transitions sets two nodes
+  apart in that input alone;
 * ``replay``'s one pass over the inbox's payload table against the scan
   that kept each payload's first row;
 * Byzantine nodes whose strategy declares ``shared_act``, stepped on
-  shared inboxes, where their actions are memoized, against the same
-  nodes on private copies.  For each input of the action key
-  (:func:`repro.adversary.base._act_key`) a pinned history fails the
-  property once the key drops that input, and one fails it once a
-  strategy that reads its own id is declared shared.
+  shared inboxes, where their actions are shared, against the same nodes
+  on private copies, with a pinned history per argument of the shared
+  step.
+
+``tests/test_shared_transitions.py`` checks that every function applied
+on an inbox (:meth:`Inbox.apply`) reads only the inbox and its arguments.
 
 Inbox comparisons check the columns, the :meth:`Inbox.items` order and the
 payload-table objects by identity: equal payloads such as ``1``, ``True``
@@ -45,6 +43,7 @@ from __future__ import annotations
 
 import copy
 from collections import Counter
+from dataclasses import dataclass
 from typing import NamedTuple
 from unittest import mock
 
@@ -54,16 +53,15 @@ from hypothesis import strategies as st
 
 from repro.adversary import (
     STRATEGY_FACTORIES,
+    AdversaryStrategy,
     ByzantineProcess,
     ReplayStrategy,
-    SplitEchoStrategy,
     make_strategy,
 )
-from repro.adversary import base as adversary
-from repro.adversary.base import AdversaryContext
+from repro.adversary.base import AdversaryContext, _shared_step
 from repro.api import ScenarioSpec, run_scenario
 from repro.core.approximate_agreement import ValueMessage
-from repro.core import parallel_consensus, rotor_coordinator, total_order
+from repro.core import total_order
 from repro.core.consensus import ConsensusInput, ConsensusProcess, Prefer, StrongPrefer
 from repro.core.parallel_consensus import (
     BOTTOM,
@@ -618,9 +616,9 @@ def one_round(*inboxes, reads=(0, 0, 0), selects=(False, False, False)):
     return inboxes, reads, selects
 
 
-#: One history per key input, on which a key without that input lets a
-#: node adopt the transition of a node in another state.  Nodes 1 and 2
-#: diverge on private inboxes, then read one shared inbox.
+#: One history per input of the rotor transitions, on which nodes 1 and 2
+#: differ in that input alone: they diverge on private inboxes, then read
+#: one shared inbox.
 DIVERGENT_HISTORIES = {
     # Node 2 also hears 7–9: four echoes of 7 meet 2nv/3 only at node 1.
     "nv": (
@@ -681,9 +679,8 @@ def inputs(senders):
 QUIET = one_round(())
 
 
-#: One history per input of the parallel-consensus table key, on which a
-#: key without that input lets engine 2 adopt the transition of engine 1,
-#: whose state or view differs only in that input.  Local round 3 is the
+#: One history per input of the parallel-consensus table transition, on
+#: which engines 1 and 2 differ in that input alone.  Local round 3 is the
 #: first phase round; phase 2 starts at round 8.
 TABLE_HISTORIES = {
     # Only engine 1 sees four inputs and prefers 1; the same quiet round
@@ -808,51 +805,6 @@ def test_engines_match_the_mutable_reference(history):
             assert [repr(p) for p in got] == [repr(p) for p in want]
             assert got == want
             assert observables(engines[node]) == observables(references[node])
-
-
-def dropping(name: str):
-    """:func:`_transition_key` without the input ``name``."""
-
-    def key(step, nv, candidates, echoed, phase, log, index):
-        inputs = dict(
-            nv=nv, candidates=candidates, echoed=echoed, phase=phase, log=log, index=index
-        )
-        del inputs[name]
-        return (step, *inputs.values())
-
-    return key
-
-
-@pytest.mark.parametrize("name", sorted(DIVERGENT_HISTORIES))
-def test_a_key_without_one_input_fails_the_property(name):
-    history = DIVERGENT_HISTORIES[name]
-    check_shared_equals_private(history)
-    with mock.patch.object(rotor_coordinator, "_transition_key", dropping(name)):
-        with pytest.raises(AssertionError):
-            check_shared_equals_private(history)
-
-
-def dropping_table_input(name: str):
-    """:func:`_table_key` without the input ``name``."""
-
-    def key(phase_round, table, view, loop, in_view, in_loop, rows, coordinator):
-        inputs = dict(
-            table=table, view=view, loop=loop, in_view=in_view, in_loop=in_loop,
-            rows=rows, coordinator=coordinator,
-        )
-        del inputs[name]
-        return (phase_round, *inputs.values())
-
-    return key
-
-
-@pytest.mark.parametrize("name", sorted(TABLE_HISTORIES))
-def test_a_table_key_without_one_input_fails_the_property(name):
-    history = TABLE_HISTORIES[name]
-    check_shared_equals_private(history)
-    with mock.patch.object(parallel_consensus, "_table_key", dropping_table_input(name)):
-        with pytest.raises(AssertionError):
-            check_shared_equals_private(history)
 
 
 # ---------------------------------------------------------------------------
@@ -993,13 +945,15 @@ _FIRST = tuple((sender, RotorInit()) for sender in (1, 2, 3))
 _SECOND = tuple((sender, RotorInit()) for sender in (4, 5))
 _CORRECT = frozenset(range(1, 7))
 _EVERYONE = (_CORRECT | {10, 11}, frozenset({10, 11}))
+_EVERYONE_VIEW = SystemView(
+    round_index=1, active_ids=_EVERYONE[0], byzantine_ids=_EVERYONE[1],
+    correct_processes={}, rng=make_rng(0),
+)
 #: A round in which nodes 10 and 11 both read inbox 0 with view 0.
 _ALIKE = ((0, 0), (0, 0))
 
-#: One history per input of the action key, on which a key without that
-#: input lets node 11 adopt the step of node 10, which differs from it only
-#: in that input; and one on which declaring ``rotor-split-echo`` shared
-#: does, since its echo names the sender.
+#: One history per input of the shared step (the strategy's class and fields,
+#: round, known, active and Byzantine ids): nodes 10 and 11 differ in it alone.
 ACT_HISTORIES = {
     # A usurper and a split voter with equal field values (0, 1): in
     # round 3 one sends opinions, the other four votes per target.
@@ -1096,39 +1050,28 @@ def test_shared_byzantine_steps_equal_private_steps(history):
     check_byzantine_shared_equals_private(history)
 
 
-def dropping_act_input(name: str):
-    """:func:`repro.adversary.base._act_key` without the input ``name``."""
+@dataclass(frozen=True)
+class ReadsNodeState(AdversaryStrategy):
+    """Declared shared, yet it sends one node-specific context field."""
 
-    def key(cls, fields, round_index, known, active, byzantine):
-        inputs = dict(
-            cls=cls, fields=fields, round_index=round_index, known=known,
-            active=active, byzantine=byzantine,
-        )
-        del inputs[name]
-        return ("byz-act", *inputs.values())
+    attribute: str
+    shared_act = True
 
-    return key
+    def act(self, ctx):
+        return [Broadcast(getattr(ctx, self.attribute))]
 
 
-@pytest.mark.parametrize("name", sorted(ACT_HISTORIES))
-def test_an_act_key_without_one_input_fails_the_property(name):
-    history = ACT_HISTORIES[name]
-    check_byzantine_shared_equals_private(history)
-    with mock.patch.object(adversary, "_act_key", dropping_act_input(name)):
-        with pytest.raises(AssertionError):
-            check_byzantine_shared_equals_private(history)
-
-
-def test_declaring_a_strategy_that_reads_its_id_shared_fails_the_property():
-    check_byzantine_shared_equals_private(SPLIT_ECHO_HISTORY)
-    with mock.patch.object(SplitEchoStrategy, "shared_act", True):
-        with pytest.raises(AssertionError):
-            check_byzantine_shared_equals_private(SPLIT_ECHO_HISTORY)
+@pytest.mark.parametrize("attribute", ["node_id", "rng", "memory", "seed", "system"])
+def test_a_shared_strategy_that_reads_node_state_fails_on_its_first_call(attribute):
+    process = ByzantineProcess(10, ReadsNodeState(attribute))
+    process.observe_system(_EVERYONE_VIEW)
+    with pytest.raises(AttributeError, match=attribute):
+        process.step(RoundView(1, Inbox.from_pairs(_FIRST)))
 
 
 def test_equal_nodes_act_once_per_inbox_and_the_rest_alone():
-    """Equal nodes on one inbox make one ``act`` call; a node without a
-    system view, or with an unhashable field value, makes its own."""
+    """Equal nodes on one inbox make one shared ``act`` call; a node without
+    a system view, or with an unhashable field value, makes its own."""
 
     calls = Counter()
 
@@ -1136,15 +1079,11 @@ def test_equal_nodes_act_once_per_inbox_and_the_rest_alone():
         act = cls.act
 
         def wrapper(self, ctx):
-            calls[type(self).name, ctx.node_id] += 1
+            calls[type(self).name, type(ctx).__name__] += 1
             return act(self, ctx)
 
         return mock.patch.object(cls, "act", wrapper)
 
-    everyone = SystemView(
-        round_index=1, active_ids=_EVERYONE[0], byzantine_ids=_EVERYONE[1],
-        correct_processes={}, rng=make_rng(0),
-    )
     split = STRATEGY_FACTORIES["consensus-split-vote"]
     stuffer = STRATEGY_FACTORIES["rotor-candidate-stuffer"]
     voters = [ByzantineProcess(node, split()) for node in (10, 11, 12)]
@@ -1156,17 +1095,16 @@ def test_equal_nodes_act_once_per_inbox_and_the_rest_alone():
     with counted(split), counted(stuffer):
         for process in (*voters, *stuffers):
             if process.node_id != 12:
-                process.observe_system(everyone)
+                process.observe_system(_EVERYONE_VIEW)
             process.step(RoundView(3, inbox))
     assert calls == {
-        ("consensus-split-vote", 10): 1,
-        ("consensus-split-vote", 12): 1,
-        ("rotor-candidate-stuffer", 13): 1,
-        ("rotor-candidate-stuffer", 14): 1,
+        ("consensus-split-vote", "SharedContext"): 1,
+        ("consensus-split-vote", "AdversaryContext"): 1,
+        ("rotor-candidate-stuffer", "AdversaryContext"): 2,
     }
     # One entry, for nodes 10 and 11: known ids and actions, no inbox.
     [(known, actions)] = [
-        value for key, value in inbox._memo.items() if key[0] == "byz-act"
+        value for (fn, _args), value in inbox._memo.items() if fn is _shared_step
     ]
     assert known == {1, 2, 3}
     assert actions and all(isinstance(action, Unicast) for action in actions)

@@ -15,6 +15,7 @@ delayed delivery mixes batches, and filtered known-sender subsets.
 
 from __future__ import annotations
 
+from dataclasses import make_dataclass
 from itertools import zip_longest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,7 +28,7 @@ from repro.core.parallel_consensus import (
     PCPrefer,
     _classify,
 )
-from repro.core.reliable_broadcast import Echo
+from repro.core.reliable_broadcast import Echo, Present
 from repro.core.consensus import ConsensusInput
 from repro.core.rotor_coordinator import CandidateGossip, RotorEcho, RotorInit
 from repro.sim.messages import Inbox
@@ -199,7 +200,7 @@ def check_init_senders_and_scan_index(inbox):
     inits = tally.init_senders(inbox, RotorInit)
     assert inits == ref_init_senders(inbox, RotorInit)
     assert all(type(s) is int for s in inits)
-    support, spoken = tally.scan_index(inbox, _classify, memo_key="t")
+    support, spoken = tally.scan_index(inbox, _classify)
     ref_support, ref_spoken = ref_scan_index(inbox, _classify)
     assert list(support) == list(ref_support)
     for key in ref_support:
@@ -329,9 +330,24 @@ def test_empty_round_tallies():
     assert tally.value_support(empty, ConsensusInput) == {}
     assert tally.candidate_support(empty, CandidateGossip, RotorEcho) == {}
     assert tally.init_senders(empty, RotorInit) == ()
-    support, spoken = tally.scan_index(empty, _classify, memo_key="t")
+    support, spoken = tally.scan_index(empty, _classify)
     assert support == {} and spoken == {}
     assert tally.control_pairs(empty, (Echo,)) == ()
+
+
+def test_each_call_on_one_inbox_gets_the_result_of_its_own_types():
+    """A tally is keyed by its build and every argument, so a call with
+    other types on the same inbox is not handed an earlier call's result."""
+
+    Vouch = make_dataclass("Vouch", ["candidate"], frozen=True)  # a second echo type
+    inbox = Inbox.from_pairs([
+        (1, RotorInit()), (2, Present()), (3, Present()),
+        (1, RotorEcho(7)), (2, Vouch(8)), (3, CandidateGossip(adds=(9,))),
+    ])
+    assert tally.init_senders(inbox, RotorInit) == (1,)
+    assert tally.init_senders(inbox, Present) == (2, 3)
+    assert tally.candidate_support(inbox, CandidateGossip, RotorEcho) == {7: 1, 9: 1}
+    assert tally.candidate_support(inbox, CandidateGossip, Vouch) == {8: 1, 9: 1}
 
 
 def test_profile_accumulates_build_time():
