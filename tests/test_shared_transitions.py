@@ -13,7 +13,10 @@ import ast
 import dis
 import inspect
 import pathlib
+from collections import defaultdict
 from unittest import mock
+
+import pytest
 
 import repro
 from repro.adversary import STRATEGY_FACTORIES
@@ -36,20 +39,50 @@ SPECS += [
 SPECS.append(ScenarioSpec(protocol="parallel-consensus", n=7, f=2, delay="uniform-random"))
 
 
-def recorded(drive) -> tuple[set, set]:
-    """The functions that reach ``Inbox.apply`` in ``drive()``, and the lines calling it."""
+def call_sites() -> dict[str, tuple[pathlib.Path, range]]:
+    """Each ``.apply(`` call in ``src/repro`` and the lines it spans, named
+    by the function around it and the function it applies."""
 
-    functions, lines, apply = set(), set(), Inbox.apply
+    root, sites = pathlib.Path(repro.__file__).parent.resolve(), {}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" if isinstance(child, SCOPES) else scope
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "apply":
+                name = f"{inner}({ast.unparse(child.args[0])})"
+                name += "+" * sum(site.startswith(name) for site in sites)  # a repeated call
+                sites[name] = (path, range(child.lineno, child.end_lineno + 1))
+            visit(child, path, inner)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, ".".join(path.relative_to(root).with_suffix("").parts))
+    return sites
+
+
+SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+SITES = call_sites()
+
+
+def recorded(drive) -> dict[tuple[pathlib.Path, int], set]:
+    """The functions that reach ``Inbox.apply`` in ``drive()``, applied or
+    as an argument, by the file and line that call it."""
+
+    by_line, apply = defaultdict(set), Inbox.apply
 
     def recording(inbox, fn, *args):
-        functions.update(f for f in (fn, *args) if callable(f) and not inspect.isclass(f))
         caller = inspect.currentframe().f_back
-        lines.add((pathlib.Path(caller.f_code.co_filename).resolve(), caller.f_lineno))
+        line = (pathlib.Path(caller.f_code.co_filename).resolve(), caller.f_lineno)
+        by_line[line].update(f for f in (fn, *args) if callable(f) and not inspect.isclass(f))
         return apply(inbox, fn, *args)
 
     with mock.patch.object(Inbox, "apply", recording):
         drive()
-    return functions, lines
+    return by_line
+
+
+@pytest.fixture(scope="module")
+def reached():  # one run of every scenario for all call sites
+    return recorded(lambda: [run_scenario(spec) for spec in SPECS])
 
 
 def impurities(fn) -> list[str]:
@@ -77,16 +110,16 @@ def impurities(fn) -> list[str]:
     return found
 
 
-def test_every_applied_function_uses_only_the_inbox_and_its_arguments():
-    functions, lines = recorded(lambda: [run_scenario(spec) for spec in SPECS])
-    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "apply":
-                site = range(node.lineno, node.end_lineno + 1)
-                assert any(file == path.resolve() and line in site for file, line in lines), (
-                    f"no scenario reaches the apply call at {path}:{node.lineno}"
-                )
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_every_applied_function_uses_only_the_inbox_and_its_arguments(site, reached):
+    path, span = SITES[site]
+    functions = set().union(*(reached.get((path, line), ()) for line in span))
+    assert functions, f"no scenario reaches the apply call at {path}:{span.start}"
     assert [problem for fn in functions for problem in impurities(fn)] == []
+
+
+def test_every_recorded_apply_call_is_a_named_call_site(reached):
+    assert {(path, line) for path, span in SITES.values() for line in span} >= set(reached)
 
 
 _SEEN: list = []  # a mutable global, read by a planted impurity below
@@ -96,14 +129,23 @@ def _reads_a_mutable_global(inbox):
     return len(_SEEN)
 
 
-def test_the_check_fails_on_a_lambda_a_closure_a_method_and_a_mutable_global():
-    offset = 1
+def _closure(offset=1):
+    return lambda inbox: offset
 
-    def closure(inbox):
-        return offset
 
-    for planted in (lambda inbox: offset, closure, Inbox().items, _reads_a_mutable_global):
-        assert impurities(planted)
-    # A classifier passed to a tally reaches ``Inbox.apply`` as an argument.
-    functions, _ = recorded(lambda: scan_index(Inbox(), lambda payload: None))
+PLANTED = {
+    "lambda": lambda inbox: 1,
+    "closure": _closure(),
+    "method": Inbox().items,
+    "mutable global": _reads_a_mutable_global,
+}
+
+
+@pytest.mark.parametrize("planted", sorted(PLANTED))
+def test_the_check_fails_on_a_planted_impurity(planted):
+    assert impurities(PLANTED[planted])
+
+
+def test_the_check_sees_a_classifier_passed_to_a_tally_as_an_argument():
+    functions = set().union(*recorded(lambda: scan_index(Inbox(), lambda payload: None)).values())
     assert any(impurities(fn) for fn in functions)
